@@ -8,7 +8,7 @@ use saturn_graphseries::GraphSeries;
 use saturn_synth::TimeUniform;
 use saturn_trips::dp::{baseline, NullSink};
 use saturn_trips::{
-    earliest_arrival_dp_in, occupancy_histogram_on, DpOptions, EngineArena, EventView,
+    earliest_arrival_dp_in, occupancy_histogram_in, DpOptions, EngineArena, EventView,
     TargetSet, Timeline,
 };
 
@@ -25,7 +25,7 @@ fn bench_dp_scaling(c: &mut Criterion) {
         let work = (n as u64) * timeline.total_edges() as u64; // n·M units
         group.throughput(Throughput::Elements(work));
         group.bench_with_input(BenchmarkId::from_parameter(n), &timeline, |b, t| {
-            b.iter(|| occupancy_histogram_on(t, &TargetSet::all(n)))
+            b.iter(|| occupancy_histogram_in(&mut EngineArena::new(), t, &TargetSet::all(n)))
         });
     }
     group.finish();
@@ -41,7 +41,9 @@ fn bench_dp_vs_k(c: &mut Criterion) {
     for k in [100u64, 10_000, 100_000] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             let timeline = Timeline::aggregated(&stream, k);
-            b.iter(|| occupancy_histogram_on(&timeline, &TargetSet::all(40)))
+            b.iter(|| {
+                occupancy_histogram_in(&mut EngineArena::new(), &timeline, &TargetSet::all(40))
+            })
         });
     }
     group.finish();

@@ -34,7 +34,7 @@ use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
 use saturn_synth::TimeUniform;
 use saturn_trips::dp::{baseline, NullSink};
 use saturn_trips::{
-    earliest_arrival_dp_in, occupancy_histogram_tile_in, DpOptions, DpStats, EngineArena,
+    earliest_arrival_dp_in, occupancy_histogram_in, DpOptions, DpRun, DpStats, EngineArena,
     EventView, OccupancyHistogram, TargetSet, Timeline,
 };
 use serde_json::Value;
@@ -181,8 +181,10 @@ fn tiled_histogram(
 ) -> OccupancyHistogram {
     let mut acc = OccupancyHistogram::new();
     for &(start, len) in ranges {
-        let h = occupancy_histogram_tile_in(arena, timeline, targets, start, len as usize);
-        acc.merge(&h);
+        let mut tile = OccupancyHistogram::new();
+        let run = DpRun { tile: Some((start, len)), ..Default::default() };
+        earliest_arrival_dp_in(arena, timeline, targets, &mut tile, run);
+        acc.merge(&tile);
     }
     acc
 }
@@ -211,10 +213,9 @@ fn measure_intra_scale(
     let view = EventView::new(dense);
     let timeline = Timeline::aggregated_from_view(&view, k);
     let mut arena = EngineArena::new();
-    let t_untiled = time_median(reps, || {
-        occupancy_histogram_tile_in(&mut arena, &timeline, &targets, 0, ncols)
-    });
-    let reference = occupancy_histogram_tile_in(&mut arena, &timeline, &targets, 0, ncols);
+    let t_untiled =
+        time_median(reps, || occupancy_histogram_in(&mut arena, &timeline, &targets));
+    let reference = occupancy_histogram_in(&mut arena, &timeline, &targets);
 
     let mut checksums_match = true;
     let mut tile_sensitivity = Vec::new();

@@ -6,7 +6,7 @@
 //! This binary is that tool.
 //!
 //! ```text
-//! saturn analyze <file> [--directed] [--points N] [--sample N] [--threads N] [--tile N] [--no-delta] [--no-incremental] [--json] [--unit s|m|h|d]
+//! saturn analyze <file> [--directed] [--points N] [--sample N] [--threads N] [--tile N] [--json] [--unit s|m|h|d]
 //! saturn synth <irvine|facebook|enron|manufacturing> [--seed S] [--scale F] [--out FILE]
 //! saturn validate <file> [--directed] [--points N] [--threads N]
 //! saturn stats <file> [--directed] [--json]
@@ -63,11 +63,6 @@ USAGE:
       --threads N         worker threads (default: $SATURN_THREADS, else all cores)
       --tile N            target-tile width in columns (default 0 = auto);
                           execution knob only — reports are bit-identical
-      --no-delta          disable DP delta propagation (ablation; reports
-                          are bit-identical either way)
-      --no-incremental    build every scale's timeline from scratch instead
-                          of merging adjacent windows of a finer scale
-                          (ablation; reports are bit-identical either way)
       --unit s|m|h|d      display unit for Δ (ticks are seconds; default h)
       --json              emit the full report as JSON
                           ($SATURN_TRACE=json mirrors per-tile sweep spans
@@ -83,10 +78,6 @@ USAGE:
       --threads N         sweep worker pool size, shared across requests
       --tile N            default target-tile width for analyze sweeps
                           (0 = auto; requests may override with ?tile=N)
-      --no-delta          default delta-propagation setting for analyze
-                          sweeps (requests may override with ?no_delta=1)
-      --no-incremental    default incremental-timeline setting for analyze
-                          sweeps (requests may override with ?no_incremental=1)
       --cache-mb M        in-memory report cache budget in MiB (default 64;
                           0 disables the memory tier entirely)
       --cache-dir DIR     durable disk spill tier under the memory cache:
@@ -138,8 +129,6 @@ struct Flags {
     sample: Option<u32>,
     threads: usize,
     tile: usize,
-    no_delta: bool,
-    no_incremental: bool,
     json: bool,
     unit: (f64, &'static str),
     seed: u64,
@@ -165,8 +154,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         sample: None,
         threads: env_threads(),
         tile: 0,
-        no_delta: false,
-        no_incremental: false,
         json: false,
         unit: (3600.0, "h"),
         seed: 1,
@@ -205,8 +192,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--tile" => {
                 f.tile = value("--tile")?.parse().map_err(|e| format!("--tile: {e}"))?
             }
-            "--no-delta" => f.no_delta = true,
-            "--no-incremental" => f.no_incremental = true,
             "--addr" => f.addr = value("--addr")?,
             "--cache-mb" => {
                 f.cache_mb =
@@ -293,9 +278,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         .grid(SweepGrid::Geometric { points: f.points })
         .targets(targets(&f))
         .threads(f.threads)
-        .tile(f.tile)
-        .no_delta_propagation(f.no_delta)
-        .no_incremental_timeline(f.no_incremental);
+        .tile(f.tile);
     let report = if json_trace_from_env() {
         // SATURN_TRACE=json: mirror every completed (scale, tile) span as a
         // JSON line on stderr, same format `saturn serve` emits. Observation
@@ -385,8 +368,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         addr: f.addr.clone(),
         threads: f.threads,
         tile: f.tile,
-        no_delta: f.no_delta,
-        no_incremental: f.no_incremental,
         cache_bytes: f.cache_mb << 20,
         cache_dir: f.cache_dir.as_ref().map(std::path::PathBuf::from),
         cache_disk_bytes: f.cache_disk_mb << 20,
@@ -580,18 +561,6 @@ mod tests {
         assert_eq!(flags(&["t.txt", "--tile", "64"]).unwrap().tile, 64);
         assert!(flags(&["--tile", "wide"]).unwrap_err().contains("--tile"));
         assert!(flags(&["--tile"]).unwrap_err().contains("--tile"));
-    }
-
-    #[test]
-    fn no_delta_flag_parses_and_defaults_off() {
-        assert!(!flags(&["t.txt"]).unwrap().no_delta);
-        assert!(flags(&["t.txt", "--no-delta"]).unwrap().no_delta);
-    }
-
-    #[test]
-    fn no_incremental_flag_parses_and_defaults_off() {
-        assert!(!flags(&["t.txt"]).unwrap().no_incremental);
-        assert!(flags(&["t.txt", "--no-incremental"]).unwrap().no_incremental);
     }
 
     #[test]

@@ -1,15 +1,21 @@
 //! End-to-end tests of the `saturn` binary.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn saturn(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_saturn")).args(args).output().expect("binary runs")
 }
 
+/// Writes the test trace to a file of its own: tests run on parallel
+/// threads, and rewriting a shared file would truncate it under another
+/// test's running `saturn` child.
 fn tmp_trace() -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("saturn-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("trace-{}.txt", std::process::id()));
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("trace-{}-{n}.txt", std::process::id()));
     let mut text = String::new();
     for i in 0..300i64 {
         text.push_str(&format!("n{} n{} {}\n", i % 6, (i + 1) % 6, i * 40));
@@ -138,21 +144,15 @@ fn synth_analyze_json_end_to_end() {
 }
 
 /// The execution-knob matrix the CI job scripts: every combination of
-/// `--no-delta`, `--no-incremental`, `--tile`, and thread count must emit
-/// byte-identical JSON — the property that lets ops flip any knob on a
-/// live deployment without reports moving.
+/// `--tile` and thread count must emit byte-identical JSON — the property
+/// that lets ops flip any knob on a live deployment without reports moving.
 #[test]
 fn execution_knobs_do_not_change_report_bytes() {
     let path = tmp_trace();
     let path = path.to_str().unwrap();
     let baseline = saturn(&["analyze", path, "--points", "8", "--threads", "2", "--json"]);
     assert!(baseline.status.success(), "{}", String::from_utf8_lossy(&baseline.stderr));
-    for knobs in [
-        &["--no-incremental"][..],
-        &["--no-delta"],
-        &["--tile", "7"],
-        &["--no-incremental", "--no-delta", "--tile", "3", "--threads", "1"],
-    ] {
+    for knobs in [&["--tile", "1"][..], &["--tile", "7"], &["--tile", "3", "--threads", "1"]] {
         let mut args = vec!["analyze", path, "--points", "8", "--threads", "2", "--json"];
         args.extend_from_slice(knobs);
         let out = saturn(&args);

@@ -8,8 +8,8 @@ use rustc_hash::FxHashMap;
 use saturn_distrib::{SelectionMetric, WeightedDist};
 use saturn_linkstream::LinkStream;
 use saturn_trips::{
-    occupancy_histogram_tile_stats_in, Cancelled, DpOptions, EngineArena, EventView,
-    OccupancyHistogram, TargetSet, Timeline,
+    earliest_arrival_dp_in, Cancelled, DpRun, EngineArena, EventView, OccupancyHistogram,
+    TargetSet, Timeline,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,8 +75,8 @@ pub struct RefreshStats {
     /// Scales recomputed on a scratch- or merge-built timeline
     /// (cache miss, or a dirty mark reaching window 0).
     pub scales_scratch: u64,
-    /// `(scale, tile)` work items skipped by histogram reuse, under the
-    /// full sweep's tile layout.
+    /// `(scale, tile)` work items skipped by histogram reuse, under each
+    /// round's tile layout (sized for the scales that round computes).
     pub tiles_skipped: u64,
     /// Windows re-scattered by splices, summed over respliced scales.
     pub suffix_windows_rebuilt: u64,
@@ -234,8 +234,6 @@ pub struct OccupancyMethod {
     refine_rounds: usize,
     refine_points: usize,
     tile: usize,
-    no_delta: bool,
-    no_incremental: bool,
 }
 
 impl Default for OccupancyMethod {
@@ -250,8 +248,6 @@ impl Default for OccupancyMethod {
             refine_rounds: 2,
             refine_points: 8,
             tile: 0,
-            no_delta: false,
-            no_incremental: false,
         }
     }
 }
@@ -319,30 +315,6 @@ impl OccupancyMethod {
         self
     }
 
-    /// Disables the DP engine's delta propagation (change-driven offers +
-    /// bitmap dirty sets; see `saturn_trips::dp` module docs). Results are
-    /// bit-identical either way, so — exactly like [`tile`](Self::tile) —
-    /// this is a pure execution knob for ablation benchmarking and never
-    /// enters content fingerprints.
-    pub fn no_delta_propagation(mut self, no_delta: bool) -> Self {
-        self.no_delta = no_delta;
-        self
-    }
-
-    /// Disables incremental timeline construction: every scale's timeline is
-    /// built from scratch off the shared event view instead of merging
-    /// adjacent windows of an already-built divisor-compatible finer scale
-    /// (`Timeline::aggregated_by_merge`; see the timeline module's "Merge
-    /// invariants"). Merged timelines are field-for-field identical to
-    /// scratch ones, so — exactly like [`tile`](Self::tile) and
-    /// [`no_delta_propagation`](Self::no_delta_propagation) — this is a
-    /// pure execution knob for ablation benchmarking and never enters
-    /// content fingerprints.
-    pub fn no_incremental_timeline(mut self, no_incremental: bool) -> Self {
-        self.no_incremental = no_incremental;
-        self
-    }
-
     /// Scores one scale's merged histogram.
     fn delta_result(&self, span: i64, k: u64, hist: &OccupancyHistogram) -> DeltaResult {
         let dist = WeightedDist::from_pairs(hist.sorted_rates());
@@ -356,226 +328,6 @@ impl OccupancyMethod {
             scores: UniformityScores::of(&dist),
             distribution: matches!(self.keep, KeepPolicy::All).then_some(dist),
         }
-    }
-
-    /// Analyzes `ks` scales on `pool`: builds the `(scale, tile)` queue
-    /// (finest scales first), fans it across the workers, and merges the
-    /// per-tile histograms of each scale in ascending tile order — so the
-    /// resulting [`DeltaResult`]s are bit-identical for every thread count
-    /// and tile width.
-    ///
-    /// Timelines are built **incrementally** where scales allow it: the
-    /// merge plan ([`merge_sources`]) pairs each scale with the nearest
-    /// finer scale whose window count it divides, and that scale's timeline
-    /// is then derived by adjacent-window merging
-    /// (`Timeline::aggregated_by_merge` — field-for-field identical to a
-    /// scratch build, so reports and cache fingerprints are untouched)
-    /// instead of re-scattering the full event view. Each scale owns one
-    /// lazily built `Arc<Timeline>` slot shared by its tiles *and* its
-    /// merge dependents; the slot's refcount (`tiles + dependents`) releases
-    /// the handle as soon as the last consumer is done, so — exactly as in
-    /// the per-scale layout — only the scales currently in flight (plus
-    /// pending merge sources) hold timelines. Chained builds follow the
-    /// queue's finest-first order: a merge source always precedes its
-    /// dependents, and the slot mutexes are only ever taken in descending
-    /// scale order (coarser scales wait on finer ones), so the lazy
-    /// cross-scale builds cannot deadlock. `no_incremental` empties the
-    /// plan, restoring per-scale scratch builds for ablation.
-    ///
-    /// Cancellation (`ctl.cancel`): workers poll the token before each queue
-    /// item — an already-fired token turns the remaining items into no-ops —
-    /// and thread it into the DP, which polls at a coarse step stride. A
-    /// fired token makes this return [`Cancelled`] and every partial
-    /// histogram is dropped. Progress (`ctl.progress`) advances by one when
-    /// a scale's last tile completes.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of one sweep
-    fn sweep_scales(
-        &self,
-        pool: &mut WorkerPool,
-        arenas: &[Mutex<EngineArena>],
-        view: &EventView,
-        span: i64,
-        targets: &TargetSet,
-        ks: &[u64],
-        ctl: &SweepControl,
-    ) -> Result<Vec<DeltaResult>, Cancelled> {
-        let hists = self.sweep_histograms(pool, arenas, view, targets, ks, ctl, &[])?;
-        Ok(ks.iter().zip(&hists).map(|(&k, hist)| self.delta_result(span, k, hist)).collect())
-    }
-
-    /// The fan-out core of [`sweep_scales`](Self::sweep_scales), returning
-    /// each scale's merged histogram instead of scored results — the refresh
-    /// path ([`try_refresh_on`](Self::try_refresh_on)) stores these in its
-    /// session cache. `prebuilt` optionally seeds per-scale timelines
-    /// (empty = build every scale lazily): a seeded scale skips the lazy
-    /// build entirely and is excluded from the merge plan, so spliced
-    /// timelines flow in without disturbing the merge-chain machinery.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of one sweep
-    fn sweep_histograms(
-        &self,
-        pool: &mut WorkerPool,
-        arenas: &[Mutex<EngineArena>],
-        view: &EventView,
-        targets: &TargetSet,
-        ks: &[u64],
-        ctl: &SweepControl,
-        prebuilt: &[Option<Arc<Timeline>>],
-    ) -> Result<Vec<OccupancyHistogram>, Cancelled> {
-        let ncols = targets.len();
-        let tile_cols = if self.tile == 0 {
-            auto_tile_cols(ncols, ks.len(), pool.parallelism())
-        } else {
-            self.tile.max(1)
-        };
-        let items = sweep_queue(ks, &targets.tile_ranges(tile_cols));
-        let tiles_in_scale = items.first().map_or(1, |item| item.tiles_in_scale);
-
-        // one options value threads every execution knob end to end: the
-        // engines consume the delta flag, this scheduler consumes the
-        // incremental-timeline flag (an empty merge plan = scratch builds)
-        let dp_options = DpOptions {
-            no_delta_propagation: self.no_delta,
-            no_incremental_timeline: self.no_incremental,
-            ..Default::default()
-        };
-        let mut sources: Vec<Option<usize>> = if dp_options.no_incremental_timeline {
-            vec![None; ks.len()]
-        } else {
-            merge_sources(ks)
-        };
-        // a seeded scale never builds, so it must not count as a merge
-        // dependent of its planned source (the release bookkeeping would
-        // otherwise never reach zero there)
-        for (i, source) in sources.iter_mut().enumerate() {
-            if prebuilt.get(i).is_some_and(Option::is_some) {
-                *source = None;
-            }
-        }
-        let mut dependents = vec![0usize; ks.len()];
-        for &j in sources.iter().flatten() {
-            dependents[j] += 1;
-        }
-
-        struct SharedScale {
-            timeline: Mutex<Option<Arc<Timeline>>>,
-            /// Consumers (tiles + merge dependents) not yet finished; the
-            /// decrement to 0 clears `timeline`.
-            remaining: AtomicUsize,
-        }
-        let shared: Vec<SharedScale> = dependents
-            .iter()
-            .enumerate()
-            .map(|(i, &deps)| SharedScale {
-                timeline: Mutex::new(prebuilt.get(i).cloned().flatten()),
-                remaining: AtomicUsize::new(tiles_in_scale + deps),
-            })
-            .collect();
-
-        /// Drops one consumer reference to scale `i`'s shared timeline,
-        /// clearing the slot on the last one so the allocation frees as
-        /// soon as the final in-flight clone drops, instead of living
-        /// until the sweep returns.
-        fn release(shared: &[SharedScale], i: usize) {
-            if shared[i].remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                *shared[i].timeline.lock().expect("timeline slot poisoned") = None;
-            }
-        }
-
-        /// Scale `i`'s timeline, building it on first demand — by merging
-        /// down from its planned source scale (recursing at most the chain
-        /// length, always toward smaller indices) or from scratch off the
-        /// shared view. Holding slot `i`'s lock across the build makes
-        /// concurrent requesters wait for the one build instead of
-        /// duplicating it.
-        fn obtain(
-            shared: &[SharedScale],
-            sources: &[Option<usize>],
-            ks: &[u64],
-            view: &EventView,
-            i: usize,
-        ) -> Arc<Timeline> {
-            let mut slot = shared[i].timeline.lock().expect("timeline slot poisoned");
-            if let Some(timeline) = slot.as_ref() {
-                return Arc::clone(timeline);
-            }
-            let built = Arc::new(match sources[i] {
-                Some(j) => {
-                    let fine = obtain(shared, sources, ks, view, j);
-                    let merged = fine.aggregated_by_merge(ks[i]);
-                    drop(fine);
-                    release(shared, j);
-                    merged
-                }
-                None => Timeline::aggregated_from_view(view, ks[i]),
-            });
-            *slot = Some(Arc::clone(&built));
-            built
-        }
-
-        // One countdown per scale; the worker that completes a scale's last
-        // tile advances the coarse progress counter.
-        let tiles_left: Vec<AtomicUsize> =
-            (0..ks.len()).map(|_| AtomicUsize::new(tiles_in_scale)).collect();
-
-        let parts: Vec<OccupancyHistogram> = pool.map(&items, |wid, item| {
-            // Every slot must be written, so a cancelled item still returns
-            // a (discarded) histogram — it just skips the work.
-            if ctl.cancel.is_cancelled() {
-                return OccupancyHistogram::new();
-            }
-            let mut arena = arenas[wid].lock().expect("arena poisoned");
-            let timeline = obtain(&shared, &sources, ks, view, item.scale);
-            let started = Instant::now();
-            let (hist, stats) = occupancy_histogram_tile_stats_in(
-                &mut arena,
-                &timeline,
-                targets,
-                item.col_start,
-                item.col_len as usize,
-                dp_options,
-                Some(&ctl.cancel),
-            );
-            let seconds = started.elapsed().as_secs_f64();
-            drop(timeline);
-            release(&shared, item.scale);
-            // A token fired mid-DP leaves `hist` partial; the guard keeps a
-            // partial tile from counting its scale as done (and its garbage
-            // stats from reaching the observer).
-            if !ctl.cancel.is_cancelled() {
-                let last_tile_of_scale =
-                    tiles_left[item.scale].fetch_sub(1, Ordering::AcqRel) == 1;
-                if last_tile_of_scale {
-                    ctl.progress.add_done(1);
-                }
-                if let Some(observer) = &ctl.observer {
-                    observer.tile_done(&TileSpan {
-                        k: ks[item.scale],
-                        col_start: item.col_start,
-                        col_len: item.col_len,
-                        seconds,
-                        trips: stats.trips,
-                        traversals: stats.traversals,
-                        chain_offers: stats.chain_offers,
-                        snap_entries: stats.snap_entries,
-                        degree1_steps: stats.degree1_steps,
-                        last_tile_of_scale,
-                    });
-                }
-            }
-            hist
-        });
-        if ctl.cancel.is_cancelled() {
-            return Err(Cancelled);
-        }
-        // Deterministic merge: items are sorted by (k desc, tile asc), so a
-        // single in-order pass merges each scale's tiles in ascending tile
-        // order no matter which worker computed what.
-        let mut merged: Vec<OccupancyHistogram> =
-            (0..ks.len()).map(|_| OccupancyHistogram::new()).collect();
-        for (item, hist) in items.iter().zip(&parts) {
-            merged[item.scale].merge(hist);
-        }
-        Ok(merged)
     }
 
     /// Runs the method: sweeps the grid, optionally refines around the
@@ -620,52 +372,7 @@ impl OccupancyMethod {
         pool: &mut WorkerPool,
         ctl: &SweepControl,
     ) -> Result<OccupancyReport, Cancelled> {
-        let targets = self.targets.build(stream.node_count() as u32);
-        let view = EventView::new(stream);
-        let span = stream.span();
-        let mut ks = self.grid.k_values(stream, self.delta_min);
-        ctl.progress.set_total(ks.len() as u64);
-
-        // One arena per worker id; a worker only ever locks its own slot, so
-        // the mutexes are uncontended — they exist to satisfy `Sync`.
-        let arenas: Vec<Mutex<EngineArena>> =
-            (0..pool.parallelism()).map(|_| Mutex::new(EngineArena::new())).collect();
-
-        let mut results: Vec<DeltaResult> =
-            self.sweep_scales(pool, &arenas, &view, span, &targets, &ks, ctl)?;
-
-        for _ in 0..self.refine_rounds {
-            // current argmax under the selection metric
-            let Some(best_pos) = argmax(&results, self.metric) else { break };
-            let best_k = results[best_pos].k;
-            // neighbors of best_k in the sorted (descending) k list
-            let pos = ks.binary_search_by(|a| best_k.cmp(a)).unwrap_or_else(|p| p);
-            let k_above = if pos > 0 { ks[pos - 1] } else { best_k }; // finer (larger K)
-            let k_below = ks.get(pos + 1).copied().unwrap_or(best_k); // coarser
-            let mut extra = Vec::new();
-            if best_k < k_above {
-                extra.extend(SweepGrid::refine_between(best_k, k_above, self.refine_points));
-            }
-            if k_below < best_k {
-                extra.extend(SweepGrid::refine_between(k_below, best_k, self.refine_points));
-            }
-            extra.retain(|k| !ks.contains(k));
-            extra.sort_unstable_by(|a, b| b.cmp(a));
-            extra.dedup();
-            if extra.is_empty() {
-                break;
-            }
-            ctl.progress.add_total(extra.len() as u64);
-            let new_results: Vec<DeltaResult> =
-                self.sweep_scales(pool, &arenas, &view, span, &targets, &extra, ctl)?;
-            results.extend(new_results);
-            ks.extend(extra);
-            ks.sort_unstable_by(|a, b| b.cmp(a));
-        }
-
-        // Δ ascending (K descending)
-        results.sort_unstable_by_key(|r| std::cmp::Reverse(r.k));
-        Ok(OccupancyReport::new(self.metric, results))
+        self.sweep(stream, pool, ctl, None, None)
     }
 
     /// [`try_run_on`](Self::try_run_on) through a per-session [`SweepCache`]:
@@ -685,17 +392,17 @@ impl OccupancyMethod {
     /// * cache miss — scratch or merge build, exactly as a cold sweep.
     ///
     /// Reports are **byte-identical** to a scratch [`try_run_on`] over the
-    /// same stream — the cache and the dirty mark are pure execution state
-    /// (the service hard-asserts this in its differential tests and the
-    /// bench). Refinement rounds run through the cache too, so the refined
-    /// scales of consecutive refreshes reuse each other. On success the
-    /// cache holds exactly the scales of this refresh and `cache.stats`
-    /// describes the work split. A cancelled refresh may leave the entries
-    /// of its completed rounds in the cache — safe, because every entry
-    /// pairs a timeline with the histogram computed from it — but the
-    /// caller must keep its dirty mark until a refresh *succeeds*, so the
-    /// mark always covers every event appended since the last successful
-    /// refresh and the next splice stays conservative.
+    /// same stream — both run the same sweep, the cache and the dirty mark
+    /// only decide where each scale's timeline and histogram come from.
+    /// Refinement rounds run through the cache too, so the refined scales
+    /// of consecutive refreshes reuse each other. On success the cache
+    /// holds exactly the scales of this refresh and `cache.stats` describes
+    /// the work split. A cancelled refresh may leave the entries of its
+    /// completed rounds in the cache — safe, because every entry pairs a
+    /// timeline with the histogram computed from it — but the caller must
+    /// keep its dirty mark until a refresh *succeeds*, so the mark always
+    /// covers every event appended since the last successful refresh and
+    /// the next splice stays conservative.
     ///
     /// A conservative (too early) `dirty_from` is always correct — it only
     /// shrinks the reusable prefix. Callers must pass a pinned-period
@@ -747,25 +454,50 @@ impl OccupancyMethod {
         cache.epoch += 1;
         cache.stats = RefreshStats::default();
 
-        let targets = self.targets.build(stream.node_count() as u32);
-        let view = EventView::new(stream);
-        let span = stream.span();
+        let report = self.sweep(stream, pool, ctl, Some(&mut *cache), dirty_from)?;
+        // scales that left the grid since the last refresh would otherwise
+        // pin their timeline + histogram forever
+        let epoch = cache.epoch;
+        cache.scales.retain(|_, entry| entry.epoch == epoch);
+        Ok(report)
+    }
+
+    /// The one sweep behind every analysis: the coarse grid, then up to
+    /// `refine_rounds` refinement rounds around the current maximum, each
+    /// round one [`sweep_round`](Self::sweep_round). `cache` and
+    /// `dirty_from` are the session state of
+    /// [`try_refresh_on`](Self::try_refresh_on); a scratch run passes none.
+    fn sweep(
+        &self,
+        stream: &LinkStream,
+        pool: &mut WorkerPool,
+        ctl: &SweepControl,
+        mut cache: Option<&mut SweepCache>,
+        dirty_from: Option<i64>,
+    ) -> Result<OccupancyReport, Cancelled> {
+        let input = SweepInput {
+            stream,
+            view: EventView::new(stream),
+            targets: self.targets.build(stream.node_count() as u32),
+            // One arena per worker id; a worker only ever locks its own
+            // slot, so the mutexes are uncontended — they exist to satisfy
+            // `Sync`.
+            arenas: (0..pool.parallelism()).map(|_| Mutex::new(EngineArena::new())).collect(),
+            ctl,
+            dirty_from,
+        };
         let mut ks = self.grid.k_values(stream, self.delta_min);
         ctl.progress.set_total(ks.len() as u64);
-
-        let arenas: Vec<Mutex<EngineArena>> =
-            (0..pool.parallelism()).map(|_| Mutex::new(EngineArena::new())).collect();
-
-        let mut results = self.refresh_scales(
-            stream, pool, &arenas, &view, span, &targets, &ks, ctl, cache, dirty_from,
-        )?;
+        let mut results = self.sweep_round(&input, pool, &ks, cache.as_deref_mut())?;
 
         for _ in 0..self.refine_rounds {
+            // current argmax under the selection metric
             let Some(best_pos) = argmax(&results, self.metric) else { break };
             let best_k = results[best_pos].k;
+            // neighbors of best_k in the sorted (descending) k list
             let pos = ks.binary_search_by(|a| best_k.cmp(a)).unwrap_or_else(|p| p);
-            let k_above = if pos > 0 { ks[pos - 1] } else { best_k };
-            let k_below = ks.get(pos + 1).copied().unwrap_or(best_k);
+            let k_above = if pos > 0 { ks[pos - 1] } else { best_k }; // finer (larger K)
+            let k_below = ks.get(pos + 1).copied().unwrap_or(best_k); // coarser
             let mut extra = Vec::new();
             if best_k < k_above {
                 extra.extend(SweepGrid::refine_between(best_k, k_above, self.refine_points));
@@ -780,126 +512,299 @@ impl OccupancyMethod {
                 break;
             }
             ctl.progress.add_total(extra.len() as u64);
-            let new_results = self.refresh_scales(
-                stream, pool, &arenas, &view, span, &targets, &extra, ctl, cache, dirty_from,
-            )?;
-            results.extend(new_results);
+            results.extend(self.sweep_round(&input, pool, &extra, cache.as_deref_mut())?);
             ks.extend(extra);
             ks.sort_unstable_by(|a, b| b.cmp(a));
         }
 
+        // Δ ascending (K descending)
         results.sort_unstable_by_key(|r| std::cmp::Reverse(r.k));
-        // scales that left the grid since the last refresh would otherwise
-        // pin their timeline + histogram forever
-        let epoch = cache.epoch;
-        cache.scales.retain(|_, entry| entry.epoch == epoch);
         Ok(OccupancyReport::new(self.metric, results))
     }
 
-    /// One cache-aware sweep over `ks` (sorted descending): plans every
-    /// scale's timeline eagerly (reuse / splice / merge / scratch), serves
-    /// field-identical cache hits from their stored histograms, fans the
-    /// rest out through [`sweep_histograms`](Self::sweep_histograms) with
-    /// the planned timelines pre-seeded, and folds the results back into
-    /// the cache.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of one refresh
-    fn refresh_scales(
+    /// Analyzes the `ks` scales (sorted descending) of one round on `pool`
+    /// and scores them.
+    ///
+    /// **Plan.** Each scale takes its histogram from one of three places:
+    /// a cached histogram whose timeline still equals the current one
+    /// (reuse — no DP work), a DP run on a suffix-spliced seed timeline, or
+    /// a DP run on a lazily built timeline. Only a session `cache` yields
+    /// the first two; without one every scale is built.
+    ///
+    /// **Fan-out.** The scales to compute become one `(scale, tile)` queue
+    /// (finest scales first, one tile layout for the round) dispatched
+    /// across the workers; per-tile histograms merge in ascending tile
+    /// order, so results are bit-identical for every thread count and tile
+    /// width.
+    ///
+    /// **Lazy timelines.** A built scale's timeline is derived by
+    /// adjacent-window merging from the nearest finer scale of the round
+    /// whose window count it divides ([`merge_sources`];
+    /// `Timeline::aggregated_by_merge` is field-for-field identical to a
+    /// scratch build), or else from scratch off the shared view. Each scale
+    /// owns one `Arc<Timeline>` slot shared by its tiles *and* its merge
+    /// dependents; the slot's refcount (`tiles + dependents`, plus one when
+    /// the cache will keep the timeline) releases the handle as soon as the
+    /// last consumer is done, so without a cache only the scales in flight
+    /// (plus pending merge sources) hold timelines, and no timeline or
+    /// histogram outlives the round. Builds follow the queue's finest-first
+    /// order: a merge source always precedes its dependents, and slot
+    /// mutexes are only ever taken in descending scale order (coarser
+    /// scales wait on finer ones), so lazy cross-scale builds cannot
+    /// deadlock.
+    ///
+    /// Cancellation (`ctl.cancel`): workers poll the token before each queue
+    /// item — an already-fired token turns the remaining items into no-ops —
+    /// and thread it into the DP, which polls at a coarse step stride. A
+    /// fired token makes this return [`Cancelled`], every partial histogram
+    /// is dropped, and the cache is left untouched by this round. Progress
+    /// (`ctl.progress`) advances by one when a scale's last tile completes
+    /// (reused scales complete at once).
+    fn sweep_round(
         &self,
-        stream: &LinkStream,
+        input: &SweepInput,
         pool: &mut WorkerPool,
-        arenas: &[Mutex<EngineArena>],
-        view: &EventView,
-        span: i64,
-        targets: &TargetSet,
         ks: &[u64],
-        ctl: &SweepControl,
-        cache: &mut SweepCache,
-        dirty_from: Option<i64>,
+        mut cache: Option<&mut SweepCache>,
     ) -> Result<Vec<DeltaResult>, Cancelled> {
-        cache.stats.scales_total += ks.len() as u64;
-        // the full sweep's tile layout, for the skip accounting
-        let ncols = targets.len();
+        let ctl = input.ctl;
+        // Plan: `seeds[i]` pre-fills scale i's timeline slot (reused or
+        // spliced); `reused[i]` serves the cached histogram.
+        let mut seeds: Vec<Option<Arc<Timeline>>> = vec![None; ks.len()];
+        let mut reused = vec![false; ks.len()];
+        if let Some(cache) = cache.as_deref_mut() {
+            let SweepCache { scales, stats, .. } = cache;
+            stats.scales_total += ks.len() as u64;
+            for (i, &k) in ks.iter().enumerate() {
+                let Some(entry) = scales.get(&k) else {
+                    stats.scales_scratch += 1;
+                    continue;
+                };
+                let mut spliced = false;
+                let timeline = match input.dirty_from {
+                    None => Arc::clone(&entry.timeline),
+                    Some(t0) => {
+                        let w = input
+                            .stream
+                            .partition(k)
+                            .expect("grid window counts are valid for the stream")
+                            .index(saturn_linkstream::Time::new(t0))
+                            as u32;
+                        spliced = w > 0;
+                        if spliced {
+                            stats.suffix_windows_rebuilt += k - w as u64;
+                        }
+                        Arc::new(entry.timeline.spliced_from_view(&input.view, w))
+                    }
+                };
+                // deep-equality reuse gate: a timeline field-for-field equal
+                // to the cached one means the cached histogram is still
+                // exact (appends deduplicated away at this scale)
+                reused[i] =
+                    Arc::ptr_eq(&entry.timeline, &timeline) || *entry.timeline == *timeline;
+                if reused[i] {
+                    stats.scales_reused += 1;
+                } else if spliced {
+                    stats.scales_respliced += 1;
+                } else {
+                    stats.scales_scratch += 1;
+                }
+                seeds[i] = Some(if reused[i] { Arc::clone(&entry.timeline) } else { timeline });
+            }
+        }
+
+        let computed = reused.iter().filter(|&&r| !r).count();
+        ctl.progress.add_done((ks.len() - computed) as u64);
         let tile_cols = if self.tile == 0 {
-            auto_tile_cols(ncols, ks.len(), pool.parallelism())
+            auto_tile_cols(input.targets.len(), computed, pool.parallelism())
         } else {
             self.tile.max(1)
         };
-        let tiles_per_scale = targets.tile_ranges(tile_cols).len();
+        let tile_ranges = input.targets.tile_ranges(tile_cols);
+        let tiles_in_scale = tile_ranges.len();
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.stats.tiles_skipped += ((ks.len() - computed) * tiles_in_scale) as u64;
+        }
+        let mut items = sweep_queue(ks, &tile_ranges);
+        items.retain(|item| !reused[item.scale]);
 
-        // Plan finest-first so merge sources precede their dependents
-        // (`merge_sources` points each scale at an earlier index).
-        let sources: Vec<Option<usize>> =
-            if self.no_incremental { vec![None; ks.len()] } else { merge_sources(ks) };
-        let mut planned: Vec<Arc<Timeline>> = Vec::with_capacity(ks.len());
-        let mut reused: Vec<bool> = Vec::with_capacity(ks.len());
-        for (i, &k) in ks.iter().enumerate() {
-            let cached = cache.scales.get(&k);
-            let mut spliced = false;
-            let timeline = match (cached, dirty_from) {
-                (Some(entry), None) => Arc::clone(&entry.timeline),
-                (Some(entry), Some(t0)) => {
-                    let w = stream
-                        .partition(k)
-                        .expect("grid window counts are valid for the stream")
-                        .index(saturn_linkstream::Time::new(t0))
-                        as u32;
-                    spliced = w > 0;
-                    if spliced {
-                        cache.stats.suffix_windows_rebuilt += k - w as u64;
-                    }
-                    Arc::new(entry.timeline.spliced_from_view(view, w))
-                }
-                (None, _) => Arc::new(match sources[i] {
-                    Some(j) => planned[j].aggregated_by_merge(k),
-                    None => Timeline::aggregated_from_view(view, k),
-                }),
-            };
-            // deep-equality reuse gate: a planned timeline field-for-field
-            // equal to the cached one means the cached histogram is still
-            // exact (appends deduplicated away at this scale)
-            let reuse = cached.is_some_and(|entry| {
-                Arc::ptr_eq(&entry.timeline, &timeline) || *entry.timeline == *timeline
-            });
-            if reuse {
-                cache.stats.scales_reused += 1;
-                cache.stats.tiles_skipped += tiles_per_scale as u64;
-            } else if spliced {
-                cache.stats.scales_respliced += 1;
-            } else {
-                cache.stats.scales_scratch += 1;
+        // a seeded scale never builds, so it is nobody's merge dependent
+        // (the release bookkeeping would otherwise never reach zero)
+        let mut sources = merge_sources(ks);
+        for (source, seed) in sources.iter_mut().zip(&seeds) {
+            if seed.is_some() {
+                *source = None;
             }
-            reused.push(reuse);
-            planned.push(timeline);
+        }
+        let mut dependents = vec![0usize; ks.len()];
+        for &j in sources.iter().flatten() {
+            dependents[j] += 1;
+        }
+        let keep = usize::from(cache.is_some());
+
+        struct Slot {
+            timeline: Mutex<Option<Arc<Timeline>>>,
+            /// Consumers (tiles + merge dependents + the cache) not yet
+            /// finished; the decrement to 0 clears `timeline`.
+            remaining: AtomicUsize,
+        }
+        let slots: Vec<Slot> = seeds
+            .into_iter()
+            .enumerate()
+            .map(|(i, seed)| Slot {
+                timeline: Mutex::new(seed),
+                remaining: AtomicUsize::new(if reused[i] {
+                    dependents[i]
+                } else {
+                    tiles_in_scale + dependents[i] + keep
+                }),
+            })
+            .collect();
+
+        /// Drops one consumer reference to scale `i`'s timeline, clearing
+        /// the slot on the last one so the allocation frees as soon as the
+        /// final in-flight clone drops, instead of living until the round
+        /// returns.
+        fn release(slots: &[Slot], i: usize) {
+            if slots[i].remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                *slots[i].timeline.lock().expect("timeline slot poisoned") = None;
+            }
         }
 
-        // reused scales complete instantly; the rest fan out pre-seeded
-        let compute: Vec<usize> = (0..ks.len()).filter(|&i| !reused[i]).collect();
-        ctl.progress.add_done((ks.len() - compute.len()) as u64);
-        let hists = if compute.is_empty() {
-            Vec::new()
-        } else {
-            let compute_ks: Vec<u64> = compute.iter().map(|&i| ks[i]).collect();
-            let seeds: Vec<Option<Arc<Timeline>>> =
-                compute.iter().map(|&i| Some(Arc::clone(&planned[i]))).collect();
-            self.sweep_histograms(pool, arenas, view, targets, &compute_ks, ctl, &seeds)?
-        };
+        /// Scale `i`'s timeline, building it on first demand — by merging
+        /// down from its planned source scale (recursing at most the chain
+        /// length, always toward smaller indices) or from scratch off the
+        /// shared view. Holding slot `i`'s lock across the build makes
+        /// concurrent requesters wait for the one build instead of
+        /// duplicating it.
+        fn obtain(
+            slots: &[Slot],
+            sources: &[Option<usize>],
+            ks: &[u64],
+            view: &EventView,
+            i: usize,
+        ) -> Arc<Timeline> {
+            let mut slot = slots[i].timeline.lock().expect("timeline slot poisoned");
+            if let Some(timeline) = slot.as_ref() {
+                return Arc::clone(timeline);
+            }
+            let built = Arc::new(match sources[i] {
+                Some(j) => {
+                    let fine = obtain(slots, sources, ks, view, j);
+                    let merged = fine.aggregated_by_merge(ks[i]);
+                    drop(fine);
+                    release(slots, j);
+                    merged
+                }
+                None => Timeline::aggregated_from_view(view, ks[i]),
+            });
+            *slot = Some(Arc::clone(&built));
+            built
+        }
 
-        let mut hists = hists.into_iter();
+        // One countdown per scale; the worker that completes a scale's last
+        // tile advances the coarse progress counter.
+        let tiles_left: Vec<AtomicUsize> =
+            (0..ks.len()).map(|_| AtomicUsize::new(tiles_in_scale)).collect();
+
+        let parts: Vec<OccupancyHistogram> = pool.map(&items, |wid, item| {
+            // Every slot must be written, so a cancelled item still returns
+            // a (discarded) histogram — it just skips the work.
+            let mut hist = OccupancyHistogram::new();
+            if ctl.cancel.is_cancelled() {
+                return hist;
+            }
+            let mut arena = input.arenas[wid].lock().expect("arena poisoned");
+            let timeline = obtain(&slots, &sources, ks, &input.view, item.scale);
+            let started = Instant::now();
+            let run = DpRun {
+                tile: Some((item.col_start, item.col_len)),
+                cancel: Some(&ctl.cancel),
+                ..Default::default()
+            };
+            let stats =
+                earliest_arrival_dp_in(&mut arena, &timeline, &input.targets, &mut hist, run);
+            let seconds = started.elapsed().as_secs_f64();
+            drop(timeline);
+            release(&slots, item.scale);
+            // A token fired mid-DP leaves `hist` partial; the guard keeps a
+            // partial tile from counting its scale as done (and its garbage
+            // stats from reaching the observer).
+            if !ctl.cancel.is_cancelled() {
+                let last_tile_of_scale =
+                    tiles_left[item.scale].fetch_sub(1, Ordering::AcqRel) == 1;
+                if last_tile_of_scale {
+                    ctl.progress.add_done(1);
+                }
+                if let Some(observer) = &ctl.observer {
+                    observer.tile_done(&TileSpan {
+                        k: item.k,
+                        col_start: item.col_start,
+                        col_len: item.col_len,
+                        seconds,
+                        trips: stats.trips,
+                        traversals: stats.traversals,
+                        chain_offers: stats.chain_offers,
+                        snap_entries: stats.snap_entries,
+                        degree1_steps: stats.degree1_steps,
+                        last_tile_of_scale,
+                    });
+                }
+            }
+            hist
+        });
+        if ctl.cancel.is_cancelled() {
+            return Err(Cancelled);
+        }
+        // Deterministic merge: items are sorted by (k desc, tile asc), so a
+        // single in-order pass merges each scale's tiles in ascending tile
+        // order no matter which worker computed what.
+        let mut merged: Vec<OccupancyHistogram> =
+            (0..ks.len()).map(|_| OccupancyHistogram::new()).collect();
+        for (item, hist) in items.iter().zip(&parts) {
+            merged[item.scale].merge(hist);
+        }
+        drop(parts);
+
+        let span = input.stream.span();
         let mut results = Vec::with_capacity(ks.len());
-        for (i, &k) in ks.iter().enumerate() {
+        for (i, (&k, hist)) in ks.iter().zip(merged).enumerate() {
+            let Some(cache) = cache.as_deref_mut() else {
+                results.push(self.delta_result(span, k, &hist));
+                continue;
+            };
+            let epoch = cache.epoch;
             if reused[i] {
                 let entry = cache.scales.get_mut(&k).expect("reused scales are cached");
-                entry.epoch = cache.epoch;
+                entry.epoch = epoch;
                 results.push(self.delta_result(span, k, &entry.hist));
             } else {
-                let hist = hists.next().expect("one histogram per computed scale");
                 results.push(self.delta_result(span, k, &hist));
-                let timeline = Arc::clone(&planned[i]);
-                cache.scales.insert(k, CachedScale { timeline, hist, epoch: cache.epoch });
+                let timeline = slots[i]
+                    .timeline
+                    .lock()
+                    .expect("timeline slot poisoned")
+                    .take()
+                    .expect("the cache holds a reference to every computed timeline");
+                cache.scales.insert(k, CachedScale { timeline, hist, epoch });
             }
         }
         Ok(results)
     }
+}
+
+/// What one analysis shares across all of its sweep rounds.
+struct SweepInput<'a> {
+    stream: &'a LinkStream,
+    /// Every scale aggregates from this one sorted view.
+    view: EventView,
+    targets: TargetSet,
+    /// One DP arena per worker id.
+    arenas: Vec<Mutex<EngineArena>>,
+    ctl: &'a SweepControl,
+    /// Earliest timestamp appended since the session cache's last
+    /// successful refresh (session sweeps only).
+    dirty_from: Option<i64>,
 }
 
 /// Index of the maximum finite score under `metric`, ties resolved toward
@@ -1054,61 +959,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn no_delta_propagation_is_bit_identical() {
-        let s = ring_stream(9, 90, 6);
-        let with_delta = OccupancyMethod::new()
-            .grid(SweepGrid::Geometric { points: 10 })
-            .threads(2)
-            .refine(1, 4)
-            .run(&s)
-            .to_json();
-        let without = OccupancyMethod::new()
-            .grid(SweepGrid::Geometric { points: 10 })
-            .threads(2)
-            .refine(1, 4)
-            .no_delta_propagation(true)
-            .run(&s)
-            .to_json();
-        assert_eq!(with_delta, without, "delta propagation must not change the report");
-    }
-
-    #[test]
-    fn incremental_timeline_is_bit_identical() {
-        let s = ring_stream(9, 120, 5);
-        // divisor ladder: every scale merges from its neighbor, the
-        // configuration where the incremental path does the most work
-        let ladder = vec![500u64, 250, 50, 10, 5, 1];
-        for threads in [1usize, 3] {
-            let incremental = OccupancyMethod::new()
-                .grid(SweepGrid::ExplicitK(ladder.clone()))
-                .threads(threads)
-                .refine(1, 4)
-                .run(&s)
-                .to_json();
-            let scratch = OccupancyMethod::new()
-                .grid(SweepGrid::ExplicitK(ladder.clone()))
-                .threads(threads)
-                .refine(1, 4)
-                .no_incremental_timeline(true)
-                .run(&s)
-                .to_json();
-            assert_eq!(
-                incremental, scratch,
-                "incremental timeline construction must not change the report (threads={threads})"
-            );
-        }
-        // and on the default geometric grid, where divisor pairs are rare
-        let a = OccupancyMethod::new().threads(2).refine(1, 4).run(&s).to_json();
-        let b = OccupancyMethod::new()
-            .threads(2)
-            .refine(1, 4)
-            .no_incremental_timeline(true)
-            .run(&s)
-            .to_json();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1268,13 +1118,10 @@ mod tests {
     #[test]
     fn refresh_is_byte_identical_to_scratch_and_reuses_scales() {
         let (old, new, t0) = ring_with_appends(40);
-        for (no_delta, no_incremental) in [(false, false), (true, true)] {
-            let method = OccupancyMethod::new()
-                .grid(SweepGrid::Geometric { points: 12 })
-                .refine(1, 4)
-                .no_delta_propagation(no_delta)
-                .no_incremental_timeline(no_incremental);
-            let mut pool = WorkerPool::new(2);
+        for threads in [1usize, 2] {
+            let method =
+                OccupancyMethod::new().grid(SweepGrid::Geometric { points: 12 }).refine(1, 4);
+            let mut pool = WorkerPool::new(threads);
             let mut cache = SweepCache::new();
             // cold refresh == scratch run on the base stream
             let cold =
@@ -1289,7 +1136,7 @@ mod tests {
             assert_eq!(
                 warm.to_json(),
                 method.run_on(&new, &mut pool).to_json(),
-                "refresh must be byte-identical to scratch (no_delta={no_delta})"
+                "refresh must be byte-identical to scratch (threads={threads})"
             );
             assert!(
                 cache.stats.scales_respliced > 0,

@@ -1,20 +1,28 @@
-//! Tiling, delta propagation, and incremental timeline construction must
-//! be invisible: an [`OccupancyMethod`] run split into target tiles of any
-//! width, on any thread count, with the DP engine's delta propagation on
-//! or off, with timelines merge-derived or scratch-built, must serialize
-//! to the *same bytes* as the untiled single-threaded run — the property
-//! that keeps the analysis service's content-addressed cache correct while
-//! the executor re-tiles work per hardware (and while ablation scripts
-//! flip `?no_delta=` / `?no_incremental=`). Tile widths 1, 3, `ncols`, and
-//! a proptest-chosen random width are exercised across 1/2/4/8 threads ×
-//! delta on/off, with refinement rounds on (the narrow rounds are where
-//! auto-tiling matters most); the incremental axis runs on explicit
-//! divisor ladders, where every scale actually takes the merge path.
+//! Tiling, delta propagation, incremental timeline construction and
+//! session refreshes must be invisible: an [`OccupancyMethod`] run split
+//! into target tiles of any width, on any thread count, with timelines
+//! merge-derived or scratch-built, refreshed through a session cache or
+//! swept from scratch, must serialize to the *same bytes* as the untiled
+//! single-threaded run — the property that keeps the analysis service's
+//! content-addressed cache correct while the executor re-tiles work per
+//! hardware. Tile widths 1, 3, `ncols`, and a proptest-chosen random width
+//! are exercised across 1/2/4/8 threads, with refinement rounds on (the
+//! narrow rounds are where auto-tiling matters most). Delta propagation is
+//! an engine-level switch ([`DpOptions`]): every swept scale must match a
+//! scratch-built engine run with delta on and off. The incremental axis
+//! runs on explicit divisor ladders, where every scale actually takes the
+//! merge path.
 
 use proptest::prelude::*;
 use saturn_core::parallel::WorkerPool;
-use saturn_core::{KeepPolicy, OccupancyMethod, SweepControl, SweepGrid, TargetSpec};
+use saturn_core::{
+    KeepPolicy, OccupancyMethod, SweepCache, SweepControl, SweepGrid, TargetSpec,
+};
+use saturn_distrib::{mk_proximity, WeightedDist};
 use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
+use saturn_trips::{
+    earliest_arrival_dp_in, DpOptions, EngineArena, OccupancyHistogram, TargetSet, Timeline,
+};
 
 /// A small random-ish stream driven by proptest-chosen parameters.
 fn build_stream(n: u32, events: usize, gap: i64, twist: u32) -> LinkStream {
@@ -29,22 +37,79 @@ fn build_stream(n: u32, events: usize, gap: i64, twist: u32) -> LinkStream {
     b.build().expect("non-empty stream")
 }
 
-fn method(threads: usize, tile: usize, no_delta: bool) -> OccupancyMethod {
+fn method(threads: usize, tile: usize) -> OccupancyMethod {
     OccupancyMethod::new()
         .grid(SweepGrid::Geometric { points: 8 })
         .threads(threads)
         .refine(1, 4)
         .keep(KeepPolicy::ScoresOnly)
         .tile(tile)
-        .no_delta_propagation(no_delta)
+}
+
+/// The per-scale figures of `report` that a histogram determines: `K`,
+/// trips, distinct rates, and the bits of the mean, the saturated fraction
+/// and the M-K proximity.
+fn scales_of(report: &saturn_core::OccupancyReport) -> Vec<(u64, u64, usize, u64, u64, u64)> {
+    report
+        .results()
+        .iter()
+        .map(|r| {
+            let mk = r.scores.mk_proximity.to_bits();
+            (
+                r.k,
+                r.trips,
+                r.distinct_rates,
+                r.mean_rate.to_bits(),
+                r.fraction_at_one.to_bits(),
+                mk,
+            )
+        })
+        .collect()
+}
+
+/// [`scales_of`] recomputed below the driver: each scale's timeline built
+/// from scratch and run through the engine with `options`.
+fn engine_scales(
+    stream: &LinkStream,
+    ks: &[u64],
+    options: DpOptions,
+) -> Vec<(u64, u64, usize, u64, u64, u64)> {
+    let targets = TargetSet::all(stream.node_count() as u32);
+    let mut arena = EngineArena::new();
+    ks.iter()
+        .map(|&k| {
+            let mut h = OccupancyHistogram::new();
+            let timeline = Timeline::aggregated(stream, k);
+            earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut h, options);
+            let mk = mk_proximity(&WeightedDist::from_pairs(h.sorted_rates())).to_bits();
+            let (mean, at_one) = (h.mean().to_bits(), h.fraction_at_one().to_bits());
+            (k, h.total_trips(), h.distinct_rates(), mean, at_one, mk)
+        })
+        .collect()
+}
+
+/// Asserts that every scale of `report` matches scratch-built engine runs
+/// with delta propagation on and off.
+fn assert_engine_agrees(stream: &LinkStream, report: &saturn_core::OccupancyReport) {
+    let swept = scales_of(report);
+    let ks: Vec<u64> = swept.iter().map(|s| s.0).collect();
+    for no_delta_propagation in [false, true] {
+        let options = DpOptions { no_delta_propagation, ..Default::default() };
+        assert_eq!(
+            engine_scales(stream, &ks, options),
+            swept,
+            "no_delta_propagation={no_delta_propagation}"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The acceptance matrix: tile ∈ {1, 3, ncols, random} × threads ∈
-    /// {1, 2, 4, 8} × delta {on, off}, every cell byte-identical to the
-    /// untiled single-threaded delta-on reference.
+    /// {1, 2, 4, 8}, every cell byte-identical to the untiled
+    /// single-threaded reference, whose scales match the engine with delta
+    /// on and off.
     #[test]
     fn reports_are_bit_identical_across_threads_tiles_and_delta(
         n in 5u32..10,
@@ -55,20 +120,19 @@ proptest! {
     ) {
         let stream = build_stream(n, events, gap, twist);
         let ncols = n as usize;
-        let reference = method(1, ncols, false).run(&stream).to_json();
+        let reference = method(1, ncols).run(&stream);
+        assert_engine_agrees(&stream, &reference);
+        let reference = reference.to_json();
         for &tile in &[1usize, 3, ncols, random_tile] {
             for &threads in &[1usize, 2, 4, 8] {
-                for &no_delta in &[false, true] {
-                    let report = method(threads, tile, no_delta).run(&stream).to_json();
-                    prop_assert_eq!(
-                        &report,
-                        &reference,
-                        "tile={} threads={} no_delta={} diverged",
-                        tile,
-                        threads,
-                        no_delta
-                    );
-                }
+                let report = method(threads, tile).run(&stream).to_json();
+                prop_assert_eq!(
+                    &report,
+                    &reference,
+                    "tile={} threads={} diverged",
+                    tile,
+                    threads
+                );
             }
         }
     }
@@ -83,21 +147,20 @@ proptest! {
         tile in 1usize..6,
     ) {
         let stream = build_stream(n, events, 5, 7);
-        let mk = |threads: usize, t: usize, no_delta: bool| {
+        let mk = |threads: usize, t: usize| {
             OccupancyMethod::new()
                 .grid(SweepGrid::Geometric { points: 6 })
                 .targets(TargetSpec::Sample { size: sample, seed: 3 })
                 .threads(threads)
                 .refine(1, 3)
                 .tile(t)
-                .no_delta_propagation(no_delta)
                 .run(&stream)
                 .to_json()
         };
-        let reference = mk(1, usize::MAX, true);
-        prop_assert_eq!(mk(4, tile, false), reference.clone());
-        prop_assert_eq!(mk(2, 1, false), reference.clone());
-        prop_assert_eq!(mk(2, tile, true), reference);
+        let reference = mk(1, usize::MAX);
+        prop_assert_eq!(mk(4, tile), reference.clone());
+        prop_assert_eq!(mk(2, 1), reference.clone());
+        prop_assert_eq!(mk(2, tile), reference);
     }
 
     /// The cancellation axis of the knob matrix: running under a
@@ -114,11 +177,11 @@ proptest! {
         tile in 1usize..8,
     ) {
         let stream = build_stream(n, events, gap, twist);
-        let reference = method(1, n as usize, false).run(&stream).to_json();
+        let reference = method(1, n as usize).run(&stream).to_json();
         for &threads in &[1usize, 4] {
             let ctl = SweepControl::new();
             let mut pool = WorkerPool::new(threads);
-            let report = method(threads, tile, false)
+            let report = method(threads, tile)
                 .try_run_on(&stream, &mut pool, &ctl)
                 .expect("token never fires")
                 .to_json();
@@ -134,10 +197,81 @@ proptest! {
         }
     }
 
+    /// The session path: one [`SweepCache`] fed a base stream and then 1–3
+    /// append batches, each refreshed with the batch's earliest timestamp
+    /// as the dirty mark, must serialize every refresh to the bytes of a
+    /// scratch [`OccupancyMethod::try_run_on`] over the same events — on
+    /// threads {1, 2} × tile {auto, 3} — and account every scale as
+    /// exactly one of reused / respliced / scratch.
+    #[test]
+    fn refresh_through_one_cache_matches_scratch_across_appends(
+        directed in any::<bool>(),
+        n in 4u32..9,
+        raw in proptest::collection::vec((0u32..64, 0u32..64, 0i64..PERIOD), 24..70),
+        cuts in proptest::collection::vec(1usize..24, 1..4),
+    ) {
+        // `v = u + 1 + d (mod n)` with `d < n - 1` keeps every link a
+        // non-loop; batches arrive in arbitrary time order, as sessions
+        // accept them
+        let events: Vec<(u32, u32, i64)> = raw
+            .into_iter()
+            .map(|(a, d, t)| (a % n, (a % n + 1 + d % (n - 1)) % n, t))
+            .collect();
+        let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(events.len() - 1)).collect();
+        bounds.push(events.len());
+        bounds.sort_unstable();
+        bounds.dedup();
+        for &threads in &[1usize, 2] {
+            for &tile in &[0usize, 3] {
+                let method = OccupancyMethod::new()
+                    .grid(SweepGrid::Geometric { points: 8 })
+                    .refine(1, 3)
+                    .tile(tile);
+                let mut pool = WorkerPool::new(threads);
+                let mut cache = SweepCache::new();
+                let mut dirty_from = None;
+                let mut prev = 0;
+                for &end in &bounds {
+                    let stream = prefix_stream(directed, n, &events[..end]);
+                    let refreshed = method
+                        .try_refresh_on(&stream, &mut pool, &SweepControl::new(), &mut cache, dirty_from)
+                        .expect("token never fires")
+                        .to_json();
+                    let scratch = method
+                        .try_run_on(&stream, &mut pool, &SweepControl::new())
+                        .expect("token never fires")
+                        .to_json();
+                    prop_assert_eq!(
+                        &refreshed,
+                        &scratch,
+                        "threads={} tile={} events={}..{}",
+                        threads,
+                        tile,
+                        prev,
+                        end
+                    );
+                    let stats = cache.stats;
+                    prop_assert_eq!(
+                        stats.scales_reused + stats.scales_respliced + stats.scales_scratch,
+                        stats.scales_total,
+                        "{:?}",
+                        stats
+                    );
+                    // the next batch's dirty mark: its earliest timestamp
+                    prev = end;
+                    dirty_from = bounds
+                        .iter()
+                        .find(|&&b| b > end)
+                        .map(|&next| events[end..next].iter().map(|e| e.2).min().unwrap());
+                }
+            }
+        }
+    }
+
     /// The incremental-timeline axis on a random divisor ladder (every
-    /// scale merge-derived from its neighbor): byte-identical to the
-    /// scratch-build run across threads × tiles × delta, shared timelines
-    /// and all.
+    /// scale merge-derived from its neighbor): byte-identical across
+    /// threads × tiles, shared timelines and all, and every scale matches
+    /// a scratch-built timeline through the engine with delta on and off.
     #[test]
     fn incremental_timelines_are_byte_identical_on_divisor_ladders(
         n in 5u32..10,
@@ -151,31 +285,41 @@ proptest! {
         let ladder: Vec<u64> =
             [base * 240, base * 120, base * 24, base * 8, base * 2, base]
                 .into();
-        let mk = |threads: usize, t: usize, no_delta: bool, no_inc: bool| {
+        let mk = |threads: usize, t: usize| {
             OccupancyMethod::new()
                 .grid(SweepGrid::ExplicitK(ladder.clone()))
                 .threads(threads)
                 .refine(1, 3)
                 .tile(t)
-                .no_delta_propagation(no_delta)
-                .no_incremental_timeline(no_inc)
                 .run(&stream)
-                .to_json()
         };
-        let reference = mk(1, usize::MAX, false, true); // scratch builds
+        let reference = mk(1, usize::MAX);
+        assert_engine_agrees(&stream, &reference);
+        let reference = reference.to_json();
         for &threads in &[1usize, 4] {
-            for &no_delta in &[false, true] {
-                prop_assert_eq!(
-                    mk(threads, tile, no_delta, false),
-                    reference.clone(),
-                    "threads={} tile={} no_delta={} diverged from scratch",
-                    threads,
-                    tile,
-                    no_delta
-                );
-            }
+            prop_assert_eq!(
+                mk(threads, tile).to_json(),
+                reference.clone(),
+                "threads={} tile={} diverged",
+                threads,
+                tile
+            );
         }
     }
+}
+
+/// Study period of the append-session streams.
+const PERIOD: i64 = 400;
+
+/// The pinned-period stream of `events[..len]`.
+fn prefix_stream(directed: bool, n: u32, events: &[(u32, u32, i64)]) -> LinkStream {
+    let directedness = if directed { Directedness::Directed } else { Directedness::Undirected };
+    let mut b = LinkStreamBuilder::indexed(directedness, n);
+    b.period(0, PERIOD);
+    for &(u, v, t) in events {
+        b.add_indexed(u, v, t);
+    }
+    b.build().expect("non-empty stream")
 }
 
 /// The auto tile width (tile = 0) must also be invisible, including on

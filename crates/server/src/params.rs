@@ -7,6 +7,10 @@
 //! Unknown parameters are ignored (clients may probe newer servers);
 //! recognized parameters that fail to parse are a `400` with code
 //! `bad_request` and a message naming the parameter and the raw value.
+//! So are the [`RETIRED`] ablation knobs: their answer is measured and
+//! the engine always runs with both mechanisms on, so a request still
+//! asking to turn one off is told so instead of silently getting the
+//! default engine.
 //!
 //! | parameter | type | default | meaning |
 //! |-----------|------|---------|---------|
@@ -15,8 +19,6 @@
 //! | `seed` | u64 | 1 | sampling seed (with `sample`) |
 //! | `deadline_ms` | u64 | server default | end-to-end deadline, 0 = none |
 //! | `tile` | usize | server default | sweep tile width, 0 = auto |
-//! | `no_delta` | 0/1 | server default | disable delta propagation |
-//! | `no_incremental` | 0/1 | server default | disable merge-built timelines |
 //! | `delta_min` | i64 | 1 | validation minimum delta |
 //! | `weighted` | 0/1 | 1 | validation weighted transitions |
 //! | `directed` | flag | off | parse the trace body as directed |
@@ -37,11 +39,11 @@ pub struct ParamDefaults {
     pub deadline_ms: u64,
     /// Default sweep tile width (0 = automatic).
     pub tile: usize,
-    /// Default delta-propagation disable switch.
-    pub no_delta: bool,
-    /// Default incremental-timeline disable switch.
-    pub no_incremental: bool,
 }
+
+/// Ablation parameters earlier API versions accepted (delta propagation
+/// and incremental timelines off); naming one is a `400`.
+pub const RETIRED: [&str; 2] = ["no_delta", "no_incremental"];
 
 /// Every query parameter of the v1 API, parsed and defaulted.
 #[derive(Clone, Debug)]
@@ -54,10 +56,6 @@ pub struct RequestParams {
     pub deadline: Option<Duration>,
     /// `tile` over the server default (0 = automatic).
     pub tile: usize,
-    /// `no_delta` over the server default.
-    pub no_delta: bool,
-    /// `no_incremental` over the server default.
-    pub no_incremental: bool,
     /// `delta_min` (validation sweeps).
     pub delta_min: i64,
     /// `weighted` (validation sweeps; default on).
@@ -76,6 +74,17 @@ impl RequestParams {
         request: &Request,
         defaults: &ParamDefaults,
     ) -> Result<RequestParams, ApiError> {
+        if let Some((key, raw)) =
+            RETIRED.iter().find_map(|&key| request.param(key).map(|raw| (key, raw)))
+        {
+            return Err(ApiError::new(
+                400,
+                format!(
+                    "query parameter {key}={raw}: retired; delta propagation and \
+                     incremental timelines are always on"
+                ),
+            ));
+        }
         let deadline_ms = numeric(request, "deadline_ms", defaults.deadline_ms)?;
         // validated even when `sample` is absent: a garbled `seed` is a 400
         // like every other unparsable value, never silently ignored
@@ -88,12 +97,6 @@ impl RequestParams {
             },
             deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             tile: numeric(request, "tile", defaults.tile)?,
-            no_delta: numeric::<u8>(request, "no_delta", defaults.no_delta as u8)? != 0,
-            no_incremental: numeric::<u8>(
-                request,
-                "no_incremental",
-                defaults.no_incremental as u8,
-            )? != 0,
             delta_min: numeric(request, "delta_min", 1i64)?,
             weighted: request.param("weighted").is_none_or(|v| v != "0"),
             directedness: if request.flag("directed") {
@@ -149,8 +152,6 @@ mod tests {
         assert_eq!(p.targets, TargetSpec::All);
         assert_eq!(p.deadline, None);
         assert_eq!(p.tile, 0);
-        assert!(!p.no_delta);
-        assert!(!p.no_incremental);
         assert_eq!(p.delta_min, 1);
         assert!(p.weighted);
         assert_eq!(p.directedness, Directedness::Undirected);
@@ -159,28 +160,15 @@ mod tests {
 
     #[test]
     fn server_defaults_flow_through() {
-        let defaults =
-            ParamDefaults { deadline_ms: 1500, tile: 8, no_delta: true, no_incremental: true };
+        let defaults = ParamDefaults { deadline_ms: 1500, tile: 8 };
         let p = RequestParams::parse(&req(&[]), &defaults).unwrap();
         assert_eq!(p.deadline, Some(Duration::from_millis(1500)));
         assert_eq!(p.tile, 8);
-        assert!(p.no_delta);
-        assert!(p.no_incremental);
         // per-request values override every server default
-        let p = RequestParams::parse(
-            &req(&[
-                ("deadline_ms", "0"),
-                ("tile", "2"),
-                ("no_delta", "0"),
-                ("no_incremental", "0"),
-            ]),
-            &defaults,
-        )
-        .unwrap();
+        let p = RequestParams::parse(&req(&[("deadline_ms", "0"), ("tile", "2")]), &defaults)
+            .unwrap();
         assert_eq!(p.deadline, None);
         assert_eq!(p.tile, 2);
-        assert!(!p.no_delta);
-        assert!(!p.no_incremental);
     }
 
     #[test]
@@ -191,8 +179,6 @@ mod tests {
             ("seed", "9"),
             ("deadline_ms", "250"),
             ("tile", "4"),
-            ("no_delta", "1"),
-            ("no_incremental", "1"),
             ("delta_min", "5"),
             ("weighted", "0"),
             ("directed", "1"),
@@ -203,7 +189,6 @@ mod tests {
         assert_eq!(p.targets, TargetSpec::Sample { size: 64, seed: 9 });
         assert_eq!(p.deadline, Some(Duration::from_millis(250)));
         assert_eq!(p.tile, 4);
-        assert!(p.no_delta && p.no_incremental);
         assert_eq!(p.delta_min, 5);
         assert!(!p.weighted);
         assert_eq!(p.directedness, Directedness::Directed);
@@ -219,6 +204,8 @@ mod tests {
         assert!(e.message.contains("sample="));
     }
 
+    /// Garbage in any numeric parameter is a `400` naming it — and so is
+    /// any value of a retired one.
     #[test]
     fn every_numeric_parameter_rejects_garbage_with_400() {
         for key in [
@@ -227,9 +214,9 @@ mod tests {
             "seed",
             "deadline_ms",
             "tile",
+            "delta_min",
             "no_delta",
             "no_incremental",
-            "delta_min",
         ] {
             let e = parse(&[(key, "abc")]).unwrap_err();
             assert_eq!(e.status, 400, "{key}");
@@ -247,7 +234,7 @@ mod tests {
     fn negative_and_overflow_values_are_400s() {
         assert_eq!(parse(&[("points", "-1")]).unwrap_err().status, 400);
         assert_eq!(parse(&[("deadline_ms", "-5")]).unwrap_err().status, 400);
-        assert_eq!(parse(&[("no_delta", "256")]).unwrap_err().status, 400);
+        assert_eq!(parse(&[("tile", "-1")]).unwrap_err().status, 400);
         assert_eq!(parse(&[("seed", "99999999999999999999999")]).unwrap_err().status, 400);
         // i64 accepts negatives: delta_min=-3 parses (the sweep clamps it)
         assert_eq!(parse(&[("delta_min", "-3")]).unwrap().delta_min, -3);

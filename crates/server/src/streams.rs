@@ -425,14 +425,9 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
     let metrics = Arc::clone(&ctx.metrics);
     let session = Arc::clone(session);
     let targets = p.targets;
-    let (tile, no_delta, no_incremental) = (p.tile, p.no_delta, p.no_incremental);
+    let tile = p.tile;
     let work: jobs::JobWork = Box::new(move |pool, jctx| {
-        let method = OccupancyMethod::new()
-            .grid(grid)
-            .targets(targets)
-            .tile(tile)
-            .no_delta_propagation(no_delta)
-            .no_incremental_timeline(no_incremental);
+        let method = OccupancyMethod::new().grid(grid).targets(targets).tile(tile);
         let run = run_refresh(
             &method,
             &stream,

@@ -12,8 +12,6 @@ fn start(tweak: impl FnOnce(&mut ServerConfig)) -> saturn_server::ServerHandle {
         addr: "127.0.0.1:0".into(),
         threads: 2,
         tile: 0,
-        no_delta: false,
-        no_incremental: false,
         cache_bytes: 8 << 20,
         queue_depth: 16,
         max_body_bytes: 1 << 20,
@@ -152,118 +150,6 @@ fn tile_widths_return_byte_identical_reports() {
     }
     let bad = request(server.addr(), "POST", "/v1/analyze?points=8&tile=x", body.as_bytes());
     assert_eq!(bad.status, 400);
-    server.stop();
-}
-
-#[test]
-fn delta_settings_return_byte_identical_reports() {
-    // caching disabled: every request is a genuinely cold sweep, so the
-    // byte equality below is engine determinism (delta on vs off), not a
-    // cache hit
-    let server = start(|config| {
-        config.cache_bytes = 0;
-        config.threads = 3;
-    });
-    let body = trace(8, 220, 30);
-    let reference = request(server.addr(), "POST", "/v1/analyze?points=8", body.as_bytes());
-    assert_eq!(reference.status, 200);
-    assert!(!json(&reference)["results"].as_array().unwrap().is_empty());
-    for target in ["/v1/analyze?points=8&no_delta=1", "/v1/analyze?points=8&no_delta=0"] {
-        let toggled = request(server.addr(), "POST", target, body.as_bytes());
-        assert_eq!(toggled.status, 200, "{target}");
-        assert_eq!(
-            reference.body, toggled.body,
-            "{target}: delta propagation must not change report bytes"
-        );
-    }
-    // malformed values are rejected like ?tile's, not silently coerced
-    let bad =
-        request(server.addr(), "POST", "/v1/analyze?points=8&no_delta=x", body.as_bytes());
-    assert_eq!(bad.status, 400);
-    server.stop();
-}
-
-/// The delta-propagation rework must not move cache fingerprints: a report
-/// computed by the delta engine is served, byte-identical, to a request
-/// that asks for the pre-delta engine (`?no_delta=1`) — the knob, like
-/// `?tile=`, is not part of the content address.
-#[test]
-fn no_delta_requests_hit_the_same_cache_entry() {
-    let server = start(|_| {});
-    let body = trace(6, 200, 45);
-    let cold = request(server.addr(), "POST", "/v1/analyze?points=9", body.as_bytes());
-    assert_eq!(cold.status, 200);
-
-    let health = json(&request(server.addr(), "GET", "/v1/health", b""));
-    let hits_before = health["cache"]["hits"].as_u64().unwrap();
-
-    let ablated =
-        request(server.addr(), "POST", "/v1/analyze?points=9&no_delta=1", body.as_bytes());
-    assert_eq!(ablated.status, 200);
-    assert_eq!(cold.body, ablated.body, "cached hit must be byte-identical");
-
-    let health = json(&request(server.addr(), "GET", "/v1/health", b""));
-    assert_eq!(
-        health["cache"]["hits"].as_u64().unwrap(),
-        hits_before + 1,
-        "?no_delta must address the same cache entry"
-    );
-    server.stop();
-}
-
-/// Incremental timeline construction must be invisible end to end: with
-/// caching disabled, scratch-built (`?no_incremental=1`) and merge-built
-/// reports are byte-identical cold sweeps; with caching on, the knob — like
-/// `?tile=` and `?no_delta=` — is not part of the content address, so an
-/// ablated request is served from the incremental run's cache entry.
-#[test]
-fn no_incremental_requests_are_identical_and_share_the_cache_entry() {
-    let cold_server = start(|config| {
-        config.cache_bytes = 0;
-        config.threads = 3;
-    });
-    let body = trace(8, 220, 30);
-    let reference =
-        request(cold_server.addr(), "POST", "/v1/analyze?points=8", body.as_bytes());
-    assert_eq!(reference.status, 200);
-    for target in
-        ["/v1/analyze?points=8&no_incremental=1", "/v1/analyze?points=8&no_incremental=0"]
-    {
-        let toggled = request(cold_server.addr(), "POST", target, body.as_bytes());
-        assert_eq!(toggled.status, 200, "{target}");
-        assert_eq!(
-            reference.body, toggled.body,
-            "{target}: incremental timeline construction must not change report bytes"
-        );
-    }
-    let bad = request(
-        cold_server.addr(),
-        "POST",
-        "/v1/analyze?points=8&no_incremental=x",
-        body.as_bytes(),
-    );
-    assert_eq!(bad.status, 400);
-    cold_server.stop();
-
-    let server = start(|_| {});
-    let cold = request(server.addr(), "POST", "/v1/analyze?points=9", body.as_bytes());
-    assert_eq!(cold.status, 200);
-    let health = json(&request(server.addr(), "GET", "/v1/health", b""));
-    let hits_before = health["cache"]["hits"].as_u64().unwrap();
-    let ablated = request(
-        server.addr(),
-        "POST",
-        "/v1/analyze?points=9&no_incremental=1",
-        body.as_bytes(),
-    );
-    assert_eq!(ablated.status, 200);
-    assert_eq!(cold.body, ablated.body, "cached hit must be byte-identical");
-    let health = json(&request(server.addr(), "GET", "/v1/health", b""));
-    assert_eq!(
-        health["cache"]["hits"].as_u64().unwrap(),
-        hits_before + 1,
-        "?no_incremental must address the same cache entry"
-    );
     server.stop();
 }
 

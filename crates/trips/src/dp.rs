@@ -52,7 +52,7 @@
 //! * **Tile locality.** The recurrence `ea[u][v] ← 1 + ea'[w][v]` never
 //!   reads a column other than `v`, so the engine can run on any contiguous
 //!   *column range* of the [`TargetSet`] in complete isolation
-//!   ([`earliest_arrival_dp_tile_in`]): the arena's tables, frontier bitmap
+//!   ([`DpRun::tile`]): the arena's tables, frontier bitmap
 //!   and snapshot slots are all sized `n × tile` (better cache residency at
 //!   large `n`), columns are tile-local (`global − col_start`), and reported
 //!   trips / distance sums / per-tile `OccupancyHistogram`s partition the
@@ -197,6 +197,12 @@ impl<F: FnMut(u32, u32, u32, u32, u32)> TripSink for F {
 }
 
 /// Engine options.
+///
+/// Besides `collect_distances`, the fields are engine-level differential
+/// switches: they never change results, and nothing above the engine sets
+/// them — the analysis driver, CLI and server always run the default
+/// engine. Only the differential tests and `bench_sweep`'s ablation
+/// sections flip them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DpOptions {
     /// Accumulate the exact sums needed for mean `d_time` / `d_hops` over all
@@ -213,23 +219,9 @@ pub struct DpOptions {
     /// (edge, direction) last consumed the row (module docs). Results are
     /// bit-identical either way — skipped offers are provably
     /// non-improving — so the flag exists purely for differential tests and
-    /// the `delta_propagation` bench/ablation. Ignored by [`baseline`],
+    /// the `delta` bench/ablation. Ignored by [`baseline`],
     /// which keeps no watermarks.
     pub no_delta_propagation: bool,
-    /// Disable incremental timeline construction in sweeps: build every
-    /// scale's [`Timeline`] from scratch off the shared event view instead
-    /// of merging adjacent windows of an already-built finer scale
-    /// (`Timeline::aggregated_by_merge`; see the timeline module's "Merge
-    /// invariants"). The engines themselves ignore this flag — a merged
-    /// timeline is field-for-field identical to a scratch-built one, so
-    /// they consume either unchanged. Its consumer is the sweep scheduler:
-    /// `OccupancyMethod::sweep_scales` builds one `DpOptions` per sweep
-    /// (from `OccupancyMethod::no_incremental_timeline`, which CLI
-    /// `--no-incremental` and serve `?no_incremental=1` set) and reads this
-    /// field to empty the scale merge plan, so every execution knob rides
-    /// the same options value. Results are bit-identical either way and
-    /// the flag never enters content fingerprints.
-    pub no_incremental_timeline: bool,
 }
 
 /// Raw distance sums over every `(u, v, departure step)` triple with a finite
@@ -1091,6 +1083,38 @@ impl EngineArena {
     }
 }
 
+/// The scope of one engine run: which target columns, under which
+/// [`DpOptions`], and whether a [`CancelToken`] may stop it. A bare
+/// `DpOptions` converts into an untiled, uncancellable run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DpRun<'a> {
+    /// Target tile `(col_start, col_len)`: destinations `targets.node_of(c)`
+    /// for `c` in `col_start .. col_start + col_len` (`None` = every
+    /// column). Because the recurrence never reads across columns, tile runs
+    /// are completely independent: the per-tile trips (reported with their
+    /// global node ids), distance sums, and histograms partition the untiled
+    /// run exactly, and merging tiles in ascending `col_start` order
+    /// reproduces its output bit for bit. Arena state is sized
+    /// `n × col_len` — the tiled sweep's memory/cache lever.
+    /// `DpStats::traversals` counts every edge traversal of the timeline and
+    /// is therefore repeated per tile, not partitioned.
+    pub tile: Option<(u32, u32)>,
+    /// Engine options.
+    pub options: DpOptions,
+    /// Cooperative cancellation, polled every [`CANCEL_STRIDE`] steps. A
+    /// `None` (or never-fired) token takes the exact same code path and
+    /// produces bit-identical output; once the token fires the run stops
+    /// within one stride, its partial sink output and stats are meaningless,
+    /// and the caller must discard them. The arena stays reusable either way.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl From<DpOptions> for DpRun<'_> {
+    fn from(options: DpOptions) -> Self {
+        DpRun { options, ..Default::default() }
+    }
+}
+
 /// Runs the backward DP over `timeline`, reporting every minimal trip whose
 /// destination lies in `targets` to `sink`. Allocates a fresh arena; sweeps
 /// should hold an [`EngineArena`] per worker and call
@@ -1110,72 +1134,30 @@ pub fn earliest_arrival_dp(
     earliest_arrival_dp_in(&mut arena, timeline, targets, sink, options)
 }
 
-/// [`earliest_arrival_dp`] against caller-owned state: the arena's tables
-/// are reused (epoch-stamped, not re-zeroed) when consecutive runs share
-/// dimensions — the hot configuration of the Δ sweep.
-pub fn earliest_arrival_dp_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    sink: &mut impl TripSink,
-    options: DpOptions,
-) -> DpStats {
-    earliest_arrival_dp_tile_in(arena, timeline, targets, 0, targets.len(), sink, options)
-}
-
-/// Runs the backward DP over a contiguous *column range* of `targets`:
-/// destinations `targets.node_of(c)` for `c` in
-/// `col_start .. col_start + col_len`. Because the recurrence never reads
-/// across columns, tile runs are completely independent: the per-tile trips
-/// (reported with their global node ids), distance sums, and histograms
-/// partition the untiled run exactly, and merging tiles in ascending
-/// `col_start` order reproduces its output bit for bit. Arena state is
-/// sized `n × col_len` — the tiled sweep's memory/cache lever.
-///
-/// `DpStats::traversals` counts every edge traversal of the timeline and is
-/// therefore repeated per tile, not partitioned.
+/// [`earliest_arrival_dp`] against caller-owned state, scoped by a
+/// [`DpRun`] (tile, options, cancel token; a plain [`DpOptions`] converts).
+/// The arena's tables are reused (epoch-stamped, not re-zeroed) when
+/// consecutive runs share dimensions — the hot configuration of the Δ sweep.
 ///
 /// # Panics
-/// Panics if the range is empty or exceeds `targets.len()`.
-pub fn earliest_arrival_dp_tile_in(
+/// Panics if the run's tile is empty or exceeds `targets.len()`.
+pub fn earliest_arrival_dp_in<'a>(
     arena: &mut EngineArena,
     timeline: &Timeline,
     targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
     sink: &mut impl TripSink,
-    options: DpOptions,
+    run: impl Into<DpRun<'a>>,
 ) -> DpStats {
-    earliest_arrival_dp_tile_cancel_in(
-        arena, timeline, targets, col_start, col_len, sink, options, None,
-    )
-}
-
-/// [`earliest_arrival_dp_tile_in`] with a cooperative [`CancelToken`],
-/// polled every [`CANCEL_STRIDE`] steps. A `None` (or never-fired) token
-/// takes the exact same code path and produces bit-identical output; once
-/// the token fires the run stops within one stride, its partial sink output
-/// and stats are meaningless, and the caller must discard them. The arena
-/// stays reusable either way.
-#[allow(clippy::too_many_arguments)] // mirror of the tile entry + one token
-pub fn earliest_arrival_dp_tile_cancel_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-    sink: &mut impl TripSink,
-    options: DpOptions,
-    cancel: Option<&CancelToken>,
-) -> DpStats {
+    let run = run.into();
+    let (col_start, col_len) = run.tile.unwrap_or((0, targets.len() as u32));
     assert!(col_len > 0, "empty target tile");
     assert!(
-        col_start as usize + col_len <= targets.len(),
+        col_start as usize + col_len as usize <= targets.len(),
         "tile [{col_start}, {col_start}+{col_len}) out of range for {} targets",
         targets.len()
     );
-    arena.prepare(timeline.n() as usize, col_len);
-    arena.run(timeline, targets, col_start, sink, options, cancel)
+    arena.prepare(timeline.n() as usize, col_len as usize);
+    arena.run(timeline, targets, col_start, sink, run.options, run.cancel)
 }
 
 pub mod baseline {
@@ -1632,14 +1614,19 @@ mod tests {
                 let mut sums = DistanceSums::default();
                 for (start, len) in targets.tile_ranges(tile) {
                     let mut sink = Collect::default();
-                    let stats = earliest_arrival_dp_tile_in(
+                    let stats = earliest_arrival_dp_in(
                         &mut arena,
                         &t,
                         &targets,
-                        start,
-                        len as usize,
                         &mut sink,
-                        DpOptions { collect_distances: true, ..Default::default() },
+                        DpRun {
+                            tile: Some((start, len)),
+                            options: DpOptions {
+                                collect_distances: true,
+                                ..Default::default()
+                            },
+                            cancel: None,
+                        },
                     );
                     assert_eq!(stats.traversals, full.traversals, "k={k} tile={tile}");
                     trip_count += stats.trips;
@@ -1677,15 +1664,8 @@ mod tests {
             full.0.iter().copied().filter(|&(_, v, ..)| v == 2 || v == 3).collect();
         let mut tile = Collect::default();
         let mut arena = EngineArena::new();
-        earliest_arrival_dp_tile_in(
-            &mut arena,
-            &t,
-            &targets,
-            2,
-            2,
-            &mut tile,
-            DpOptions::default(),
-        );
+        let run = DpRun { tile: Some((2, 2)), ..Default::default() };
+        earliest_arrival_dp_in(&mut arena, &t, &targets, &mut tile, run);
         assert_eq!(tile.0, expected);
     }
 
@@ -1802,15 +1782,8 @@ mod tests {
                 let mut trips = Vec::new();
                 for (start, len) in targets.tile_ranges(tile) {
                     let mut sink = Collect::default();
-                    earliest_arrival_dp_tile_in(
-                        &mut arena,
-                        &t,
-                        &targets,
-                        start,
-                        len as usize,
-                        &mut sink,
-                        DpOptions::default(),
-                    );
+                    let run = DpRun { tile: Some((start, len)), ..Default::default() };
+                    earliest_arrival_dp_in(&mut arena, &t, &targets, &mut sink, run);
                     trips.extend(sink.0);
                 }
                 trips.sort_unstable();
@@ -1871,16 +1844,8 @@ mod tests {
         let token = CancelToken::new();
         let mut arena = EngineArena::new();
         let mut with_token = Collect::default();
-        let ts = earliest_arrival_dp_tile_cancel_in(
-            &mut arena,
-            &t,
-            &targets,
-            0,
-            targets.len(),
-            &mut with_token,
-            DpOptions::default(),
-            Some(&token),
-        );
+        let run = DpRun { cancel: Some(&token), ..Default::default() };
+        let ts = earliest_arrival_dp_in(&mut arena, &t, &targets, &mut with_token, run);
         assert_eq!(plain.0, with_token.0);
         assert_eq!(ps.trips, ts.trips);
         assert_eq!(ps.traversals, ts.traversals);
@@ -1906,16 +1871,8 @@ mod tests {
         token.cancel();
         let mut arena = EngineArena::new();
         let mut partial = Collect::default();
-        let ps = earliest_arrival_dp_tile_cancel_in(
-            &mut arena,
-            &t,
-            &targets,
-            0,
-            targets.len(),
-            &mut partial,
-            DpOptions::default(),
-            Some(&token),
-        );
+        let run = DpRun { cancel: Some(&token), ..Default::default() };
+        let ps = earliest_arrival_dp_in(&mut arena, &t, &targets, &mut partial, run);
         // The backward DP walks steps newest-first; a pre-fired token lets at
         // most one stride of steps run before the poll breaks out.
         assert!(
@@ -1928,16 +1885,8 @@ mod tests {
 
         // Reusing the arena after an abandoned run must be sound and exact.
         let mut again = Collect::default();
-        let rs = earliest_arrival_dp_tile_cancel_in(
-            &mut arena,
-            &t,
-            &targets,
-            0,
-            targets.len(),
-            &mut again,
-            DpOptions::default(),
-            None,
-        );
+        let rs =
+            earliest_arrival_dp_in(&mut arena, &t, &targets, &mut again, DpOptions::default());
         assert_eq!(again.0, full.0);
         assert_eq!(rs.trips, fs.trips);
     }

@@ -63,15 +63,11 @@ pub mod transitions;
 pub use cancel::{CancelToken, Cancelled};
 pub use distances::{distance_means, distance_means_on, DistanceMeans};
 pub use dp::{
-    earliest_arrival_dp, earliest_arrival_dp_in, earliest_arrival_dp_tile_cancel_in,
-    earliest_arrival_dp_tile_in, DpOptions, DpStats, EngineArena, TripSink, CANCEL_STRIDE,
+    earliest_arrival_dp, earliest_arrival_dp_in, DpOptions, DpRun, DpStats, EngineArena,
+    TripSink, CANCEL_STRIDE,
 };
 pub use elongation::{elongation_stats, elongation_stats_on, ElongationStats};
-pub use occupancy::{
-    occupancy_histogram, occupancy_histogram_in, occupancy_histogram_on,
-    occupancy_histogram_tile_cancel_in, occupancy_histogram_tile_in,
-    occupancy_histogram_tile_opts_in, occupancy_histogram_tile_stats_in, OccupancyHistogram,
-};
+pub use occupancy::{occupancy_histogram, occupancy_histogram_in, OccupancyHistogram};
 pub use stream_trips::{stream_minimal_trips, PairTrips, StreamTrips};
 pub use target::TargetSet;
 pub use timeline::{EventView, StepView, Timeline};

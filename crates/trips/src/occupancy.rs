@@ -6,10 +6,7 @@
 //! rationals; the histogram therefore keys on the reduced `(hops, duration)`
 //! pair so no two distinct rates are ever merged by floating-point rounding.
 
-use crate::{
-    earliest_arrival_dp_in, earliest_arrival_dp_tile_cancel_in, CancelToken, DpOptions,
-    DpStats, EngineArena, TargetSet, Timeline, TripSink,
-};
+use crate::{earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline, TripSink};
 use rustc_hash::FxHashMap;
 use saturn_linkstream::LinkStream;
 use serde::Serialize;
@@ -24,6 +21,7 @@ pub struct OccupancyHistogram {
     total: u64,
 }
 
+#[inline]
 fn gcd(mut a: u32, mut b: u32) -> u32 {
     while b != 0 {
         let r = a % b;
@@ -41,6 +39,7 @@ impl OccupancyHistogram {
 
     /// Records one minimal trip with the given hop count and duration (in
     /// steps, `>= 1`).
+    #[inline]
     pub fn record(&mut self, hops: u32, duration: u32) {
         debug_assert!(hops >= 1 && duration >= hops, "0 < hops <= duration violated");
         let g = gcd(hops, duration).max(1);
@@ -111,11 +110,17 @@ impl OccupancyHistogram {
     }
 }
 
-struct HistogramSink(OccupancyHistogram);
-
-impl TripSink for HistogramSink {
+/// A histogram is its own trip sink: the engine records each minimal trip's
+/// rate straight into it, so sweeps call [`crate::earliest_arrival_dp_in`]
+/// with a tile/cancel [`crate::DpRun`] and keep the returned [`crate::DpStats`].
+/// The engine is generic over its sink, so it is compiled in the calling
+/// crate; `#[inline]` on this path keeps the per-trip record from becoming
+/// an out-of-line cross-crate call there (measured ~10% of sweep time on a
+/// 60-node ring).
+impl TripSink for OccupancyHistogram {
+    #[inline]
     fn minimal_trip(&mut self, _u: u32, _v: u32, dep: u32, arr: u32, hops: u32) {
-        self.0.record(hops, arr - dep + 1);
+        self.record(hops, arr - dep + 1);
     }
 }
 
@@ -126,107 +131,19 @@ pub fn occupancy_histogram(
     k: u64,
     targets: &TargetSet,
 ) -> OccupancyHistogram {
-    let timeline = Timeline::aggregated(stream, k);
-    occupancy_histogram_on(&timeline, targets)
+    occupancy_histogram_in(&mut EngineArena::new(), &Timeline::aggregated(stream, k), targets)
 }
 
-/// Same as [`occupancy_histogram`], for an already-built timeline.
-pub fn occupancy_histogram_on(timeline: &Timeline, targets: &TargetSet) -> OccupancyHistogram {
-    let mut arena = EngineArena::new();
-    occupancy_histogram_in(&mut arena, timeline, targets)
-}
-
-/// Same as [`occupancy_histogram_on`], reusing a caller-owned
-/// [`EngineArena`] — the sweep's hot path (one arena per worker, reused for
-/// every scale).
+/// Same as [`occupancy_histogram`], for an already-built timeline and a
+/// caller-owned [`EngineArena`] (reused across runs of equal dimensions).
 pub fn occupancy_histogram_in(
     arena: &mut EngineArena,
     timeline: &Timeline,
     targets: &TargetSet,
 ) -> OccupancyHistogram {
-    let mut sink = HistogramSink(OccupancyHistogram::new());
-    earliest_arrival_dp_in(arena, timeline, targets, &mut sink, DpOptions::default());
-    sink.0
-}
-
-/// The histogram of one *target tile* — minimal trips toward destinations
-/// `col_start .. col_start + col_len` of `targets` only (see
-/// [`crate::earliest_arrival_dp_tile_in`]). Tiles partition the trips of the
-/// untiled run exactly, so [`OccupancyHistogram::merge`]-ing the tiles of a
-/// [`TargetSet::tile_ranges`] cover reproduces [`occupancy_histogram_in`].
-pub fn occupancy_histogram_tile_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-) -> OccupancyHistogram {
-    occupancy_histogram_tile_opts_in(
-        arena,
-        timeline,
-        targets,
-        col_start,
-        col_len,
-        DpOptions::default(),
-    )
-}
-
-/// [`occupancy_histogram_tile_in`] with explicit engine options — the sweep
-/// scheduler's entry point, used to thread execution knobs that do not
-/// change results (e.g. [`DpOptions::no_delta_propagation`] for the delta
-/// ablation) through the tiled path.
-pub fn occupancy_histogram_tile_opts_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-    options: DpOptions,
-) -> OccupancyHistogram {
-    occupancy_histogram_tile_cancel_in(
-        arena, timeline, targets, col_start, col_len, options, None,
-    )
-}
-
-/// [`occupancy_histogram_tile_opts_in`] with a cooperative [`CancelToken`]
-/// (see [`crate::dp::earliest_arrival_dp_tile_cancel_in`]). A `None` or
-/// never-fired token is result-identical to the plain path; a fired token
-/// stops the DP within one stride and the returned partial histogram must be
-/// discarded.
-pub fn occupancy_histogram_tile_cancel_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-    options: DpOptions,
-    cancel: Option<&CancelToken>,
-) -> OccupancyHistogram {
-    occupancy_histogram_tile_stats_in(
-        arena, timeline, targets, col_start, col_len, options, cancel,
-    )
-    .0
-}
-
-/// [`occupancy_histogram_tile_cancel_in`] that also surfaces the engine's
-/// [`DpStats`] instead of dropping them in the sink — the telemetry hook of
-/// the sweep scheduler. The histogram is byte-for-byte the one the plain
-/// variant returns; the stats are observational only and, like the
-/// histogram, must be discarded if the token fired mid-run.
-pub fn occupancy_histogram_tile_stats_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-    options: DpOptions,
-    cancel: Option<&CancelToken>,
-) -> (OccupancyHistogram, DpStats) {
-    let mut sink = HistogramSink(OccupancyHistogram::new());
-    let stats = earliest_arrival_dp_tile_cancel_in(
-        arena, timeline, targets, col_start, col_len, &mut sink, options, cancel,
-    );
-    (sink.0, stats)
+    let mut hist = OccupancyHistogram::new();
+    earliest_arrival_dp_in(arena, timeline, targets, &mut hist, DpOptions::default());
+    hist
 }
 
 #[cfg(test)]
@@ -270,6 +187,30 @@ mod tests {
         // a->d trip: 3 hops over 100 steps => rate ~0.03 exists
         let min_rate = h.sorted_rates().first().unwrap().0;
         assert!(min_rate < 0.1, "min rate {min_rate}");
+    }
+
+    /// Delta propagation is an engine-level switch nothing above the
+    /// engine sets: with it off, every scale of a ring stream yields the
+    /// same histogram — counts, rates, and the bits of the mean.
+    #[test]
+    fn histograms_are_identical_without_delta_propagation() {
+        let mut b = saturn_linkstream::LinkStreamBuilder::indexed(Directedness::Undirected, 9);
+        for i in 0..90u32 {
+            b.add_indexed(i % 9, (i + 1) % 9, i64::from(i) * 6);
+        }
+        let s = b.build().unwrap();
+        let targets = TargetSet::all(9);
+        let mut arena = EngineArena::new();
+        for k in [1u64, 3, 17, 90, 534] {
+            let timeline = Timeline::aggregated(&s, k);
+            let with = occupancy_histogram_in(&mut arena, &timeline, &targets);
+            let mut without = OccupancyHistogram::new();
+            let options = DpOptions { no_delta_propagation: true, ..Default::default() };
+            earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut without, options);
+            assert_eq!(with.total_trips(), without.total_trips(), "k={k}");
+            assert_eq!(with.sorted_rates(), without.sorted_rates(), "k={k}");
+            assert_eq!(with.mean().to_bits(), without.mean().to_bits(), "k={k}");
+        }
     }
 
     #[test]

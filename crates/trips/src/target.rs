@@ -99,7 +99,7 @@ impl TargetSet {
 
     /// Partitions the columns into contiguous tiles of at most `tile`
     /// columns, as `(col_start, col_len)` pairs in ascending column order —
-    /// the unit of [`crate::earliest_arrival_dp_tile_in`]. All tiles carry
+    /// the unit of [`crate::DpRun::tile`]. All tiles carry
     /// exactly `tile` columns except possibly the last; `tile >= len()` (or
     /// `tile == 0`, treated as "untiled") yields one full-range tile.
     pub fn tile_ranges(&self, tile: usize) -> Vec<(u32, u32)> {

@@ -8,8 +8,8 @@ use saturn_linkstream::{Directedness, LinkStreamBuilder};
 use saturn_trips::dp::{baseline, NullSink};
 use saturn_trips::reference::earliest_arrival_bruteforce;
 use saturn_trips::{
-    earliest_arrival_dp, earliest_arrival_dp_in, earliest_arrival_dp_tile_in, DpOptions,
-    EngineArena, TargetSet, Timeline, TripSink,
+    earliest_arrival_dp, earliest_arrival_dp_in, DpOptions, DpRun, EngineArena, TargetSet,
+    Timeline, TripSink,
 };
 
 #[derive(Default)]
@@ -220,10 +220,8 @@ proptest! {
         let mut triples = 0i128;
         for (start, len) in targets.tile_ranges(tile) {
             let mut sink = Collect::default();
-            let stats = earliest_arrival_dp_tile_in(
-                &mut arena, &timeline, &targets, start, len as usize, &mut sink,
-                tile_options,
-            );
+            let run = DpRun { tile: Some((start, len)), options: tile_options, cancel: None };
+            let stats = earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut sink, run);
             trips.extend(sink.0);
             count += stats.trips;
             let d = stats.distances.unwrap();

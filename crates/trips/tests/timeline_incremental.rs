@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use saturn_linkstream::{Directedness, LinkStreamBuilder};
 use saturn_trips::{
-    earliest_arrival_dp, occupancy_histogram_on, DpOptions, EventView, TargetSet, Timeline,
-    TripSink,
+    earliest_arrival_dp, occupancy_histogram_in, DpOptions, EngineArena, EventView, TargetSet,
+    Timeline, TripSink,
 };
 
 #[derive(Default)]
@@ -153,8 +153,9 @@ proptest! {
             prop_assert_eq!(md.finite_triples, sd.finite_triples);
         }
         // occupancy histograms (what sweep reports are built from) match too
-        let hm = occupancy_histogram_on(&merged, &targets);
-        let hs = occupancy_histogram_on(&scratch, &targets);
+        let mut arena = EngineArena::new();
+        let hm = occupancy_histogram_in(&mut arena, &merged, &targets);
+        let hs = occupancy_histogram_in(&mut arena, &scratch, &targets);
         prop_assert_eq!(hm.total_trips(), hs.total_trips());
         prop_assert_eq!(hm.distinct_rates(), hs.distinct_rates());
         prop_assert_eq!(hm.sorted_rates(), hs.sorted_rates());
