@@ -2,11 +2,11 @@
 """CI gate over BENCH_sweep.json: per-section schema validation.
 
 The sweep bench is the repository's perf trajectory record *and* its
-cross-engine correctness oracle: the intra_scale, delta, and timeline
-sections each carry hard checksum comparisons (tiled vs untiled, delta-on
-vs delta-off, merged vs scratch timelines) that must all hold — a
-divergence is a correctness bug in an execution knob that claims to be
-invisible, not benchmark noise. This script fails loudly, naming the
+cross-engine correctness oracle: the per-workload, intra_scale, and
+timeline sections each carry hard checksum comparisons (frontier engine vs
+the dp::baseline oracle, tiled vs untiled, merged vs scratch timelines)
+that must all hold — a divergence is a correctness bug in an engine or an
+execution knob that claims to be invisible, not benchmark noise. This script fails loudly, naming the
 workload and scale that diverged, if any section is missing, any checksum
 mismatches, or a section's shape degenerates (empty scale lists, zero
 timings).
@@ -21,6 +21,10 @@ import json
 import sys
 
 WORKLOADS = ("dense_uniform", "sparse_ring", "sparse_burst")
+
+# Sections older bench versions emitted for engine switches that no longer
+# exist; a record still carrying one was not regenerated by this bench.
+RETIRED = (("delta",), ("intra_scale", "degree1"))
 
 
 class GateFailure(Exception):
@@ -37,13 +41,36 @@ def section(bench, name):
     return bench[name]
 
 
+def check_retired(bench):
+    """No section of a retired engine switch: the record must come from
+    the current bench."""
+    for path in RETIRED:
+        node = bench
+        for key in path[:-1]:
+            node = node.get(key) or {}
+        require(
+            path[-1] not in node,
+            f"section `{'.'.join(path)}` is retired; regenerate the bench record",
+        )
+
+
 def check_workloads(bench):
-    """The per-workload pipeline sections: legacy vs current per scale."""
+    """The per-workload pipeline sections: legacy vs current per scale, and
+    the frontier engine's checksum against the dp::baseline oracle."""
     for workload in WORKLOADS:
-        rows = section(bench, workload).get("per_scale")
+        data = section(bench, workload)
+        require(
+            data.get("checksums_match") is True,
+            f"{workload}: frontier vs baseline checksum mismatch",
+        )
+        rows = data.get("per_scale")
         require(rows, f"{workload}: per_scale is missing or empty")
         for row in rows:
             k = row.get("k")
+            require(
+                row.get("checksum_match") is True,
+                f"{workload} k={k}: frontier engine diverged from the baseline",
+            )
             require(
                 row.get("current_pipeline_seconds", 0) > 0,
                 f"{workload} k={k}: current_pipeline_seconds must be > 0",
@@ -55,7 +82,7 @@ def check_workloads(bench):
 
 
 def check_intra_scale(bench):
-    """Target tiling + degree-1 fast path: checksums and shape."""
+    """Target tiling: checksums and shape."""
     intra = section(bench, "intra_scale")
     require(
         intra.get("checksums_match") is True,
@@ -65,37 +92,6 @@ def check_intra_scale(bench):
     require(
         intra.get("single_scale_threads"), "intra_scale: no single-scale thread points"
     )
-    degree1 = intra.get("degree1") or {}
-    require(
-        degree1.get("fast_path_seconds", 0) > 0,
-        "intra_scale.degree1: fast_path_seconds must be > 0",
-    )
-    require(
-        degree1.get("single_edge_steps", 0) > 0,
-        "intra_scale.degree1: no single-edge steps measured",
-    )
-
-
-def check_delta(bench):
-    """Delta propagation ablation: per-workload per-scale checksums."""
-    delta = section(bench, "delta")
-    require(
-        delta.get("checksums_match") is True,
-        "delta: delta-on vs delta-off checksum mismatch",
-    )
-    for workload in WORKLOADS:
-        rows = delta.get(workload)
-        require(rows, f"delta: section has no {workload} scales")
-        for row in rows:
-            k = row.get("k")
-            require(
-                row.get("checksum_match") is True,
-                f"delta: {workload} k={k} checksum diverged",
-            )
-            require(
-                row.get("delta_on_seconds", 0) > 0,
-                f"delta: {workload} k={k} delta_on_seconds must be > 0",
-            )
 
 
 def check_timeline(bench):
@@ -172,7 +168,13 @@ def check_streaming(bench):
         )
 
 
-CHECKS = (check_workloads, check_intra_scale, check_delta, check_timeline, check_streaming)
+CHECKS = (
+    check_retired,
+    check_workloads,
+    check_intra_scale,
+    check_timeline,
+    check_streaming,
+)
 
 
 def run_gate(bench):
@@ -197,8 +199,21 @@ def self_test():
             raise AssertionError(f"gate accepted a bench violating: {expect}")
 
     failing(lambda b: b.pop("timeline"), "`timeline` is missing")
-    failing(lambda b: b.pop("delta"), "`delta` is missing")
     failing(lambda b: b.pop("intra_scale"), "`intra_scale` is missing")
+    failing(lambda b: b.update(delta={}), "section `delta` is retired")
+    failing(
+        lambda b: b["intra_scale"].update(degree1={}),
+        "section `intra_scale.degree1` is retired",
+    )
+    failing(
+        lambda b: b["dense_uniform"].update(checksums_match=False),
+        "dense_uniform: frontier vs baseline checksum mismatch",
+    )
+    failing(lambda b: b["sparse_ring"].pop("checksums_match"), "checksum mismatch")
+    failing(
+        lambda b: b["sparse_burst"]["per_scale"][0].update(checksum_match=False),
+        "frontier engine diverged from the baseline",
+    )
     failing(
         lambda b: b["timeline"].update(checksums_match=False),
         "merged vs scratch checksum mismatch",
@@ -212,10 +227,6 @@ def self_test():
         "incremental_seconds must be > 0",
     )
     failing(lambda b: b["timeline"].update(sparse_ring=[]), "no sparse_ring ladder")
-    failing(
-        lambda b: b["delta"]["sparse_ring"][0].update(checksum_match=False),
-        "checksum diverged",
-    )
     failing(
         lambda b: b["intra_scale"].update(checksums_match=False),
         "tiled vs untiled checksum mismatch",

@@ -60,7 +60,7 @@ fn bench_distance_accumulation(c: &mut Criterion) {
                     &timeline,
                     &TargetSet::all(30),
                     &mut NullSink,
-                    DpOptions { collect_distances: collect, ..Default::default() },
+                    DpOptions { collect_distances: collect },
                 )
             })
         });

@@ -13,14 +13,15 @@
 //! * `sparse_burst` — 600 nodes with bursty contact trains (face-to-face
 //!   dataset texture): the same edge recurs across consecutive fine-scale
 //!   windows with unchanged continuation rows, the regime the engine's
-//!   delta propagation targets (tracked in the `delta` section, with
-//!   hard-asserted delta-on == delta-off checksums on all three workloads).
+//!   delta propagation targets.
 //!
 //! Per scale, both the pre-rework pipeline (per-call timeline build + the
 //! retained baseline engine with fresh tables) and the current pipeline
-//! (shared sorted event view + frontier/arena engine) are timed; end-to-end
-//! `OccupancyMethod::run` timings and a peak-RSS proxy (`VmHWM`) round out
-//! the record.
+//! (shared sorted event view + frontier/arena engine) are timed, and the
+//! two engines' checksums (trip stream + distance sums) are hard-asserted
+//! equal — `dp::baseline` is the differential oracle at bench scale.
+//! End-to-end `OccupancyMethod::run` timings and a peak-RSS proxy
+//! (`VmHWM`) round out the record.
 //!
 //! ```sh
 //! cargo run --release -p saturn-bench --bin bench_sweep           # full
@@ -35,7 +36,7 @@ use saturn_synth::TimeUniform;
 use saturn_trips::dp::{baseline, NullSink};
 use saturn_trips::{
     earliest_arrival_dp_in, occupancy_histogram_in, DpOptions, DpRun, DpStats, EngineArena,
-    EventView, OccupancyHistogram, TargetSet, Timeline,
+    EventView, OccupancyHistogram, TargetSet, Timeline, TripSink,
 };
 use serde_json::Value;
 use std::time::Instant;
@@ -63,6 +64,13 @@ fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// The CPU model name from `/proc/cpuinfo`; `None` off Linux.
+fn cpu_model() -> Option<String> {
+    let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    let line = info.lines().find(|l| l.starts_with("model name"))?;
+    Some(line.split_once(':')?.1.trim().to_string())
 }
 
 fn sparse_ring(n: u32, reps: i64) -> LinkStream {
@@ -96,7 +104,32 @@ fn sparse_burst(n: u32, trains: i64, burst: i64) -> LinkStream {
     b.build().unwrap()
 }
 
+/// An order-sensitive mixing fold over a trip stream.
+#[derive(Default)]
+struct TripChecksum(u64);
+
+impl TripSink for TripChecksum {
+    fn minimal_trip(&mut self, u: u32, v: u32, dep: u32, arr: u32, hops: u32) {
+        let mut x = self.0 ^ (u as u64 | (v as u64) << 32);
+        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+        x ^= dep as u64 | (arr as u64) << 20 | (hops as u64) << 44;
+        self.0 = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+    }
+}
+
+impl TripChecksum {
+    /// The full-result checksum of a run that fed this sink: the trip fold
+    /// plus the exact distance sums.
+    fn digest(&self, stats: &DpStats) -> (u64, i128, i128, i128) {
+        let d = stats.distances.expect("checksum runs collect distances");
+        (self.0 ^ stats.trips, d.sum_dtime_steps, d.sum_dhops, d.finite_triples)
+    }
+}
+
 /// Times one workload across `scales`; returns `(json, Σ legacy, Σ current)`.
+/// Each scale's frontier-vs-baseline checksum is hard-asserted: a mismatch
+/// is a correctness bug, so it aborts the bench (and CI) rather than
+/// recording garbage trend data.
 fn measure_workload(
     name: &str,
     stream: &LinkStream,
@@ -111,19 +144,29 @@ fn measure_workload(
     let mut per_scale = Vec::new();
     let mut total_legacy = 0.0f64;
     let mut total_current = 0.0f64;
+    let mut all_match = true;
+    let checksum_options = DpOptions { collect_distances: true };
     for &k in scales {
         let timeline = Timeline::aggregated_from_view(&view, k);
-        let traversals = {
-            let mut arena = EngineArena::new();
-            earliest_arrival_dp_in(
-                &mut arena,
-                &timeline,
-                &targets,
-                &mut NullSink,
-                DpOptions::default(),
-            )
-            .traversals
-        };
+        let mut frontier_sum = TripChecksum::default();
+        let frontier = earliest_arrival_dp_in(
+            &mut EngineArena::new(),
+            &timeline,
+            &targets,
+            &mut frontier_sum,
+            checksum_options,
+        );
+        let mut baseline_sum = TripChecksum::default();
+        let oracle = baseline::earliest_arrival_dp(
+            &timeline,
+            &targets,
+            &mut baseline_sum,
+            checksum_options,
+        );
+        let ok = frontier_sum.digest(&frontier) == baseline_sum.digest(&oracle);
+        all_match &= ok;
+        assert!(ok, "frontier vs baseline checksum diverged: {name} k={k}");
+        let traversals = frontier.traversals;
 
         // pre-rework pipeline: per-call timeline build + fresh-table engine
         let t_legacy = time_median(reps, || {
@@ -160,6 +203,8 @@ fn measure_workload(
             ("current_pipeline_seconds", Value::Float(t_current)),
             ("speedup", Value::Float(speedup)),
             ("traversals_per_second", Value::Float(traversals as f64 / t_current)),
+            ("trips", Value::Int(frontier.trips as i128)),
+            ("checksum_match", Value::Bool(ok)),
         ]));
     }
     let json = obj(vec![
@@ -168,6 +213,7 @@ fn measure_workload(
         ("span_ticks", Value::Int(stream.span() as i128)),
         ("per_scale", Value::Array(per_scale)),
         ("workload_speedup", Value::Float(total_legacy / total_current)),
+        ("checksums_match", Value::Bool(all_match)),
     ]);
     (json, total_legacy, total_current)
 }
@@ -200,12 +246,7 @@ fn histograms_match(a: &OccupancyHistogram, b: &OccupancyHistogram) -> bool {
 /// The `intra_scale` section: what the second parallel axis costs and buys.
 /// Tiled-vs-untiled checksums are hard-asserted — a mismatch aborts the
 /// bench (and CI) rather than recording garbage trend data.
-fn measure_intra_scale(
-    dense: &LinkStream,
-    sparse: &LinkStream,
-    fast: bool,
-    reps: usize,
-) -> Value {
+fn measure_intra_scale(dense: &LinkStream, fast: bool, reps: usize) -> Value {
     // --- tile-size sensitivity on one dense scale, single-threaded --------
     let k = if fast { 1_000u64 } else { 10_000 };
     let targets = TargetSet::all(dense.node_count() as u32);
@@ -262,38 +303,6 @@ fn measure_intra_scale(
         ]));
     }
 
-    // --- degree-1 fast path on the snapshot-bound sparse fine tail --------
-    let kd = if fast { 10_000u64 } else { 100_000 };
-    let stargets = TargetSet::all(sparse.node_count() as u32);
-    let sview = EventView::new(sparse);
-    let stimeline = Timeline::aggregated_from_view(&sview, kd);
-    let degree1_steps = stimeline.steps_desc().filter(|s| s.len() == 1).count();
-    let t_general = time_median(reps, || {
-        earliest_arrival_dp_in(
-            &mut arena,
-            &stimeline,
-            &stargets,
-            &mut NullSink,
-            DpOptions { no_degree1_fast_path: true, ..Default::default() },
-        )
-    });
-    let t_fast = time_median(reps, || {
-        earliest_arrival_dp_in(
-            &mut arena,
-            &stimeline,
-            &stargets,
-            &mut NullSink,
-            DpOptions::default(),
-        )
-    });
-    let speedup = t_general / t_fast;
-    println!(
-        "  intra_scale degree1 sparse k={kd} ({degree1_steps} single-edge steps): \
-         general {:.3} ms, fast {:.3} ms ({speedup:.3}x)",
-        t_general * 1e3,
-        t_fast * 1e3,
-    );
-
     obj(vec![
         ("dense_scale_k", Value::Int(k as i128)),
         ("untiled_seconds", Value::Float(t_untiled)),
@@ -301,105 +310,7 @@ fn measure_intra_scale(
         ("checksums_match", Value::Bool(checksums_match)),
         ("tile_sensitivity", Value::Array(tile_sensitivity)),
         ("single_scale_threads", Value::Array(single_scale_threads)),
-        (
-            "degree1",
-            obj(vec![
-                ("k", Value::Int(kd as i128)),
-                ("single_edge_steps", Value::Int(degree1_steps as i128)),
-                ("general_seconds", Value::Float(t_general)),
-                ("fast_path_seconds", Value::Float(t_fast)),
-                ("speedup", Value::Float(speedup)),
-            ]),
-        ),
     ])
-}
-
-/// A full-result checksum of one engine run — a mixing fold over the trip
-/// stream (order-sensitive) plus the exact distance sums — together with
-/// the run's [`DpStats`] (offer/snapshot counters for the JSON). Delta
-/// propagation claims bit-identical results, so any checksum divergence is
-/// a correctness bug, not noise.
-fn engine_checksum(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    options: DpOptions,
-) -> ((u64, i128, i128, i128), DpStats) {
-    let mut acc = 0u64;
-    let mut sink = |u: u32, v: u32, dep: u32, arr: u32, hops: u32| {
-        let mut x = acc ^ (u as u64 | (v as u64) << 32);
-        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
-        x ^= dep as u64 | (arr as u64) << 20 | (hops as u64) << 44;
-        acc = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    };
-    let stats = earliest_arrival_dp_in(
-        arena,
-        timeline,
-        targets,
-        &mut sink,
-        DpOptions { collect_distances: true, ..options },
-    );
-    let d = stats.distances.unwrap();
-    ((acc ^ stats.trips, d.sum_dtime_steps, d.sum_dhops, d.finite_triples), stats)
-}
-
-/// The `delta` section: change-driven offers (watermark filtering) on vs
-/// off, per scale, on all three workloads. Checksums (trip stream +
-/// distance sums) are hard-asserted equal — delta propagation must be
-/// invisible in results, visible only in wall time.
-fn measure_delta(workloads: &[(&str, &LinkStream)], scales: &[u64], reps: usize) -> Value {
-    let mut sections = Vec::new();
-    let mut all_match = true;
-    for &(name, stream) in workloads {
-        let targets = TargetSet::all(stream.node_count() as u32);
-        let view = EventView::new(stream);
-        let mut arena = EngineArena::new();
-        let mut per_scale = Vec::new();
-        for &k in scales {
-            let timeline = Timeline::aggregated_from_view(&view, k);
-            let off_opts = DpOptions { no_delta_propagation: true, ..Default::default() };
-            let on_opts = DpOptions::default();
-            let (sum_off, stats_off) =
-                engine_checksum(&mut arena, &timeline, &targets, off_opts);
-            let (sum_on, stats_on) = engine_checksum(&mut arena, &timeline, &targets, on_opts);
-            let ok = sum_off == sum_on;
-            all_match &= ok;
-            assert!(ok, "delta-on vs delta-off checksum diverged: {name} k={k}");
-            let t_off = time_median(reps, || {
-                earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut NullSink, off_opts)
-            });
-            let t_on = time_median(reps, || {
-                earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut NullSink, on_opts)
-            });
-            let speedup = t_off / t_on;
-            println!(
-                "  delta {name} k={k:>7}  off {:>9.3} ms  on {:>9.3} ms  ({speedup:.2}x)  \
-                 offers {} -> {}  snap {} -> {}",
-                t_off * 1e3,
-                t_on * 1e3,
-                stats_off.chain_offers,
-                stats_on.chain_offers,
-                stats_off.snap_entries,
-                stats_on.snap_entries,
-            );
-            per_scale.push(obj(vec![
-                ("k", Value::Int(k as i128)),
-                ("delta_off_seconds", Value::Float(t_off)),
-                ("delta_on_seconds", Value::Float(t_on)),
-                ("speedup", Value::Float(speedup)),
-                ("chain_offers_off", Value::Int(stats_off.chain_offers as i128)),
-                ("chain_offers_on", Value::Int(stats_on.chain_offers as i128)),
-                ("snap_entries_off", Value::Int(stats_off.snap_entries as i128)),
-                ("snap_entries_on", Value::Int(stats_on.snap_entries as i128)),
-                ("trips", Value::Int(stats_on.trips as i128)),
-                ("checksum_match", Value::Bool(ok)),
-            ]));
-        }
-        sections.push((name, Value::Array(per_scale)));
-    }
-    let mut entries: Vec<(&str, Value)> = vec![("checksums_match", Value::Bool(all_match))];
-    entries.extend(sections);
-    obj(entries)
 }
 
 /// The `timeline` section: per-scale CSR timeline build cost, scratch (the
@@ -652,15 +563,8 @@ fn main() {
     let (sparse_json, sl, sc) = measure_workload("sparse_ring", &sparse, &scales, reps);
     let (burst_json, bl, bc) = measure_workload("sparse_burst", &burst, &scales, reps);
 
-    println!("delta propagation (change-driven offers) on vs off:");
-    let delta = measure_delta(
-        &[("dense_uniform", &dense), ("sparse_ring", &sparse), ("sparse_burst", &burst)],
-        &scales,
-        reps,
-    );
-
-    println!("intra-scale parallelism (target tiling + degree-1 fast path):");
-    let intra_scale = measure_intra_scale(&dense, &sparse, fast, reps);
+    println!("intra-scale parallelism (target tiling):");
+    let intra_scale = measure_intra_scale(&dense, fast, reps);
 
     println!("incremental timeline construction (adjacent-window merge) vs scratch:");
     let timeline = measure_timeline(
@@ -695,8 +599,9 @@ fn main() {
             Value::String(
                 "Sweep-engine perf trajectory: per-scale wall time of the pre-rework \
                  pipeline (per-call timeline build + fresh-table baseline engine) vs the \
-                 current pipeline (shared sorted event view + frontier/arena engine), \
-                 traversal throughput, end-to-end method timings. Regenerate: cargo run \
+                 current pipeline (shared sorted event view + frontier/arena engine) with \
+                 hard-asserted frontier-vs-baseline checksums, traversal throughput, \
+                 end-to-end method timings. Regenerate: cargo run \
                  --release -p saturn-bench --bin bench_sweep"
                     .to_string(),
             ),
@@ -712,12 +617,12 @@ fn main() {
                     ),
                 ),
                 ("fast_mode", Value::Bool(fast)),
+                ("cpu_model", cpu_model().map_or(Value::Null, Value::String)),
             ]),
         ),
         ("dense_uniform", dense_json),
         ("sparse_ring", sparse_json),
         ("sparse_burst", burst_json),
-        ("delta", delta),
         ("intra_scale", intra_scale),
         ("timeline", timeline),
         ("streaming", streaming),

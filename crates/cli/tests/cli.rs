@@ -238,3 +238,19 @@ fn missing_file_fails_cleanly() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("/no/such/file.txt"), "{err}");
 }
+
+#[test]
+fn overflowing_study_period_fails_cleanly() {
+    let dir = std::env::temp_dir().join("saturn-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("extreme-{}.txt", std::process::id()));
+    std::fs::write(&path, format!("a b {}\na c {}\n", i64::MIN, i64::MAX)).unwrap();
+    for command in ["analyze", "validate", "stats"] {
+        let out = saturn(&[command, path.to_str().unwrap()]);
+        assert!(!out.status.success(), "{command}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("study period"), "{command}: {err}");
+        assert!(!err.contains("panicked"), "{command}: {err}");
+    }
+    std::fs::remove_file(&path).ok();
+}

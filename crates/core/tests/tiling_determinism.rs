@@ -1,5 +1,5 @@
-//! Tiling, delta propagation, incremental timeline construction and
-//! session refreshes must be invisible: an [`OccupancyMethod`] run split
+//! Tiling, the engine's delta propagation, incremental timeline
+//! construction and session refreshes must be invisible: an [`OccupancyMethod`] run split
 //! into target tiles of any width, on any thread count, with timelines
 //! merge-derived or scratch-built, refreshed through a session cache or
 //! swept from scratch, must serialize to the *same bytes* as the untiled
@@ -7,9 +7,10 @@
 //! content-addressed cache correct while the executor re-tiles work per
 //! hardware. Tile widths 1, 3, `ncols`, and a proptest-chosen random width
 //! are exercised across 1/2/4/8 threads, with refinement rounds on (the
-//! narrow rounds are where auto-tiling matters most). Delta propagation is
-//! an engine-level switch ([`DpOptions`]): every swept scale must match a
-//! scratch-built engine run with delta on and off. The incremental axis
+//! narrow rounds are where auto-tiling matters most). Every swept scale
+//! must match a scratch-built timeline run through [`baseline`], the
+//! oracle engine without delta watermarks or the degree-1 bypass. The
+//! incremental axis
 //! runs on explicit divisor ladders, where every scale actually takes the
 //! merge path.
 
@@ -20,9 +21,8 @@ use saturn_core::{
 };
 use saturn_distrib::{mk_proximity, WeightedDist};
 use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
-use saturn_trips::{
-    earliest_arrival_dp_in, DpOptions, EngineArena, OccupancyHistogram, TargetSet, Timeline,
-};
+use saturn_trips::dp::baseline;
+use saturn_trips::{DpOptions, OccupancyHistogram, TargetSet, Timeline};
 
 /// A small random-ish stream driven by proptest-chosen parameters.
 fn build_stream(n: u32, events: usize, gap: i64, twist: u32) -> LinkStream {
@@ -68,19 +68,15 @@ fn scales_of(report: &saturn_core::OccupancyReport) -> Vec<(u64, u64, usize, u64
 }
 
 /// [`scales_of`] recomputed below the driver: each scale's timeline built
-/// from scratch and run through the engine with `options`.
-fn engine_scales(
-    stream: &LinkStream,
-    ks: &[u64],
-    options: DpOptions,
-) -> Vec<(u64, u64, usize, u64, u64, u64)> {
+/// from scratch and run through [`baseline`] into an
+/// [`OccupancyHistogram`].
+fn baseline_scales(stream: &LinkStream, ks: &[u64]) -> Vec<(u64, u64, usize, u64, u64, u64)> {
     let targets = TargetSet::all(stream.node_count() as u32);
-    let mut arena = EngineArena::new();
     ks.iter()
         .map(|&k| {
             let mut h = OccupancyHistogram::new();
             let timeline = Timeline::aggregated(stream, k);
-            earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut h, options);
+            baseline::earliest_arrival_dp(&timeline, &targets, &mut h, DpOptions::default());
             let mk = mk_proximity(&WeightedDist::from_pairs(h.sorted_rates())).to_bits();
             let (mean, at_one) = (h.mean().to_bits(), h.fraction_at_one().to_bits());
             (k, h.total_trips(), h.distinct_rates(), mean, at_one, mk)
@@ -88,19 +84,12 @@ fn engine_scales(
         .collect()
 }
 
-/// Asserts that every scale of `report` matches scratch-built engine runs
-/// with delta propagation on and off.
+/// Asserts that every scale of `report` matches the [`baseline`] engine on
+/// a scratch-built timeline.
 fn assert_engine_agrees(stream: &LinkStream, report: &saturn_core::OccupancyReport) {
     let swept = scales_of(report);
     let ks: Vec<u64> = swept.iter().map(|s| s.0).collect();
-    for no_delta_propagation in [false, true] {
-        let options = DpOptions { no_delta_propagation, ..Default::default() };
-        assert_eq!(
-            engine_scales(stream, &ks, options),
-            swept,
-            "no_delta_propagation={no_delta_propagation}"
-        );
-    }
+    assert_eq!(baseline_scales(stream, &ks), swept);
 }
 
 proptest! {
@@ -108,8 +97,8 @@ proptest! {
 
     /// The acceptance matrix: tile ∈ {1, 3, ncols, random} × threads ∈
     /// {1, 2, 4, 8}, every cell byte-identical to the untiled
-    /// single-threaded reference, whose scales match the engine with delta
-    /// on and off.
+    /// single-threaded reference, whose scales match the baseline engine
+    /// (no delta watermarks).
     #[test]
     fn reports_are_bit_identical_across_threads_tiles_and_delta(
         n in 5u32..10,
@@ -271,7 +260,7 @@ proptest! {
     /// The incremental-timeline axis on a random divisor ladder (every
     /// scale merge-derived from its neighbor): byte-identical across
     /// threads × tiles, shared timelines and all, and every scale matches
-    /// a scratch-built timeline through the engine with delta on and off.
+    /// a scratch-built timeline through the baseline engine.
     #[test]
     fn incremental_timelines_are_byte_identical_on_divisor_ladders(
         n in 5u32..10,

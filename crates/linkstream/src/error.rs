@@ -23,6 +23,14 @@ pub enum BuildError {
         /// The declared period end.
         end: i64,
     },
+    /// The study period's length `end - begin` does not fit in an `i64`
+    /// tick count.
+    SpanOverflow {
+        /// The period start.
+        begin: i64,
+        /// The period end.
+        end: i64,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -35,6 +43,9 @@ impl fmt::Display for BuildError {
             ),
             BuildError::InvertedPeriod { begin, end } => {
                 write!(f, "study period [{begin}, {end}] has begin > end")
+            }
+            BuildError::SpanOverflow { begin, end } => {
+                write!(f, "study period [{begin}, {end}] is longer than {} ticks", i64::MAX)
             }
         }
     }

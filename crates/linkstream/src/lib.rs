@@ -43,6 +43,6 @@ pub use error::{BuildError, ParseError};
 pub use event::Link;
 pub use interval::{IntervalLink, IntervalStream, IntervalStreamBuilder};
 pub use node::{NodeId, NodeInterner};
-pub use stream::{Directedness, LinkStream, LinkStreamBuilder, StreamStats};
+pub use stream::{check_span, Directedness, LinkStream, LinkStreamBuilder, StreamStats};
 pub use time::Time;
 pub use windows::WindowPartition;

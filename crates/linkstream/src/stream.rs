@@ -364,6 +364,7 @@ impl LinkStreamBuilder {
                 (b, e)
             }
         };
+        check_span(t_begin, t_end)?;
 
         let labels = match mode {
             NodeMode::Labeled(interner) => interner.into_labels(),
@@ -380,6 +381,15 @@ impl LinkStreamBuilder {
             dropped_duplicates,
         })
     }
+}
+
+/// The span `end - begin` of a non-inverted study period, or
+/// [`BuildError::SpanOverflow`] when it does not fit in an `i64` — every
+/// [`LinkStream`] keeps `span() >= 0` exact.
+pub fn check_span(begin: Time, end: Time) -> Result<i64, BuildError> {
+    end.ticks()
+        .checked_sub(begin.ticks())
+        .ok_or(BuildError::SpanOverflow { begin: begin.ticks(), end: end.ticks() })
 }
 
 #[cfg(test)]
@@ -435,6 +445,30 @@ mod tests {
         b.period(0, 10);
         let s = b.build().unwrap();
         assert_eq!(s.span(), 10);
+    }
+
+    /// A period whose length overflows `i64` is a typed error, whether it
+    /// is observed from the events or declared; the longest representable
+    /// span still builds.
+    #[test]
+    fn span_overflow_is_rejected() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        let mut b = LinkStreamBuilder::new(Directedness::Undirected);
+        b.add("a", "b", min);
+        b.add("a", "c", max);
+        assert_eq!(b.build().unwrap_err(), BuildError::SpanOverflow { begin: min, end: max });
+
+        let mut b = LinkStreamBuilder::new(Directedness::Undirected);
+        b.add("a", "b", 0);
+        b.period(-1, max);
+        assert_eq!(b.build().unwrap_err(), BuildError::SpanOverflow { begin: -1, end: max });
+
+        let mut b = LinkStreamBuilder::new(Directedness::Undirected);
+        b.add("a", "b", min);
+        b.add("a", "c", -1);
+        assert_eq!(b.build().unwrap().span(), max);
+        assert_eq!(check_span(Time::new(0), Time::MAX), Ok(max));
+        assert!(check_span(Time::MIN, Time::new(0)).is_err());
     }
 
     #[test]

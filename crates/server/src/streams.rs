@@ -28,7 +28,8 @@
 //!
 //! The study period is pinned at creation because the sweep cache requires
 //! it: window boundaries may not move between refreshes (see the splice
-//! invariants in `saturn-trips`). Appends outside the period are `400`s.
+//! invariants in `saturn-trips`). Appends outside the period are `400`s,
+//! and so is a period whose length overflows an `i64` tick count.
 //!
 //! Sessions are in-memory only and TTL-evicted: every streams request
 //! first sweeps expired sessions, so an idle server holds them at most
@@ -51,7 +52,7 @@ use saturn_core::{
     SweepGrid,
 };
 use saturn_linkstream::io::{self as stream_io, ParsedEvent};
-use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
+use saturn_linkstream::{check_span, Directedness, LinkStream, LinkStreamBuilder};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -208,6 +209,7 @@ pub(crate) fn endpoint_create(request: &Request, ctx: &ServerContext) -> Handled
             format!("empty study period: t_begin={t_begin} must be < t_end={t_end}"),
         ));
     }
+    check_span(t_begin.into(), t_end.into()).map_err(|e| ApiError::new(400, e.to_string()))?;
     let directedness = if request.flag("directed") {
         Directedness::Directed
     } else {

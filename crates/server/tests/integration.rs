@@ -1093,3 +1093,41 @@ fn bind_fails_fast_on_unwritable_cache_dir() {
     assert!(err.to_string().contains("cache dir"), "error names the cache dir: {err}");
     let _ = std::fs::remove_file(&blocker);
 }
+
+/// A trace whose study period spans more than `i64::MAX` ticks.
+fn overflowing_trace() -> String {
+    format!("a b {}\na c {}\n", i64::MIN, i64::MAX)
+}
+
+/// Posts `body` to `target` on a fresh server and asserts a non-retryable
+/// `400 bad_request` naming the study period — a client error, not a
+/// panic or a wrong answer.
+fn assert_period_rejected(target: &str, body: &str) {
+    let server = start(|_| {});
+    let response = request(server.addr(), "POST", target, body.as_bytes());
+    assert_envelope(&response, 400, "bad_request");
+    let message = json(&response)["error"]["message"].as_str().unwrap().to_string();
+    assert!(message.contains("study period"), "{message}");
+    server.stop();
+}
+
+#[test]
+fn analyze_rejects_an_overflowing_study_period() {
+    assert_period_rejected("/v1/analyze", &overflowing_trace());
+}
+
+#[test]
+fn validate_rejects_an_overflowing_study_period() {
+    assert_period_rejected("/v1/validate", &overflowing_trace());
+}
+
+#[test]
+fn stats_rejects_an_overflowing_study_period() {
+    assert_period_rejected("/v1/stats", &overflowing_trace());
+}
+
+#[test]
+fn stream_create_rejects_an_overflowing_study_period() {
+    let target = format!("/v1/streams?t_begin={}&t_end={}", i64::MIN, i64::MAX);
+    assert_period_rejected(&target, "");
+}

@@ -54,7 +54,7 @@ pub fn distance_means_on(
         timeline,
         targets,
         &mut NullSink,
-        DpOptions { collect_distances: true, ..Default::default() },
+        DpOptions { collect_distances: true },
     );
     let sums = stats.distances.expect("collect_distances was set");
     let delta = span as f64 / k as f64;

@@ -69,8 +69,6 @@
 //!   saved is one row snapshot, all `slot_of` bookkeeping, and (directed)
 //!   every snapshot write. This attacks the snapshot-bound fine-scale tail
 //!   where nearly every non-empty window holds one edge.
-//!   [`DpOptions::no_degree1_fast_path`] forces the general path for
-//!   differential tests and benches.
 //!
 //! # Delta propagation invariants
 //!
@@ -102,13 +100,13 @@
 //!   `set_at > L` still holds the *same* value it held at step `L`, so its
 //!   candidate is already dominated and cannot pass `offer`'s strict
 //!   improvement test. Offers that cannot improve have *zero* side effects
-//!   (no cell write, no `dirty` push, no distance flush), hence the
-//!   filtered run's cell states, trip stream, and distance sums are
-//!   bit-identical to the unfiltered run's — enforced differentially
-//!   against both the frontier engine with delta off and [`baseline`] in
-//!   `proptest_frontier.rs`, and across delta × tile × thread combinations
-//!   in `core/tests/tiling_determinism.rs`. The single-hop offer
-//!   `(k, 1)` is never filtered: its candidate is new every step.
+//!   (no cell write, no dirty bit, no distance flush), hence the filtered
+//!   run's cell states, trip stream, and distance sums are bit-identical to
+//!   an unfiltered run's — enforced differentially against [`baseline`]
+//!   (which keeps no watermarks) in `proptest_frontier.rs`, and across tile
+//!   × thread combinations in `core/tests/tiling_determinism.rs`. The
+//!   single-hop offer `(k, 1)` is never filtered: its candidate is new
+//!   every step.
 //! * **Filtered snapshots.** Remark-1 snapshots stay the value source, but
 //!   are built *already filtered*: a pre-pass over the step's edges
 //!   computes, per slotted row, the most permissive consumer watermark
@@ -128,13 +126,17 @@
 //!   its live `row_changed_at` / `set_at` are therefore pre-step exact; the
 //!   reverse-direction snapshot is taken before the forward offers dirty
 //!   row `eu`, watermark filtering included.
-//! * [`DpOptions::no_delta_propagation`] restores the emit-everything
-//!   behavior for differential tests and the `delta_propagation` bench;
-//!   results are bit-identical with the flag on or off.
+//! * **Change tracking.** Every write lands in two per-slot bitmaps:
+//!   `dirty_bits` (any change, hops ties included) feeds the per-row change
+//!   marks, and `ea_bits` (strict `ea` improvements) is exactly the
+//!   minimal-trip condition. Walking them with slots in ascending node order
+//!   reports trips in canonical order with no per-step sort.
 //!
-//! The pre-rework engine (full-row snapshots, per-run table allocation,
-//! `O(ncols)` chain scans) is preserved in [`baseline`] as the comparison
-//! oracle for differential tests and the speedup benches.
+//! [`baseline`] is the comparison oracle: the pre-rework engine (full-row
+//! snapshots, per-run table allocation, `O(ncols)` chain scans, no
+//! watermarks, no degree-1 bypass, a sorted dirty list for reporting), a
+//! separate implementation the differential tests and the sweep bench check
+//! this engine against.
 //!
 //! # Recurrence at step `k`
 //!
@@ -196,32 +198,13 @@ impl<F: FnMut(u32, u32, u32, u32, u32)> TripSink for F {
     }
 }
 
-/// Engine options.
-///
-/// Besides `collect_distances`, the fields are engine-level differential
-/// switches: they never change results, and nothing above the engine sets
-/// them — the analysis driver, CLI and server always run the default
-/// engine. Only the differential tests and `bench_sweep`'s ablation
-/// sections flip them.
+/// Engine options. The engine has one execution mode; options only choose
+/// what a run reports.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DpOptions {
     /// Accumulate the exact sums needed for mean `d_time` / `d_hops` over all
     /// departure steps (Figure 2, bottom row). Costs one extra `u32` table.
     pub collect_distances: bool,
-    /// Force single-edge steps through the general snapshot path instead of
-    /// the degree-1 bypass (module docs). Results are bit-identical either
-    /// way; the flag exists for differential tests and the
-    /// `degree1_fast_path` bench. Ignored by [`baseline`], which has no
-    /// fast path.
-    pub no_degree1_fast_path: bool,
-    /// Disable delta propagation: emit every chain offer at every step
-    /// instead of only those whose source-row column changed since the same
-    /// (edge, direction) last consumed the row (module docs). Results are
-    /// bit-identical either way — skipped offers are provably
-    /// non-improving — so the flag exists purely for differential tests and
-    /// the `delta` bench/ablation. Ignored by [`baseline`],
-    /// which keeps no watermarks.
-    pub no_delta_propagation: bool,
 }
 
 /// Raw distance sums over every `(u, v, departure step)` triple with a finite
@@ -245,8 +228,7 @@ pub struct DpStats {
     /// Total edge traversals processed (`M`, doubled for undirected).
     pub traversals: u64,
     /// Chain offers actually emitted (after delta filtering; excludes the
-    /// per-traversal single-hop offer). The delta bench reports this next
-    /// to wall time: it is the work the watermark filters eliminate.
+    /// per-traversal single-hop offer).
     pub chain_offers: u64,
     /// Snapshot entries appended across all steps (after snapshot-side
     /// delta filtering).
@@ -320,13 +302,8 @@ pub struct EngineArena {
     /// node -> snapshot slot (`NEVER` = none), plus the slotted-node list.
     slot_of: Vec<u32>,
     slotted: Vec<u32>,
-    /// `(cell index, pre-step ea)` of cells first touched in the current
-    /// step — the pre-delta dirty set, used only under
-    /// [`DpOptions::no_delta_propagation`] (it needs an `O(n log n)`
-    /// per-step sort to report trips in canonical order).
-    dirty: Vec<(usize, u32)>,
-    /// The delta path's dirty-column set: one `words_per_row` bitmap tile
-    /// per snapshot slot, bit set iff the cell changed this step. Iterating
+    /// The step's dirty-column set: one `words_per_row` bitmap tile per
+    /// snapshot slot, bit set iff the cell changed this step. Iterating
     /// set bits (slots in ascending node order) reproduces the canonical
     /// ascending `(row, col)` report order with no sort at all.
     dirty_bits: Vec<u64>,
@@ -414,7 +391,6 @@ impl EngineArena {
         self.slot_bounds.clear();
         self.slot_maxlast.clear();
         self.snap.clear();
-        self.dirty.clear();
         // normally already zero (the report walk clears the words it
         // visits), but a sink panic can abandon a run mid-step
         self.dirty_bits.fill(0);
@@ -437,7 +413,7 @@ impl EngineArena {
         cancel: Option<&CancelToken>,
     ) -> DpStats {
         // Field-split the arena so the hot loops can hold a shared borrow of
-        // the snapshot buffer while mutating cells/frontier/dirty.
+        // the snapshot buffer while mutating cells/frontier/dirty bits.
         let EngineArena {
             nrows,
             ncols,
@@ -450,7 +426,6 @@ impl EngineArena {
             slot_maxlast,
             slot_of,
             slotted,
-            dirty,
             dirty_bits,
             ea_bits,
             report_order,
@@ -462,8 +437,6 @@ impl EngineArena {
         let (nrows, ncols, epoch, words_per_row) = (*nrows, *ncols, *epoch, *words_per_row);
         let undirected = !timeline.is_directed();
         let collect = options.collect_distances;
-        let degree1 = !options.no_degree1_fast_path;
-        let delta = !options.no_delta_propagation;
         // Watermark storage: two slots (one per direction) for each distinct
         // edge pair of this timeline. Capacity is kept across runs; entries
         // stamped by earlier runs — including runs over other timelines,
@@ -476,11 +449,11 @@ impl EngineArena {
 
         /// The delta watermark of one (edge, direction): the step at which
         /// it last consumed its continuation row, or `NEVER` when it has not
-        /// fired this run (or delta propagation is off) — `NEVER` passes
-        /// every `set_at <= last` filter, i.e. "offer everything".
+        /// fired this run — `NEVER` passes every `set_at <= last` filter,
+        /// i.e. "offer everything".
         #[inline(always)]
-        fn wm_last(wm: &[u32], wm_stamp: &[u32], epoch: u32, idx: usize, delta: bool) -> u32 {
-            if delta && wm_stamp[idx] == epoch {
+        fn wm_last(wm: &[u32], wm_stamp: &[u32], epoch: u32, idx: usize) -> u32 {
+            if wm_stamp[idx] == epoch {
                 wm[idx]
             } else {
                 NEVER
@@ -520,23 +493,17 @@ impl EngineArena {
         /// (= row `row_node` × column `col`) during step `k`. A free fn over
         /// the split-out arena parts so callers can keep disjoint borrows.
         ///
-        /// Change tracking is dual-mode (`delta`): the delta path records
-        /// changes in the caller's per-slot bitmaps at `bit_base`
-        /// (idempotent ORs; `ea_bits` additionally marks strict `ea`
-        /// improvements — the minimal-trip condition), the pre-delta path
-        /// pushes `(idx, pre-step ea)` onto the sorted-later `dirty` vec.
-        /// `delta` is constant within a run, so the branches predict
-        /// perfectly.
+        /// Changes are recorded in the caller's per-slot bitmaps at
+        /// `bit_base` (idempotent ORs; `ea_bits` additionally marks strict
+        /// `ea` improvements — the minimal-trip condition).
         #[allow(clippy::too_many_arguments)] // hot inner call; a params struct costs moves
         #[inline(always)]
         fn offer(
             cells: &mut [Cell],
             frontier: &mut [u64],
             words_per_row: usize,
-            dirty: &mut Vec<(usize, u32)>,
             dirty_bits: &mut [u64],
             ea_bits: &mut [u64],
-            delta: bool,
             bit_base: usize,
             epoch: u32,
             idx: usize,
@@ -558,40 +525,27 @@ impl EngineArena {
                     cell.set_at = k;
                     frontier[row_node as usize * words_per_row + (col as usize >> 6)] |=
                         1u64 << (col & 63);
-                    if !delta {
-                        dirty.push((idx, NONE_EA));
-                    }
                 } else if cell.set_at != k {
                     if collect {
                         flush_distances(cell, k, sums);
-                    }
-                    if !delta {
-                        dirty.push((idx, cur));
                     }
                     cell.set_at = k;
                 }
                 cell.ea = arr;
                 cell.hops = h;
-                if delta {
-                    let w = bit_base + (col as usize >> 6);
-                    let bit = 1u64 << (col & 63);
-                    dirty_bits[w] |= bit;
-                    ea_bits[w] |= bit;
-                }
+                let w = bit_base + (col as usize >> 6);
+                let bit = 1u64 << (col & 63);
+                dirty_bits[w] |= bit;
+                ea_bits[w] |= bit;
             } else if arr == cur && arr != NONE_EA && h < cell.hops {
                 if cell.set_at != k {
                     if collect {
                         flush_distances(cell, k, sums);
                     }
-                    if !delta {
-                        dirty.push((idx, cur));
-                    }
                     cell.set_at = k;
                 }
                 cell.hops = h;
-                if delta {
-                    dirty_bits[bit_base + (col as usize >> 6)] |= 1u64 << (col & 63);
-                }
+                dirty_bits[bit_base + (col as usize >> 6)] |= 1u64 << (col & 63);
             }
         }
 
@@ -631,7 +585,7 @@ impl EngineArena {
             }
             let k = step.index;
 
-            if degree1 && step.len() == 1 {
+            if step.len() == 1 {
                 // Degree-1 fast path (module docs): one edge `(eu, ew)`,
                 // no slot machinery. Direction `eu -> ew` writes only row
                 // `eu`, so row `ew` stays pre-step and is read live; for the
@@ -648,32 +602,25 @@ impl EngineArena {
                 degree1_steps += 1;
                 debug_assert_ne!(eu, ew, "streams never carry self-loops");
                 debug_assert!(snap.is_empty() && slotted.is_empty());
-                if delta {
-                    // fixed dirty-bitmap slots: row eu -> 0, row ew -> 1
-                    let need = 2 * words_per_row;
-                    if dirty_bits.len() < need {
-                        dirty_bits.resize(need, 0);
-                        ea_bits.resize(need, 0);
-                    }
-                    report_order.push((eu, 0));
-                    if undirected {
-                        report_order.push((ew, 1));
-                    }
+                // fixed dirty-bitmap slots: row eu -> 0, row ew -> 1
+                let need = 2 * words_per_row;
+                if dirty_bits.len() < need {
+                    dirty_bits.resize(need, 0);
+                    ea_bits.resize(need, 0);
+                }
+                report_order.push((eu, 0));
+                if undirected {
+                    report_order.push((ew, 1));
                 }
                 let wi_fwd = step.pair[0] as usize * 2;
-                let last_fwd = wm_last(wm, wm_stamp, epoch, wi_fwd, delta);
-                let last_rev = if undirected {
-                    wm_last(wm, wm_stamp, epoch, wi_fwd + 1, delta)
-                } else {
-                    0
-                };
-                if delta {
-                    wm[wi_fwd] = k;
-                    wm_stamp[wi_fwd] = epoch;
-                    if undirected {
-                        wm[wi_fwd + 1] = k;
-                        wm_stamp[wi_fwd + 1] = epoch;
-                    }
+                let last_fwd = wm_last(wm, wm_stamp, epoch, wi_fwd);
+                let last_rev =
+                    if undirected { wm_last(wm, wm_stamp, epoch, wi_fwd + 1) } else { 0 };
+                wm[wi_fwd] = k;
+                wm_stamp[wi_fwd] = epoch;
+                if undirected {
+                    wm[wi_fwd + 1] = k;
+                    wm_stamp[wi_fwd + 1] = epoch;
                 }
                 if undirected
                     && row_mark(row_changed_at, row_changed_stamp, epoch, eu as usize)
@@ -707,10 +654,8 @@ impl EngineArena {
                             cells,
                             frontier,
                             words_per_row,
-                            dirty,
                             dirty_bits,
                             ea_bits,
-                            delta,
                             0,
                             epoch,
                             row + c as usize,
@@ -752,10 +697,8 @@ impl EngineArena {
                                     cells,
                                     frontier,
                                     words_per_row,
-                                    dirty,
                                     dirty_bits,
                                     ea_bits,
-                                    delta,
                                     0,
                                     epoch,
                                     row + c as usize,
@@ -781,10 +724,8 @@ impl EngineArena {
                             cells,
                             frontier,
                             words_per_row,
-                            dirty,
                             dirty_bits,
                             ea_bits,
-                            delta,
                             words_per_row,
                             epoch,
                             row + c as usize,
@@ -807,10 +748,8 @@ impl EngineArena {
                             cells,
                             frontier,
                             words_per_row,
-                            dirty,
                             dirty_bits,
                             ea_bits,
-                            delta,
                             words_per_row,
                             epoch,
                             row + s.col as usize,
@@ -838,33 +777,26 @@ impl EngineArena {
                         // 0 = "no consumer yet": live watermarks and row marks
                         // at step k are always >= k + 1 >= 1, so 0 filters
                         // everything out
-                        slot_maxlast.push(if delta { 0 } else { NEVER });
-                        if delta {
-                            report_order.push((node, slot));
-                        }
+                        slot_maxlast.push(0);
+                        report_order.push((node, slot));
                     }
                 }
-                if delta {
-                    let need = slotted.len() * words_per_row;
-                    if dirty_bits.len() < need {
-                        dirty_bits.resize(need, 0);
-                        ea_bits.resize(need, 0);
-                    }
+                let need = slotted.len() * words_per_row;
+                if dirty_bits.len() < need {
+                    dirty_bits.resize(need, 0);
+                    ea_bits.resize(need, 0);
                 }
-                // 1b. (delta) Per slot, the most permissive consumer watermark:
-                //     the snapshot below keeps exactly the entries at least one
-                //     of the step's consuming directions still needs.
-                if delta {
-                    for e in 0..step.len() {
-                        let wi = step.pair[e] as usize * 2;
-                        let heads: [(usize, u32); 2] =
-                            [(wi, step.dst[e]), (wi + 1, step.src[e])];
-                        let nheads = if undirected { 2 } else { 1 };
-                        for &(wi, head) in &heads[..nheads] {
-                            let last = wm_last(wm, wm_stamp, epoch, wi, true);
-                            let slot = slot_of[head as usize] as usize;
-                            slot_maxlast[slot] = slot_maxlast[slot].max(last);
-                        }
+                // 1b. Per slot, the most permissive consumer watermark: the
+                //     snapshot below keeps exactly the entries at least one of
+                //     the step's consuming directions still needs.
+                for e in 0..step.len() {
+                    let wi = step.pair[e] as usize * 2;
+                    let heads: [(usize, u32); 2] = [(wi, step.dst[e]), (wi + 1, step.src[e])];
+                    let nheads = if undirected { 2 } else { 1 };
+                    for &(wi, head) in &heads[..nheads] {
+                        let last = wm_last(wm, wm_stamp, epoch, wi);
+                        let slot = slot_of[head as usize] as usize;
+                        slot_maxlast[slot] = slot_maxlast[slot].max(last);
                     }
                 }
                 // 2. Snapshot the pre-step frontier of every slotted row — only
@@ -921,10 +853,8 @@ impl EngineArena {
                                 cells,
                                 frontier,
                                 words_per_row,
-                                dirty,
                                 dirty_bits,
                                 ea_bits,
-                                delta,
                                 bit_base,
                                 epoch,
                                 row + c as usize,
@@ -937,11 +867,9 @@ impl EngineArena {
                                 &mut sums,
                             );
                         }
-                        let last = wm_last(wm, wm_stamp, epoch, wi, delta);
-                        if delta {
-                            wm[wi] = k;
-                            wm_stamp[wi] = epoch;
-                        }
+                        let last = wm_last(wm, wm_stamp, epoch, wi);
+                        wm[wi] = k;
+                        wm_stamp[wi] = epoch;
                         // chain: u -(k)-> w, then w's pre-step frontier entries
                         // changed since this direction last consumed them
                         let slot = slot_of[w as usize] as usize;
@@ -958,10 +886,8 @@ impl EngineArena {
                                 cells,
                                 frontier,
                                 words_per_row,
-                                dirty,
                                 dirty_bits,
                                 ea_bits,
-                                delta,
                                 bit_base,
                                 epoch,
                                 row + s.col as usize,
@@ -983,63 +909,45 @@ impl EngineArena {
             //    regardless of frontier insertion order. (Equal to (u, v)
             //    order when the TargetSet's columns are node-sorted, which
             //    all built-in constructors guarantee except a caller-ordered
-            //    TargetSet::from_nodes.)
-            if delta {
-                // Walk the per-slot dirty bitmaps with slots in ascending
-                // node order: set bits ascend within a row, so the
-                // canonical order falls out with no per-step sort (the
-                // pre-delta path below pays an O(changes log changes) sort
-                // here — the dominant cost at trip-dense fine scales). An
-                // `ea_bits` bit is set iff the cell's ea strictly improved
-                // this step — exactly the minimal-trip condition — while
-                // `dirty_bits` (any change, hops ties included) feeds the
-                // per-row change marks the delta filters read.
-                report_order.sort_unstable();
-                for &(node, slot) in report_order.iter() {
-                    let base = slot as usize * words_per_row;
-                    let row = node as usize * ncols;
-                    let mut row_changed = false;
-                    for (wi, dirty_word) in
-                        dirty_bits[base..base + words_per_row].iter_mut().enumerate()
-                    {
-                        if *dirty_word == 0 {
-                            continue;
-                        }
-                        *dirty_word = 0;
-                        row_changed = true;
-                        let ea_word = &mut ea_bits[base + wi];
-                        let mut bits = *ea_word;
-                        *ea_word = 0;
-                        while bits != 0 {
-                            let c = (wi as u32) * 64 + bits.trailing_zeros();
-                            bits &= bits - 1;
-                            let cell = &cells[row + c as usize];
-                            let v = targets.node_of(col_start + c);
-                            sink.minimal_trip(node, v, k, cell.ea, cell.hops);
-                            trips += 1;
-                        }
+            //    TargetSet::from_nodes.) The per-slot dirty bitmaps are walked
+            //    with slots in ascending node order: set bits ascend within a
+            //    row, so the canonical order falls out with no per-step
+            //    sort. An `ea_bits` bit is
+            //    set iff the cell's ea strictly improved this step — exactly
+            //    the minimal-trip condition — while `dirty_bits` (any change,
+            //    hops ties included) feeds the per-row change marks the delta
+            //    filters read.
+            report_order.sort_unstable();
+            for &(node, slot) in report_order.iter() {
+                let base = slot as usize * words_per_row;
+                let row = node as usize * ncols;
+                let mut row_changed = false;
+                for (wi, dirty_word) in
+                    dirty_bits[base..base + words_per_row].iter_mut().enumerate()
+                {
+                    if *dirty_word == 0 {
+                        continue;
                     }
-                    if row_changed {
-                        row_changed_at[node as usize] = k;
-                        row_changed_stamp[node as usize] = epoch;
-                    }
-                }
-                report_order.clear();
-            } else {
-                // pre-delta path: sort the flat dirty list into canonical
-                // order, report strict ea improvements vs the pre-step value
-                dirty.sort_unstable_by_key(|&(idx, _)| idx);
-                for &(idx, pre_ea) in dirty.iter() {
-                    let cell = &cells[idx];
-                    if cell.ea < pre_ea {
-                        let u = (idx / ncols) as u32;
-                        let v = targets.node_of(col_start + (idx % ncols) as u32);
-                        sink.minimal_trip(u, v, k, cell.ea, cell.hops);
+                    *dirty_word = 0;
+                    row_changed = true;
+                    let ea_word = &mut ea_bits[base + wi];
+                    let mut bits = *ea_word;
+                    *ea_word = 0;
+                    while bits != 0 {
+                        let c = (wi as u32) * 64 + bits.trailing_zeros();
+                        bits &= bits - 1;
+                        let cell = &cells[row + c as usize];
+                        let v = targets.node_of(col_start + c);
+                        sink.minimal_trip(node, v, k, cell.ea, cell.hops);
                         trips += 1;
                     }
                 }
-                dirty.clear();
+                if row_changed {
+                    row_changed_at[node as usize] = k;
+                    row_changed_stamp[node as usize] = epoch;
+                }
             }
+            report_order.clear();
 
             // 5. Release snapshot slots and buffers (capacity kept).
             snap_entries += snap.len() as u64;
@@ -1520,7 +1428,7 @@ mod tests {
             &t,
             &TargetSet::all(3),
             &mut NullSink,
-            DpOptions { collect_distances: true, ..Default::default() },
+            DpOptions { collect_distances: true },
         );
         let d = stats.distances.unwrap();
         assert_eq!(d.finite_triples, 7);
@@ -1557,7 +1465,7 @@ mod tests {
                 &t,
                 &TargetSet::all(4),
                 &mut fresh_sink,
-                DpOptions { collect_distances: true, ..Default::default() },
+                DpOptions { collect_distances: true },
             );
             let mut reused_sink = Collect::default();
             let reused = earliest_arrival_dp_in(
@@ -1565,7 +1473,7 @@ mod tests {
                 &t,
                 &TargetSet::all(4),
                 &mut reused_sink,
-                DpOptions { collect_distances: true, ..Default::default() },
+                DpOptions { collect_distances: true },
             );
             assert_eq!(fresh_sink.0, reused_sink.0, "k={k}");
             assert_eq!(fresh.trips, reused.trips, "k={k}");
@@ -1604,7 +1512,7 @@ mod tests {
                 &t,
                 &targets,
                 &mut full_sink,
-                DpOptions { collect_distances: true, ..Default::default() },
+                DpOptions { collect_distances: true },
             );
             let mut full_trips = full_sink.0;
             full_trips.sort_unstable();
@@ -1621,10 +1529,7 @@ mod tests {
                         &mut sink,
                         DpRun {
                             tile: Some((start, len)),
-                            options: DpOptions {
-                                collect_distances: true,
-                                ..Default::default()
-                            },
+                            options: DpOptions { collect_distances: true },
                             cancel: None,
                         },
                     );
@@ -1669,9 +1574,27 @@ mod tests {
         assert_eq!(tile.0, expected);
     }
 
-    /// The degree-1 bypass must be invisible: identical trip streams (order
-    /// included), stats, and distance sums with the fast path on and off,
-    /// on directed and undirected timelines alike.
+    /// Asserts that the frontier engine, run on `arena`, and [`baseline`]
+    /// report the same trip stream (order included), trip and traversal
+    /// counts, and distance sums on `t`.
+    fn assert_matches_baseline(arena: &mut EngineArena, t: &Timeline, targets: &TargetSet) {
+        let options = DpOptions { collect_distances: true };
+        let mut fast = Collect::default();
+        let f = earliest_arrival_dp_in(arena, t, targets, &mut fast, options);
+        let mut slow = Collect::default();
+        let b = baseline::earliest_arrival_dp(t, targets, &mut slow, options);
+        assert_eq!(fast.0, slow.0);
+        assert_eq!(f.trips, b.trips);
+        assert_eq!(f.traversals, b.traversals);
+        let (df, db) = (f.distances.unwrap(), b.distances.unwrap());
+        assert_eq!(df.sum_dtime_steps, db.sum_dtime_steps);
+        assert_eq!(df.sum_dhops, db.sum_dhops);
+        assert_eq!(df.finite_triples, db.finite_triples);
+    }
+
+    /// The degree-1 bypass must be invisible: the engine matches
+    /// [`baseline`], which takes full-row snapshots on every step, on
+    /// directed and undirected timelines alike.
     #[test]
     fn degree1_fast_path_is_invisible() {
         let text = "a b 0\nb c 7\nc d 13\nd a 20\na c 27\nb d 33\nc e 41\ne a 47\n";
@@ -1683,39 +1606,15 @@ mod tests {
                     k < 13 || t.steps_desc().any(|step| step.len() == 1),
                     "fine scales must exercise single-edge steps (k={k})"
                 );
-                let mut fast = Collect::default();
-                let fs = earliest_arrival_dp(
-                    &t,
-                    &TargetSet::all(5),
-                    &mut fast,
-                    DpOptions { collect_distances: true, ..Default::default() },
-                );
-                let mut general = Collect::default();
-                let gs = earliest_arrival_dp(
-                    &t,
-                    &TargetSet::all(5),
-                    &mut general,
-                    DpOptions {
-                        collect_distances: true,
-                        no_degree1_fast_path: true,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(fast.0, general.0, "{directedness:?} k={k}");
-                assert_eq!(fs.trips, gs.trips, "{directedness:?} k={k}");
-                assert_eq!(fs.traversals, gs.traversals, "{directedness:?} k={k}");
-                let (fd, gd) = (fs.distances.unwrap(), gs.distances.unwrap());
-                assert_eq!(fd.sum_dtime_steps, gd.sum_dtime_steps, "{directedness:?} k={k}");
-                assert_eq!(fd.sum_dhops, gd.sum_dhops, "{directedness:?} k={k}");
-                assert_eq!(fd.finite_triples, gd.finite_triples, "{directedness:?} k={k}");
+                assert_matches_baseline(&mut EngineArena::new(), &t, &TargetSet::all(5));
             }
         }
     }
 
-    /// Delta propagation must be invisible: identical trip streams (order
-    /// included), stats, and distance sums with the watermark filters on
-    /// and off, across directednesses, scales, and one arena reused for
-    /// all runs (watermark state from earlier scales must stay dead).
+    /// Delta propagation must be invisible: the engine matches
+    /// [`baseline`], which keeps no watermarks, across directednesses and
+    /// scales, with one arena reused for all runs (watermark state from
+    /// earlier scales must stay dead).
     #[test]
     fn delta_propagation_is_invisible() {
         let text = "a b 0\nb c 7\nc d 13\nd a 20\na c 27\nb d 33\nc e 41\ne a 47\n\
@@ -1724,40 +1623,17 @@ mod tests {
         for directedness in [Directedness::Undirected, Directedness::Directed] {
             let s = saturn_linkstream::io::read_str(text, directedness).unwrap();
             for &k in &[1u64, 2, 5, 13, 29, 70] {
-                let t = Timeline::aggregated(&s, k);
-                let mut on = Collect::default();
-                let on_stats = earliest_arrival_dp_in(
+                assert_matches_baseline(
                     &mut arena,
-                    &t,
+                    &Timeline::aggregated(&s, k),
                     &TargetSet::all(5),
-                    &mut on,
-                    DpOptions { collect_distances: true, ..Default::default() },
                 );
-                let mut off = Collect::default();
-                let off_stats = earliest_arrival_dp_in(
-                    &mut arena,
-                    &t,
-                    &TargetSet::all(5),
-                    &mut off,
-                    DpOptions {
-                        collect_distances: true,
-                        no_delta_propagation: true,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(on.0, off.0, "{directedness:?} k={k}");
-                assert_eq!(on_stats.trips, off_stats.trips, "{directedness:?} k={k}");
-                assert_eq!(on_stats.traversals, off_stats.traversals, "{directedness:?} k={k}");
-                let (od, fd) = (on_stats.distances.unwrap(), off_stats.distances.unwrap());
-                assert_eq!(od.sum_dtime_steps, fd.sum_dtime_steps, "{directedness:?} k={k}");
-                assert_eq!(od.sum_dhops, fd.sum_dhops, "{directedness:?} k={k}");
-                assert_eq!(od.finite_triples, fd.finite_triples, "{directedness:?} k={k}");
             }
         }
     }
 
-    /// Delta filtering composes with tiling: every tile cover with delta on
-    /// merges to the delta-off untiled run.
+    /// Delta filtering composes with tiling: every tile cover merges to the
+    /// untiled run.
     #[test]
     fn delta_propagation_composes_with_tiles() {
         let s = saturn_linkstream::io::read_str(
@@ -1770,12 +1646,7 @@ mod tests {
         for &k in &[3u64, 9, 37] {
             let t = Timeline::aggregated(&s, k);
             let mut full_sink = Collect::default();
-            earliest_arrival_dp(
-                &t,
-                &targets,
-                &mut full_sink,
-                DpOptions { no_delta_propagation: true, ..Default::default() },
-            );
+            earliest_arrival_dp(&t, &targets, &mut full_sink, DpOptions::default());
             let mut full_trips = full_sink.0;
             full_trips.sort_unstable();
             for tile in [1usize, 2, 5] {
@@ -1802,28 +1673,11 @@ mod tests {
         )
         .unwrap();
         for &k in &[1u64, 2, 4, 7, 13, 25] {
-            let t = Timeline::aggregated(&s, k);
-            let mut fast = Collect::default();
-            let f = earliest_arrival_dp(
-                &t,
+            assert_matches_baseline(
+                &mut EngineArena::new(),
+                &Timeline::aggregated(&s, k),
                 &TargetSet::all(5),
-                &mut fast,
-                DpOptions { collect_distances: true, ..Default::default() },
             );
-            let mut slow = Collect::default();
-            let b = baseline::earliest_arrival_dp(
-                &t,
-                &TargetSet::all(5),
-                &mut slow,
-                DpOptions { collect_distances: true, ..Default::default() },
-            );
-            assert_eq!(fast.0, slow.0, "k={k}");
-            assert_eq!(f.trips, b.trips, "k={k}");
-            assert_eq!(f.traversals, b.traversals, "k={k}");
-            let (df, db) = (f.distances.unwrap(), b.distances.unwrap());
-            assert_eq!(df.sum_dtime_steps, db.sum_dtime_steps, "k={k}");
-            assert_eq!(df.sum_dhops, db.sum_dhops, "k={k}");
-            assert_eq!(df.finite_triples, db.finite_triples, "k={k}");
         }
     }
 

@@ -189,11 +189,11 @@ mod tests {
         assert!(min_rate < 0.1, "min rate {min_rate}");
     }
 
-    /// Delta propagation is an engine-level switch nothing above the
-    /// engine sets: with it off, every scale of a ring stream yields the
-    /// same histogram — counts, rates, and the bits of the mean.
+    /// The histogram the sweep records through the arena engine equals the
+    /// one [`crate::dp::baseline`] feeds, at every scale of a ring stream —
+    /// counts, rates, and the bits of the mean.
     #[test]
-    fn histograms_are_identical_without_delta_propagation() {
+    fn histograms_match_the_baseline_engine() {
         let mut b = saturn_linkstream::LinkStreamBuilder::indexed(Directedness::Undirected, 9);
         for i in 0..90u32 {
             b.add_indexed(i % 9, (i + 1) % 9, i64::from(i) * 6);
@@ -203,13 +203,17 @@ mod tests {
         let mut arena = EngineArena::new();
         for k in [1u64, 3, 17, 90, 534] {
             let timeline = Timeline::aggregated(&s, k);
-            let with = occupancy_histogram_in(&mut arena, &timeline, &targets);
-            let mut without = OccupancyHistogram::new();
-            let options = DpOptions { no_delta_propagation: true, ..Default::default() };
-            earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut without, options);
-            assert_eq!(with.total_trips(), without.total_trips(), "k={k}");
-            assert_eq!(with.sorted_rates(), without.sorted_rates(), "k={k}");
-            assert_eq!(with.mean().to_bits(), without.mean().to_bits(), "k={k}");
+            let engine = occupancy_histogram_in(&mut arena, &timeline, &targets);
+            let mut oracle = OccupancyHistogram::new();
+            crate::dp::baseline::earliest_arrival_dp(
+                &timeline,
+                &targets,
+                &mut oracle,
+                DpOptions::default(),
+            );
+            assert_eq!(engine.total_trips(), oracle.total_trips(), "k={k}");
+            assert_eq!(engine.sorted_rates(), oracle.sorted_rates(), "k={k}");
+            assert_eq!(engine.mean().to_bits(), oracle.mean().to_bits(), "k={k}");
         }
     }
 

@@ -110,7 +110,7 @@ proptest! {
             &timeline,
             &TargetSet::all(6),
             &mut saturn_trips::dp::NullSink,
-            DpOptions { collect_distances: true, ..Default::default() },
+            DpOptions { collect_distances: true },
         );
         let sums = stats.distances.unwrap();
 

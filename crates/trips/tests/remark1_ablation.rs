@@ -7,8 +7,12 @@
 //! brute force.
 
 use saturn_linkstream::{io, Directedness};
+use saturn_trips::dp::baseline;
 use saturn_trips::reference::minimal_trips_bruteforce;
-use saturn_trips::{earliest_arrival_dp, DpOptions, TargetSet, Timeline, TripSink};
+use saturn_trips::{
+    earliest_arrival_dp, earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline,
+    TripSink,
+};
 use std::collections::HashMap;
 
 #[derive(Default)]
@@ -116,10 +120,11 @@ fn variants_agree_when_no_same_step_chaining_is_possible() {
 
 /// The degree-1 snapshot bypass must agree with the general snapshot path
 /// on exactly the fixtures of this ablation suite — the streams engineered
-/// to punish any Remark-1 ordering mistake. The bypass reads the
-/// continuation row live and pre-snapshots only the written row, which is a
-/// different mechanism than the slot machinery; this pins down that it is
-/// not a different *semantics*.
+/// to punish any Remark-1 ordering mistake. The general path here is
+/// [`baseline`], which snapshots full rows on every step. The bypass reads
+/// the continuation row live and pre-snapshots only the written row, which
+/// is a different mechanism; this pins down that it is not a different
+/// *semantics*, with one arena reused across fixtures and scales.
 #[test]
 fn degree1_fast_path_matches_general_path_on_fixtures() {
     let fixtures: [(&str, Directedness); 3] = [
@@ -127,24 +132,26 @@ fn degree1_fast_path_matches_general_path_on_fixtures() {
         ("a b 0\nb c 10\nc d 20\nd a 30\n", Directedness::Undirected),
         ("a b 0\nb a 1\nb c 2\n", Directedness::Directed),
     ];
+    let mut arena = EngineArena::new();
     for (text, directedness) in fixtures {
         let s = io::read_str(text, directedness).unwrap();
-        let n = s.node_count() as u32;
+        let targets = TargetSet::all(s.node_count() as u32);
         for k in [1u64, 2, 4, s.span().max(1) as u64] {
             let timeline = Timeline::aggregated(&s, k);
             let mut fast = Collect::default();
-            let fs = earliest_arrival_dp(
+            let fs = earliest_arrival_dp_in(
+                &mut arena,
                 &timeline,
-                &TargetSet::all(n),
+                &targets,
                 &mut fast,
                 DpOptions::default(),
             );
             let mut general = Collect::default();
-            let gs = earliest_arrival_dp(
+            let gs = baseline::earliest_arrival_dp(
                 &timeline,
-                &TargetSet::all(n),
+                &targets,
                 &mut general,
-                DpOptions { no_degree1_fast_path: true, ..Default::default() },
+                DpOptions::default(),
             );
             assert_eq!(fast.0, general.0, "{text:?} k={k}");
             assert_eq!(fs.trips, gs.trips, "{text:?} k={k}");

@@ -117,9 +117,9 @@ proptest! {
 
     /// The DP level: the engine fed a merged timeline reports the same
     /// trip stream, stats, and distance sums as when fed the scratch
-    /// timeline — with delta propagation on and off (the merged timeline's
-    /// pair ids drive the delta watermarks, so this is the contract that
-    /// keeps sweep reports identical with incremental on/off).
+    /// timeline (the merged timeline's pair ids drive the delta watermarks,
+    /// so this is the contract that keeps sweep reports identical whichever
+    /// way a timeline was built).
     #[test]
     fn dp_results_match_on_merged_and_scratch_timelines(
         stream in arb_stream(false),
@@ -132,26 +132,20 @@ proptest! {
             Timeline::aggregated_from_view(&view, k_c * ratio).aggregated_by_merge(k_c);
         let scratch = Timeline::aggregated_from_view(&view, k_c);
         let targets = TargetSet::all(7);
-        for no_delta in [false, true] {
-            let options = DpOptions {
-                collect_distances: true,
-                no_delta_propagation: no_delta,
-                ..Default::default()
-            };
-            let mut from_merged = Collect::default();
-            let ms = earliest_arrival_dp(&merged, &targets, &mut from_merged, options);
-            let mut from_scratch = Collect::default();
-            let ss = earliest_arrival_dp(&scratch, &targets, &mut from_scratch, options);
-            prop_assert_eq!(&from_merged.0, &from_scratch.0, "no_delta={}", no_delta);
-            prop_assert_eq!(ms.trips, ss.trips);
-            prop_assert_eq!(ms.traversals, ss.traversals);
-            prop_assert_eq!(ms.chain_offers, ss.chain_offers);
-            prop_assert_eq!(ms.snap_entries, ss.snap_entries);
-            let (md, sd) = (ms.distances.unwrap(), ss.distances.unwrap());
-            prop_assert_eq!(md.sum_dtime_steps, sd.sum_dtime_steps);
-            prop_assert_eq!(md.sum_dhops, sd.sum_dhops);
-            prop_assert_eq!(md.finite_triples, sd.finite_triples);
-        }
+        let options = DpOptions { collect_distances: true };
+        let mut from_merged = Collect::default();
+        let ms = earliest_arrival_dp(&merged, &targets, &mut from_merged, options);
+        let mut from_scratch = Collect::default();
+        let ss = earliest_arrival_dp(&scratch, &targets, &mut from_scratch, options);
+        prop_assert_eq!(&from_merged.0, &from_scratch.0);
+        prop_assert_eq!(ms.trips, ss.trips);
+        prop_assert_eq!(ms.traversals, ss.traversals);
+        prop_assert_eq!(ms.chain_offers, ss.chain_offers);
+        prop_assert_eq!(ms.snap_entries, ss.snap_entries);
+        let (md, sd) = (ms.distances.unwrap(), ss.distances.unwrap());
+        prop_assert_eq!(md.sum_dtime_steps, sd.sum_dtime_steps);
+        prop_assert_eq!(md.sum_dhops, sd.sum_dhops);
+        prop_assert_eq!(md.finite_triples, sd.finite_triples);
         // occupancy histograms (what sweep reports are built from) match too
         let mut arena = EngineArena::new();
         let hm = occupancy_histogram_in(&mut arena, &merged, &targets);
