@@ -82,12 +82,22 @@ def check_workloads(bench):
 
 
 def check_intra_scale(bench):
-    """Target tiling: checksums and shape."""
+    """Target tiling: checksums and shape. The `sink` row times one scale's
+    DP into a counting sink and into the rate counter; the counter's
+    histogram must equal the one the dp::baseline oracle records."""
     intra = section(bench, "intra_scale")
     require(
         intra.get("checksums_match") is True,
         "intra_scale: tiled vs untiled checksum mismatch",
     )
+    sink = intra.get("sink")
+    require(isinstance(sink, dict), "intra_scale: the `sink` row is missing")
+    require(
+        sink.get("checksum_match") is True,
+        "intra_scale.sink: counter histogram diverged from the baseline's",
+    )
+    for key in ("counting_seconds", "counter_seconds"):
+        require(sink.get(key, 0) > 0, f"intra_scale.sink: {key} must be > 0")
     require(intra.get("tile_sensitivity"), "intra_scale: no tile sensitivity points")
     require(
         intra.get("single_scale_threads"), "intra_scale: no single-scale thread points"
@@ -230,6 +240,19 @@ def self_test():
     failing(
         lambda b: b["intra_scale"].update(checksums_match=False),
         "tiled vs untiled checksum mismatch",
+    )
+    failing(lambda b: b["intra_scale"].pop("sink"), "the `sink` row is missing")
+    failing(
+        lambda b: b["intra_scale"]["sink"].update(checksum_match=False),
+        "counter histogram diverged from the baseline's",
+    )
+    failing(
+        lambda b: b["intra_scale"]["sink"].pop("checksum_match"),
+        "counter histogram diverged from the baseline's",
+    )
+    failing(
+        lambda b: b["intra_scale"]["sink"].update(counter_seconds=0),
+        "counter_seconds must be > 0",
     )
     failing(
         lambda b: b["sparse_burst"].update(per_scale=[]),

@@ -20,7 +20,10 @@
 //! (shared sorted event view + frontier/arena engine) are timed, and the
 //! two engines' checksums (trip stream + distance sums) are hard-asserted
 //! equal — `dp::baseline` is the differential oracle at bench scale.
-//! End-to-end `OccupancyMethod::run` timings and a peak-RSS proxy
+//! The `intra_scale` section also times one dense scale's DP into a
+//! counting sink and into the `RateCounter` trip sink (its `sink` row), with
+//! the counter's histogram hard-asserted equal to the one `dp::baseline`
+//! records. End-to-end `OccupancyMethod::run` timings and a peak-RSS proxy
 //! (`VmHWM`) round out the record.
 //!
 //! ```sh
@@ -36,7 +39,7 @@ use saturn_synth::TimeUniform;
 use saturn_trips::dp::{baseline, NullSink};
 use saturn_trips::{
     earliest_arrival_dp_in, occupancy_histogram_in, DpOptions, DpRun, DpStats, EngineArena,
-    EventView, OccupancyHistogram, TargetSet, Timeline, TripSink,
+    EventView, OccupancyHistogram, RateCounter, TargetSet, Timeline, TripSink,
 };
 use serde_json::Value;
 use std::time::Instant;
@@ -218,29 +221,76 @@ fn measure_workload(
     (json, total_legacy, total_current)
 }
 
-/// Merges the tiles of `ranges` into one histogram with a shared arena.
+/// Merges the tiles of `ranges` into one histogram with a shared arena and
+/// a shared counter, as one sweep worker does.
 fn tiled_histogram(
     arena: &mut EngineArena,
+    counter: &mut RateCounter,
     timeline: &Timeline,
     targets: &TargetSet,
     ranges: &[(u32, u32)],
 ) -> OccupancyHistogram {
     let mut acc = OccupancyHistogram::new();
     for &(start, len) in ranges {
-        let mut tile = OccupancyHistogram::new();
         let run = DpRun { tile: Some((start, len)), ..Default::default() };
-        earliest_arrival_dp_in(arena, timeline, targets, &mut tile, run);
-        acc.merge(&tile);
+        earliest_arrival_dp_in(arena, timeline, targets, counter, run);
+        acc.merge_owned(counter.finish());
     }
     acc
 }
 
-/// Histogram equality strong enough for a checksum: totals and the full
-/// sorted (rate, multiplicity) sequence.
-fn histograms_match(a: &OccupancyHistogram, b: &OccupancyHistogram) -> bool {
-    a.total_trips() == b.total_trips()
-        && a.distinct_rates() == b.distinct_rates()
-        && a.sorted_rates() == b.sorted_rates()
+/// A sink that only counts: the DP with the cheapest possible consumer.
+#[derive(Default)]
+struct CountingSink(u64);
+
+impl TripSink for CountingSink {
+    fn minimal_trip(&mut self, _: u32, _: u32, _: u32, _: u32, _: u32) {
+        self.0 += 1;
+    }
+}
+
+/// The `intra_scale.sink` row: the untiled DP of one scale timed into a
+/// counting sink and into a [`RateCounter`] sealed by `finish`, so their
+/// ratio is the trip sink's share of the histogram DP. The histogram is
+/// hard-asserted equal to the one the `dp::baseline` oracle records.
+fn measure_sink(
+    arena: &mut EngineArena,
+    timeline: &Timeline,
+    targets: &TargetSet,
+    reps: usize,
+) -> Value {
+    let t_counting = time_median(reps, || {
+        let mut sink = CountingSink::default();
+        earliest_arrival_dp_in(arena, timeline, targets, &mut sink, DpOptions::default());
+        sink.0
+    });
+    let mut counter = RateCounter::new();
+    let t_counter = time_median(reps, || {
+        earliest_arrival_dp_in(arena, timeline, targets, &mut counter, DpOptions::default());
+        counter.finish()
+    });
+    earliest_arrival_dp_in(arena, timeline, targets, &mut counter, DpOptions::default());
+    let hist = counter.finish();
+    baseline::earliest_arrival_dp(timeline, targets, &mut counter, DpOptions::default());
+    let ok = hist == counter.finish();
+    assert!(ok, "sink: the counter's histogram diverges from the baseline engine's");
+    let overhead = t_counter / t_counting;
+    println!(
+        "  intra_scale sink: counting {:.3} ms  counter {:.3} ms  ({overhead:.3}x)  \
+         {} trips, {} rates",
+        t_counting * 1e3,
+        t_counter * 1e3,
+        hist.total_trips(),
+        hist.distinct_rates(),
+    );
+    obj(vec![
+        ("counting_seconds", Value::Float(t_counting)),
+        ("counter_seconds", Value::Float(t_counter)),
+        ("counter_vs_counting", Value::Float(overhead)),
+        ("trips", Value::Int(hist.total_trips() as i128)),
+        ("distinct_rates", Value::Int(hist.distinct_rates() as i128)),
+        ("checksum_match", Value::Bool(ok)),
+    ])
 }
 
 /// The `intra_scale` section: what the second parallel axis costs and buys.
@@ -254,9 +304,11 @@ fn measure_intra_scale(dense: &LinkStream, fast: bool, reps: usize) -> Value {
     let view = EventView::new(dense);
     let timeline = Timeline::aggregated_from_view(&view, k);
     let mut arena = EngineArena::new();
+    let mut counter = RateCounter::new();
     let t_untiled =
         time_median(reps, || occupancy_histogram_in(&mut arena, &timeline, &targets));
     let reference = occupancy_histogram_in(&mut arena, &timeline, &targets);
+    let sink = measure_sink(&mut arena, &timeline, &targets, reps);
 
     let mut checksums_match = true;
     let mut tile_sensitivity = Vec::new();
@@ -264,9 +316,11 @@ fn measure_intra_scale(dense: &LinkStream, fast: bool, reps: usize) -> Value {
     for tiles in [2usize, 4, 8] {
         let tile = ncols.div_ceil(tiles).max(1);
         let ranges = targets.tile_ranges(tile);
-        let t = time_median(reps, || tiled_histogram(&mut arena, &timeline, &targets, &ranges));
-        let merged = tiled_histogram(&mut arena, &timeline, &targets, &ranges);
-        let ok = histograms_match(&merged, &reference);
+        let t = time_median(reps, || {
+            tiled_histogram(&mut arena, &mut counter, &timeline, &targets, &ranges)
+        });
+        let merged = tiled_histogram(&mut arena, &mut counter, &timeline, &targets, &ranges);
+        let ok = merged == reference;
         checksums_match &= ok;
         assert!(ok, "tiled histogram (tile={tile}) diverges from untiled");
         let overhead = t / t_untiled;
@@ -308,6 +362,7 @@ fn measure_intra_scale(dense: &LinkStream, fast: bool, reps: usize) -> Value {
         ("untiled_seconds", Value::Float(t_untiled)),
         ("tiled_single_thread_overhead", Value::Float(overhead_at_two_tiles)),
         ("checksums_match", Value::Bool(checksums_match)),
+        ("sink", sink),
         ("tile_sensitivity", Value::Array(tile_sensitivity)),
         ("single_scale_threads", Value::Array(single_scale_threads)),
     ])

@@ -72,7 +72,7 @@ pub struct TileSpan {
     pub col_start: u32,
     /// Number of destination columns.
     pub col_len: u32,
-    /// Wall time of the tile's DP, in seconds.
+    /// Wall time of the tile's DP and of sealing its histogram, in seconds.
     pub seconds: f64,
     /// Minimal trips reported by the tile ([`saturn_trips::DpStats`]).
     pub trips: u64,

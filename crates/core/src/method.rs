@@ -9,7 +9,7 @@ use saturn_distrib::{SelectionMetric, WeightedDist};
 use saturn_linkstream::LinkStream;
 use saturn_trips::{
     earliest_arrival_dp_in, Cancelled, DpRun, EngineArena, EventView, OccupancyHistogram,
-    TargetSet, Timeline,
+    RateCounter, TargetSet, Timeline,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -336,12 +336,12 @@ impl OccupancyMethod {
     ///
     /// Execution layout: one [`WorkerPool`] owns the worker threads for the
     /// coarse sweep *and* every refinement round; each worker keeps an
-    /// [`EngineArena`] for the pool's lifetime (DP tables allocated once,
-    /// epoch-reset per scale), all scales aggregate from one shared
-    /// [`EventView`] sorted once up front, and work is queued as
-    /// `(scale, target tile)` items (finest scales first) so that even a
-    /// single scale — or a narrow refinement round — fans out across the
-    /// whole pool.
+    /// [`EngineArena`] and a [`RateCounter`] for the whole sweep (DP tables
+    /// and the trip sink allocated once, reset per work item), all scales
+    /// aggregate from one shared [`EventView`] sorted once up front, and
+    /// work is queued as `(scale, target tile)` items (finest scales first)
+    /// so that even a single scale — or a narrow refinement round — fans out
+    /// across the whole pool.
     pub fn run(&self, stream: &LinkStream) -> OccupancyReport {
         // no longer capped by the grid size: target tiling feeds pools wider
         // than the scale count
@@ -479,10 +479,10 @@ impl OccupancyMethod {
             stream,
             view: EventView::new(stream),
             targets: self.targets.build(stream.node_count() as u32),
-            // One arena per worker id; a worker only ever locks its own
+            // One state per worker id; a worker only ever locks its own
             // slot, so the mutexes are uncontended — they exist to satisfy
             // `Sync`.
-            arenas: (0..pool.parallelism()).map(|_| Mutex::new(EngineArena::new())).collect(),
+            workers: (0..pool.parallelism()).map(|_| Mutex::default()).collect(),
             ctl,
             dirty_from,
         };
@@ -710,11 +710,11 @@ impl OccupancyMethod {
         let parts: Vec<OccupancyHistogram> = pool.map(&items, |wid, item| {
             // Every slot must be written, so a cancelled item still returns
             // a (discarded) histogram — it just skips the work.
-            let mut hist = OccupancyHistogram::new();
             if ctl.cancel.is_cancelled() {
-                return hist;
+                return OccupancyHistogram::new();
             }
-            let mut arena = input.arenas[wid].lock().expect("arena poisoned");
+            let mut worker = input.workers[wid].lock().expect("worker state poisoned");
+            let WorkerState { arena, counter } = &mut *worker;
             let timeline = obtain(&slots, &sources, ks, &input.view, item.scale);
             let started = Instant::now();
             let run = DpRun {
@@ -722,8 +722,10 @@ impl OccupancyMethod {
                 cancel: Some(&ctl.cancel),
                 ..Default::default()
             };
-            let stats =
-                earliest_arrival_dp_in(&mut arena, &timeline, &input.targets, &mut hist, run);
+            let stats = earliest_arrival_dp_in(arena, &timeline, &input.targets, counter, run);
+            // sealing also resets the counter, so a tile cut short by the
+            // token leaves no counts behind for this worker's next item
+            let hist = counter.finish();
             let seconds = started.elapsed().as_secs_f64();
             drop(timeline);
             release(&slots, item.scale);
@@ -761,10 +763,9 @@ impl OccupancyMethod {
         // order no matter which worker computed what.
         let mut merged: Vec<OccupancyHistogram> =
             (0..ks.len()).map(|_| OccupancyHistogram::new()).collect();
-        for (item, hist) in items.iter().zip(&parts) {
-            merged[item.scale].merge(hist);
+        for (item, hist) in items.iter().zip(parts) {
+            merged[item.scale].merge_owned(hist);
         }
-        drop(parts);
 
         let span = input.stream.span();
         let mut results = Vec::with_capacity(ks.len());
@@ -799,12 +800,20 @@ struct SweepInput<'a> {
     /// Every scale aggregates from this one sorted view.
     view: EventView,
     targets: TargetSet,
-    /// One DP arena per worker id.
-    arenas: Vec<Mutex<EngineArena>>,
+    /// One reusable state per worker id.
+    workers: Vec<Mutex<WorkerState>>,
     ctl: &'a SweepControl,
     /// Earliest timestamp appended since the session cache's last
     /// successful refresh (session sweeps only).
     dirty_from: Option<i64>,
+}
+
+/// What a worker reuses across its work items: the DP arena and the trip
+/// sink (both reset per item, neither ever reallocated per item).
+#[derive(Default)]
+struct WorkerState {
+    arena: EngineArena,
+    counter: RateCounter,
 }
 
 /// Index of the maximum finite score under `metric`, ties resolved toward
@@ -1024,6 +1033,44 @@ mod tests {
         assert!(matches!(result, Err(Cancelled)));
         let (done, total) = ctl.progress.snapshot();
         assert!(done < total, "cancellation must leave scales unfinished ({done}/{total})");
+    }
+
+    /// Each worker reuses its arena and rate counter across work items. A
+    /// sweep cancelled from the observer after its first tile (the other
+    /// worker is then usually inside a DP, which stops at its next poll)
+    /// must leave nothing behind: the next, uncancelled sweep on the same
+    /// pool reports the same bytes as a fresh pool.
+    #[test]
+    fn a_sweep_cancelled_mid_dp_leaves_no_state_for_the_next_sweep() {
+        use crate::control::{SweepObserver, TileSpan};
+        use saturn_trips::CancelToken;
+
+        struct CancelAfterFirstTile(CancelToken);
+        impl SweepObserver for CancelAfterFirstTile {
+            fn tile_done(&self, _: &TileSpan) {
+                self.0.cancel();
+            }
+        }
+
+        // fine scales: thousands of DP steps per tile, far above the
+        // cancellation stride
+        let s = ring_stream(30, 3000, 1);
+        let method = OccupancyMethod::new()
+            .grid(SweepGrid::ExplicitK(vec![3000, 1500, 40]))
+            .refine(1, 3);
+        let tiled = method.clone().tile(4);
+        let mut pool = WorkerPool::new(2);
+        for m in [&method, &tiled] {
+            let token = CancelToken::new();
+            let ctl = SweepControl {
+                cancel: token.clone(),
+                observer: Some(Arc::new(CancelAfterFirstTile(token))),
+                ..SweepControl::default()
+            };
+            assert!(matches!(m.try_run_on(&s, &mut pool, &ctl), Err(Cancelled)));
+            let reused = m.run_on(&s, &mut pool).to_json();
+            assert_eq!(reused, m.run_on(&s, &mut WorkerPool::new(2)).to_json());
+        }
     }
 
     #[test]

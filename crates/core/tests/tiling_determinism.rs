@@ -22,7 +22,7 @@ use saturn_core::{
 use saturn_distrib::{mk_proximity, WeightedDist};
 use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
 use saturn_trips::dp::baseline;
-use saturn_trips::{DpOptions, OccupancyHistogram, TargetSet, Timeline};
+use saturn_trips::{DpOptions, OccupancyHistogram, RateCounter, TargetSet, Timeline};
 
 /// A small random-ish stream driven by proptest-chosen parameters.
 fn build_stream(n: u32, events: usize, gap: i64, twist: u32) -> LinkStream {
@@ -68,15 +68,21 @@ fn scales_of(report: &saturn_core::OccupancyReport) -> Vec<(u64, u64, usize, u64
 }
 
 /// [`scales_of`] recomputed below the driver: each scale's timeline built
-/// from scratch and run through [`baseline`] into an
-/// [`OccupancyHistogram`].
+/// from scratch and run through [`baseline`] into one reused
+/// [`RateCounter`], sealed into an [`OccupancyHistogram`] per scale.
 fn baseline_scales(stream: &LinkStream, ks: &[u64]) -> Vec<(u64, u64, usize, u64, u64, u64)> {
     let targets = TargetSet::all(stream.node_count() as u32);
+    let mut counter = RateCounter::new();
     ks.iter()
         .map(|&k| {
-            let mut h = OccupancyHistogram::new();
             let timeline = Timeline::aggregated(stream, k);
-            baseline::earliest_arrival_dp(&timeline, &targets, &mut h, DpOptions::default());
+            baseline::earliest_arrival_dp(
+                &timeline,
+                &targets,
+                &mut counter,
+                DpOptions::default(),
+            );
+            let h: OccupancyHistogram = counter.finish();
             let mk = mk_proximity(&WeightedDist::from_pairs(h.sorted_rates())).to_bits();
             let (mean, at_one) = (h.mean().to_bits(), h.fraction_at_one().to_bits());
             (k, h.total_trips(), h.distinct_rates(), mean, at_one, mk)

@@ -31,6 +31,14 @@ pub enum BuildError {
         /// The period end.
         end: i64,
     },
+    /// Periodic sampling was asked to start at `begin + phase`, which does
+    /// not fit in an `i64` tick count.
+    SamplingOverflow {
+        /// The study period start.
+        begin: i64,
+        /// The sampling phase.
+        phase: i64,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -47,6 +55,10 @@ impl fmt::Display for BuildError {
             BuildError::SpanOverflow { begin, end } => {
                 write!(f, "study period [{begin}, {end}] is longer than {} ticks", i64::MAX)
             }
+            BuildError::SamplingOverflow { begin, phase } => write!(
+                f,
+                "first sampling instant {begin} + {phase} is past the last representable tick"
+            ),
         }
     }
 }

@@ -18,7 +18,8 @@
 //!   (the minimal punctualization).
 
 use crate::{
-    BuildError, Directedness, LinkStream, LinkStreamBuilder, NodeId, NodeInterner, Time,
+    check_span, BuildError, Directedness, LinkStream, LinkStreamBuilder, NodeId, NodeInterner,
+    Time,
 };
 use serde::Serialize;
 
@@ -37,8 +38,10 @@ pub struct IntervalLink {
 
 impl IntervalLink {
     /// Duration `end - start` in ticks (0 for an instantaneous contact).
-    pub fn duration(&self) -> i64 {
-        self.end - self.start
+    /// Exact for every link: `end >= start`, so even `[i64::MIN, i64::MAX]`
+    /// fits in a `u64`.
+    pub fn duration(&self) -> u64 {
+        self.end.ticks().abs_diff(self.start.ticks())
     }
 }
 
@@ -106,21 +109,38 @@ impl IntervalStream {
     /// at a read instant produces one punctual event — the measurement model
     /// of distributed sensor deployments (refs 12 and 3 in the paper).
     ///
+    /// Read instants past `i64::MAX` do not exist, so a link is read up to
+    /// its end or the last representable instant, whichever comes first.
+    /// Fails with [`BuildError::SamplingOverflow`] when the first read
+    /// instant `t_begin + phase` is not representable, and with
+    /// [`BuildError::SpanOverflow`] (before sampling anything) when the
+    /// study period is longer than `i64::MAX` ticks.
+    ///
     /// # Panics
     /// Panics if `period < 1` or `phase < 0`.
     pub fn sample_periodic(&self, period: i64, phase: i64) -> Result<LinkStream, BuildError> {
         assert!(period >= 1, "sampling period must be at least one tick");
         assert!(phase >= 0, "phase must be non-negative");
+        check_span(self.t_begin, self.t_end)?;
+        let begin = self.t_begin.ticks();
+        let first =
+            begin.checked_add(phase).ok_or(BuildError::SamplingOverflow { begin, phase })?;
         let mut b = self.punctual_builder();
         b.period(self.t_begin, self.t_end);
         for link in &self.links {
-            // first sampling instant >= link.start
-            let offset = link.start - (self.t_begin + phase);
-            let steps = if offset <= 0 { 0 } else { (offset + period - 1) / period };
-            let mut t = self.t_begin + phase + steps * period;
-            while t <= link.end {
+            // first sampling instant >= link.start, in i128 so that neither
+            // the offset nor the rounded-up instant can wrap; past i64::MAX
+            // the link is never read
+            let offset = i128::from(link.start.ticks()) - i128::from(first);
+            let steps = if offset <= 0 { 0 } else { (offset - 1) / i128::from(period) + 1 };
+            let Ok(mut t) = i64::try_from(i128::from(first) + steps * i128::from(period))
+            else {
+                continue;
+            };
+            while t <= link.end.ticks() {
                 b.add_indexed(link.u.raw(), link.v.raw(), t);
-                t += period;
+                let Some(next) = t.checked_add(period) else { break };
+                t = next;
             }
         }
         b.build()

@@ -73,7 +73,10 @@ fn bad(status: u16, msg: impl Into<String>) -> ReadError {
 
 /// Reads one request from `reader`. `writer` is only touched to acknowledge
 /// `Expect: 100-continue`. `max_body_bytes` bounds the declared
-/// `Content-Length` (413 beyond it).
+/// `Content-Length` (413 beyond it). A `Content-Length` must be plain
+/// decimal digits, and repeated `Content-Length` headers must agree
+/// (RFC 9112 §6.3): anything else is a 400, because two framings of one
+/// byte stream are how request smuggling starts.
 pub fn read_request<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
@@ -93,7 +96,7 @@ pub fn read_request<R: BufRead, W: Write>(
     // HTTP/1.0 defaults to close, 1.1 to keep-alive
     let mut keep_alive = version != "HTTP/1.0";
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut expects_continue = false;
     loop {
         let Some(line) = read_line(reader, &mut head_bytes)? else {
@@ -109,9 +112,14 @@ pub fn read_request<R: BufRead, W: Write>(
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                content_length = value
-                    .parse()
-                    .map_err(|_| bad(400, format!("bad Content-Length `{value}`")))?;
+                let length = match value.parse::<usize>() {
+                    Ok(length) if value.bytes().all(|b| b.is_ascii_digit()) => length,
+                    _ => return Err(bad(400, format!("bad Content-Length `{value}`"))),
+                };
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(bad(400, "conflicting Content-Length headers"));
+                }
+                content_length = Some(length);
             }
             "transfer-encoding" if !value.eq_ignore_ascii_case("identity") => {
                 return Err(bad(501, "chunked transfer encoding is not supported"));
@@ -134,6 +142,7 @@ pub fn read_request<R: BufRead, W: Write>(
         }
     }
 
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(bad(
             413,
@@ -377,6 +386,20 @@ mod tests {
         let raw = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "y".repeat(MAX_HEAD_BYTES));
         let err = parse(&raw).unwrap_err();
         assert!(matches!(err, ReadError::Bad(431, _)));
+    }
+
+    #[test]
+    fn content_length_must_be_digits_and_agree() {
+        let ok = parse("POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nok");
+        assert_eq!(ok.unwrap().body, b"ok");
+        for raw in [
+            "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc",
+            "POST / HTTP/1.1\r\nContent-Length: +2\r\n\r\nok",
+            "POST / HTTP/1.1\r\nContent-Length: \r\n\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+        ] {
+            assert!(matches!(parse(raw).unwrap_err(), ReadError::Bad(400, _)), "{raw:?}");
+        }
     }
 
     #[test]

@@ -67,7 +67,9 @@ pub use dp::{
     TripSink, CANCEL_STRIDE,
 };
 pub use elongation::{elongation_stats, elongation_stats_on, ElongationStats};
-pub use occupancy::{occupancy_histogram, occupancy_histogram_in, OccupancyHistogram};
+pub use occupancy::{
+    occupancy_histogram, occupancy_histogram_in, OccupancyHistogram, RateCounter,
+};
 pub use stream_trips::{stream_minimal_trips, PairTrips, StreamTrips};
 pub use target::TargetSet;
 pub use timeline::{EventView, StepView, Timeline};

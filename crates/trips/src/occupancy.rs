@@ -5,21 +5,44 @@
 //! of time steps the trip spends hopping rather than waiting. Rates are exact
 //! rationals; the histogram therefore keys on the reduced `(hops, duration)`
 //! pair so no two distinct rates are ever merged by floating-point rounding.
+//!
+//! # Counter and sealed histogram
+//!
+//! Recording and querying are split between two types:
+//!
+//! * [`RateCounter`] is the mutable accumulator and the only rate-recording
+//!   [`TripSink`]. It counts trips on the *unreduced* `(hops, duration)`
+//!   key, so the per-trip path is an array increment (a dense front for
+//!   `hops < 16` and `duration < 1024`, which takes most trips) or one
+//!   `FxHashMap` insert (the rest), with no `gcd`.
+//!   [`finish`](RateCounter::finish) seals the counts into a histogram and
+//!   resets the counter for reuse: a sweep keeps one counter per worker
+//!   next to its [`EngineArena`].
+//! * [`OccupancyHistogram`] is the immutable result: a vector of
+//!   `(reduced key, multiplicity)` sorted by key. Merging is a linear
+//!   merge; `mean` is a scan and `fraction_at_one` a binary search.
+//!
+//! **Exactness.** Reducing once per *distinct* unreduced key at seal time
+//! gives the same reduced counts as reducing every trip: each count of
+//! reduced key `r` is the sum of the counts of the unreduced keys whose
+//! lowest terms are `r`, and integer sums do not depend on order. The
+//! histogram is therefore the same multiset however the trips were split
+//! into tiles or counters. [`OccupancyHistogram::mean`] sums
+//! `count · hops / duration` in ascending reduced-key order, an order fixed
+//! by that multiset alone, so its floating-point result is bit-identical to
+//! a per-trip reduction summed in key order, and so are report bytes.
 
 use crate::{earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline, TripSink};
 use rustc_hash::FxHashMap;
 use saturn_linkstream::LinkStream;
-use serde::Serialize;
+use std::cmp::Ordering;
 
-/// Exact histogram of minimal-trip occupancy rates.
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct OccupancyHistogram {
-    /// `(hops, duration) -> multiplicity`, with `hops/duration` in lowest
-    /// terms. Fx-hashed: the insert sits in the trip sink, once per minimal
-    /// trip, and SipHash was measurable there at fine scales.
-    counts: FxHashMap<(u32, u32), u64>,
-    total: u64,
-}
+/// Hop counts `< DENSE_HOPS` with durations `< DENSE_DURATION` count in the
+/// dense front of a [`RateCounter`] (index `hops * DENSE_DURATION +
+/// duration`); 16 × 1024 cells of `u64` are 128 KiB per counter.
+const DENSE_HOPS: u32 = 16;
+const DENSE_DURATION: u32 = 1024;
+const DENSE_CELLS: usize = (DENSE_HOPS * DENSE_DURATION) as usize;
 
 #[inline]
 fn gcd(mut a: u32, mut b: u32) -> u32 {
@@ -31,10 +54,39 @@ fn gcd(mut a: u32, mut b: u32) -> u32 {
     a
 }
 
-impl OccupancyHistogram {
-    /// Creates an empty histogram.
+/// `hops/duration` in lowest terms.
+fn reduce(hops: u32, duration: u32) -> (u32, u32) {
+    // larger argument first: saves Euclid's first, trivial, division
+    let g = gcd(duration, hops).max(1);
+    (hops / g, duration / g)
+}
+
+/// Reusable accumulator of minimal-trip occupancy rates, keyed on the
+/// unreduced `(hops, duration)` pair; see the module docs.
+#[derive(Debug)]
+pub struct RateCounter {
+    /// Counts of the small keys, indexed `hops * DENSE_DURATION + duration`.
+    dense: Box<[u64]>,
+    /// The dense cells with a non-zero count, in first-touch order.
+    touched: Vec<u32>,
+    /// Counts of the other keys, packed `hops << 32 | duration`.
+    sparse: FxHashMap<u64, u64>,
+}
+
+impl Default for RateCounter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl RateCounter {
+    /// Creates an empty counter.
     pub fn new() -> Self {
-        Self::default()
+        RateCounter {
+            dense: vec![0; DENSE_CELLS].into_boxed_slice(),
+            touched: Vec::new(),
+            sparse: FxHashMap::default(),
+        }
     }
 
     /// Records one minimal trip with the given hop count and duration (in
@@ -42,9 +94,74 @@ impl OccupancyHistogram {
     #[inline]
     pub fn record(&mut self, hops: u32, duration: u32) {
         debug_assert!(hops >= 1 && duration >= hops, "0 < hops <= duration violated");
-        let g = gcd(hops, duration).max(1);
-        *self.counts.entry((hops / g, duration / g)).or_insert(0) += 1;
-        self.total += 1;
+        if hops < DENSE_HOPS && duration < DENSE_DURATION {
+            let cell = (hops * DENSE_DURATION + duration) as usize;
+            if self.dense[cell] == 0 {
+                self.touched.push(cell as u32);
+            }
+            self.dense[cell] += 1;
+        } else {
+            *self.sparse.entry(u64::from(hops) << 32 | u64::from(duration)).or_insert(0) += 1;
+        }
+    }
+
+    /// Seals the recorded trips into a histogram and resets the counter:
+    /// each distinct key is reduced once, then the reduced keys are sorted
+    /// and equal ones folded. Only the dense cells that were touched are
+    /// cleared, and the map keeps its capacity.
+    pub fn finish(&mut self) -> OccupancyHistogram {
+        let mut counts = Vec::with_capacity(self.touched.len() + self.sparse.len());
+        for &cell in &self.touched {
+            let count = std::mem::take(&mut self.dense[cell as usize]);
+            counts.push((reduce(cell / DENSE_DURATION, cell % DENSE_DURATION), count));
+        }
+        self.touched.clear();
+        counts.extend(
+            self.sparse
+                .drain()
+                .map(|(key, count)| (reduce((key >> 32) as u32, key as u32), count)),
+        );
+        counts.sort_unstable_by_key(|&(key, _)| key);
+        counts.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        let total = counts.iter().map(|&(_, count)| count).sum();
+        OccupancyHistogram { counts, total }
+    }
+}
+
+/// The counter is the engine's trip sink: sweeps call
+/// [`crate::earliest_arrival_dp_in`] with a tile/cancel [`crate::DpRun`],
+/// keep the returned [`crate::DpStats`] and then
+/// [`finish`](RateCounter::finish) the counter. The engine is generic over
+/// its sink, so it is compiled in the calling crate; `#[inline]` on this
+/// path keeps the per-trip record from becoming an out-of-line cross-crate
+/// call there (measured ~10% of sweep time on a 60-node ring).
+impl TripSink for RateCounter {
+    #[inline]
+    fn minimal_trip(&mut self, _u: u32, _v: u32, dep: u32, arr: u32, hops: u32) {
+        self.record(hops, arr - dep + 1);
+    }
+}
+
+/// Exact histogram of minimal-trip occupancy rates, sealed by
+/// [`RateCounter::finish`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct OccupancyHistogram {
+    /// `((hops, duration), multiplicity)` with `hops/duration` in lowest
+    /// terms, sorted by key, each key once.
+    counts: Vec<((u32, u32), u64)>,
+    total: u64,
+}
+
+impl OccupancyHistogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Total number of recorded trips.
@@ -63,32 +180,34 @@ impl OccupancyHistogram {
     }
 
     /// The rates and their multiplicities, sorted by increasing rate.
-    /// Every rate lies in `(0, 1]` (Remark 2 of the paper).
+    /// Every rate lies in `(0, 1]` (Remark 2 of the paper). Distinct
+    /// reduced keys are distinct rates, so the order is unique.
     pub fn sorted_rates(&self) -> Vec<(f64, u64)> {
-        let mut entries: Vec<(&(u32, u32), &u64)> = self.counts.iter().collect();
+        // Along one hop count the keys ascend in duration, so the rates
+        // descend: reversed, each hop count is an ascending run, and the
+        // stable sort only has to merge the runs.
+        let mut entries = Vec::with_capacity(self.counts.len());
+        for run in self.counts.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            entries.extend(run.iter().rev());
+        }
         // exact rational comparison: h1/d1 < h2/d2  <=>  h1*d2 < h2*d1
-        entries.sort_unstable_by(|a, b| {
-            let (h1, d1) = *a.0;
-            let (h2, d2) = *b.0;
-            (h1 as u64 * d2 as u64).cmp(&(h2 as u64 * d1 as u64))
+        entries.sort_by(|&((h1, d1), _), &((h2, d2), _)| {
+            (u64::from(h1) * u64::from(d2)).cmp(&(u64::from(h2) * u64::from(d1)))
         });
-        entries.into_iter().map(|(&(h, d), &c)| (h as f64 / d as f64, c)).collect()
+        entries.into_iter().map(|((h, d), c)| (h as f64 / d as f64, c)).collect()
     }
 
     /// Mean occupancy rate.
     ///
-    /// Summation runs in sorted key order: tiled sweeps merge per-tile
-    /// histograms whose map insertion order differs from an untiled run's,
-    /// and the float accumulation must not depend on hash iteration order
-    /// for reports to stay bit-identical across tilings.
+    /// Summation runs in ascending reduced-key order, which does not depend
+    /// on how trips were split into tiles, so the float result is
+    /// bit-identical across tilings and thread counts.
     pub fn mean(&self) -> f64 {
         if self.total == 0 {
             return f64::NAN;
         }
-        let mut entries: Vec<((u32, u32), u64)> =
-            self.counts.iter().map(|(&key, &c)| (key, c)).collect();
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        let s: f64 = entries.iter().map(|&((h, d), c)| c as f64 * h as f64 / d as f64).sum();
+        let s: f64 =
+            self.counts.iter().map(|&((h, d), c)| c as f64 * h as f64 / d as f64).sum();
         s / self.total as f64
     }
 
@@ -98,30 +217,63 @@ impl OccupancyHistogram {
         if self.total == 0 {
             return f64::NAN;
         }
-        self.counts.get(&(1, 1)).copied().unwrap_or(0) as f64 / self.total as f64
+        let at_one = match self.counts.binary_search_by_key(&(1, 1), |&(key, _)| key) {
+            Ok(i) => self.counts[i].1,
+            Err(_) => 0,
+        };
+        at_one as f64 / self.total as f64
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one (a linear merge of the two
+    /// key-sorted vectors).
     pub fn merge(&mut self, other: &OccupancyHistogram) {
-        for (&key, &c) in &other.counts {
-            *self.counts.entry(key).or_insert(0) += c;
+        if other.counts.is_empty() {
+            return;
+        }
+        if self.counts.is_empty() {
+            self.counts.clone_from(&other.counts);
+        } else {
+            self.counts = merged(&self.counts, &other.counts);
         }
         self.total += other.total;
     }
+
+    /// [`merge`](Self::merge) taking `other` by value: merging into an
+    /// empty histogram moves `other`'s storage instead of copying it.
+    pub fn merge_owned(&mut self, other: OccupancyHistogram) {
+        if self.is_empty() {
+            *self = other;
+        } else {
+            self.merge(&other);
+        }
+    }
 }
 
-/// A histogram is its own trip sink: the engine records each minimal trip's
-/// rate straight into it, so sweeps call [`crate::earliest_arrival_dp_in`]
-/// with a tile/cancel [`crate::DpRun`] and keep the returned [`crate::DpStats`].
-/// The engine is generic over its sink, so it is compiled in the calling
-/// crate; `#[inline]` on this path keeps the per-trip record from becoming
-/// an out-of-line cross-crate call there (measured ~10% of sweep time on a
-/// 60-node ring).
-impl TripSink for OccupancyHistogram {
-    #[inline]
-    fn minimal_trip(&mut self, _u: u32, _v: u32, dep: u32, arr: u32, hops: u32) {
-        self.record(hops, arr - dep + 1);
+/// The union of two key-sorted count vectors, adding the counts of keys
+/// present in both.
+fn merged(a: &[((u32, u32), u64)], b: &[((u32, u32), u64)]) -> Vec<((u32, u32), u64)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push((a[i].0, a[i].1 + b[j].1));
+                i += 1;
+                j += 1;
+            }
+        }
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// Computes the occupancy-rate distribution of all minimal trips of the
@@ -136,14 +288,16 @@ pub fn occupancy_histogram(
 
 /// Same as [`occupancy_histogram`], for an already-built timeline and a
 /// caller-owned [`EngineArena`] (reused across runs of equal dimensions).
+/// Each call records through a fresh [`RateCounter`]; a sweep that runs
+/// many DPs per worker keeps one counter per worker instead.
 pub fn occupancy_histogram_in(
     arena: &mut EngineArena,
     timeline: &Timeline,
     targets: &TargetSet,
 ) -> OccupancyHistogram {
-    let mut hist = OccupancyHistogram::new();
-    earliest_arrival_dp_in(arena, timeline, targets, &mut hist, DpOptions::default());
-    hist
+    let mut counter = RateCounter::new();
+    earliest_arrival_dp_in(arena, timeline, targets, &mut counter, DpOptions::default());
+    counter.finish()
 }
 
 #[cfg(test)]
@@ -151,21 +305,52 @@ mod tests {
     use super::*;
     use saturn_linkstream::{io, Directedness};
 
+    /// A histogram of `(hops, duration)` trips, sealed by a fresh counter.
+    fn histogram(trips: &[(u32, u32)]) -> OccupancyHistogram {
+        let mut counter = RateCounter::new();
+        for &(hops, duration) in trips {
+            counter.record(hops, duration);
+        }
+        counter.finish()
+    }
+
     #[test]
     fn rates_are_reduced_and_sorted() {
-        let mut h = OccupancyHistogram::new();
-        h.record(1, 2);
-        h.record(2, 4); // same rate as 1/2
-        h.record(1, 1);
-        h.record(1, 3);
-        assert_eq!(h.total_trips(), 4);
-        assert_eq!(h.distinct_rates(), 3);
+        // 2/4 and 1/2 are one rate; 3/2048 lives past the dense front
+        let h = histogram(&[(1, 2), (2, 4), (1, 1), (1, 3), (3, 2048)]);
+        assert_eq!(h.total_trips(), 5);
+        assert_eq!(h.distinct_rates(), 4);
         let rates = h.sorted_rates();
-        assert_eq!(rates[0], (1.0 / 3.0, 1));
-        assert_eq!(rates[1], (0.5, 2));
-        assert_eq!(rates[2], (1.0, 1));
-        assert!((h.fraction_at_one() - 0.25).abs() < 1e-12);
-        assert!((h.mean() - (1.0 / 3.0 + 0.5 + 0.5 + 1.0) / 4.0).abs() < 1e-12);
+        assert_eq!(rates[0], (3.0 / 2048.0, 1));
+        assert_eq!(rates[1], (1.0 / 3.0, 1));
+        assert_eq!(rates[2], (0.5, 2));
+        assert_eq!(rates[3], (1.0, 1));
+        assert!((h.fraction_at_one() - 0.2).abs() < 1e-12);
+        let expected = (3.0 / 2048.0 + 1.0 / 3.0 + 0.5 + 0.5 + 1.0) / 5.0;
+        assert!((h.mean() - expected).abs() < 1e-12);
+    }
+
+    /// Keys on both sides of the dense front's bounds reduce into one
+    /// rate: 15/1020 (dense), 16/1088 and 30/2040 (sparse) are all 1/68.
+    #[test]
+    fn dense_and_sparse_keys_fold_into_one_rate() {
+        let h = histogram(&[(15, 1020), (16, 1088), (30, 2040), (1, 68), (16, 16), (15, 15)]);
+        assert_eq!(h.total_trips(), 6);
+        assert_eq!(h.sorted_rates(), vec![(1.0 / 68.0, 4), (1.0, 2)]);
+        assert_eq!(h.fraction_at_one(), 2.0 / 6.0);
+    }
+
+    /// `finish` resets the counter: a reused counter seals only the trips
+    /// recorded since the previous `finish`.
+    #[test]
+    fn finish_resets_the_counter() {
+        let mut counter = RateCounter::new();
+        counter.record(1, 2);
+        counter.record(20, 5000);
+        assert_eq!(counter.finish().total_trips(), 2);
+        assert!(counter.finish().is_empty());
+        counter.record(1, 3);
+        assert_eq!(counter.finish(), histogram(&[(1, 3)]));
     }
 
     #[test]
@@ -201,16 +386,17 @@ mod tests {
         let s = b.build().unwrap();
         let targets = TargetSet::all(9);
         let mut arena = EngineArena::new();
+        let mut counter = RateCounter::new();
         for k in [1u64, 3, 17, 90, 534] {
             let timeline = Timeline::aggregated(&s, k);
             let engine = occupancy_histogram_in(&mut arena, &timeline, &targets);
-            let mut oracle = OccupancyHistogram::new();
             crate::dp::baseline::earliest_arrival_dp(
                 &timeline,
                 &targets,
-                &mut oracle,
+                &mut counter,
                 DpOptions::default(),
             );
+            let oracle = counter.finish();
             assert_eq!(engine.total_trips(), oracle.total_trips(), "k={k}");
             assert_eq!(engine.sorted_rates(), oracle.sorted_rates(), "k={k}");
             assert_eq!(engine.mean().to_bits(), oracle.mean().to_bits(), "k={k}");
@@ -219,14 +405,16 @@ mod tests {
 
     #[test]
     fn merge_adds_counts() {
-        let mut a = OccupancyHistogram::new();
-        a.record(1, 2);
-        let mut b = OccupancyHistogram::new();
-        b.record(1, 2);
-        b.record(1, 1);
+        let mut a = histogram(&[(1, 2)]);
+        let b = histogram(&[(1, 2), (1, 1)]);
         a.merge(&b);
         assert_eq!(a.total_trips(), 3);
         assert_eq!(a.sorted_rates(), vec![(0.5, 2), (1.0, 1)]);
+        let mut c = OccupancyHistogram::new();
+        c.merge_owned(b.clone());
+        assert_eq!(c, b);
+        c.merge_owned(histogram(&[(2, 4), (1, 5)]));
+        assert_eq!(c, histogram(&[(1, 2), (1, 1), (1, 2), (1, 5)]));
     }
 
     #[test]
@@ -236,5 +424,6 @@ mod tests {
         assert!(h.mean().is_nan());
         assert!(h.fraction_at_one().is_nan());
         assert!(h.sorted_rates().is_empty());
+        assert_eq!(RateCounter::new().finish(), h);
     }
 }
