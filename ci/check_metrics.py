@@ -47,15 +47,6 @@ EXPECTED_FAMILIES = {
     "saturn_jobs_coalesced_total": "counter",
     "saturn_jobs_rejected_total": "counter",
     "saturn_jobs_deadline_rejected_total": "counter",
-    "saturn_shard_queue_depth": "gauge",
-    "saturn_shard_ewma_job_seconds": "gauge",
-    "saturn_shard_jobs_executed_total": "counter",
-    "saturn_shard_jobs_completed_total": "counter",
-    "saturn_shard_jobs_cancelled_total": "counter",
-    "saturn_shard_jobs_panicked_total": "counter",
-    "saturn_shard_jobs_coalesced_total": "counter",
-    "saturn_shard_jobs_rejected_total": "counter",
-    "saturn_shard_jobs_deadline_rejected_total": "counter",
     "saturn_executor_restarts_total": "counter",
     "saturn_stream_sessions_open": "gauge",
     "saturn_stream_sessions_opened_total": "counter",
@@ -226,10 +217,6 @@ def synthetic_scrape(hits=3.0, analyze=4.0, inf_count=2.0):
             lines.append('saturn_requests_total{route="other",status="other"} 0')
         elif family == "saturn_cache_hits_total":
             lines.append(f"saturn_cache_hits_total {hits:g}")
-        elif family.startswith("saturn_shard_") or family == "saturn_executor_restarts_total":
-            # per-shard families are always labeled, one sample per shard
-            lines.append(f'{family}{{shard="0"}} 1')
-            lines.append(f'{family}{{shard="1"}} 0')
         else:
             lines.append(f"{family} 0")
     return "\n".join(lines) + "\n"
@@ -250,8 +237,7 @@ def self_test():
         good,
         minimums=[
             'saturn_requests_total{route="analyze",status="2xx"}=4',
-            'saturn_shard_jobs_executed_total{shard="0"}=1',
-            'saturn_executor_restarts_total{shard="1"}=0',
+            "saturn_executor_restarts_total=0",
         ],
     )
     # minimum not met
@@ -259,6 +245,13 @@ def self_test():
         good,
         "< 5",
         minimums=['saturn_requests_total{route="analyze",status="2xx"}=5'],
+    )
+    # a labeled restarts sample no longer satisfies the unlabeled gate
+    labeled = good.replace(
+        "saturn_executor_restarts_total 0", 'saturn_executor_restarts_total{executor="0"} 0'
+    )
+    expect_failure(
+        labeled, "sample not in scrape", minimums=["saturn_executor_restarts_total=0"]
     )
     # unknown sample name
     expect_failure(good + "mystery_metric 1\n", "without a preceding TYPE")

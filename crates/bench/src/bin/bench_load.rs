@@ -8,7 +8,7 @@
 //! gaps on a deterministic splitmix64 stream) and each request fires at its
 //! absolute slot on the wall clock regardless of how earlier requests are
 //! faring — exactly the arrival pattern under which admission control,
-//! per-shard queues, and `Retry-After` earn their keep.
+//! the bounded job queue, and `Retry-After` earn their keep.
 //!
 //! Every response is kept, not just the 200s: latencies are bucketed
 //! per-status through the server's own
@@ -17,8 +17,8 @@
 //! instead of averaging into a meaningless blur.
 //!
 //! The same workload runs twice — `--executors 1` and `--executors 2` — so
-//! the JSON shows what a second supervised shard buys under an offered rate
-//! the single executor cannot absorb.
+//! the JSON shows what a second supervised executor draining the same
+//! queue buys under an offered rate the single executor cannot absorb.
 //!
 //! ```sh
 //! cargo run --release -p saturn-bench --bin bench_load            # full
@@ -88,7 +88,7 @@ fn post_analyze(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, usize) {
 }
 
 /// Drives the pre-drawn arrival schedule against a fresh server with
-/// `executors` shards; returns the leg's JSON record.
+/// `executors` executors; returns the leg's JSON record.
 fn run_leg(
     executors: usize,
     bodies: &[Arc<String>],

@@ -87,17 +87,18 @@ USAGE:
                           must be writable, else serve fails fast)
       --cache-disk-mb M   disk spill tier budget in MiB (default 64;
                           0 disables the tier even with --cache-dir)
-      --queue N           per-shard job queue depth before 503 backpressure
+      --queue N           job queue depth before 503 backpressure
                           (default 64)
       --stream-ttl-secs N idle TTL of streaming ingest sessions; sessions
                           untouched this long are evicted and answer 410
                           (default 300)
       --max-streams N     concurrently open ingest sessions before creation
                           gets 503 stream_limit (default 64)
-      --executors N|auto  executor shards, each with its own queue, worker
-                          pool, and supervisor-backed restart (default 1;
-                          auto = min(cores/4, 4)); execution knob only —
-                          report bytes are identical at any count
+      --executors N|auto  supervised executors draining the one job queue,
+                          each with its own worker pool (default 1;
+                          auto = min(cores/4, 4); never more than
+                          --threads); execution knob only — report
+                          bytes are identical at any count
       --default-deadline-ms N
                           deadline applied to requests that send no
                           ?deadline_ms= (default 0 = none); expired requests
@@ -388,11 +389,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     println!(
         "  threads={} executors={} cache={}MiB disk={} queue={} deadline={} drain={}s  (POST /v1/analyze | /v1/validate | /v1/stats | /v1/streams, GET /v1/jobs/<id> | /v1/health | /v1/metrics)",
         if f.threads == 0 { "auto".to_string() } else { f.threads.to_string() },
-        if f.executors == 0 {
-            format!("auto({})", saturn_server::auto_executors())
-        } else {
-            f.executors.to_string()
-        },
+        saturn_server::executor_layout(f.threads, f.executors).0,
         f.cache_mb,
         match &f.cache_dir {
             Some(dir) if f.cache_disk_mb > 0 => format!("{}MiB@{dir}", f.cache_disk_mb),

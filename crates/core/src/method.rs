@@ -1294,8 +1294,8 @@ mod tests {
     fn refresh_of_an_inconsistent_snapshot_falls_back_to_scratch() {
         // simulates the executor race: a refresh of an OLDER snapshot
         // executes after a refresh of a newer one already advanced the
-        // cache (concurrent refreshes of one session can land on different
-        // shards and run out of submission order)
+        // cache (concurrent refreshes of one session can run on different
+        // executors and finish out of submission order)
         let (old, new, t0) = ring_with_appends(30);
         let method =
             OccupancyMethod::new().grid(SweepGrid::Geometric { points: 10 }).refine(1, 3);

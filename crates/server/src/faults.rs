@@ -237,7 +237,7 @@ impl FaultPlan {
 
     /// Whether the executor thread itself should die (panic outside its
     /// `catch_unwind`) while popping the current job. The supervisor then
-    /// finalizes the in-flight job as a `500` and respawns the shard.
+    /// finalizes the in-flight job as a `500` and respawns the executor.
     pub fn executor_die(&self) -> bool {
         self.chance(self.executor_die)
     }

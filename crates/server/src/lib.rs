@@ -8,7 +8,8 @@
 //! point: instead of a one-shot CLI re-running the sweep from scratch per
 //! invocation, a daemon that parses traces out of request bodies, serves
 //! repeated analyses from a content-addressed report cache, and dispatches
-//! cold sweeps onto one process-wide [`WorkerPool`](saturn_core::parallel::WorkerPool).
+//! cold sweeps through one job queue onto the executors'
+//! [`WorkerPool`](saturn_core::parallel::WorkerPool)s.
 //!
 //! ```text
 //! POST /v1/analyze?directed=1&points=48&sample=64&seed=1&tile=0&deadline_ms=0[&async=1]   trace body → occupancy report
@@ -68,7 +69,7 @@
 //! | `executor_failed` | 500 | the supervisor finalized the job after its executor died or stalled past the liveness budget (body carries partial progress) |
 //! | `job_expired` | 500 | job outcome evicted before this waiter read it |
 //! | `not_implemented` | 501 | unsupported transfer encoding |
-//! | `queue_full` | 503 | the routed shard's bounded queue is full |
+//! | `queue_full` | 503 | the bounded job queue is full |
 //! | `would_expire` | 503 | admission control: estimated queue wait alone exceeds the deadline |
 //! | `connection_limit` | 503 | concurrent-connection cap reached |
 //! | `stream_limit` | 503 | `--max-streams` open ingest sessions already exist |
@@ -95,17 +96,19 @@
 //! tiling: a token that never fires leaves report bytes and cache
 //! fingerprints untouched, and cancelled jobs never populate the cache.
 //!
-//! **Sharding & supervision.** `--executors N` partitions the job system
-//! into N shards — each with its own bounded queue, executor thread,
-//! worker pool, EWMA wait estimate, and deadline watchdog — routed by
-//! `fingerprint % N`, so in-flight coalescing still holds per shard. A
-//! supervisor thread restarts dead executors with capped exponential
-//! backoff (in-flight job finalized as a structured `500`, queued jobs
-//! preserved) and escalates stalled shards from token-cancel to restart.
-//! Admission control and `Retry-After` compute from the routed shard's own
-//! backlog × its own EWMA. Shard count is an execution knob: report bytes
-//! and cache fingerprints are byte-identical for every `--executors`
-//! value. See [`jobs`] for the full design.
+//! **Executors & supervision.** `--executors N` starts N executor threads,
+//! each with its own worker pool, that drain one bounded FIFO job queue:
+//! a job waits only while every executor is busy. There are never more
+//! executors than `--threads`, and the threads are split evenly among
+//! them. In-flight coalescing keys on the fingerprint, not on an executor.
+//! A supervisor thread restarts dead executors with capped exponential
+//! backoff (in-flight job finalized as a structured `500`, queue
+//! untouched) and escalates stalled executors from token-cancel to
+//! replacement. Admission control and `Retry-After` compute from the
+//! pooled backlog (queued + running) × one EWMA of job service time / N.
+//! The executor count is an execution knob: report bytes and cache
+//! fingerprints are byte-identical for every `--executors` value. See
+//! [`jobs`] for the full design.
 //!
 //! **Streaming ingest sessions.** `POST /v1/streams?t_begin=A&t_end=B`
 //! opens a session that *pins* the analysis period and directedness up
@@ -128,16 +131,16 @@
 //! are evicted (`410 gone`); more than `--max-streams` concurrent sessions
 //! refuse creation with `503 stream_limit` + `Retry-After`. Concurrent
 //! refreshes of one session are ordered by a snapshot watermark on its
-//! sweep state: a refresh outrun by a newer one (possible across executor
-//! shards) recomputes from scratch without touching session state — and
+//! sweep state: a refresh outrun by a newer one (possible with several
+//! executors) recomputes from scratch without touching session state — and
 //! the [`SweepCache`](saturn_core::SweepCache) is itself stamped with the
 //! stream identity it was built from, so the core layer independently
 //! rejects inconsistent snapshots. See [`streams`] for the session table
 //! and locking design.
 //!
 //! **Graceful drain.** On `SIGTERM`/`SIGINT`, `saturn serve` flips into
-//! lame-duck mode: new connections get `503 + Retry-After`, queued and
-//! running jobs on every shard get up to `--drain-secs` to finish,
+//! lame-duck mode: new connections get `503 + Retry-After`, queued jobs
+//! and the running job of every executor get up to `--drain-secs` to finish,
 //! stragglers are then cancelled via the same token path, and the process
 //! exits `0`.
 //!
@@ -210,16 +213,7 @@
 //! | `saturn_jobs_coalesced_total` | counter | — | submissions attached to in-flight duplicates |
 //! | `saturn_jobs_rejected_total` | counter | — | submissions refused with any 503 |
 //! | `saturn_jobs_deadline_rejected_total` | counter | — | admission-control refusals |
-//! | `saturn_shard_queue_depth` | gauge | `shard` | jobs waiting on one shard |
-//! | `saturn_shard_ewma_job_seconds` | gauge | `shard` | one shard's EWMA of job service seconds |
-//! | `saturn_shard_jobs_executed_total` | counter | `shard` | per-shard slice of `saturn_jobs_executed_total` |
-//! | `saturn_shard_jobs_completed_total` | counter | `shard` | per-shard slice of `saturn_jobs_completed_total` |
-//! | `saturn_shard_jobs_cancelled_total` | counter | `shard` | per-shard slice of `saturn_jobs_cancelled_total` |
-//! | `saturn_shard_jobs_panicked_total` | counter | `shard` | per-shard slice of `saturn_jobs_panicked_total` |
-//! | `saturn_shard_jobs_coalesced_total` | counter | `shard` | per-shard slice of `saturn_jobs_coalesced_total` |
-//! | `saturn_shard_jobs_rejected_total` | counter | `shard` | per-shard slice of `saturn_jobs_rejected_total` |
-//! | `saturn_shard_jobs_deadline_rejected_total` | counter | `shard` | per-shard slice of `saturn_jobs_deadline_rejected_total` |
-//! | `saturn_executor_restarts_total` | counter | `shard` | supervisor restarts of one shard's executor |
+//! | `saturn_executor_restarts_total` | counter | — | supervisor restarts of an executor (death or stall) |
 //! | `saturn_stream_sessions_open` | gauge | — | streaming ingest sessions currently open |
 //! | `saturn_stream_sessions_opened_total` | counter | — | sessions ever created |
 //! | `saturn_stream_sessions_expired_total` | counter | — | sessions evicted past the idle TTL |
@@ -261,12 +255,10 @@ pub mod streams;
 pub use cache::{CacheStats, ReportCache};
 pub use faults::{FaultPlan, FaultSite};
 pub use jobs::{
-    auto_executors, JobCtx, JobKind, JobManager, JobOutcome, JobPhase, JobStats, JobsConfig,
-    Reject, ShardStats, WaitOutcome,
+    executor_layout, JobCtx, JobKind, JobManager, JobOutcome, JobPhase, JobStats, JobsConfig,
+    Reject, WaitOutcome,
 };
-pub use metrics::{
-    Counter, FloatGauge, Gauge, Histogram, Metrics, RequestTimings, ShardMetrics,
-};
+pub use metrics::{Counter, Gauge, Histogram, Metrics, RequestTimings};
 pub use params::{ParamDefaults, RequestParams};
 pub use persist::{DiskStats, DiskTier};
 
@@ -279,7 +271,7 @@ use saturn_core::fingerprint::{self, Digest};
 use saturn_core::{try_validation_sweep_on, OccupancyMethod, SweepGrid, ValidationOptions};
 use saturn_linkstream::{io as stream_io, Directedness, LinkStream};
 use serde_json::Value;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -389,13 +381,14 @@ fn status_is_retryable(status: u16) -> bool {
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 picks an ephemeral one).
     pub addr: String,
-    /// Sweep worker pool parallelism (0 = all available cores), split
-    /// evenly across the executor shards.
+    /// Total sweep worker parallelism (0 = all available cores), split
+    /// evenly across the executors.
     pub threads: usize,
-    /// Executor shard count (0 = [`jobs::auto_executors`]): independent
-    /// bounded queues + pools + watchdogs, routed by `fingerprint %
-    /// executors`, supervised for panic/stall recovery. Purely an execution
-    /// knob — report bytes and cache keys are identical for every count.
+    /// Executor threads draining the one job queue, each with its own
+    /// worker pool and supervised for panic/stall recovery (0 = one per
+    /// four cores, clamped to [1, 4]). Capped at the resolved `threads`
+    /// ([`jobs::executor_layout`]). Purely an execution knob — report
+    /// bytes and cache keys are identical for every count.
     pub executors: usize,
     /// Liveness budget for stall supervision: a running job making no
     /// sweep progress for this long is token-cancelled, for twice this
@@ -416,7 +409,8 @@ pub struct ServerConfig {
     /// Disk spill tier budget in bytes (0 disables the tier even when
     /// [`ServerConfig::cache_dir`] is set).
     pub cache_disk_bytes: usize,
-    /// Maximum jobs waiting in the queue before submissions get 503.
+    /// Maximum jobs waiting in the one job queue (shared by every
+    /// executor) before submissions get 503.
     pub queue_depth: usize,
     /// Maximum accepted request body, bytes.
     pub max_body_bytes: usize,
@@ -466,6 +460,11 @@ impl Default for ServerConfig {
     }
 }
 
+/// How long a closing connection waits for more of its peer's leftover
+/// input, and how much of it it reads at most ([`linger_close`]).
+const LINGER: Duration = Duration::from_secs(1);
+const LINGER_BYTES: u64 = 1 << 20;
+
 /// State shared by every connection thread.
 struct ServerContext {
     /// Behind its own `Arc` so job closures (which outlive the request)
@@ -499,15 +498,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and starts the job executor (which spawns the
-    /// shared worker pool).
+    /// Binds the listener and starts the job executors (each spawns its
+    /// own worker pool).
     pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let executors =
-            if config.executors == 0 { jobs::auto_executors() } else { config.executors };
-        let shared_metrics = Arc::new(Metrics::with_shards(executors));
+        let shared_metrics = Arc::new(Metrics::new());
         let mut jobs_config = JobsConfig::new(config.threads, config.queue_depth);
-        jobs_config.executors = executors;
+        jobs_config.executors = config.executors;
         jobs_config.stall_budget = config.stall_budget;
         jobs_config.faults = config.faults.clone();
         // The disk tier opens (probe write + recovery scan) before any
@@ -729,6 +726,7 @@ fn serve_connection(stream: TcpStream, ctx: &ServerContext) {
                     false,
                 );
                 ctx.metrics.observe_request("other", status, &timings);
+                linger_close(reader, &writer);
                 return;
             }
         };
@@ -759,10 +757,26 @@ fn serve_connection(stream: TcpStream, ctx: &ServerContext) {
         );
         timings.serialize = serialize_started.elapsed();
         ctx.metrics.observe_request(route_label(&request.path), reply.status, &timings);
-        if sent.is_err() || !keep_alive {
+        if sent.is_err() {
+            return;
+        }
+        if !keep_alive {
+            linger_close(reader, &writer);
             return;
         }
     }
+}
+
+/// Closes a connection after its final response without resetting it.
+/// Closing a socket with unread input (a pipelined request that will not
+/// be answered) makes the kernel send a reset and drop whatever of the
+/// final response is still queued, so the write side is shut first (the
+/// response goes out ahead of the FIN), then the input is discarded until
+/// the peer closes, a read waits [`LINGER`], or [`LINGER_BYTES`] went by.
+fn linger_close(reader: BufReader<TcpStream>, writer: &TcpStream) {
+    let _ = writer.shutdown(std::net::Shutdown::Write);
+    let _ = writer.set_read_timeout(Some(LINGER));
+    let _ = std::io::copy(&mut reader.into_inner().take(LINGER_BYTES), &mut std::io::sink());
 }
 
 /// A response body: bytes built for this request, or a shared allocation

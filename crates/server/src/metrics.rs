@@ -86,29 +86,6 @@ impl Gauge {
     }
 }
 
-/// A gauge holding an `f64` (EWMA seconds), stored as raw bits in an
-/// `AtomicU64`. Same discipline as [`Gauge`]: `set` under the owning lock,
-/// relaxed reads anywhere.
-#[derive(Debug, Default)]
-pub struct FloatGauge(AtomicU64);
-
-impl FloatGauge {
-    /// A gauge at zero.
-    pub const fn new() -> Self {
-        FloatGauge(AtomicU64::new(0))
-    }
-
-    /// Overwrites the value.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
 /// Number of finite bucket bounds: `le = 2^i` µs for `i = 0..FINITE_BUCKETS`.
 pub const FINITE_BUCKETS: usize = 31;
 
@@ -278,57 +255,11 @@ impl RequestTimings {
     }
 }
 
-/// Per-shard job instruments, exported with a `shard="<i>"` label. One
-/// entry per executor shard; the aggregate `jobs_*` counters are always
-/// incremented alongside these, so summing a family over shards equals its
-/// aggregate — `/v1/health`'s per-shard array is a view over the same
-/// atomics and the integration tests assert that identity.
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    /// `saturn_shard_queue_depth{shard}` — jobs waiting in this shard.
-    pub queue_depth: Gauge,
-    /// `saturn_shard_ewma_job_seconds{shard}` — this shard's EWMA of job
-    /// service seconds (drives its admission control and `Retry-After`).
-    pub ewma_job_seconds: FloatGauge,
-    /// `saturn_shard_jobs_executed_total{shard}`.
-    pub executed: Counter,
-    /// `saturn_shard_jobs_completed_total{shard}`.
-    pub completed: Counter,
-    /// `saturn_shard_jobs_cancelled_total{shard}`.
-    pub cancelled: Counter,
-    /// `saturn_shard_jobs_panicked_total{shard}` — includes jobs lost to a
-    /// crashed or abandoned executor.
-    pub panicked: Counter,
-    /// `saturn_shard_jobs_coalesced_total{shard}`.
-    pub coalesced: Counter,
-    /// `saturn_shard_jobs_rejected_total{shard}`.
-    pub rejected: Counter,
-    /// `saturn_shard_jobs_deadline_rejected_total{shard}`.
-    pub deadline_rejected: Counter,
-    /// `saturn_executor_restarts_total{shard}` — supervisor restarts of
-    /// this shard's executor (death or stall escalation).
-    pub restarts: Counter,
-}
-
-/// The shard instrument vector. Newtyped so the registry's `Default` can
-/// guarantee at least one shard — a registry with zero shards would render
-/// shard families with no samples, which the scrape checker rejects.
-#[derive(Debug)]
-struct Shards(Vec<ShardMetrics>);
-
-impl Default for Shards {
-    fn default() -> Self {
-        Shards(vec![ShardMetrics::default()])
-    }
-}
-
 /// The server's metric registry. One instance per [`crate::Server`], shared
 /// by `Arc` with the cache, the job manager, and every connection thread.
 /// See the crate docs of [`crate`] for the full exported-metric table.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Per-shard job instruments (`shard` label); length = executor count.
-    shards: Shards,
     /// `saturn_requests_total{route,status}`.
     requests: [[Counter; STATUS_CLASSES.len()]; ROUTES.len()],
     /// `saturn_queue_depth` — jobs waiting (not running).
@@ -388,6 +319,9 @@ pub struct Metrics {
     pub jobs_rejected: Counter,
     /// `saturn_jobs_deadline_rejected_total` — admission-control refusals.
     pub jobs_deadline_rejected: Counter,
+    /// `saturn_executor_restarts_total` — supervisor restarts of an
+    /// executor (death or stall escalation).
+    pub executor_restarts: Counter,
     /// `saturn_sweep_tiles_total` — `(scale, tile)` items completed.
     pub sweep_tiles: Counter,
     /// `saturn_sweep_scales_total` — scales fully analyzed.
@@ -428,28 +362,9 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// A registry with every instrument at zero and one shard.
+    /// A registry with every instrument at zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A registry with `executors.max(1)` shard instrument sets — the
-    /// server wiring, where the shard count is a config knob.
-    pub fn with_shards(executors: usize) -> Self {
-        Self {
-            shards: Shards((0..executors.max(1)).map(|_| ShardMetrics::default()).collect()),
-            ..Self::default()
-        }
-    }
-
-    /// The per-shard instrument sets, indexed by shard.
-    pub fn shards(&self) -> &[ShardMetrics] {
-        &self.shards.0
-    }
-
-    /// Shard `i`'s instruments.
-    pub fn shard(&self, i: usize) -> &ShardMetrics {
-        &self.shards.0[i]
     }
 
     /// Counts one finished request and records its stage timings.
@@ -587,6 +502,11 @@ impl Metrics {
                 &self.jobs_deadline_rejected,
             ),
             (
+                "saturn_executor_restarts_total",
+                "Supervisor restarts of an executor (death or stall).",
+                &self.executor_restarts,
+            ),
+            (
                 "saturn_sweep_tiles_total",
                 "Sweep (scale, tile) items completed.",
                 &self.sweep_tiles,
@@ -654,7 +574,6 @@ impl Metrics {
             writeln!(out, "# TYPE {name} counter").unwrap();
             writeln!(out, "{name} {}", counter.get()).unwrap();
         }
-        self.render_shard_families(&mut out);
         for (name, help, histogram) in [
             (
                 "saturn_parse_seconds",
@@ -675,80 +594,6 @@ impl Metrics {
             render_histogram(&mut out, name, help, histogram);
         }
         out
-    }
-
-    /// Emits the `shard`-labeled families, one sample per executor shard.
-    fn render_shard_families(&self, out: &mut String) {
-        let shards = self.shards();
-        writeln!(out, "# HELP saturn_shard_queue_depth Jobs waiting in one executor shard.")
-            .unwrap();
-        writeln!(out, "# TYPE saturn_shard_queue_depth gauge").unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            writeln!(out, "saturn_shard_queue_depth{{shard=\"{i}\"}} {}", s.queue_depth.get())
-                .unwrap();
-        }
-        writeln!(
-            out,
-            "# HELP saturn_shard_ewma_job_seconds EWMA of job service seconds per shard."
-        )
-        .unwrap();
-        writeln!(out, "# TYPE saturn_shard_ewma_job_seconds gauge").unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            writeln!(
-                out,
-                "saturn_shard_ewma_job_seconds{{shard=\"{i}\"}} {}",
-                s.ewma_job_seconds.get()
-            )
-            .unwrap();
-        }
-        type ShardCounter = fn(&ShardMetrics) -> &Counter;
-        let counters: [(&str, &str, ShardCounter); 8] = [
-            (
-                "saturn_shard_jobs_executed_total",
-                "Jobs executed to any outcome, per shard.",
-                |s| &s.executed,
-            ),
-            (
-                "saturn_shard_jobs_completed_total",
-                "Jobs with their own outcome, per shard.",
-                |s| &s.completed,
-            ),
-            ("saturn_shard_jobs_cancelled_total", "Jobs cancelled (504), per shard.", |s| {
-                &s.cancelled
-            }),
-            (
-                "saturn_shard_jobs_panicked_total",
-                "Jobs whose work panicked or whose executor died (500), per shard.",
-                |s| &s.panicked,
-            ),
-            (
-                "saturn_shard_jobs_coalesced_total",
-                "Submissions attached to in-flight duplicates, per shard.",
-                |s| &s.coalesced,
-            ),
-            (
-                "saturn_shard_jobs_rejected_total",
-                "Submissions refused (503), per shard.",
-                |s| &s.rejected,
-            ),
-            (
-                "saturn_shard_jobs_deadline_rejected_total",
-                "Admission-control refusals, per shard.",
-                |s| &s.deadline_rejected,
-            ),
-            (
-                "saturn_executor_restarts_total",
-                "Supervisor restarts of a shard executor (death or stall).",
-                |s| &s.restarts,
-            ),
-        ];
-        for (name, help, get) in counters {
-            writeln!(out, "# HELP {name} {help}").unwrap();
-            writeln!(out, "# TYPE {name} counter").unwrap();
-            for (i, s) in shards.iter().enumerate() {
-                writeln!(out, "{name}{{shard=\"{i}\"}} {}", get(s).get()).unwrap();
-            }
-        }
     }
 }
 
@@ -916,6 +761,7 @@ mod tests {
         assert!(text.contains("saturn_requests_total{route=\"other\",status=\"other\"} 0"));
         assert!(text.contains("saturn_queue_depth 2"));
         assert!(text.contains("saturn_cache_hits_total 1"));
+        assert!(text.contains("saturn_executor_restarts_total 0"));
         assert!(text.contains("# TYPE saturn_request_seconds histogram"));
         assert!(text.contains("saturn_request_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("saturn_request_seconds_count 1"));
@@ -928,25 +774,6 @@ mod tests {
             let (_name, value) = line.rsplit_once(' ').expect("sample line");
             assert!(value.parse::<f64>().is_ok(), "unparsable value in `{line}`");
         }
-    }
-
-    #[test]
-    fn shard_families_render_per_shard_samples() {
-        let m = Metrics::with_shards(3);
-        m.shard(2).executed.inc();
-        m.shard(1).queue_depth.set(4);
-        m.shard(0).ewma_job_seconds.set(0.25);
-        m.shard(2).restarts.inc();
-        let text = m.render_prometheus();
-        assert!(text.contains("saturn_shard_queue_depth{shard=\"1\"} 4"));
-        assert!(text.contains("saturn_shard_ewma_job_seconds{shard=\"0\"} 0.25"));
-        assert!(text.contains("saturn_shard_jobs_executed_total{shard=\"2\"} 1"));
-        assert!(text.contains("saturn_executor_restarts_total{shard=\"2\"} 1"));
-        assert!(text.contains("saturn_executor_restarts_total{shard=\"0\"} 0"));
-        // a default registry still exposes exactly one shard
-        let text = Metrics::new().render_prometheus();
-        assert!(text.contains("saturn_shard_queue_depth{shard=\"0\"} 0"));
-        assert!(!text.contains("shard=\"1\""));
     }
 
     #[test]

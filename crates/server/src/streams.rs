@@ -336,8 +336,8 @@ fn append_events(request: &Request, ctx: &ServerContext, session: &Arc<Session>)
 /// lock.
 ///
 /// Concurrent refreshes of one session hash to *different* job keys when
-/// an append lands between their snapshots, so with several executor
-/// shards they can execute out of submission order. The sweep state
+/// an append lands between their snapshots, so with several executors
+/// they can execute out of submission order. The sweep state
 /// therefore carries the ingest version of the snapshot that last advanced
 /// it: a snapshot older than that watermark must not run against the cache
 /// — the cache was built from a strict superset of its events, and reusing
@@ -510,8 +510,8 @@ mod tests {
     }
 
     /// The executor race the job keys allow: two refreshes of one session
-    /// separated by an append hash to different job keys, land on
-    /// different shards, and the OLDER snapshot executes last. It must
+    /// separated by an append hash to different job keys, run on
+    /// different executors, and the OLDER snapshot executes last. It must
     /// neither serve the newer stream's bytes under its own key nor
     /// regress the session state the newer refresh built.
     #[test]

@@ -221,20 +221,19 @@ fn chaos_storm_never_hangs_or_corrupts_the_cache() {
     server.stop();
 }
 
-/// Sum of the shard-labeled `saturn_executor_restarts_total` samples.
+/// The unlabeled `saturn_executor_restarts_total` sample.
 fn restarts_total(addr: SocketAddr) -> u64 {
     let scrape = request(addr, "GET", "/v1/metrics", b"");
     assert_eq!(scrape.status, 200);
     let text = String::from_utf8(scrape.body).expect("metrics utf8");
-    text.lines()
-        .filter(|line| line.starts_with("saturn_executor_restarts_total{"))
-        .map(|line| {
-            line.rsplit_once(' ').expect("sample").1.parse::<f64>().expect("numeric") as u64
-        })
-        .sum()
+    let line = text
+        .lines()
+        .find(|line| line.starts_with("saturn_executor_restarts_total "))
+        .expect("unlabeled restarts sample");
+    line.rsplit_once(' ').expect("sample").1.parse::<f64>().expect("numeric") as u64
 }
 
-/// The sharded storm: `--executors 4` with executor deaths and stalls
+/// The executor storm: `--executors 4` with executor deaths and stalls
 /// armed. Every request still completes with a documented status while
 /// executors die underneath it, the supervisor's restarts are observable
 /// in the scrape, and the post-storm cold-vs-hit byte identity holds.
@@ -264,14 +263,14 @@ fn sharded_storm_restarts_executors_and_keeps_answering() {
     for worker in 0..6u32 {
         clients.push(std::thread::spawn(move || {
             for round in 0..4u32 {
-                // unique bodies spread over the four shards; every request
+                // unique bodies keep all four executors busy; every request
                 // must complete even while executors are dying under it
                 let body = trace(5 + worker, 110 + round as i64 * 9, 28);
                 let target = format!("/v1/analyze?points={}", 6 + (worker + round) % 4);
                 let r = request(addr, "POST", &target, body.as_bytes());
                 assert!(ALLOWED.contains(&r.status), "storm analyze got {}", r.status);
                 let health = request(addr, "GET", "/v1/health", b"");
-                assert_eq!(health.status, 200, "health must answer from healthy shards");
+                assert_eq!(health.status, 200, "health must answer while executors restart");
             }
         }));
     }

@@ -514,15 +514,6 @@ fn metrics_exposition_is_wellformed() {
         "saturn_jobs_coalesced_total",
         "saturn_jobs_rejected_total",
         "saturn_jobs_deadline_rejected_total",
-        "saturn_shard_queue_depth",
-        "saturn_shard_ewma_job_seconds",
-        "saturn_shard_jobs_executed_total",
-        "saturn_shard_jobs_completed_total",
-        "saturn_shard_jobs_cancelled_total",
-        "saturn_shard_jobs_panicked_total",
-        "saturn_shard_jobs_coalesced_total",
-        "saturn_shard_jobs_rejected_total",
-        "saturn_shard_jobs_deadline_rejected_total",
         "saturn_executor_restarts_total",
         "saturn_sweep_tiles_total",
         "saturn_sweep_scales_total",
@@ -631,16 +622,16 @@ fn metrics_count_requests_and_agree_with_health() {
     server.stop();
 }
 
-/// With `--executors 3`, `/v1/health` grows a per-shard array whose
-/// counters sum exactly to the aggregates (same atomics, partitioned),
-/// and the scrape's shard-labeled families tell the same story.
+/// `--executors 3` on two threads runs two executors: `/v1/health`
+/// reports the effective count, and its counters are the scrape's
+/// counters.
 #[test]
-fn sharded_health_sums_to_the_aggregate_counters() {
+fn health_reports_executors_capped_by_threads() {
     let server = start(|c| c.executors = 3);
     let addr = server.addr();
     let body = trace(6, 150, 40);
-    // distinct points → distinct fingerprints → a spread over the shards,
-    // plus one cache hit that touches no shard at all
+    // distinct points → distinct fingerprints → four cold sweeps, plus one
+    // cache hit that runs no job at all
     for points in [6, 7, 8, 9] {
         let target = format!("/v1/analyze?points={points}");
         assert_eq!(request(addr, "POST", &target, body.as_bytes()).status, 200);
@@ -649,43 +640,13 @@ fn sharded_health_sums_to_the_aggregate_counters() {
 
     let health = json(&request(addr, "GET", "/v1/health", b""));
     let jobs = &health["jobs"];
-    assert_eq!(jobs["executors"].as_u64(), Some(3));
+    assert_eq!(jobs["executors"].as_u64(), Some(2), "capped at --threads 2");
     assert_eq!(jobs["executed"].as_u64(), Some(4));
-    let shards = jobs["shards"].as_array().expect("per-shard array");
-    assert_eq!(shards.len(), 3);
-    for key in [
-        "queued",
-        "running",
-        "executed",
-        "completed",
-        "cancelled",
-        "panicked",
-        "coalesced",
-        "rejected",
-        "deadline_rejected",
-    ] {
-        let sum: u64 = shards.iter().map(|s| s[key].as_u64().unwrap()).sum();
-        assert_eq!(
-            sum,
-            jobs[key].as_u64().unwrap(),
-            "per-shard `{key}` must sum to the aggregate"
-        );
-    }
-    let restarts: u64 = shards.iter().map(|s| s["restarts"].as_u64().unwrap()).sum();
-    assert_eq!(restarts, jobs["executor_restarts"].as_u64().unwrap());
-
-    // the scrape partitions identically: shard-labeled samples sum to the
-    // aggregate family
+    assert_eq!(jobs["executor_restarts"].as_u64(), Some(0));
+    assert!(jobs.get("shards").is_none(), "no per-executor rows: {jobs:?}");
     let text = scrape_metrics(addr);
-    let scraped: f64 = (0..3)
-        .map(|shard| {
-            metric_sample(
-                &text,
-                &format!("saturn_shard_jobs_executed_total{{shard=\"{shard}\"}}"),
-            )
-        })
-        .sum();
-    assert_eq!(scraped, metric_sample(&text, "saturn_jobs_executed_total"));
+    assert_eq!(metric_sample(&text, "saturn_jobs_executed_total"), 4.0);
+    assert_eq!(metric_sample(&text, "saturn_executor_restarts_total"), 0.0);
     server.stop();
 }
 
