@@ -6,11 +6,11 @@
 //! This binary is that tool.
 //!
 //! ```text
-//! saturn analyze <file> [--directed] [--points N] [--sample N] [--threads N] [--tile N] [--json] [--unit s|m|h|d]
+//! saturn analyze <file> [--directed] [--points N] [--sample N] [--threads N] [--json] [--unit s|m|h|d]
 //! saturn synth <irvine|facebook|enron|manufacturing> [--seed S] [--scale F] [--out FILE]
 //! saturn validate <file> [--directed] [--points N] [--threads N]
 //! saturn stats <file> [--directed] [--json]
-//! saturn serve [--addr A] [--threads N] [--tile N] [--cache-mb M] [--cache-dir DIR] [--cache-disk-mb M] [--queue N] [--executors N|auto] [--default-deadline-ms N] [--drain-secs N] [--stream-ttl-secs N] [--max-streams N]
+//! saturn serve [--addr A] [--threads N] [--cache-mb M] [--cache-dir DIR] [--cache-disk-mb M] [--queue N] [--executors N|auto] [--default-deadline-ms N] [--drain-secs N] [--stream-ttl-secs N] [--max-streams N]
 //! saturn help
 //! ```
 
@@ -61,8 +61,6 @@ USAGE:
       --points N          Δ-grid size (default 48)
       --sample N          sample N destination nodes (default: exact, all nodes)
       --threads N         worker threads (default: $SATURN_THREADS, else all cores)
-      --tile N            target-tile width in columns (default 0 = auto);
-                          execution knob only — reports are bit-identical
       --unit s|m|h|d      display unit for Δ (ticks are seconds; default h)
       --json              emit the full report as JSON
                           ($SATURN_TRACE=json mirrors per-tile sweep spans
@@ -76,8 +74,6 @@ USAGE:
                           GET /v1/jobs/<id>, /v1/health, /v1/metrics)
       --addr A            bind address (default 127.0.0.1:7878; port 0 = ephemeral)
       --threads N         sweep worker pool size, shared across requests
-      --tile N            default target-tile width for analyze sweeps
-                          (0 = auto; requests may override with ?tile=N)
       --cache-mb M        in-memory report cache budget in MiB (default 64;
                           0 disables the memory tier entirely)
       --cache-dir DIR     durable disk spill tier under the memory cache:
@@ -129,7 +125,6 @@ struct Flags {
     points: usize,
     sample: Option<u32>,
     threads: usize,
-    tile: usize,
     json: bool,
     unit: (f64, &'static str),
     seed: u64,
@@ -154,7 +149,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         points: 48,
         sample: None,
         threads: env_threads(),
-        tile: 0,
         json: false,
         unit: (3600.0, "h"),
         seed: 1,
@@ -189,9 +183,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--threads" => {
                 f.threads =
                     value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
-            "--tile" => {
-                f.tile = value("--tile")?.parse().map_err(|e| format!("--tile: {e}"))?
             }
             "--addr" => f.addr = value("--addr")?,
             "--cache-mb" => {
@@ -278,8 +269,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let method = OccupancyMethod::new()
         .grid(SweepGrid::Geometric { points: f.points })
         .targets(targets(&f))
-        .threads(f.threads)
-        .tile(f.tile);
+        .threads(f.threads);
     let report = if json_trace_from_env() {
         // SATURN_TRACE=json: mirror every completed (scale, tile) span as a
         // JSON line on stderr, same format `saturn serve` emits. Observation
@@ -368,7 +358,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let config = ServerConfig {
         addr: f.addr.clone(),
         threads: f.threads,
-        tile: f.tile,
         cache_bytes: f.cache_mb << 20,
         cache_dir: f.cache_dir.as_ref().map(std::path::PathBuf::from),
         cache_disk_bytes: f.cache_disk_mb << 20,
@@ -552,12 +541,13 @@ mod tests {
         assert!(flags(&["--max-streams"]).unwrap_err().contains("--max-streams"));
     }
 
+    /// The sweep sizes its own tiles; `--tile` is an unknown flag now.
     #[test]
-    fn tile_flag_parses_and_defaults_to_auto() {
-        assert_eq!(flags(&["t.txt"]).unwrap().tile, 0);
-        assert_eq!(flags(&["t.txt", "--tile", "64"]).unwrap().tile, 64);
-        assert!(flags(&["--tile", "wide"]).unwrap_err().contains("--tile"));
-        assert!(flags(&["--tile"]).unwrap_err().contains("--tile"));
+    fn tile_flag_is_rejected() {
+        for args in [&["t.txt", "--tile", "64"][..], &["--tile"], &["--tile", "0"]] {
+            let e = flags(args).unwrap_err();
+            assert_eq!(e, "unexpected argument `--tile`", "{args:?}");
+        }
     }
 
     #[test]

@@ -7,21 +7,26 @@ fn saturn(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_saturn")).args(args).output().expect("binary runs")
 }
 
-/// Writes the test trace to a file of its own: tests run on parallel
+/// Writes `text` to a trace file of its own: tests run on parallel
 /// threads, and rewriting a shared file would truncate it under another
 /// test's running `saturn` child.
-fn tmp_trace() -> std::path::PathBuf {
+fn tmp_file(text: &str) -> std::path::PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("saturn-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let path = dir.join(format!("trace-{}-{n}.txt", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+/// The small test trace: 6 nodes, 300 events.
+fn tmp_trace() -> std::path::PathBuf {
     let mut text = String::new();
     for i in 0..300i64 {
         text.push_str(&format!("n{} n{} {}\n", i % 6, (i + 1) % 6, i * 40));
     }
-    std::fs::write(&path, text).unwrap();
-    path
+    tmp_file(&text)
 }
 
 #[test]
@@ -143,22 +148,35 @@ fn synth_analyze_json_end_to_end() {
     assert_eq!(out.stdout, again.stdout, "thread count must not change the report");
 }
 
-/// The execution-knob matrix the CI job scripts: every combination of
-/// `--tile` and thread count must emit byte-identical JSON — the property
-/// that lets ops flip any knob on a live deployment without reports moving.
+/// Execution choices never move report bytes. A 3000-node path trace is
+/// wide enough that the per-worker DP memory budget splits every scale
+/// into tiles on any thread count; one thread and two threads (the latter
+/// with tile tracing on, which is observation-only) must emit the same
+/// JSON.
 #[test]
 fn execution_knobs_do_not_change_report_bytes() {
-    let path = tmp_trace();
+    let nodes = 3000;
+    let text: String = (0..nodes).map(|i| format!("n{i} n{} {i}\n", i + 1)).collect();
+    let path = tmp_file(&text);
     let path = path.to_str().unwrap();
-    let baseline = saturn(&["analyze", path, "--points", "8", "--threads", "2", "--json"]);
-    assert!(baseline.status.success(), "{}", String::from_utf8_lossy(&baseline.stderr));
-    for knobs in [&["--tile", "1"][..], &["--tile", "7"], &["--tile", "3", "--threads", "1"]] {
-        let mut args = vec!["analyze", path, "--points", "8", "--threads", "2", "--json"];
-        args.extend_from_slice(knobs);
-        let out = saturn(&args);
-        assert!(out.status.success(), "{knobs:?}: {}", String::from_utf8_lossy(&out.stderr));
-        assert_eq!(baseline.stdout, out.stdout, "{knobs:?} must not change the report bytes");
-    }
+    let args = ["analyze", path, "--points", "4", "--json", "--threads"];
+    let one = saturn(&[&args[..], &["1"]].concat());
+    assert!(one.status.success(), "{}", String::from_utf8_lossy(&one.stderr));
+    let two = Command::new(env!("CARGO_BIN_EXE_saturn"))
+        .args([&args[..], &["2"]].concat())
+        .env("SATURN_TRACE", "json")
+        .output()
+        .expect("binary runs");
+    assert!(two.status.success(), "{}", String::from_utf8_lossy(&two.stderr));
+    assert_eq!(one.stdout, two.stdout, "thread count must not change the report bytes");
+    // the memory cap really did tile: no span covers all `nodes + 1` columns
+    let spans = String::from_utf8_lossy(&two.stderr);
+    let widths: Vec<u64> = spans
+        .lines()
+        .filter_map(|l| l.split("\"col_len\":").nth(1)?.split(',').next()?.parse().ok())
+        .collect();
+    assert!(!widths.is_empty(), "no tile spans traced");
+    assert!(widths.iter().all(|&w| w <= nodes), "{widths:?}");
 }
 
 #[test]

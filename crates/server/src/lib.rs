@@ -12,7 +12,7 @@
 //! [`WorkerPool`](saturn_core::parallel::WorkerPool)s.
 //!
 //! ```text
-//! POST /v1/analyze?directed=1&points=48&sample=64&seed=1&tile=0&deadline_ms=0[&async=1]   trace body → occupancy report
+//! POST /v1/analyze?directed=1&points=48&sample=64&seed=1&deadline_ms=0[&async=1]   trace body → occupancy report
 //! POST /v1/validate?points=32&weighted=1&delta_min=1&deadline_ms=0[&async=1]   trace body → loss curves
 //! POST /v1/stats?directed=1                                          trace body → stream statistics
 //! POST /v1/streams?t_begin=A&t_end=B[&directed=1]                    open a streaming ingest session (body may seed events)
@@ -65,7 +65,7 @@
 //! | `expectation_failed` | 417 | unsupported `Expect:` header |
 //! | `headers_too_large` | 431 | request head over the line/size caps |
 //! | `internal` | 500 | any other unexpected server failure (the default 500 code) |
-//! | `panicked` | 500 | the sweep panicked; the executor caught it and survives |
+//! | `panicked` | 500 | the sweep panicked (e.g. an untiled validation DP table the allocator refused); the executor caught it and survives |
 //! | `executor_failed` | 500 | the supervisor finalized the job after its executor died or stalled past the liveness budget (body carries partial progress) |
 //! | `job_expired` | 500 | job outcome evicted before this waiter read it |
 //! | `not_implemented` | 501 | unsupported transfer encoding |
@@ -83,7 +83,8 @@
 //! Every 503 carries `Retry-After`; `retryable` is `true` exactly for
 //! statuses 408, 500, 503 and 504. [`params`] centralizes query parsing so
 //! a typo'd knob is a structured `bad_request` naming the parameter, never
-//! a silent default.
+//! a silent default; so is a retired knob (`tile`, `no_delta`,
+//! `no_incremental`), with the reason it is gone.
 //!
 //! **Deadlines.** `?deadline_ms=N` (or the `--default-deadline-ms` serve
 //! flag; `0` = none) bounds a request end to end. A watchdog finalizes
@@ -92,8 +93,8 @@
 //! deadline — the sweep stops at its next tile / DP-stride poll. Admission
 //! control multiplies the EWMA of recent job service times by the backlog
 //! length and refuses up front (`503`, not `504`) when the wait alone
-//! already exceeds the deadline. Cancellation is an execution knob like
-//! tiling: a token that never fires leaves report bytes and cache
+//! already exceeds the deadline. Cancellation is invisible in the output
+//! like tiling: a token that never fires leaves report bytes and cache
 //! fingerprints untouched, and cancelled jobs never populate the cache.
 //!
 //! **Executors & supervision.** `--executors N` starts N executor threads,
@@ -259,7 +260,7 @@ pub use jobs::{
     Reject, WaitOutcome,
 };
 pub use metrics::{Counter, Gauge, Histogram, Metrics, RequestTimings};
-pub use params::{ParamDefaults, RequestParams};
+pub use params::RequestParams;
 pub use persist::{DiskStats, DiskTier};
 
 use http::{
@@ -395,11 +396,6 @@ pub struct ServerConfig {
     /// long its executor is replaced ([`jobs::DEFAULT_STALL_BUDGET`];
     /// `Duration::ZERO` disables stall supervision).
     pub stall_budget: Duration,
-    /// Target-tile width for analyze sweeps, in columns (0 = automatic).
-    /// Splits each scale's DP across the pool; purely an execution knob —
-    /// reports are bit-identical for every width, so it never enters cache
-    /// fingerprints. Overridable per request with `?tile=N`.
-    pub tile: usize,
     /// Report cache budget in bytes (0 disables the memory tier — no LRU
     /// is allocated).
     pub cache_bytes: usize,
@@ -443,7 +439,6 @@ impl Default for ServerConfig {
             threads: 0,
             executors: 1,
             stall_budget: jobs::DEFAULT_STALL_BUDGET,
-            tile: 0,
             cache_bytes: 64 << 20,
             cache_dir: None,
             cache_disk_bytes: 64 << 20,
@@ -474,7 +469,6 @@ struct ServerContext {
     /// The one registry `/v1/metrics` renders. The cache and job manager
     /// hold clones of this `Arc` and count into it directly.
     metrics: Arc<Metrics>,
-    tile: usize,
     max_body_bytes: usize,
     max_connections: usize,
     default_deadline_ms: u64,
@@ -529,7 +523,6 @@ impl Server {
                 )),
                 jobs: JobManager::with_config(jobs_config, Some(Arc::clone(&shared_metrics))),
                 metrics: shared_metrics,
-                tile: config.tile,
                 max_body_bytes: config.max_body_bytes,
                 max_connections: config.max_connections,
                 default_deadline_ms: config.default_deadline_ms,
@@ -984,20 +977,13 @@ fn cached_or_submitted(
     }
 }
 
-/// The server-level knob defaults a request's typed parameters fall back
-/// to (see [`params::RequestParams::parse`]).
-fn param_defaults(ctx: &ServerContext) -> ParamDefaults {
-    ParamDefaults { deadline_ms: ctx.default_deadline_ms, tile: ctx.tile }
-}
-
 fn endpoint_analyze(request: &Request, ctx: &ServerContext) -> Handled {
-    let p = RequestParams::parse(request, &param_defaults(ctx))?;
+    let p = RequestParams::parse(request, ctx.default_deadline_ms)?;
     let stream = parse_stream(request)?;
-    // execution knobs only: tiled reports are bit-identical to untiled
-    // ones, so `tile` stays OUT of the fingerprint — a request served from
-    // an entry computed under a different tiling returns the same bytes the
-    // cold run would have produced. `deadline_ms` stays out too: a deadline either leaves the
-    // result untouched or prevents there being one.
+    // execution choices stay OUT of the fingerprint: the tile layout the
+    // sweep picks (from the pool and the memory budget) never changes the
+    // bytes, and a deadline either leaves the result untouched or prevents
+    // there being one.
     let grid = SweepGrid::Geometric { points: p.points };
     let scales_hint = grid.k_values(&stream, 1).len() as u64;
 
@@ -1009,9 +995,8 @@ fn endpoint_analyze(request: &Request, ctx: &ServerContext) -> Handled {
 
     let cache_insert = cache_filler(Arc::clone(&ctx.cache), key);
     let targets = p.targets;
-    let tile = p.tile;
     let work: jobs::JobWork = Box::new(move |pool, jctx| {
-        let method = OccupancyMethod::new().grid(grid).targets(targets).tile(tile);
+        let method = OccupancyMethod::new().grid(grid).targets(targets);
         match method.try_run_on(&stream, pool, &jctx.control) {
             // cancelled sweeps never reach the cache: only complete reports
             // are content-addressed
@@ -1030,7 +1015,7 @@ fn endpoint_analyze(request: &Request, ctx: &ServerContext) -> Handled {
 }
 
 fn endpoint_validate(request: &Request, ctx: &ServerContext) -> Handled {
-    let p = RequestParams::parse(request, &param_defaults(ctx))?;
+    let p = RequestParams::parse(request, ctx.default_deadline_ms)?;
     let stream = parse_stream(request)?;
     let grid = SweepGrid::Geometric { points: p.points };
     let options = ValidationOptions {

@@ -7,10 +7,11 @@
 //! Unknown parameters are ignored (clients may probe newer servers);
 //! recognized parameters that fail to parse are a `400` with code
 //! `bad_request` and a message naming the parameter and the raw value.
-//! So are the [`RETIRED`] ablation knobs: their answer is measured and
-//! the engine always runs with both mechanisms on, so a request still
-//! asking to turn one off is told so instead of silently getting the
-//! default engine.
+//! So are the [`RETIRED`] knobs: the two ablation switches (their answer
+//! is measured and the engine always runs with both mechanisms on) and
+//! `tile` (the sweep sizes its own tiles to the memory budget), so a
+//! request still setting one is told so instead of silently getting the
+//! default behaviour.
 //!
 //! | parameter | type | default | meaning |
 //! |-----------|------|---------|---------|
@@ -18,7 +19,6 @@
 //! | `sample` | u32 | absent = exact | target-set sample size |
 //! | `seed` | u64 | 1 | sampling seed (with `sample`) |
 //! | `deadline_ms` | u64 | server default | end-to-end deadline, 0 = none |
-//! | `tile` | usize | server default | sweep tile width, 0 = auto |
 //! | `delta_min` | i64 | 1 | validation minimum delta |
 //! | `weighted` | 0/1 | 1 | validation weighted transitions |
 //! | `directed` | flag | off | parse the trace body as directed |
@@ -30,20 +30,13 @@ use saturn_core::TargetSpec;
 use saturn_linkstream::Directedness;
 use std::time::Duration;
 
-/// Server-level fallbacks for the per-request execution knobs (from the
-/// serve flags). Decoupled from the server context so the parser is unit-
-/// testable without binding a socket.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParamDefaults {
-    /// Default request deadline in milliseconds (0 = none).
-    pub deadline_ms: u64,
-    /// Default sweep tile width (0 = automatic).
-    pub tile: usize,
-}
-
-/// Ablation parameters earlier API versions accepted (delta propagation
-/// and incremental timelines off); naming one is a `400`.
-pub const RETIRED: [&str; 2] = ["no_delta", "no_incremental"];
+/// Parameters earlier API versions accepted, each with the reason it is
+/// gone; naming one is a `400`.
+pub const RETIRED: [(&str, &str); 3] = [
+    ("no_delta", "delta propagation and incremental timelines are always on"),
+    ("no_incremental", "delta propagation and incremental timelines are always on"),
+    ("tile", "the sweep sizes its own tiles to fit its memory budget"),
+];
 
 /// Every query parameter of the v1 API, parsed and defaulted.
 #[derive(Clone, Debug)]
@@ -54,8 +47,6 @@ pub struct RequestParams {
     pub targets: TargetSpec,
     /// `deadline_ms` over the server default; `None` = unbounded.
     pub deadline: Option<Duration>,
-    /// `tile` over the server default (0 = automatic).
-    pub tile: usize,
     /// `delta_min` (validation sweeps).
     pub delta_min: i64,
     /// `weighted` (validation sweeps; default on).
@@ -67,25 +58,23 @@ pub struct RequestParams {
 }
 
 impl RequestParams {
-    /// Parses every recognized parameter of `request`, falling back to
-    /// `defaults` for the server-level knobs. Any unparsable value is a
-    /// `400` naming the parameter.
+    /// Parses every recognized parameter of `request`; an absent
+    /// `deadline_ms` falls back to the server's `default_deadline_ms`. Any
+    /// unparsable value is a `400` naming the parameter.
     pub fn parse(
         request: &Request,
-        defaults: &ParamDefaults,
+        default_deadline_ms: u64,
     ) -> Result<RequestParams, ApiError> {
-        if let Some((key, raw)) =
-            RETIRED.iter().find_map(|&key| request.param(key).map(|raw| (key, raw)))
+        if let Some((key, reason, raw)) = RETIRED
+            .iter()
+            .find_map(|&(key, reason)| request.param(key).map(|raw| (key, reason, raw)))
         {
             return Err(ApiError::new(
                 400,
-                format!(
-                    "query parameter {key}={raw}: retired; delta propagation and \
-                     incremental timelines are always on"
-                ),
+                format!("query parameter {key}={raw}: retired; {reason}"),
             ));
         }
-        let deadline_ms = numeric(request, "deadline_ms", defaults.deadline_ms)?;
+        let deadline_ms = numeric(request, "deadline_ms", default_deadline_ms)?;
         // validated even when `sample` is absent: a garbled `seed` is a 400
         // like every other unparsable value, never silently ignored
         let seed = numeric(request, "seed", 1u64)?;
@@ -96,7 +85,6 @@ impl RequestParams {
                 Some(_) => TargetSpec::Sample { size: numeric(request, "sample", 0u32)?, seed },
             },
             deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
-            tile: numeric(request, "tile", defaults.tile)?,
             delta_min: numeric(request, "delta_min", 1i64)?,
             weighted: request.param("weighted").is_none_or(|v| v != "0"),
             directedness: if request.flag("directed") {
@@ -142,7 +130,7 @@ mod tests {
     }
 
     fn parse(query: &[(&str, &str)]) -> Result<RequestParams, ApiError> {
-        RequestParams::parse(&req(query), &ParamDefaults::default())
+        RequestParams::parse(&req(query), 0)
     }
 
     #[test]
@@ -151,7 +139,6 @@ mod tests {
         assert_eq!(p.points, 48);
         assert_eq!(p.targets, TargetSpec::All);
         assert_eq!(p.deadline, None);
-        assert_eq!(p.tile, 0);
         assert_eq!(p.delta_min, 1);
         assert!(p.weighted);
         assert_eq!(p.directedness, Directedness::Undirected);
@@ -160,15 +147,11 @@ mod tests {
 
     #[test]
     fn server_defaults_flow_through() {
-        let defaults = ParamDefaults { deadline_ms: 1500, tile: 8 };
-        let p = RequestParams::parse(&req(&[]), &defaults).unwrap();
+        let p = RequestParams::parse(&req(&[]), 1500).unwrap();
         assert_eq!(p.deadline, Some(Duration::from_millis(1500)));
-        assert_eq!(p.tile, 8);
-        // per-request values override every server default
-        let p = RequestParams::parse(&req(&[("deadline_ms", "0"), ("tile", "2")]), &defaults)
-            .unwrap();
+        // a per-request value overrides the server default
+        let p = RequestParams::parse(&req(&[("deadline_ms", "0")]), 1500).unwrap();
         assert_eq!(p.deadline, None);
-        assert_eq!(p.tile, 2);
     }
 
     #[test]
@@ -178,7 +161,6 @@ mod tests {
             ("sample", "64"),
             ("seed", "9"),
             ("deadline_ms", "250"),
-            ("tile", "4"),
             ("delta_min", "5"),
             ("weighted", "0"),
             ("directed", "1"),
@@ -188,7 +170,6 @@ mod tests {
         assert_eq!(p.points, 12);
         assert_eq!(p.targets, TargetSpec::Sample { size: 64, seed: 9 });
         assert_eq!(p.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(p.tile, 4);
         assert_eq!(p.delta_min, 5);
         assert!(!p.weighted);
         assert_eq!(p.directedness, Directedness::Directed);
@@ -213,10 +194,10 @@ mod tests {
             "sample",
             "seed",
             "deadline_ms",
-            "tile",
             "delta_min",
             "no_delta",
             "no_incremental",
+            "tile",
         ] {
             let e = parse(&[(key, "abc")]).unwrap_err();
             assert_eq!(e.status, 400, "{key}");
@@ -230,11 +211,27 @@ mod tests {
         }
     }
 
+    /// A retired parameter is a `400` giving its own reason, whatever the
+    /// value — `tile=0` included, so no client keeps believing it sets it.
+    #[test]
+    fn retired_parameters_name_their_reason() {
+        for (key, reason) in RETIRED {
+            for raw in ["0", "7"] {
+                let e = parse(&[("points", "8"), (key, raw)]).unwrap_err();
+                assert_eq!((e.status, e.code), (400, "bad_request"), "{key}={raw}");
+                assert_eq!(
+                    e.message,
+                    format!("query parameter {key}={raw}: retired; {reason}")
+                );
+            }
+        }
+        assert!(RETIRED.iter().any(|&(key, reason)| key == "tile" && reason.contains("tiles")));
+    }
+
     #[test]
     fn negative_and_overflow_values_are_400s() {
         assert_eq!(parse(&[("points", "-1")]).unwrap_err().status, 400);
         assert_eq!(parse(&[("deadline_ms", "-5")]).unwrap_err().status, 400);
-        assert_eq!(parse(&[("tile", "-1")]).unwrap_err().status, 400);
         assert_eq!(parse(&[("seed", "99999999999999999999999")]).unwrap_err().status, 400);
         // i64 accepts negatives: delta_min=-3 parses (the sweep clamps it)
         assert_eq!(parse(&[("delta_min", "-3")]).unwrap().delta_min, -3);

@@ -42,8 +42,7 @@ use crate::jobs::{self, JobKind};
 use crate::metrics::Metrics;
 use crate::params::{self, RequestParams};
 use crate::{
-    cache_filler, cached_or_submitted, param_defaults, ApiError, Handled, Reply, ServerContext,
-    SweepJobSpec,
+    cache_filler, cached_or_submitted, ApiError, Handled, Reply, ServerContext, SweepJobSpec,
 };
 use saturn_core::fingerprint::{self, Digest};
 use saturn_core::parallel::WorkerPool;
@@ -384,7 +383,7 @@ fn run_refresh(
 /// incrementally against the session's cache. Produces (and caches) the
 /// exact bytes `/v1/analyze` would for the same trace.
 fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Session>) -> Handled {
-    let p = RequestParams::parse(request, &param_defaults(ctx))?;
+    let p = RequestParams::parse(request, ctx.default_deadline_ms)?;
     if !request.body.is_empty() {
         return Err(ApiError::new(
             400,
@@ -427,9 +426,8 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
     let metrics = Arc::clone(&ctx.metrics);
     let session = Arc::clone(session);
     let targets = p.targets;
-    let tile = p.tile;
     let work: jobs::JobWork = Box::new(move |pool, jctx| {
-        let method = OccupancyMethod::new().grid(grid).targets(targets).tile(tile);
+        let method = OccupancyMethod::new().grid(grid).targets(targets);
         let run = run_refresh(
             &method,
             &stream,

@@ -11,6 +11,9 @@
 //!   cache hit are byte-identical, and the job queue is empty
 //! * drain under load completes within its budget and leaves coherent
 //!   counters
+//! * a trace too wide for an untiled DP table never takes the process
+//!   down: the analyze sweep runs memory-bounded tiles, and the untiled
+//!   validation DP fails as a structured 500
 
 use saturn_server::{FaultPlan, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -479,4 +482,49 @@ fn disk_fault_storm_degrades_without_failing_requests() {
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 60k-node path trace: the untiled `n × n` DP table would be ~58 GB.
+/// Analyze runs in memory-capped tiles until its deadline; validate's
+/// untiled DP cannot get its table and answers a `500` envelope; the
+/// server keeps serving, with the same bytes as a fresh one.
+#[test]
+fn wide_trace_never_takes_the_server_down() {
+    let start = || {
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 2,
+            cache_bytes: 8 << 20,
+            ..ServerConfig::default()
+        };
+        Server::bind(&config).expect("bind").spawn().expect("spawn")
+    };
+    let server = start();
+    let addr = server.addr();
+    let wide: String = (0..60_000).map(|i| format!("n{i} n{} {i}\n", i + 1)).collect();
+
+    let analyzed =
+        request(addr, "POST", "/v1/analyze?points=8&deadline_ms=1500", wide.as_bytes());
+    let v: serde_json::Value = serde_json::from_slice(&analyzed.body).expect("json envelope");
+    assert_eq!(
+        (analyzed.status, v["error"]["code"].as_str()),
+        (504, Some("deadline_exceeded")),
+        "{v}"
+    );
+
+    let validated = request(addr, "POST", "/v1/validate?points=4", wide.as_bytes());
+    let v: serde_json::Value = serde_json::from_slice(&validated.body).expect("json envelope");
+    assert_eq!(validated.status, 500, "{v}");
+    assert_eq!(v["error"]["code"].as_str(), Some("panicked"), "{v}");
+
+    assert_eq!(request(addr, "GET", "/v1/health", b"").status, 200);
+    let small = trace(6, 200, 30);
+    let after = request(addr, "POST", "/v1/analyze?points=8", small.as_bytes());
+    assert_eq!(after.status, 200);
+    server.stop();
+    let fresh = start();
+    let reference = request(fresh.addr(), "POST", "/v1/analyze?points=8", small.as_bytes());
+    assert_eq!(reference.status, 200);
+    assert_eq!(after.body, reference.body, "the wide trace must leave no trace in later bytes");
+    fresh.stop();
 }

@@ -11,7 +11,6 @@ fn start(tweak: impl FnOnce(&mut ServerConfig)) -> saturn_server::ServerHandle {
     let mut config = ServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
-        tile: 0,
         cache_bytes: 8 << 20,
         queue_depth: 16,
         max_body_bytes: 1 << 20,
@@ -126,31 +125,47 @@ fn stats_endpoint_shares_the_cli_shape() {
     server.stop();
 }
 
+/// The sweep sizes its own tiles: `?tile=` is retired (a `400` naming it,
+/// on analyze and on a session refresh alike), and the layouts that
+/// different pool sizes pick return byte-identical reports.
 #[test]
-fn tile_widths_return_byte_identical_reports() {
+fn tile_parameter_is_retired_and_threads_keep_report_bytes() {
     // caching disabled: every request is a genuinely cold sweep, so the
     // byte equality below is tiling determinism, not a cache hit
-    let server = start(|config| {
+    let one = start(|config| {
         config.cache_bytes = 0;
-        config.tile = 3;
+        config.threads = 1;
+    });
+    let four = start(|config| {
+        config.cache_bytes = 0;
         config.threads = 4;
     });
     let body = trace(8, 200, 30);
-    let reference = request(server.addr(), "POST", "/v1/analyze?points=8", body.as_bytes());
+    let reference = request(one.addr(), "POST", "/v1/analyze?points=8", body.as_bytes());
     assert_eq!(reference.status, 200);
     assert!(!json(&reference)["results"].as_array().unwrap().is_empty());
+    let wide = request(four.addr(), "POST", "/v1/analyze?points=8", body.as_bytes());
+    assert_eq!(wide.status, 200);
+    assert_eq!(reference.body, wide.body, "thread count must not change report bytes");
+
+    let created =
+        request(four.addr(), "POST", "/v1/streams?t_begin=0&t_end=6000", body.as_bytes());
+    assert_eq!(created.status, 201);
+    let sid = json(&created)["stream"].as_u64().expect("stream id");
     for target in [
-        "/v1/analyze?points=8&tile=1",
-        "/v1/analyze?points=8&tile=100",
-        "/v1/analyze?points=8&tile=0",
+        "/v1/analyze?points=8&tile=7".to_string(),
+        "/v1/analyze?points=8&tile=0".to_string(),
+        format!("/v1/streams/{sid}/analyze?points=8&tile=7"),
     ] {
-        let tiled = request(server.addr(), "POST", target, body.as_bytes());
-        assert_eq!(tiled.status, 200, "{target}");
-        assert_eq!(reference.body, tiled.body, "{target}: tiling must not change report bytes");
+        let retired = request(four.addr(), "POST", &target, body.as_bytes());
+        assert_eq!(retired.status, 400, "{target}");
+        let v = json(&retired);
+        assert_eq!(v["error"]["code"].as_str(), Some("bad_request"), "{target}");
+        let message = v["error"]["message"].as_str().unwrap();
+        assert!(message.contains("tile=") && message.contains("retired"), "{message}");
     }
-    let bad = request(server.addr(), "POST", "/v1/analyze?points=8&tile=x", body.as_bytes());
-    assert_eq!(bad.status, 400);
-    server.stop();
+    one.stop();
+    four.stop();
 }
 
 #[test]

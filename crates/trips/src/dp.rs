@@ -59,6 +59,11 @@
 //!   untiled run exactly — merging tiles in ascending column order
 //!   reproduces the untiled output bit for bit. Traversal counts are
 //!   per-edge, not per-column, so `DpStats::traversals` repeats per tile.
+//! * **Memory budget.** An arena whose tile is at most [`max_tile_cols`]
+//!   wide reserves at most [`ARENA_BUDGET_BYTES`] ([`arena_bytes`]), and
+//!   the sweep never runs a wider tile, so a worker's memory is bounded
+//!   whatever `n` is. Untiled runs have no bound, but a cell table the
+//!   allocator refuses is an unwindable panic naming it, not an abort.
 //! * **Degree-1 snapshot bypass.** A step carrying a single edge `(u, w)`
 //!   skips the slot machinery entirely: direction `u → w` reads row `w`
 //!   *live* (nothing has written it yet this step — offers only touch the
@@ -173,6 +178,31 @@ const NEVER: u32 = u32::MAX;
 /// the poll is amortized to nothing even on degree-1 timelines where a step
 /// costs a handful of instructions.
 pub const CANCEL_STRIDE: u32 = 512;
+
+/// Per-worker byte budget for one arena's column-dependent tables (module
+/// docs, "Memory budget"); [`max_tile_cols`] turns it into a tile width.
+pub const ARENA_BUDGET_BYTES: usize = 256 << 20;
+
+/// Bytes an arena reserves per (row, column), at most: the cell, the
+/// worst-case snapshot entry (a step touching every row snapshots every
+/// live cell) doubled for push growth, and the frontier, dirty and `ea`
+/// bits, doubled for resize growth.
+const ROW_COL_BYTES: usize = size_of::<Cell>() + 2 * size_of::<Snap>() + 1;
+/// Bytes per row on top: the three bitmaps' partial last words, doubled.
+const ROW_BYTES: usize = 3 * 2 * size_of::<u64>();
+
+/// Upper bound on the bytes an arena reserves for its cells, snapshot
+/// buffer and bitmaps over an `nrows × ncols` run.
+pub fn arena_bytes(nrows: usize, ncols: usize) -> usize {
+    nrows.saturating_mul(ncols.saturating_mul(ROW_COL_BYTES).saturating_add(ROW_BYTES))
+}
+
+/// The widest tile, in target columns, whose arena over `nrows` rows fits
+/// [`ARENA_BUDGET_BYTES`]; at least 1, since a single column is the
+/// narrowest layout the engine has.
+pub fn max_tile_cols(nrows: usize) -> usize {
+    ((ARENA_BUDGET_BYTES / nrows.max(1)).saturating_sub(ROW_BYTES) / ROW_COL_BYTES).max(1)
+}
 
 /// Receives every minimal trip discovered by the engine.
 ///
@@ -350,9 +380,15 @@ impl EngineArena {
         let n_cells = nrows.checked_mul(ncols).expect("state table size overflow");
         let mut epoch_restarted = false;
         if n_cells > self.cells.len() {
-            // grow: fresh allocation; ea/hops/set_at are garbage until
-            // stamped, only `stamp` needs real init
-            self.cells = vec![Cell { ea: NONE_EA, hops: 0, set_at: NEVER, stamp: 0 }; n_cells];
+            // grow: drop the old table, then allocate fallibly (a refused
+            // table unwinds instead of aborting); ea/hops/set_at are garbage
+            // until stamped, only `stamp` needs real init
+            self.cells = Vec::new();
+            if self.cells.try_reserve_exact(n_cells).is_err() {
+                let bytes = n_cells as u128 * size_of::<Cell>() as u128;
+                panic!("DP state table of {nrows} x {ncols} cells ({bytes} bytes) cannot be allocated");
+            }
+            self.cells.resize(n_cells, Cell { ea: NONE_EA, hops: 0, set_at: NEVER, stamp: 0 });
             self.epoch = 1;
             epoch_restarted = true;
         } else if self.epoch == u32::MAX {
@@ -1572,6 +1608,63 @@ mod tests {
         let run = DpRun { tile: Some((2, 2)), ..Default::default() };
         earliest_arrival_dp_in(&mut arena, &t, &targets, &mut tile, run);
         assert_eq!(tile.0, expected);
+    }
+
+    /// The budget estimate bounds what an arena really reserves, on the
+    /// worst case for every table: a complete graph fires in two windows,
+    /// so at the earlier step every row is slotted and snapshots its whole
+    /// (fully reachable) frontier.
+    #[test]
+    fn arena_reservations_stay_within_the_budget_estimate() {
+        let n = 40u32;
+        let mut text = String::new();
+        for t in 0..2 {
+            for u in 0..n {
+                for v in u + 1..n {
+                    text.push_str(&format!("{u} {v} {t}\n"));
+                }
+            }
+        }
+        let s = saturn_linkstream::io::read_str(&text, Directedness::Undirected).unwrap();
+        let t = Timeline::aggregated(&s, 2);
+        let targets = TargetSet::all(n);
+        for tile in [n, 7, 1] {
+            let mut arena = EngineArena::new();
+            let mut max_snap = 0;
+            for (start, len) in targets.tile_ranges(tile as usize) {
+                let run = DpRun { tile: Some((start, len)), ..Default::default() };
+                let stats =
+                    earliest_arrival_dp_in(&mut arena, &t, &targets, &mut NullSink, run);
+                max_snap = max_snap.max(stats.snap_entries);
+            }
+            // every row but the target's own is reachable in every column
+            assert_eq!(max_snap, u64::from((n - 1) * tile), "tile={tile}: worst case not hit");
+            let reserved = arena.cells.capacity() * size_of::<Cell>()
+                + arena.snap.capacity() * size_of::<Snap>()
+                + (arena.frontier.capacity()
+                    + arena.dirty_bits.capacity()
+                    + arena.ea_bits.capacity())
+                    * size_of::<u64>();
+            let estimate = arena_bytes(n as usize, tile as usize);
+            assert!(
+                reserved <= estimate,
+                "tile={tile}: {reserved} bytes > estimate {estimate}"
+            );
+        }
+        // the cap is the widest tile the estimate admits
+        for nrows in [1, 2, 40, 1000, 6000, 60_000, 10_000_000] {
+            let cols = max_tile_cols(nrows);
+            assert!(arena_bytes(nrows, cols) <= ARENA_BUDGET_BYTES || cols == 1, "n={nrows}");
+            assert!(arena_bytes(nrows, cols + 1) > ARENA_BUDGET_BYTES, "n={nrows}");
+        }
+    }
+
+    /// A cell table the allocator refuses is a panic naming the table —
+    /// unwindable, unlike the abort of an infallible allocation.
+    #[test]
+    #[should_panic(expected = "cannot be allocated")]
+    fn an_unallocatable_table_panics_instead_of_aborting() {
+        EngineArena::new().prepare(usize::MAX / 64, 2);
     }
 
     /// Asserts that the frontier engine, run on `arena`, and [`baseline`]
