@@ -13,7 +13,7 @@ use saturn_trips::{
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Slot counts at which the Shannon-entropy score is always evaluated
@@ -307,8 +307,8 @@ impl OccupancyMethod {
     /// Overrides the target-tile width in columns (default 0 = automatic,
     /// [`auto_tile_cols`]); either way it is clamped to [`max_tile_cols`].
     /// Reports are bit-identical for every tile width (per-tile histograms
-    /// merge exactly, in deterministic order), so the override exists for
-    /// the byte-identity tests, which force narrow tiles.
+    /// merge exactly in any order), so the override exists for the
+    /// byte-identity tests, which force narrow tiles.
     pub fn tile(mut self, tile: usize) -> Self {
         self.tile = tile;
         self
@@ -532,9 +532,12 @@ impl OccupancyMethod {
     ///
     /// **Fan-out.** The scales to compute become one `(scale, tile)` queue
     /// (finest scales first, one tile layout for the round) dispatched
-    /// across the workers; per-tile histograms merge in ascending tile
-    /// order, so results are bit-identical for every thread count and tile
-    /// width.
+    /// across the workers. A worker merges each tile it seals into its
+    /// scale's `Slot`, and the worker whose tile is the scale's last scores
+    /// the scale on the spot. Tiles merge exactly in any order
+    /// ([`OccupancyHistogram::merge`]), so results are bit-identical for
+    /// every thread count and tile width. A scratch sweep frees a scale's
+    /// histogram once it is scored; a session sweep keeps it for the cache.
     ///
     /// **Lazy timelines.** A built scale's timeline is derived by
     /// adjacent-window merging from the nearest finer scale of the round
@@ -545,20 +548,19 @@ impl OccupancyMethod {
     /// dependents; the slot's refcount (`tiles + dependents`, plus one when
     /// the cache will keep the timeline) releases the handle as soon as the
     /// last consumer is done, so without a cache only the scales in flight
-    /// (plus pending merge sources) hold timelines, and no timeline or
-    /// histogram outlives the round. Builds follow the queue's finest-first
-    /// order: a merge source always precedes its dependents, and slot
-    /// mutexes are only ever taken in descending scale order (coarser
-    /// scales wait on finer ones), so lazy cross-scale builds cannot
-    /// deadlock.
+    /// (plus pending merge sources) hold timelines. Builds follow the
+    /// queue's finest-first order: a merge source always precedes its
+    /// dependents, and slot mutexes are only ever taken in descending scale
+    /// order (coarser scales wait on finer ones), so lazy cross-scale builds
+    /// cannot deadlock.
     ///
-    /// Cancellation (`ctl.cancel`): workers poll the token before each queue
-    /// item — an already-fired token turns the remaining items into no-ops —
-    /// and thread it into the DP, which polls at a coarse step stride. A
-    /// fired token makes this return [`Cancelled`], every partial histogram
-    /// is dropped, and the cache is left untouched by this round. Progress
-    /// (`ctl.progress`) advances by one when a scale's last tile completes
-    /// (reused scales complete at once).
+    /// **Cancellation** (`ctl.cancel`): workers poll the token before each
+    /// queue item and thread it into the DP, which polls at a coarse step
+    /// stride; a tile that ends after the token fired is not merged. A
+    /// fired token makes this return [`Cancelled`]: partial merges and
+    /// scores drop with the slots, and the cache is left untouched by this
+    /// round. Progress (`ctl.progress`) advances by one when a scale is
+    /// scored (reused scales complete at once).
     fn sweep_round(
         &self,
         input: &SweepInput,
@@ -639,13 +641,17 @@ impl OccupancyMethod {
         for &j in sources.iter().flatten() {
             dependents[j] += 1;
         }
-        let keep = usize::from(cache.is_some());
+        let keep_hist = cache.is_some();
 
         struct Slot {
             timeline: Mutex<Option<Arc<Timeline>>>,
             /// Consumers (tiles + merge dependents + the cache) not yet
             /// finished; the decrement to 0 clears `timeline`.
             remaining: AtomicUsize,
+            /// Tiles not yet merged into `hist`; the last one sets `result`.
+            tiles_left: AtomicUsize,
+            hist: Mutex<OccupancyHistogram>,
+            result: OnceLock<DeltaResult>,
         }
         let slots: Vec<Slot> = seeds
             .into_iter()
@@ -655,8 +661,11 @@ impl OccupancyMethod {
                 remaining: AtomicUsize::new(if reused[i] {
                     dependents[i]
                 } else {
-                    tiles_in_scale + dependents[i] + keep
+                    tiles_in_scale + dependents[i] + usize::from(keep_hist)
                 }),
+                tiles_left: AtomicUsize::new(tiles_in_scale),
+                hist: Mutex::new(OccupancyHistogram::new()),
+                result: OnceLock::new(),
             })
             .collect();
 
@@ -701,16 +710,10 @@ impl OccupancyMethod {
             built
         }
 
-        // One countdown per scale; the worker that completes a scale's last
-        // tile advances the coarse progress counter.
-        let tiles_left: Vec<AtomicUsize> =
-            (0..ks.len()).map(|_| AtomicUsize::new(tiles_in_scale)).collect();
-
-        let parts: Vec<OccupancyHistogram> = pool.map(&items, |wid, item| {
-            // Every slot must be written, so a cancelled item still returns
-            // a (discarded) histogram — it just skips the work.
+        let span = input.stream.span();
+        pool.map(&items, |wid, item| {
             if ctl.cancel.is_cancelled() {
-                return OccupancyHistogram::new();
+                return;
             }
             let mut worker = input.workers[wid].lock().expect("worker state poisoned");
             let WorkerState { arena, counter } = &mut *worker;
@@ -726,67 +729,64 @@ impl OccupancyMethod {
             // token leaves no counts behind for this worker's next item
             let hist = counter.finish();
             let seconds = started.elapsed().as_secs_f64();
-            drop(timeline);
+            drop((worker, timeline));
             release(&slots, item.scale);
             // A token fired mid-DP leaves `hist` partial; the guard keeps a
-            // partial tile from counting its scale as done (and its garbage
-            // stats from reaching the observer).
-            if !ctl.cancel.is_cancelled() {
-                let last_tile_of_scale =
-                    tiles_left[item.scale].fetch_sub(1, Ordering::AcqRel) == 1;
-                if last_tile_of_scale {
-                    ctl.progress.add_done(1);
-                }
-                if let Some(observer) = &ctl.observer {
-                    observer.tile_done(&TileSpan {
-                        k: item.k,
-                        col_start: item.col_start,
-                        col_len: item.col_len,
-                        seconds,
-                        trips: stats.trips,
-                        traversals: stats.traversals,
-                        chain_offers: stats.chain_offers,
-                        snap_entries: stats.snap_entries,
-                        degree1_steps: stats.degree1_steps,
-                        last_tile_of_scale,
-                    });
-                }
+            // partial tile out of its scale's merge (and its garbage stats
+            // from reaching the observer).
+            if ctl.cancel.is_cancelled() {
+                return;
             }
-            hist
+            let slot = &slots[item.scale];
+            slot.hist.lock().expect("histogram slot poisoned").merge_owned(hist);
+            let last_tile_of_scale = slot.tiles_left.fetch_sub(1, Ordering::AcqRel) == 1;
+            if last_tile_of_scale {
+                // every tile is in: score the scale here, and free its
+                // histogram unless the cache keeps it
+                let mut merged = slot.hist.lock().expect("histogram slot poisoned");
+                slot.result.set(self.delta_result(span, item.k, &merged)).expect("scored once");
+                if !keep_hist {
+                    *merged = OccupancyHistogram::new();
+                }
+                ctl.progress.add_done(1);
+            }
+            if let Some(observer) = &ctl.observer {
+                observer.tile_done(&TileSpan {
+                    k: item.k,
+                    col_start: item.col_start,
+                    col_len: item.col_len,
+                    seconds,
+                    trips: stats.trips,
+                    traversals: stats.traversals,
+                    chain_offers: stats.chain_offers,
+                    snap_entries: stats.snap_entries,
+                    degree1_steps: stats.degree1_steps,
+                    last_tile_of_scale,
+                });
+            }
         });
         if ctl.cancel.is_cancelled() {
             return Err(Cancelled);
         }
-        // Deterministic merge: items are sorted by (k desc, tile asc), so a
-        // single in-order pass merges each scale's tiles in ascending tile
-        // order no matter which worker computed what.
-        let mut merged: Vec<OccupancyHistogram> =
-            (0..ks.len()).map(|_| OccupancyHistogram::new()).collect();
-        for (item, hist) in items.iter().zip(parts) {
-            merged[item.scale].merge_owned(hist);
-        }
 
-        let span = input.stream.span();
         let mut results = Vec::with_capacity(ks.len());
-        for (i, (&k, hist)) in ks.iter().zip(merged).enumerate() {
-            let Some(cache) = cache.as_deref_mut() else {
-                results.push(self.delta_result(span, k, &hist));
-                continue;
-            };
-            let epoch = cache.epoch;
-            if reused[i] {
+        for ((&k, slot), reused) in ks.iter().zip(slots).zip(reused) {
+            if reused {
+                let cache = cache.as_deref_mut().expect("only a session sweep reuses scales");
                 let entry = cache.scales.get_mut(&k).expect("reused scales are cached");
-                entry.epoch = epoch;
+                entry.epoch = cache.epoch;
                 results.push(self.delta_result(span, k, &entry.hist));
-            } else {
-                results.push(self.delta_result(span, k, &hist));
-                let timeline = slots[i]
+                continue;
+            }
+            results.push(slot.result.into_inner().expect("every computed scale is scored"));
+            if let Some(cache) = cache.as_deref_mut() {
+                let timeline = slot
                     .timeline
-                    .lock()
+                    .into_inner()
                     .expect("timeline slot poisoned")
-                    .take()
                     .expect("the cache holds a reference to every computed timeline");
-                cache.scales.insert(k, CachedScale { timeline, hist, epoch });
+                let hist = slot.hist.into_inner().expect("histogram slot poisoned");
+                cache.scales.insert(k, CachedScale { timeline, hist, epoch: cache.epoch });
             }
         }
         Ok(results)
@@ -1038,16 +1038,25 @@ mod tests {
     /// sweep cancelled from the observer after its first tile (the other
     /// worker is then usually inside a DP, which stops at its next poll)
     /// must leave nothing behind: the next, uncancelled sweep on the same
-    /// pool reports the same bytes as a fresh pool.
+    /// pool reports the same bytes as a fresh pool. So must a sweep
+    /// cancelled right after a worker scored a scale, untiled and tiled.
     #[test]
     fn a_sweep_cancelled_mid_dp_leaves_no_state_for_the_next_sweep() {
         use crate::control::{SweepObserver, TileSpan};
         use saturn_trips::CancelToken;
 
-        struct CancelAfterFirstTile(CancelToken);
-        impl SweepObserver for CancelAfterFirstTile {
-            fn tile_done(&self, _: &TileSpan) {
-                self.0.cancel();
+        /// Cancels on the first tile, or with `on_scored` on the first tile
+        /// that scores its scale (a worker has just merged, scored and
+        /// dropped a histogram while others are mid-merge or mid-DP).
+        struct Canceller {
+            token: CancelToken,
+            on_scored: bool,
+        }
+        impl SweepObserver for Canceller {
+            fn tile_done(&self, span: &TileSpan) {
+                if span.last_tile_of_scale || !self.on_scored {
+                    self.token.cancel();
+                }
             }
         }
 
@@ -1060,15 +1069,17 @@ mod tests {
         let tiled = method.clone().tile(4);
         let mut pool = WorkerPool::new(2);
         for m in [&method, &tiled] {
-            let token = CancelToken::new();
-            let ctl = SweepControl {
-                cancel: token.clone(),
-                observer: Some(Arc::new(CancelAfterFirstTile(token))),
-                ..SweepControl::default()
-            };
-            assert!(matches!(m.try_run_on(&s, &mut pool, &ctl), Err(Cancelled)));
-            let reused = m.run_on(&s, &mut pool).to_json();
-            assert_eq!(reused, m.run_on(&s, &mut WorkerPool::new(2)).to_json());
+            let fresh = m.run_on(&s, &mut WorkerPool::new(2)).to_json();
+            for on_scored in [false, true] {
+                let token = CancelToken::new();
+                let ctl = SweepControl {
+                    cancel: token.clone(),
+                    observer: Some(Arc::new(Canceller { token, on_scored })),
+                    ..SweepControl::default()
+                };
+                assert!(matches!(m.try_run_on(&s, &mut pool, &ctl), Err(Cancelled)));
+                assert_eq!(m.run_on(&s, &mut pool).to_json(), fresh);
+            }
         }
     }
 

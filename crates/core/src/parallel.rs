@@ -289,8 +289,8 @@ where
 
 /// One unit of tiled sweep work: a contiguous target-column range of one
 /// aggregation scale. Produced by [`sweep_queue`]; the per-tile histograms
-/// of one scale merge in ascending `tile` order to reproduce the untiled
-/// scale bit for bit.
+/// of one scale merge, exactly and in any order, into the untiled scale's
+/// histogram bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepItem {
     /// Index of the scale in the caller's `ks` list.
@@ -301,10 +301,6 @@ pub struct SweepItem {
     pub col_start: u32,
     /// Number of columns in the tile.
     pub col_len: u32,
-    /// Tile index within the scale — the deterministic merge order.
-    pub tile: usize,
-    /// Total tiles of this scale (1 = the scale runs untiled).
-    pub tiles_in_scale: usize,
 }
 
 /// Builds the tiled work queue over `ks` scales × the given column tiles
@@ -313,11 +309,10 @@ pub struct SweepItem {
 /// sorted size-aware: finest scale (largest `k`) first, tiles of one scale
 /// in ascending column order.
 pub fn sweep_queue(ks: &[u64], tile_ranges: &[(u32, u32)]) -> Vec<SweepItem> {
-    let tiles_in_scale = tile_ranges.len();
-    let mut items = Vec::with_capacity(ks.len() * tiles_in_scale);
+    let mut items = Vec::with_capacity(ks.len() * tile_ranges.len());
     for (scale, &k) in ks.iter().enumerate() {
-        for (tile, &(col_start, col_len)) in tile_ranges.iter().enumerate() {
-            items.push(SweepItem { scale, k, col_start, col_len, tile, tiles_in_scale });
+        for &(col_start, col_len) in tile_ranges {
+            items.push(SweepItem { scale, k, col_start, col_len });
         }
     }
     // finest first; stable so tiles of one scale keep ascending order, and
@@ -506,8 +501,6 @@ mod tests {
             assert_eq!(scale_items[1].col_start, 4);
             assert_eq!(scale_items[2].col_start, 8);
             assert_eq!(scale_items[2].col_len, 2);
-            assert!(scale_items.iter().all(|i| i.tiles_in_scale == 3));
-            assert_eq!(scale_items.iter().map(|i| i.tile).collect::<Vec<_>>(), vec![0, 1, 2]);
         }
         // scale indices refer to the ORIGINAL ks positions
         assert_eq!(items[0].scale, 1);
@@ -519,7 +512,7 @@ mod tests {
     fn sweep_queue_untiled_layout() {
         let items = sweep_queue(&[7, 3], &[(0, 10)]);
         assert_eq!(items.len(), 2);
-        assert!(items.iter().all(|i| i.col_len == 10 && i.tiles_in_scale == 1));
+        assert!(items.iter().all(|i| i.col_start == 0 && i.col_len == 10));
     }
 
     #[test]

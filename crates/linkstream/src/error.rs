@@ -39,6 +39,14 @@ pub enum BuildError {
         /// The sampling phase.
         phase: i64,
     },
+    /// Periodic sampling would read more punctual events than
+    /// [`MAX_SAMPLED_EVENTS`](crate::interval::MAX_SAMPLED_EVENTS).
+    TooManySamples {
+        /// Reads the sampling would produce, summed over every link.
+        reads: u128,
+        /// The cap.
+        cap: u64,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -58,6 +66,10 @@ impl fmt::Display for BuildError {
             BuildError::SamplingOverflow { begin, phase } => write!(
                 f,
                 "first sampling instant {begin} + {phase} is past the last representable tick"
+            ),
+            BuildError::TooManySamples { reads, cap } => write!(
+                f,
+                "periodic sampling would read {reads} events, more than the cap of {cap}"
             ),
         }
     }

@@ -23,6 +23,11 @@ use crate::{
 };
 use serde::Serialize;
 
+/// Most punctual events [`IntervalStream::sample_periodic`] reads: the trip
+/// engine indexes steps and edges with `u32`, so a larger stream could not
+/// be analyzed anyway.
+pub const MAX_SAMPLED_EVENTS: u64 = u32::MAX as u64;
+
 /// One link existing over the closed interval `[start, end]`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct IntervalLink {
@@ -112,9 +117,11 @@ impl IntervalStream {
     /// Read instants past `i64::MAX` do not exist, so a link is read up to
     /// its end or the last representable instant, whichever comes first.
     /// Fails with [`BuildError::SamplingOverflow`] when the first read
-    /// instant `t_begin + phase` is not representable, and with
+    /// instant `t_begin + phase` is not representable, with
     /// [`BuildError::SpanOverflow`] (before sampling anything) when the
-    /// study period is longer than `i64::MAX` ticks.
+    /// study period is longer than `i64::MAX` ticks, and with
+    /// [`BuildError::TooManySamples`] (also before sampling anything) when
+    /// the reads would exceed [`MAX_SAMPLED_EVENTS`].
     ///
     /// # Panics
     /// Panics if `period < 1` or `phase < 0`.
@@ -125,18 +132,31 @@ impl IntervalStream {
         let begin = self.t_begin.ticks();
         let first =
             begin.checked_add(phase).ok_or(BuildError::SamplingOverflow { begin, phase })?;
+        // first sampling instant >= link.start, in i128 so that neither the
+        // offset nor the rounded-up instant can wrap; past i64::MAX the link
+        // is never read
+        let first_read = |link: &IntervalLink| {
+            let offset = i128::from(link.start.ticks()) - i128::from(first);
+            let steps = if offset <= 0 { 0 } else { (offset - 1) / i128::from(period) + 1 };
+            i64::try_from(i128::from(first) + steps * i128::from(period)).ok()
+        };
+        let reads: i128 = self
+            .links
+            .iter()
+            .filter_map(|link| Some((first_read(link)?, link.end.ticks())))
+            .filter(|&(t, end)| t <= end)
+            .map(|(t, end)| (i128::from(end) - i128::from(t)) / i128::from(period) + 1)
+            .sum();
+        if reads > i128::from(MAX_SAMPLED_EVENTS) {
+            return Err(BuildError::TooManySamples {
+                reads: reads as u128,
+                cap: MAX_SAMPLED_EVENTS,
+            });
+        }
         let mut b = self.punctual_builder();
         b.period(self.t_begin, self.t_end);
         for link in &self.links {
-            // first sampling instant >= link.start, in i128 so that neither
-            // the offset nor the rounded-up instant can wrap; past i64::MAX
-            // the link is never read
-            let offset = i128::from(link.start.ticks()) - i128::from(first);
-            let steps = if offset <= 0 { 0 } else { (offset - 1) / i128::from(period) + 1 };
-            let Ok(mut t) = i64::try_from(i128::from(first) + steps * i128::from(period))
-            else {
-                continue;
-            };
+            let Some(mut t) = first_read(link) else { continue };
             while t <= link.end.ticks() {
                 b.add_indexed(link.u.raw(), link.v.raw(), t);
                 let Some(next) = t.checked_add(period) else { break };
@@ -334,6 +354,30 @@ mod tests {
         let p = s.sample_periodic(1, 0).unwrap();
         // a-b: 11 reads; b-c: 1; c-d: 9
         assert_eq!(p.len(), 21);
+    }
+
+    /// A link spanning almost the whole `i64` range, read every tick, is
+    /// refused at once instead of pushing ~2^63 events.
+    #[test]
+    fn sampling_refuses_more_reads_than_the_cap() {
+        let mut b = IntervalStreamBuilder::new(Directedness::Undirected);
+        b.add("a", "b", -1, i64::MAX - 1);
+        let s = b.build().unwrap();
+        let reads = i64::MAX as u128 + 1;
+        let err = s.sample_periodic(1, 0).unwrap_err();
+        assert_eq!(err, BuildError::TooManySamples { reads, cap: MAX_SAMPLED_EVENTS });
+        assert!(err.to_string().contains(&format!("{reads} events")), "{err}");
+
+        // the cap bounds the sum over links, not each link: two links of
+        // 2^31 + 1 reads each are under it alone and over it together
+        let mut b = IntervalStreamBuilder::new(Directedness::Undirected);
+        b.add("a", "b", 0, 1i64 << 31);
+        b.add("b", "c", 0, 1i64 << 31);
+        let reads = 2 * ((1u128 << 31) + 1);
+        assert_eq!(
+            b.build().unwrap().sample_periodic(1, 0).unwrap_err(),
+            BuildError::TooManySamples { reads, cap: MAX_SAMPLED_EVENTS }
+        );
     }
 
     #[test]

@@ -226,6 +226,15 @@ impl OccupancyHistogram {
 
     /// Merges another histogram into this one (a linear merge of the two
     /// key-sorted vectors).
+    ///
+    /// **Contract: the order of merges never shows.** The merge is a
+    /// key-sorted union that adds integer counts, so merging any set of
+    /// histograms in any order and grouping (by [`merge`](Self::merge) or
+    /// [`merge_owned`](Self::merge_owned)) yields the same `counts` and
+    /// `total`, hence equal histograms and bit-identical
+    /// [`mean`](Self::mean) and [`sorted_rates`](Self::sorted_rates). A
+    /// sweep relies on this to merge a scale's tiles in whatever order its
+    /// workers finish them.
     pub fn merge(&mut self, other: &OccupancyHistogram) {
         if other.counts.is_empty() {
             return;

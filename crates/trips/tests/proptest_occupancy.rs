@@ -165,4 +165,40 @@ proptest! {
         }
         prop_assert_eq!(counter.finish(), merged);
     }
+
+    /// What a sweep relies on to merge a scale's tiles as workers finish
+    /// them: the trips dealt at random into 1–8 parts, each sealed by its
+    /// own counter, merge in any order (by `merge` or `merge_owned`) into
+    /// the histogram one counter seals from all the trips.
+    #[test]
+    fn tile_histograms_merge_the_same_in_any_order(
+        trips in arb_trips(),
+        parts in 1usize..=8,
+        deal in proptest::collection::vec(0usize..8, 160..161),
+        order_seed in any::<u64>(),
+        owned_mask in any::<u32>(),
+    ) {
+        let mut counters: Vec<RateCounter> = (0..parts).map(|_| RateCounter::new()).collect();
+        for (&(hops, duration), &part) in trips.iter().zip(&deal) {
+            counters[part % parts].record(hops, duration);
+        }
+        let sealed: Vec<OccupancyHistogram> = counters.iter_mut().map(|c| c.finish()).collect();
+        let mut merged = OccupancyHistogram::new();
+        for (i, p) in permutation(parts, order_seed).into_iter().enumerate() {
+            if owned_mask >> i & 1 == 1 {
+                merged.merge_owned(sealed[p].clone());
+            } else {
+                merged.merge(&sealed[p]);
+            }
+        }
+
+        let mut one = RateCounter::new();
+        for &(hops, duration) in &trips {
+            one.record(hops, duration);
+        }
+        let whole = one.finish();
+        prop_assert_eq!(merged.sorted_rates(), whole.sorted_rates());
+        prop_assert_eq!(merged.mean().to_bits(), whole.mean().to_bits());
+        prop_assert_eq!(merged, whole);
+    }
 }
