@@ -9,7 +9,7 @@ use saturn_synth::TimeUniform;
 use saturn_trips::dp::{baseline, NullSink};
 use saturn_trips::{
     earliest_arrival_dp_in, occupancy_histogram_in, DpOptions, EngineArena, EventView,
-    TargetSet, Timeline,
+    ExactStream, TargetSet, Timeline,
 };
 
 /// DP cost vs n at fixed per-pair activity: the paper's O(nM) means cost per
@@ -200,8 +200,9 @@ fn bench_timeline_build(c: &mut Criterion) {
 fn bench_stream_trips(c: &mut Criterion) {
     let stream =
         TimeUniform { nodes: 40, links_per_pair: 10, span: 100_000, seed: 4 }.generate();
+    let (all, arena) = (TargetSet::all(40), &mut EngineArena::new());
     c.bench_function("stream_minimal_trips", |b| {
-        b.iter(|| saturn_trips::stream_minimal_trips(&stream, &TargetSet::all(40), true))
+        b.iter(|| ExactStream::new(&stream, true).tile_trips(arena, &all, (0, 40), None))
     });
 }
 

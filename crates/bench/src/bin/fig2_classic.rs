@@ -8,7 +8,7 @@
 //! the other — no scale stands out — which motivates the occupancy method.
 
 use saturn_bench::{dataset, grid_points, write_table, HOUR};
-use saturn_core::{classic_sweep, SweepGrid, TargetSpec};
+use saturn_core::{classic_sweep, SweepGrid, TargetSpec, WorkerPool};
 use saturn_synth::DatasetProfile;
 
 fn main() {
@@ -19,8 +19,8 @@ fn main() {
         &stream,
         &SweepGrid::Geometric { points: grid_points(40) },
         TargetSpec::All,
-        0,
         1,
+        &mut WorkerPool::new(0),
     );
 
     let rows: Vec<Vec<f64>> = points

@@ -9,7 +9,8 @@
 
 use saturn_bench::{dataset, grid_points, write_series, HOUR};
 use saturn_core::{
-    validation_sweep, OccupancyMethod, SweepGrid, TargetSpec, ValidationOptions,
+    validation_sweep, OccupancyMethod, SweepControl, SweepGrid, TargetSpec, ValidationOptions,
+    WorkerPool,
 };
 use saturn_synth::DatasetProfile;
 
@@ -29,7 +30,10 @@ fn main() {
         &SweepGrid::Geometric { points: grid_points(40) },
         TargetSpec::All,
         &ValidationOptions::default(),
-    );
+        &mut WorkerPool::new(0),
+        &SweepControl::new(),
+    )
+    .expect("a sweep whose token never fires cannot be cancelled");
 
     let loss: Vec<(f64, f64)> =
         report.points.iter().map(|p| (p.delta_ticks / HOUR, p.lost_transitions)).collect();

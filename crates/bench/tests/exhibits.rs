@@ -36,20 +36,35 @@ fn make_plots_generates_a_script() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every paper exhibit in fast mode: each binary asserts the paper's claims
+/// itself, so exiting 0 is the test.
 #[test]
 fn fast_mode_fig2_runs_with_assertions() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig2_classic"))
-        .env("SATURN_FAST", "1")
-        .env(
-            "SATURN_OUT",
-            std::env::temp_dir().join(format!("saturn-fig2-test-{}", std::process::id())),
-        )
-        .output()
-        .expect("runs");
-    assert!(
-        out.status.success(),
-        "fig2_classic failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("monotone drifts confirmed"));
+    let exhibits = [
+        ("fig2_classic", env!("CARGO_BIN_EXE_fig2_classic")),
+        ("fig3_icd_proximity", env!("CARGO_BIN_EXE_fig3_icd_proximity")),
+        ("fig4_icd_others", env!("CARGO_BIN_EXE_fig4_icd_others")),
+        ("fig5_proximity_others", env!("CARGO_BIN_EXE_fig5_proximity_others")),
+        ("fig6_synthetic", env!("CARGO_BIN_EXE_fig6_synthetic")),
+        ("fig7_selection", env!("CARGO_BIN_EXE_fig7_selection")),
+        ("fig8_validation", env!("CARGO_BIN_EXE_fig8_validation")),
+        ("table_gamma", env!("CARGO_BIN_EXE_table_gamma")),
+    ];
+    let dir = std::env::temp_dir().join(format!("saturn-exhibits-test-{}", std::process::id()));
+    for (name, exe) in exhibits {
+        let out = Command::new(exe)
+            .env("SATURN_FAST", "1")
+            .env("SATURN_OUT", &dir)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{name} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        if name == "fig2_classic" {
+            assert!(String::from_utf8_lossy(&out.stdout).contains("monotone drifts confirmed"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,15 +14,15 @@
 //! saturn help
 //! ```
 
-use saturn_core::parallel::WorkerPool;
 use saturn_core::{
     json_trace_from_env, validation_sweep, JsonTraceObserver, OccupancyMethod, SweepControl,
-    SweepGrid, TargetSpec, ValidationOptions,
+    SweepGrid, TargetSpec, ValidationOptions, WorkerPool,
 };
 use saturn_linkstream::{io, Directedness, LinkStream};
 use saturn_server::{FaultPlan, Server, ServerConfig};
 use saturn_synth::DatasetProfile;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -268,20 +268,15 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let stream = load(&f)?;
     let method = OccupancyMethod::new()
         .grid(SweepGrid::Geometric { points: f.points })
-        .targets(targets(&f))
-        .threads(f.threads);
-    let report = if json_trace_from_env() {
-        // SATURN_TRACE=json: mirror every completed (scale, tile) span as a
-        // JSON line on stderr, same format `saturn serve` emits. Observation
-        // only — report bytes are identical with or without the observer.
-        let mut pool = WorkerPool::new(f.threads);
-        let ctl = SweepControl::with_observer(std::sync::Arc::new(JsonTraceObserver));
-        method
-            .try_run_on(&stream, &mut pool, &ctl)
-            .expect("a sweep whose token never fires cannot be cancelled")
-    } else {
-        method.run(&stream)
-    };
+        .targets(targets(&f));
+    // SATURN_TRACE=json: mirror every completed (scale, tile) span as a JSON
+    // line on stderr, same format `saturn serve` emits. Observation only —
+    // report bytes are identical with or without the observer.
+    let observer = json_trace_from_env().then(|| Arc::new(JsonTraceObserver) as _);
+    let ctl = SweepControl { observer, ..SweepControl::default() };
+    let report = method
+        .try_run_on(&stream, &mut WorkerPool::new(f.threads), &ctl)
+        .expect("a sweep whose token never fires cannot be cancelled");
     if f.json {
         println!("{}", report.to_json());
     } else {
@@ -297,8 +292,11 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         &stream,
         &SweepGrid::Geometric { points: f.points },
         targets(&f),
-        &ValidationOptions { threads: f.threads, ..ValidationOptions::default() },
-    );
+        &ValidationOptions::default(),
+        &mut WorkerPool::new(f.threads),
+        &SweepControl::new(),
+    )
+    .expect("a sweep whose token never fires cannot be cancelled");
     if f.json {
         println!("{}", serde_json::to_string_pretty(&report).expect("serializable"));
         return Ok(());

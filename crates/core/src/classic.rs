@@ -6,12 +6,15 @@
 //! method (the occupancy method) is needed. This sweep reproduces those
 //! curves.
 
-use crate::parallel::parallel_map;
+use crate::parallel::WorkerPool;
 use crate::{SweepGrid, TargetSpec};
 use saturn_graphseries::{snapshot_means, SnapshotMeans};
 use saturn_linkstream::LinkStream;
-use saturn_trips::{distance_means_on, DistanceMeans, EventView, Timeline};
+use saturn_trips::{
+    distance_means_in, dp::max_tile_cols, DistanceMeans, EngineArena, EventView, Timeline,
+};
 use serde::Serialize;
+use std::sync::Mutex;
 
 /// The classical statistics of `G_Δ` at one scale.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -28,25 +31,28 @@ pub struct ClassicPoint {
     pub distances: DistanceMeans,
 }
 
-/// Sweeps the classical parameters over `grid`, in parallel.
+/// Sweeps the classical parameters over `grid` on `pool`, one item per scale
+/// whose DP runs in its worker's arena, in budget-sized tiles
+/// ([`max_tile_cols`]); the points depend on neither tiles nor pool size.
 pub fn classic_sweep(
     stream: &LinkStream,
     grid: &SweepGrid,
     targets: TargetSpec,
-    threads: usize,
     delta_min: i64,
+    pool: &mut WorkerPool,
 ) -> Vec<ClassicPoint> {
-    let target_set = targets.build(stream.node_count() as u32);
-    let view = EventView::new(stream);
+    let tile_cols = max_tile_cols(stream.node_count());
+    let targets = targets.build(stream.node_count() as u32);
+    let (view, span) = (EventView::new(stream), stream.span());
     let ks = grid.k_values(stream, delta_min);
-    let mut points = parallel_map(&ks, threads, |&k| {
+    let arenas: Vec<Mutex<EngineArena>> =
+        (0..pool.parallelism()).map(|_| Mutex::default()).collect();
+    let mut points = pool.map(&ks, |wid, &k| {
         let timeline = Timeline::aggregated_from_view(&view, k);
-        ClassicPoint {
-            k,
-            delta_ticks: stream.span() as f64 / k as f64,
-            snapshots: snapshot_means(stream, k),
-            distances: distance_means_on(&timeline, stream.span(), k, &target_set),
-        }
+        let mut arena = arenas[wid].lock().expect("arena poisoned");
+        let distances = distance_means_in(&mut arena, &timeline, span, k, &targets, tile_cols);
+        let (delta_ticks, snapshots) = (span as f64 / k as f64, snapshot_means(stream, k));
+        ClassicPoint { k, delta_ticks, snapshots, distances }
     });
     points.sort_unstable_by_key(|p| std::cmp::Reverse(p.k)); // Δ ascending
     points
@@ -68,8 +74,8 @@ mod tests {
     #[test]
     fn monotone_drifts_match_the_paper() {
         let s = stream();
-        let pts =
-            classic_sweep(&s, &SweepGrid::Geometric { points: 10 }, TargetSpec::All, 2, 1);
+        let grid = SweepGrid::Geometric { points: 10 };
+        let pts = classic_sweep(&s, &grid, TargetSpec::All, 1, &mut WorkerPool::new(2));
         assert!(pts.len() >= 5);
         let first = pts.first().unwrap(); // finest Δ
         let last = pts.last().unwrap(); // Δ = T
@@ -92,7 +98,37 @@ mod tests {
     #[test]
     fn points_are_delta_sorted() {
         let s = stream();
-        let pts = classic_sweep(&s, &SweepGrid::Linear { points: 6 }, TargetSpec::All, 1, 1);
+        let grid = SweepGrid::Linear { points: 6 };
+        let pts = classic_sweep(&s, &grid, TargetSpec::All, 1, &mut WorkerPool::new(1));
         assert!(pts.windows(2).all(|w| w[0].delta_ticks < w[1].delta_ticks));
+    }
+
+    #[test]
+    fn points_are_bit_identical_across_tile_widths() {
+        let s = stream();
+        let grid = SweepGrid::Geometric { points: 10 };
+        let spec = TargetSpec::Sample { size: 7, seed: 3 };
+        // floats print shortest round-trip: equal text is equal bits
+        let json = |points: &[ClassicPoint]| serde_json::to_string(points).unwrap();
+        let pts = classic_sweep(&s, &grid, spec, 1, &mut WorkerPool::new(1));
+        assert_eq!(
+            json(&pts),
+            json(&classic_sweep(&s, &grid, spec, 1, &mut WorkerPool::new(3)))
+        );
+        // the budget fits this stream in one tile; narrower tiles sum the
+        // same integer distance sums
+        let (targets, mut arena) = (spec.build(10), EngineArena::new());
+        for p in &pts {
+            let timeline = Timeline::aggregated(&s, p.k);
+            for width in [1, 2, 3, 7] {
+                let d =
+                    distance_means_in(&mut arena, &timeline, s.span(), p.k, &targets, width);
+                assert_eq!(
+                    json(&[ClassicPoint { distances: d, ..*p }]),
+                    json(&[*p]),
+                    "{width}"
+                );
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! executing it.
 //!
 //! A [`SweepControl`] is handed to [`OccupancyMethod::try_run_on`] or
-//! [`try_validation_sweep_on`]; firing its [`CancelToken`] makes the sweep
+//! [`validation_sweep`]; firing its [`CancelToken`] makes the sweep
 //! stop at the next `(scale, tile)` item boundary — and, inside a running
 //! DP, within one [`CANCEL_STRIDE`](saturn_trips::CANCEL_STRIDE) of steps —
 //! after which the entry point returns [`Cancelled`] and every partial
@@ -14,7 +14,7 @@
 //! fingerprints (the knob-matrix invariant).
 //!
 //! [`OccupancyMethod::try_run_on`]: crate::OccupancyMethod::try_run_on
-//! [`try_validation_sweep_on`]: crate::try_validation_sweep_on
+//! [`validation_sweep`]: crate::validation_sweep
 
 use saturn_trips::CancelToken;
 use std::fmt;
@@ -25,7 +25,8 @@ use std::sync::Arc;
 /// Progress of a sweep in whole *scales* (grid points fully analyzed over
 /// all their tiles). Coarse on purpose: scales are the unit a client can
 /// reason about (`scales_done/scales_total` in timeout error bodies), and
-/// the counters are only touched once per scale, not per tile.
+/// the counters are only touched once per scale, not per tile. Validation,
+/// tile-major, counts `(tile, scale)` items instead, out of scales × tiles.
 ///
 /// `total` is set when the sweep starts from the initial grid size and grows
 /// as refinement rounds append scales, so `done == total` only at the very

@@ -60,10 +60,8 @@ pub use method::{
     DeltaResult, KeepPolicy, OccupancyMethod, RefreshStats, SweepCache, TargetSpec,
     UniformityScores,
 };
+pub use parallel::WorkerPool;
 pub use report::{GammaResult, OccupancyReport};
 pub use saturn_trips::{CancelToken, Cancelled};
 pub use selection::{compare_selection_methods, SelectionComparison};
-pub use validation::{
-    try_validation_sweep_on, validation_sweep, validation_sweep_on, ValidationOptions,
-    ValidationPoint, ValidationReport,
-};
+pub use validation::{validation_sweep, ValidationOptions, ValidationPoint, ValidationReport};

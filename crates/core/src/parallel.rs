@@ -13,15 +13,12 @@
 //! expensive head of the queue spreads across workers while the cheap tail
 //! backfills.
 //!
-//! Unlike the earlier per-call `crossbeam::thread::scope` + `Mutex<Vec>` +
-//! sort design, a [`WorkerPool`] spawns its OS threads **once** and reuses
-//! them for every [`map`](WorkerPool::map) call — the occupancy method runs
-//! one coarse sweep plus several refinement rounds per analysis, and thread
-//! spawn/join latency per round is pure overhead. Results are written into
-//! pre-sized slots by item index (no result mutex, no post-hoc sort), and
-//! the worker id passed to the callback lets callers pin per-worker scratch
-//! state (the DP engine's [`EngineArena`](saturn_trips::EngineArena)) for
-//! the pool's whole lifetime.
+//! A [`WorkerPool`] spawns its OS threads **once** and reuses them for every
+//! [`map`](WorkerPool::map) call: an analysis runs one round per refinement
+//! pass and a validation one per tile, and per-round spawn/join would be
+//! pure overhead. Results land in pre-sized slots by item index, and the
+//! worker id passed to the callback pins per-worker scratch state (the DP
+//! engine's [`EngineArena`](saturn_trips::EngineArena)) for the pool's life.
 //!
 //! # Safety model
 //!
@@ -77,7 +74,10 @@ impl WorkerPool {
     /// `threads - 1` OS threads are spawned; `threads <= 1` spawns none and
     /// every map runs inline.
     pub fn new(threads: usize) -> Self {
-        let parallelism = resolve_threads(threads);
+        let parallelism = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads => threads,
+        };
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 round: None,
@@ -268,25 +268,6 @@ impl<R> Drop for Slots<R> {
     }
 }
 
-/// Applies `f` to every item with `threads` total parallelism (0 = all
-/// available cores). Results are returned in input order; worker panics
-/// propagate. Single-sweep convenience over a transient [`WorkerPool`];
-/// multi-round callers should hold a pool and call
-/// [`WorkerPool::map`] directly.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let mut pool = WorkerPool::new(threads);
-    pool.map(items, |_wid, item| f(item))
-}
-
 /// One unit of tiled sweep work: a contiguous target-column range of one
 /// aggregation scale. Produced by [`sweep_queue`]; the per-tile histograms
 /// of one scale merge, exactly and in any order, into the untiled scale's
@@ -376,22 +357,6 @@ pub fn auto_tile_cols(n: usize, ncols: usize, scales: usize, parallelism: usize)
     ncols.div_ceil(tiles_per_scale).max(MIN_TILE).min(ncols).min(max_tile_cols(n))
 }
 
-/// Resolves a requested total parallelism: 0 means "all available cores".
-fn resolve_threads(requested: usize) -> usize {
-    let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if requested == 0 {
-        avail
-    } else {
-        requested.max(1)
-    }
-}
-
-/// Resolves a requested thread count against an item count: 0 means "all
-/// available cores", and the result never exceeds the item count.
-pub fn effective_threads(requested: usize, items: usize) -> usize {
-    resolve_threads(requested).clamp(1, items.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,30 +366,34 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(&items, 8, |&x| x * 2);
+        let out = WorkerPool::new(8).map(&items, |_wid, &x| x * 2);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_thread_path() {
         let items = vec![1, 2, 3];
-        let out = parallel_map(&items, 1, |&x| x + 1);
+        let out = WorkerPool::new(1).map(&items, |_wid, &x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
     fn zero_means_auto() {
         let items: Vec<u32> = (0..100).collect();
-        let out = parallel_map(&items, 0, |&x| x);
+        let mut pool = WorkerPool::new(0);
+        let out = pool.map(&items, |_wid, &x| x);
         assert_eq!(out.len(), 100);
-        assert!(effective_threads(0, 100) >= 1);
-        assert_eq!(effective_threads(16, 4), 4); // capped by items
+        assert!(pool.parallelism() >= 1);
+        // a pool wider than the items still hands out in-range worker ids
+        let mut wide = WorkerPool::new(16);
+        let ids = wide.map(&[0u32; 4], |wid, _| wid);
+        assert!(ids.iter().all(|&wid| wid < wide.parallelism()));
     }
 
     #[test]
     fn empty_input() {
         let items: Vec<u32> = vec![];
-        let out = parallel_map(&items, 4, |&x| x);
+        let out = WorkerPool::new(4).map(&items, |_wid, &x| x);
         assert!(out.is_empty());
     }
 
@@ -432,7 +401,7 @@ mod tests {
     fn uneven_work_is_balanced() {
         // heavier work for early items; just checks completion & order
         let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map(&items, 8, |&x| {
+        let out = WorkerPool::new(8).map(&items, |_wid, &x| {
             let mut acc = 0u64;
             for i in 0..(64 - x) * 1000 {
                 acc = acc.wrapping_add(i);

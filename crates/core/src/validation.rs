@@ -10,16 +10,24 @@
 //!
 //! Both stay flat over several orders of magnitude of `Δ` and take off
 //! around the saturation scale, validating the occupancy method's choice.
+//!
+//! The sweep runs on the shared pool in [`max_tile_cols`]`(n)`-wide target
+//! tiles, whatever the thread count. Per tile, in column order, the exact
+//! DP computes the tile's reference ([`ExactStream::tile_trips`]), then one
+//! item per scale scores the same columns against it. Counts add up exactly,
+//! elongation sums in tile order; one tile (≤ ~2,340 nodes, all targets)
+//! gives the untiled report bit for bit.
 
 use crate::control::SweepControl;
-use crate::parallel::{effective_threads, WorkerPool};
+use crate::parallel::WorkerPool;
 use crate::{SweepGrid, TargetSpec};
 use saturn_linkstream::LinkStream;
 use saturn_trips::{
-    elongation_stats_on, lost_transition_fraction, stream_minimal_trips, Cancelled,
-    ElongationStats, EventView, Timeline,
+    dp::max_tile_cols, elongation_sums_in, lost_transition_weight, Cancelled, ElongationStats,
+    ElongationSums, EngineArena, EventView, ExactStream, Timeline,
 };
 use serde::Serialize;
+use std::sync::Mutex;
 
 /// Loss measures at one scale.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -46,13 +54,9 @@ pub struct ValidationReport {
     pub reference_transitions: u64,
 }
 
-/// Named knobs of a validation sweep (replaces the former opaque positional
-/// `threads, delta_min, weighted_transitions` arguments).
+/// Named knobs of a validation sweep.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct ValidationOptions {
-    /// Worker thread count (0 = all available cores). Ignored by
-    /// [`validation_sweep_on`], which runs on a caller-provided pool.
-    pub threads: usize,
     /// Smallest aggregation period in ticks (1 = the resolution of integer
     /// timestamps).
     pub delta_min: i64,
@@ -63,43 +67,14 @@ pub struct ValidationOptions {
 
 impl Default for ValidationOptions {
     fn default() -> Self {
-        ValidationOptions { threads: 0, delta_min: 1, weighted_transitions: true }
+        ValidationOptions { delta_min: 1, weighted_transitions: true }
     }
 }
 
-/// Sweeps both loss measures over `grid` on a transient worker pool sized by
-/// `options.threads`. Long-lived callers (the analysis service) should hold
-/// a [`WorkerPool`] and use [`validation_sweep_on`] instead.
+/// Sweeps both loss measures over `grid` on `pool` under `ctl`: every DP
+/// polls `ctl.cancel` (a fired token returns [`Cancelled`]), and
+/// `ctl.progress` counts `(tile, scale)` items out of scales × tiles.
 pub fn validation_sweep(
-    stream: &LinkStream,
-    grid: &SweepGrid,
-    targets: TargetSpec,
-    options: &ValidationOptions,
-) -> ValidationReport {
-    let ks = grid.k_values(stream, options.delta_min);
-    let mut pool = WorkerPool::new(effective_threads(options.threads, ks.len()));
-    validation_sweep_on(stream, grid, targets, options, &mut pool)
-}
-
-/// [`validation_sweep`] on a caller-owned pool (shared across requests in
-/// the analysis service; `options.threads` is ignored here).
-pub fn validation_sweep_on(
-    stream: &LinkStream,
-    grid: &SweepGrid,
-    targets: TargetSpec,
-    options: &ValidationOptions,
-    pool: &mut WorkerPool,
-) -> ValidationReport {
-    try_validation_sweep_on(stream, grid, targets, options, pool, &SweepControl::new())
-        .expect("a sweep whose token never fires cannot be cancelled")
-}
-
-/// [`validation_sweep_on`] under a caller-held [`SweepControl`]: workers
-/// poll `ctl.cancel` before each scale, a fired token returns [`Cancelled`]
-/// and discards all partial points, and `ctl.progress` counts completed
-/// scales. With a never-fired token the report is bit-identical to
-/// [`validation_sweep_on`].
-pub fn try_validation_sweep_on(
     stream: &LinkStream,
     grid: &SweepGrid,
     targets: TargetSpec,
@@ -107,55 +82,77 @@ pub fn try_validation_sweep_on(
     pool: &mut WorkerPool,
     ctl: &SweepControl,
 ) -> Result<ValidationReport, Cancelled> {
-    let target_set = targets.build(stream.node_count() as u32);
+    let tile_cols = max_tile_cols(stream.node_count());
+    validation_sweep_tiled(stream, grid, targets, options, pool, ctl, tile_cols)
+}
+
+/// [`validation_sweep`] with tiles of at most `tile_cols` target columns.
+pub(crate) fn validation_sweep_tiled(
+    stream: &LinkStream,
+    grid: &SweepGrid,
+    targets: TargetSpec,
+    options: &ValidationOptions,
+    pool: &mut WorkerPool,
+    ctl: &SweepControl,
+    tile_cols: usize,
+) -> Result<ValidationReport, Cancelled> {
+    let targets = targets.build(stream.node_count() as u32);
     let ks = grid.k_values(stream, options.delta_min);
-    ctl.progress.set_total(ks.len() as u64);
-    let reference = stream_minimal_trips(stream, &target_set, options.weighted_transitions);
-    if ctl.cancel.is_cancelled() {
-        // the reference computation itself can carry real cost; honor a
-        // token that fired during it before fanning out
-        return Err(Cancelled);
-    }
+    let tiles = targets.tile_ranges(tile_cols);
+    ctl.progress.set_total((ks.len() * tiles.len()) as u64);
+    let exact = ExactStream::new(stream, options.weighted_transitions);
     let view = EventView::new(stream);
-    let mut points = pool.map(&ks, |_wid, &k| {
-        // Every slot must be written; a cancelled item returns a (discarded)
-        // placeholder instead of doing the work.
-        if ctl.cancel.is_cancelled() {
-            return ValidationPoint {
-                k,
-                delta_ticks: f64::NAN,
-                lost_transitions: f64::NAN,
-                elongation: ElongationStats {
-                    k,
-                    delta_ticks: f64::NAN,
-                    mean: f64::NAN,
-                    count: 0,
-                    single_window: 0,
-                },
-            };
-        }
-        let partition = stream.partition(k).expect("grid yields valid k");
-        let timeline = Timeline::aggregated_from_view(&view, k);
-        let point = ValidationPoint {
-            k,
-            delta_ticks: partition.delta_ticks(),
-            lost_transitions: lost_transition_fraction(&reference.transitions, &partition),
-            elongation: elongation_stats_on(&timeline, partition, &reference, &target_set),
-        };
-        if !ctl.cancel.is_cancelled() {
+    let arenas: Vec<Mutex<EngineArena>> =
+        (0..pool.parallelism()).map(|_| Mutex::default()).collect();
+    let lock = |wid: usize| arenas[wid].lock().expect("arena poisoned");
+    let cancel = Some(&ctl.cancel);
+
+    let mut totals = vec![(0u64, ElongationSums::default()); ks.len()];
+    let (mut reference_trips, mut reference_transitions) = (0, 0);
+    for &tile in &tiles {
+        let reference = exact.tile_trips(&mut lock(0), &targets, tile, cancel)?;
+        reference_trips += reference.total_trips();
+        reference_transitions += reference.transitions.total_weight;
+        let items = pool.map(&ks, |wid, &k| {
+            let partition = stream.partition(k).expect("grid yields valid k");
+            let timeline = Timeline::aggregated_from_view(&view, k);
+            let lost = lost_transition_weight(&reference.transitions, &partition);
+            let mut arena = lock(wid);
+            let sums = elongation_sums_in(
+                &mut arena, &timeline, partition, &reference, &targets, cancel,
+            );
+            // a token fired mid-DP leaves the sums partial
+            if ctl.cancel.is_cancelled() {
+                return None;
+            }
             ctl.progress.add_done(1);
+            Some((lost, sums))
+        });
+        for (total, item) in totals.iter_mut().zip(items) {
+            let (lost, tile) = item.ok_or(Cancelled)?;
+            total.0 += lost;
+            total.1.sum += tile.sum;
+            total.1.count += tile.count;
+            total.1.single_window += tile.single_window;
         }
-        point
-    });
-    if ctl.cancel.is_cancelled() {
-        return Err(Cancelled);
     }
+
+    let mut points: Vec<ValidationPoint> = ks
+        .iter()
+        .zip(totals)
+        .map(|(&k, (lost, sums))| {
+            let partition = stream.partition(k).expect("grid yields valid k");
+            ValidationPoint {
+                k,
+                delta_ticks: partition.delta_ticks(),
+                // 0 / 0 is NaN: the stream has no shortest transition
+                lost_transitions: lost as f64 / reference_transitions as f64,
+                elongation: sums.stats(&partition),
+            }
+        })
+        .collect();
     points.sort_unstable_by_key(|p| std::cmp::Reverse(p.k));
-    Ok(ValidationReport {
-        points,
-        reference_trips: reference.total_trips(),
-        reference_transitions: reference.transitions.total_weight,
-    })
+    Ok(ValidationReport { points, reference_trips, reference_transitions })
 }
 
 #[cfg(test)]
@@ -172,6 +169,39 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A seeded random stream: `n` nodes, `links` links over `[0, 400)`.
+    fn random_stream(
+        seed: u64,
+        n: u32,
+        links: usize,
+        directedness: Directedness,
+    ) -> LinkStream {
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut b = LinkStreamBuilder::indexed(directedness, n);
+        for _ in 0..links {
+            let u = next(n as u64) as u32;
+            let v = (u + 1 + next(n as u64 - 1) as u32) % n;
+            b.add_indexed(u, v, next(400) as i64);
+        }
+        b.build().unwrap()
+    }
+
+    fn sweep(
+        s: &LinkStream,
+        grid: &SweepGrid,
+        targets: TargetSpec,
+        options: &ValidationOptions,
+        pool: &mut WorkerPool,
+        tile_cols: usize,
+    ) -> ValidationReport {
+        validation_sweep_tiled(s, grid, targets, options, pool, &SweepControl::new(), tile_cols)
+            .expect("a sweep whose token never fires cannot be cancelled")
+    }
+
     #[test]
     fn loss_is_monotone_in_delta_extremes() {
         let s = stream();
@@ -179,8 +209,11 @@ mod tests {
             &s,
             &SweepGrid::Geometric { points: 10 },
             TargetSpec::All,
-            &ValidationOptions { threads: 2, ..ValidationOptions::default() },
-        );
+            &ValidationOptions::default(),
+            &mut WorkerPool::new(2),
+            &SweepControl::new(),
+        )
+        .unwrap();
         assert!(report.reference_trips > 0);
         assert!(report.reference_transitions > 0);
         let first = report.points.first().unwrap();
@@ -199,12 +232,11 @@ mod tests {
             &s,
             &SweepGrid::Geometric { points: 8 },
             TargetSpec::All,
-            &ValidationOptions {
-                threads: 1,
-                weighted_transitions: false,
-                ..Default::default()
-            },
-        );
+            &ValidationOptions { weighted_transitions: false, ..Default::default() },
+            &mut WorkerPool::new(1),
+            &SweepControl::new(),
+        )
+        .unwrap();
         let fine = report.points.first().unwrap();
         if fine.elongation.count > 0 {
             assert!(
@@ -231,18 +263,120 @@ mod tests {
         let s = stream();
         let grid = SweepGrid::Geometric { points: 8 };
         let opts = ValidationOptions::default();
-        let transient = validation_sweep(&s, &grid, TargetSpec::All, &opts);
+        let ctl = SweepControl::new();
+        let single =
+            validation_sweep(&s, &grid, TargetSpec::All, &opts, &mut WorkerPool::new(1), &ctl)
+                .unwrap();
         let mut pool = WorkerPool::new(3);
         // two consecutive sweeps on one pool: both must match exactly
         for _ in 0..2 {
-            let shared = validation_sweep_on(&s, &grid, TargetSpec::All, &opts, &mut pool);
-            assert_eq!(shared.reference_trips, transient.reference_trips);
-            assert_eq!(shared.points.len(), transient.points.len());
-            for (a, b) in shared.points.iter().zip(&transient.points) {
+            let ctl = SweepControl::new();
+            let shared =
+                validation_sweep(&s, &grid, TargetSpec::All, &opts, &mut pool, &ctl).unwrap();
+            assert_eq!(shared.reference_trips, single.reference_trips);
+            assert_eq!(shared.points.len(), single.points.len());
+            for (a, b) in shared.points.iter().zip(&single.points) {
                 assert_eq!(a.k, b.k);
                 assert_eq!(a.lost_transitions.to_bits(), b.lost_transitions.to_bits());
                 assert_eq!(a.elongation.mean.to_bits(), b.elongation.mean.to_bits());
             }
+            // one tile covers this stream: progress counted one item per scale
+            assert_eq!(ctl.progress.snapshot(), (8, 8));
         }
+    }
+
+    #[test]
+    fn every_tile_width_gives_the_one_tile_report() {
+        let grid = SweepGrid::Geometric { points: 9 };
+        let mut pool = WorkerPool::new(2);
+        for (seed, directedness) in [
+            (1, Directedness::Undirected),
+            (2, Directedness::Directed),
+            (3, Directedness::Undirected),
+        ] {
+            let s = random_stream(seed, 9, 140, directedness);
+            for targets in [TargetSpec::All, TargetSpec::Sample { size: 5, seed }] {
+                for weighted_transitions in [true, false] {
+                    let opts = ValidationOptions { weighted_transitions, ..Default::default() };
+                    let whole = sweep(&s, &grid, targets, &opts, &mut pool, usize::MAX);
+                    assert!(whole.reference_transitions > 0 && whole.points.len() > 3);
+                    for width in [1, 2, 3, s.node_count()] {
+                        let tiled = sweep(&s, &grid, targets, &opts, &mut pool, width);
+                        assert_eq!(tiled.reference_trips, whole.reference_trips);
+                        assert_eq!(tiled.reference_transitions, whole.reference_transitions);
+                        assert_eq!(tiled.points.len(), whole.points.len());
+                        for (a, b) in tiled.points.iter().zip(&whole.points) {
+                            let at =
+                                format!("seed {seed}, {targets:?}, width {width}, k {}", b.k);
+                            assert_eq!(a.k, b.k, "{at}");
+                            let lost =
+                                (a.lost_transitions.to_bits(), b.lost_transitions.to_bits());
+                            assert_eq!(lost.0, lost.1, "{at}");
+                            let (ea, eb) = (a.elongation, b.elongation);
+                            assert_eq!(
+                                (ea.count, ea.single_window),
+                                (eb.count, eb.single_window),
+                                "{at}"
+                            );
+                            if eb.count == 0 {
+                                assert!(ea.mean.is_nan(), "{at}");
+                            } else {
+                                let rel = (ea.mean - eb.mean).abs() / eb.mean;
+                                assert!(rel <= 1e-12, "{at}: {} vs {}", ea.mean, eb.mean);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_multi_tile_sweep_is_bit_identical_across_pools() {
+        let s = random_stream(7, 10, 200, Directedness::Undirected);
+        let grid = SweepGrid::Geometric { points: 9 };
+        let opts = ValidationOptions::default();
+        let one = sweep(&s, &grid, TargetSpec::All, &opts, &mut WorkerPool::new(1), 3);
+        let ctl = SweepControl::new();
+        let three = validation_sweep_tiled(
+            &s,
+            &grid,
+            TargetSpec::All,
+            &opts,
+            &mut WorkerPool::new(3),
+            &ctl,
+            3,
+        )
+        .unwrap();
+        assert_eq!(
+            serde_json::to_string(&one).unwrap(),
+            serde_json::to_string(&three).unwrap()
+        );
+        for (a, b) in one.points.iter().zip(&three.points) {
+            assert_eq!(a.elongation.mean.to_bits(), b.elongation.mean.to_bits());
+        }
+        // 4 tiles of at most 3 columns: one progress item per (tile, scale)
+        let scales = one.points.len() as u64;
+        assert_eq!(ctl.progress.snapshot(), (4 * scales, 4 * scales));
+    }
+
+    #[test]
+    fn a_fired_token_cancels_the_sweep() {
+        let s = random_stream(5, 10, 200, Directedness::Directed);
+        let ctl = SweepControl::new();
+        ctl.cancel.cancel();
+        let grid = SweepGrid::Geometric { points: 6 };
+        let opts = ValidationOptions::default();
+        let result = validation_sweep_tiled(
+            &s,
+            &grid,
+            TargetSpec::All,
+            &opts,
+            &mut WorkerPool::new(2),
+            &ctl,
+            3,
+        );
+        assert!(result.is_err());
+        assert_eq!(ctl.progress.snapshot().0, 0);
     }
 }

@@ -202,8 +202,9 @@ impl JobCtx {
 
 /// The JSON body of a `504` (or of a client-side deadline expiry, or of a
 /// supervisor-finalized `500`): the standard [`crate::error_envelope`]
-/// carrying partial progress in whole scales. Cancellations are retryable
-/// by definition — the request itself was fine.
+/// carrying partial progress in whole scales, or in `(tile, scale)` items
+/// for validation. Cancellations are retryable by definition — the request
+/// itself was fine.
 pub fn timeout_body(code: &str, error: &str, scales_done: u64, scales_total: u64) -> String {
     crate::error_envelope(code, error, true, Some((scales_done, scales_total)))
 }

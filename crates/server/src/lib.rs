@@ -40,7 +40,7 @@
 //! |--------|---------|----------------|
 //! | `408 Request Timeout` | the peer stalled *mid-request* (head or body arrived partially, then nothing within the read timeout); an *idle* keep-alive connection is closed silently instead | `{"error": …}`, connection closed |
 //! | `503 Service Unavailable` | backpressure: job queue full, connection limit reached, admission control predicts the deadline cannot be met, or the server is draining | `Retry-After: <secs>` derived from the EWMA backlog estimate |
-//! | `504 Gateway Timeout` | the request's deadline expired while its job was queued or running; the sweep was cancelled cooperatively | `{"error", "scales_done", "scales_total"}` partial-progress counters |
+//! | `504 Gateway Timeout` | the request's deadline expired while its job was queued or running; the sweep was cancelled cooperatively | `{"error", "scales_done", "scales_total"}` partial-progress counters (validation counts `(tile, scale)` items) |
 //! | `500 Internal Server Error` | the sweep panicked (caught; the executor survives), or the supervisor finalized the job after its executor died or stalled past the liveness budget | `{"error": …}` — supervisor-finalized bodies carry `scales_done` / `scales_total` partial progress |
 //!
 //! **Error envelope.** Every error body on every route, from every layer,
@@ -65,7 +65,7 @@
 //! | `expectation_failed` | 417 | unsupported `Expect:` header |
 //! | `headers_too_large` | 431 | request head over the line/size caps |
 //! | `internal` | 500 | any other unexpected server failure (the default 500 code) |
-//! | `panicked` | 500 | the sweep panicked (e.g. an untiled validation DP table the allocator refused); the executor caught it and survives |
+//! | `panicked` | 500 | the sweep panicked; the executor caught it and survives |
 //! | `executor_failed` | 500 | the supervisor finalized the job after its executor died or stalled past the liveness budget (body carries partial progress) |
 //! | `job_expired` | 500 | job outcome evicted before this waiter read it |
 //! | `not_implemented` | 501 | unsupported transfer encoding |
@@ -269,7 +269,7 @@ use http::{
 };
 use metrics::route_label;
 use saturn_core::fingerprint::{self, Digest};
-use saturn_core::{try_validation_sweep_on, OccupancyMethod, SweepGrid, ValidationOptions};
+use saturn_core::{validation_sweep, OccupancyMethod, SweepGrid, ValidationOptions};
 use saturn_linkstream::{io as stream_io, Directedness, LinkStream};
 use serde_json::Value;
 use std::io::{BufReader, Read, Write};
@@ -1018,11 +1018,8 @@ fn endpoint_validate(request: &Request, ctx: &ServerContext) -> Handled {
     let p = RequestParams::parse(request, ctx.default_deadline_ms)?;
     let stream = parse_stream(request)?;
     let grid = SweepGrid::Geometric { points: p.points };
-    let options = ValidationOptions {
-        threads: 0, // ignored on the shared pool
-        delta_min: p.delta_min,
-        weighted_transitions: p.weighted,
-    };
+    let options =
+        ValidationOptions { delta_min: p.delta_min, weighted_transitions: p.weighted };
     let scales_hint = grid.k_values(&stream, options.delta_min).len() as u64;
 
     let mut digest = Digest::new("saturn.validate.v1");
@@ -1036,7 +1033,7 @@ fn endpoint_validate(request: &Request, ctx: &ServerContext) -> Handled {
     let cache_insert = cache_filler(Arc::clone(&ctx.cache), key);
     let targets = p.targets;
     let work: jobs::JobWork = Box::new(move |pool, jctx| {
-        match try_validation_sweep_on(&stream, &grid, targets, &options, pool, &jctx.control) {
+        match validation_sweep(&stream, &grid, targets, &options, pool, &jctx.control) {
             Ok(report) => {
                 let json = serde_json::to_string_pretty(&report).expect("report serializes");
                 cache_insert(json)

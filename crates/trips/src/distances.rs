@@ -12,8 +12,10 @@
 //! `O(1)` per table update (arithmetic series between change points), so the
 //! cost stays `O(nM)` even when the series has millions of windows.
 
-use crate::{dp::NullSink, earliest_arrival_dp, DpOptions, TargetSet, Timeline};
-use saturn_linkstream::LinkStream;
+use crate::{
+    dp::{DistanceSums, NullSink},
+    earliest_arrival_dp_in, DpOptions, DpRun, EngineArena, TargetSet, Timeline,
+};
 use serde::Serialize;
 
 /// Mean temporal distances of `G_Δ` at one scale.
@@ -33,30 +35,27 @@ pub struct DistanceMeans {
     pub finite_triples: u128,
 }
 
-/// Computes the mean distances of the series `G_Δ` with `Δ = T/k`, over
-/// destinations in `targets`.
-pub fn distance_means(stream: &LinkStream, k: u64, targets: &TargetSet) -> DistanceMeans {
-    let timeline = Timeline::aggregated(stream, k);
-    distance_means_on(&timeline, stream.span(), k, targets)
-}
-
-/// Same as [`distance_means`], for an already-built aggregated timeline —
-/// sweeps build the timeline once per scale from a shared
-/// [`crate::EventView`] and pass it here. `span` is the stream's study
-/// period length in ticks.
-pub fn distance_means_on(
+/// The mean distances of an aggregated timeline `G_Δ` (`Δ = span/k`) over
+/// destinations in `targets`, with the DP run in `arena` over tiles of at
+/// most `tile_cols` columns. The sums are integers: every width gives the
+/// same means.
+pub fn distance_means_in(
+    arena: &mut EngineArena,
     timeline: &Timeline,
     span: i64,
     k: u64,
     targets: &TargetSet,
+    tile_cols: usize,
 ) -> DistanceMeans {
-    let stats = earliest_arrival_dp(
-        timeline,
-        targets,
-        &mut NullSink,
-        DpOptions { collect_distances: true },
-    );
-    let sums = stats.distances.expect("collect_distances was set");
+    let (mut sums, options) = (DistanceSums::default(), DpOptions { collect_distances: true });
+    for tile in targets.tile_ranges(tile_cols) {
+        let run = DpRun { tile: Some(tile), options, cancel: None };
+        let stats = earliest_arrival_dp_in(arena, timeline, targets, &mut NullSink, run);
+        let part = stats.distances.expect("collect_distances was set");
+        sums.sum_dtime_steps += part.sum_dtime_steps;
+        sums.sum_dhops += part.sum_dhops;
+        sums.finite_triples += part.finite_triples;
+    }
     let delta = span as f64 / k as f64;
     let cnt = sums.finite_triples.max(1) as f64;
     let mean_dtime = sums.sum_dtime_steps as f64 / cnt;
@@ -73,7 +72,12 @@ pub fn distance_means_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saturn_linkstream::{io, Directedness};
+    use saturn_linkstream::{io, Directedness, LinkStream};
+
+    fn distance_means(s: &LinkStream, k: u64, targets: &TargetSet) -> DistanceMeans {
+        let (timeline, mut arena) = (Timeline::aggregated(s, k), EngineArena::new());
+        distance_means_in(&mut arena, &timeline, s.span(), k, targets, targets.len())
+    }
 
     #[test]
     fn matches_hand_computation() {

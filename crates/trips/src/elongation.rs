@@ -8,9 +8,14 @@
 //! than one window, it is the ratio of its absolute duration
 //! `(t_v - t_u + 1)·Δ` to the duration of the fastest minimal trip of the
 //! original stream between the same nodes inside the same real-time range.
+//! The aggregated DP runs on its reference's column tile, and per-tile
+//! [`ElongationSums`] add up to the scale's statistics.
 
-use crate::{earliest_arrival_dp, DpOptions, StreamTrips, TargetSet, Timeline, TripSink};
-use saturn_linkstream::{LinkStream, Time, WindowPartition};
+use crate::{
+    earliest_arrival_dp_in, CancelToken, DpRun, EngineArena, StreamTrips, TargetSet, Timeline,
+    TripSink,
+};
+use saturn_linkstream::{Time, WindowPartition};
 use serde::Serialize;
 
 /// Aggregate elongation statistics at one scale `Δ`.
@@ -29,20 +34,44 @@ pub struct ElongationStats {
     pub single_window: u64,
 }
 
+/// The elongation totals of one column tile at one scale, summed in the DP's
+/// report order; a scale's tiles add up in ascending column order.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct ElongationSums {
+    /// Sum of the elongation factors of the multi-window trips.
+    pub sum: f64,
+    /// Number of multi-window trips.
+    pub count: u64,
+    /// Number of single-window trips.
+    pub single_window: u64,
+}
+
+impl ElongationSums {
+    /// The statistics of the scale of `partition`.
+    pub fn stats(&self, partition: &WindowPartition) -> ElongationStats {
+        ElongationStats {
+            k: partition.k(),
+            delta_ticks: partition.delta_ticks(),
+            mean: self.sum / self.count as f64, // NaN without multi-window trips
+            count: self.count,
+            single_window: self.single_window,
+        }
+    }
+}
+
 struct ElongationSink<'a> {
     reference: &'a StreamTrips,
+    targets: &'a TargetSet,
     partition: WindowPartition,
-    delta_ticks: f64,
-    sum: f64,
-    count: u64,
-    single_window: u64,
+    sums: ElongationSums,
 }
 
 impl ElongationSink<'_> {
     /// Fastest reference-trip duration for `(u, v)` whose departure *and*
     /// arrival fall inside windows `dep..=arr`.
     fn reference_duration(&self, u: u32, v: u32, dep: u32, arr: u32) -> Option<i64> {
-        let trips = self.reference.pair(u, v)?;
+        let col = self.targets.col_of(v).expect("trips end at targets");
+        let trips = self.reference.pair(u, col)?;
         // first reference trip departing in window >= dep
         let start =
             trips.partition_point(|&(d, _)| self.partition.index(Time::new(d)) < dep as u64);
@@ -61,75 +90,77 @@ impl ElongationSink<'_> {
 impl TripSink for ElongationSink<'_> {
     fn minimal_trip(&mut self, u: u32, v: u32, dep: u32, arr: u32, _hops: u32) {
         if dep == arr {
-            self.single_window += 1;
+            self.sums.single_window += 1;
             return;
         }
+        // The trip's links lie in strictly increasing windows, hence at
+        // strictly increasing instants: a stream path inside the windows, so
+        // a minimal stream trip fits there, in this same column's reference.
         let Some(time_l) = self.reference_duration(u, v, dep, arr) else {
-            // Unreachable when the reference was computed on the same stream
-            // and target set; tolerate silently otherwise.
-            debug_assert!(false, "aggregated trip without underlying stream trip");
-            return;
+            panic!(
+                "aggregated trip {u} -> {v} over windows {dep}..={arr} has no reference trip \
+                 in columns {:?}",
+                self.reference.tile()
+            );
         };
-        // A reference trip of zero duration would be a direct link inside the
-        // window range, contradicting the minimality of a multi-window trip.
-        debug_assert!(time_l > 0, "Definition 8 guarantees time_L != 0");
-        if time_l <= 0 {
-            return;
-        }
-        let duration_abs = (arr - dep + 1) as f64 * self.delta_ticks;
-        self.sum += duration_abs / time_l as f64;
-        self.count += 1;
+        // A zero-duration reference trip is a direct link in a window `w` of
+        // `dep..=arr`: `(u, v, w, w)` would contradict this trip's minimality.
+        assert!(
+            time_l > 0,
+            "aggregated trip {u} -> {v} over windows {dep}..={arr} has a zero-duration \
+             reference trip (Definition 8 guarantees time_L != 0)"
+        );
+        let duration_abs = (arr - dep + 1) as f64 * self.partition.delta_ticks();
+        self.sums.sum += duration_abs / time_l as f64;
+        self.sums.count += 1;
     }
 }
 
-/// Computes the mean elongation factor of the minimal trips of `G_Δ`
-/// (`Δ = T/k`) relative to `reference` (the minimal trips of the same stream,
-/// from [`stream_minimal_trips`](crate::stream_minimal_trips) with the same
-/// `targets`).
-pub fn elongation_stats(
-    stream: &LinkStream,
-    reference: &StreamTrips,
-    k: u64,
-    targets: &TargetSet,
-) -> ElongationStats {
-    let timeline = Timeline::aggregated(stream, k);
-    let partition = stream.partition(k).expect("invalid window count");
-    elongation_stats_on(&timeline, partition, reference, targets)
-}
-
-/// Same as [`elongation_stats`], for an already-built aggregated timeline
-/// and its window partition — sweeps build the timeline once per scale from
-/// a shared [`crate::EventView`] and pass it here.
-pub fn elongation_stats_on(
+/// The elongation totals of the minimal trips of an aggregated timeline
+/// against `reference` (the stream's minimal trips toward the same
+/// `targets`), over the reference's columns, with the DP run in `arena`. A
+/// fired `cancel` leaves them partial, for the caller to discard.
+pub fn elongation_sums_in(
+    arena: &mut EngineArena,
     timeline: &Timeline,
-    partition: saturn_linkstream::WindowPartition,
+    partition: WindowPartition,
     reference: &StreamTrips,
     targets: &TargetSet,
-) -> ElongationStats {
-    let k = partition.k();
-    let mut sink = ElongationSink {
-        reference,
-        partition,
-        delta_ticks: partition.delta_ticks(),
-        sum: 0.0,
-        count: 0,
-        single_window: 0,
-    };
-    earliest_arrival_dp(timeline, targets, &mut sink, DpOptions::default());
-    ElongationStats {
-        k,
-        delta_ticks: partition.delta_ticks(),
-        mean: if sink.count > 0 { sink.sum / sink.count as f64 } else { f64::NAN },
-        count: sink.count,
-        single_window: sink.single_window,
-    }
+    cancel: Option<&CancelToken>,
+) -> ElongationSums {
+    let sums = ElongationSums::default();
+    let mut sink = ElongationSink { reference, targets, partition, sums };
+    let run = DpRun { tile: Some(reference.tile()), cancel, ..Default::default() };
+    earliest_arrival_dp_in(arena, timeline, targets, &mut sink, run);
+    sink.sums
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream_minimal_trips;
-    use saturn_linkstream::{io, Directedness};
+    use crate::ExactStream;
+    use saturn_linkstream::{io, Directedness, LinkStream};
+
+    fn stream_minimal_trips(
+        s: &LinkStream,
+        targets: &TargetSet,
+        weighted: bool,
+    ) -> StreamTrips {
+        let (exact, all) = (ExactStream::new(s, weighted), (0, targets.len() as u32));
+        exact.tile_trips(&mut EngineArena::new(), targets, all, None).unwrap()
+    }
+
+    fn elongation_stats(
+        s: &LinkStream,
+        reference: &StreamTrips,
+        k: u64,
+        targets: &TargetSet,
+    ) -> ElongationStats {
+        let (timeline, partition) = (Timeline::aggregated(s, k), s.partition(k).unwrap());
+        let mut arena = EngineArena::new();
+        elongation_sums_in(&mut arena, &timeline, partition, reference, targets, None)
+            .stats(&partition)
+    }
 
     #[test]
     fn perfect_aggregation_has_elongation_near_one() {
@@ -183,5 +214,29 @@ mod tests {
         let e = elongation_stats(&s, &reference, 2, &targets);
         assert_eq!(e.count, 1);
         assert!((e.mean - 1.0).abs() < 1e-12, "mean = {}", e.mean);
+    }
+
+    /// The two impossible branches panic, naming the trip, when fed the
+    /// reference of another stream.
+    fn score_against(other: &str) {
+        let s = io::read_str("a b 0\nb c 99\n", Directedness::Undirected).unwrap();
+        let other = io::read_str(other, Directedness::Undirected).unwrap();
+        let targets = TargetSet::all(3);
+        let reference = stream_minimal_trips(&other, &targets, false);
+        elongation_stats(&s, &reference, 2, &targets);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "aggregated trip 0 -> 2 over windows 0..=1 has no reference trip"
+    )]
+    fn a_trip_missing_from_the_reference_is_loud() {
+        score_against("a b 0\nb c 0\n"); // same-instant hops chain no a -> c trip
+    }
+
+    #[test]
+    #[should_panic(expected = "aggregated trip 0 -> 2 over windows 0..=1 has a zero-duration")]
+    fn a_zero_duration_reference_trip_is_loud() {
+        score_against("a b 0\nc a 99\n"); // a direct a - c link inside the windows
     }
 }

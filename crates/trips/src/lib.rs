@@ -29,8 +29,8 @@
 //!   [`exact`](Timeline::exact) (distinct timestamps of `L`);
 //! * [`earliest_arrival_dp`] — the generic engine, feeding minimal trips to a
 //!   [`TripSink`];
-//! * [`occupancy_histogram`], [`distance_means`], [`stream_minimal_trips`],
-//!   [`elongation_stats`] — the high-level analyses built on the engine;
+//! * [`occupancy_histogram`], [`distance_means_in`], [`ExactStream`],
+//!   [`elongation_sums_in`] — the high-level analyses built on the engine;
 //! * [`reference`] — small brute-force implementations used to validate the
 //!   engine in tests.
 //!
@@ -61,16 +61,18 @@ pub mod timeline;
 pub mod transitions;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use distances::{distance_means, distance_means_on, DistanceMeans};
+pub use distances::{distance_means_in, DistanceMeans};
 pub use dp::{
     earliest_arrival_dp, earliest_arrival_dp_in, DpOptions, DpRun, DpStats, EngineArena,
     TripSink, CANCEL_STRIDE,
 };
-pub use elongation::{elongation_stats, elongation_stats_on, ElongationStats};
+pub use elongation::{elongation_sums_in, ElongationStats, ElongationSums};
 pub use occupancy::{
     occupancy_histogram, occupancy_histogram_in, OccupancyHistogram, RateCounter,
 };
-pub use stream_trips::{stream_minimal_trips, PairTrips, StreamTrips};
+pub use stream_trips::{ExactStream, StreamTrips};
 pub use target::TargetSet;
 pub use timeline::{EventView, StepView, Timeline};
-pub use transitions::{lost_transition_fraction, ShortestTransitions, Transition};
+pub use transitions::{
+    lost_transition_fraction, lost_transition_weight, ShortestTransitions, Transition,
+};

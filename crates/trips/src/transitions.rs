@@ -56,24 +56,27 @@ impl ShortestTransitions {
     }
 }
 
-/// Weighted fraction of shortest transitions whose two hops fall inside one
-/// window of `partition` — the transitions that no longer exist in `G_Δ`.
-///
-/// Returns `NaN` when the stream has no shortest transition.
-pub fn lost_transition_fraction(
+/// Weight of the shortest transitions whose two hops fall inside one window
+/// of `partition` — the transitions that no longer exist in `G_Δ`.
+pub fn lost_transition_weight(
     transitions: &ShortestTransitions,
     partition: &WindowPartition,
-) -> f64 {
-    if transitions.total_weight == 0 {
-        return f64::NAN;
-    }
-    let lost: u64 = transitions
+) -> u64 {
+    transitions
         .items
         .iter()
         .filter(|tr| partition.index(Time::new(tr.t1)) == partition.index(Time::new(tr.t2)))
         .map(|tr| tr.weight)
-        .sum();
-    lost as f64 / transitions.total_weight as f64
+        .sum()
+}
+
+/// Weighted fraction of the shortest transitions lost at `partition`'s scale:
+/// `NaN` (0 / 0) when the stream has no shortest transition.
+pub fn lost_transition_fraction(
+    transitions: &ShortestTransitions,
+    partition: &WindowPartition,
+) -> f64 {
+    lost_transition_weight(transitions, partition) as f64 / transitions.total_weight as f64
 }
 
 #[cfg(test)]

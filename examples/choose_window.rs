@@ -7,7 +7,7 @@
 //! cargo run --release --example choose_window [max_lost_fraction]
 //! ```
 
-use saturn::core::{validation_sweep, ValidationOptions};
+use saturn::core::{validation_sweep, SweepControl, ValidationOptions, WorkerPool};
 use saturn::prelude::*;
 
 fn main() {
@@ -36,7 +36,10 @@ fn main() {
         &SweepGrid::Geometric { points: 24 },
         TargetSpec::All,
         &ValidationOptions::default(),
-    );
+        &mut WorkerPool::new(0),
+        &SweepControl::new(),
+    )
+    .expect("a sweep whose token never fires cannot be cancelled");
     println!("\n{:>10} {:>12} {:>12} {:>12}", "Δ (h)", "lost trans.", "elongation", "verdict");
     let mut chosen: Option<f64> = None;
     for p in &validation.points {

@@ -68,5 +68,5 @@ pub mod prelude {
         Directedness, Link, LinkStream, LinkStreamBuilder, NodeId, Time, WindowPartition,
     };
     pub use saturn_synth::{DatasetProfile, TimeUniform, TwoMode};
-    pub use saturn_trips::{occupancy_histogram, stream_minimal_trips, TargetSet, Timeline};
+    pub use saturn_trips::{occupancy_histogram, ExactStream, TargetSet, Timeline};
 }

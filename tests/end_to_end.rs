@@ -1,6 +1,7 @@
 //! Integration tests: the full pipeline across crates, from raw text to the
 //! saturation scale.
 
+use saturn::core::parallel::WorkerPool;
 use saturn::core::{classic_sweep, validation_sweep};
 use saturn::linkstream::io;
 use saturn::prelude::*;
@@ -98,7 +99,9 @@ fn stream_trips_upper_bound_series_trips_durations() {
     // the same real-time range (soundness of aggregation analysis).
     let stream = periodic_chain(6, 50, 23);
     let targets = TargetSet::all(6);
-    let reference = stream_minimal_trips(&stream, &targets, false);
+    let reference = ExactStream::new(&stream, false)
+        .tile_trips(&mut saturn::trips::EngineArena::new(), &targets, (0, 6), None)
+        .unwrap();
     let k = 50u64;
     let partition = stream.partition(k).unwrap();
     let timeline = Timeline::aggregated(&stream, k);
@@ -134,7 +137,8 @@ fn classic_and_validation_sweeps_run_end_to_end() {
     let stream = periodic_chain(6, 40, 19);
     let grid = SweepGrid::Geometric { points: 10 };
 
-    let classic = classic_sweep(&stream, &grid, TargetSpec::All, 2, 1);
+    let mut pool = WorkerPool::new(2);
+    let classic = classic_sweep(&stream, &grid, TargetSpec::All, 1, &mut pool);
     assert!(classic.len() >= 8);
     assert!(classic.windows(2).all(|w| w[0].delta_ticks < w[1].delta_ticks));
 
@@ -142,8 +146,11 @@ fn classic_and_validation_sweeps_run_end_to_end() {
         &stream,
         &grid,
         TargetSpec::All,
-        &saturn::core::ValidationOptions { threads: 2, ..Default::default() },
-    );
+        &saturn::core::ValidationOptions::default(),
+        &mut pool,
+        &saturn::core::SweepControl::new(),
+    )
+    .unwrap();
     assert_eq!(validation.points.len(), classic.len());
     // loss is 1 at Δ = T
     assert!((validation.points.last().unwrap().lost_transitions - 1.0).abs() < 1e-12);

@@ -87,7 +87,9 @@ fn disconnected_stream_has_no_cross_component_trips() {
     b.add_indexed(2, 3, 5);
     b.add_indexed(2, 3, 15);
     let stream = b.build().unwrap();
-    let trips = stream_minimal_trips(&stream, &TargetSet::all(4), false);
+    let trips = ExactStream::new(&stream, false)
+        .tile_trips(&mut saturn::trips::EngineArena::new(), &TargetSet::all(4), (0, 4), None)
+        .unwrap();
     assert!(trips.pair(0, 2).is_none());
     assert!(trips.pair(1, 3).is_none());
     assert!(trips.pair(0, 1).is_some());

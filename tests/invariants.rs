@@ -109,8 +109,13 @@ proptest! {
     fn elongation_at_least_one(stream in arb_stream(), k in 2u64..40) {
         let k = if stream.span() == 0 { 1 } else { k.min(stream.span() as u64).max(1) };
         let targets = TargetSet::all(8);
-        let reference = stream_minimal_trips(&stream, &targets, false);
-        let e = saturn::trips::elongation_stats(&stream, &reference, k, &targets);
+        let reference = ExactStream::new(&stream, false)
+            .tile_trips(&mut saturn::trips::EngineArena::new(), &targets, (0, 8), None)
+            .unwrap();
+        let (timeline, partition) = (Timeline::aggregated(&stream, k), stream.partition(k).unwrap());
+        let mut arena = saturn::trips::EngineArena::new();
+        let e = saturn::trips::elongation_sums_in(&mut arena, &timeline, partition, &reference, &targets, None)
+            .stats(&partition);
         if e.count > 0 {
             prop_assert!(e.mean >= 1.0 - 1e-9, "mean elongation {} < 1", e.mean);
         }
