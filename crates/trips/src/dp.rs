@@ -9,14 +9,16 @@
 //! # State
 //!
 //! For every ordered pair `(u, v)` (with `v` restricted to the
-//! [`TargetSet`]), the engine maintains while sweeping steps `k = K-1 .. 0`:
+//! [`TargetSet`]), the engine maintains while sweeping steps `k = K-1 .. 0`
+//! one `u64` key `ea << 32 | hops`:
 //!
 //! * `ea[u][v]` — earliest arrival step among temporal paths departing at a
 //!   step `>= k`,
-//! * `hops[u][v]` — minimum hop count among paths achieving that arrival,
-//! * `set_at[u][v]` — the step at which the current `(ea, hops)` value was
-//!   installed (used both to deduplicate work inside a step and to flush
-//!   distance sums over the departure-time ranges where the value was valid).
+//! * `hops[u][v]` — minimum hop count among paths achieving that arrival.
+//!
+//! Keys order exactly like the DP's preference (first `ea`, then `hops`),
+//! so "candidate improves the cell" is one integer compare, and "candidate
+//! improves `ea`" is a compare against the cell's key with its hops cleared.
 //!
 //! # Memory & layout invariants (the [`EngineArena`])
 //!
@@ -25,27 +27,34 @@
 //! lives in a caller-owned [`EngineArena`] that each worker thread allocates
 //! once and reuses for every scale it processes. The invariants:
 //!
-//! * **Epoch stamping.** Tables are never re-zeroed between runs. Each run
-//!   bumps `arena.epoch`; a cell `(ea, hops, set_at)` is *live* iff
-//!   `stamp[idx] == epoch`, so stale values from earlier scales read as
-//!   "unreachable" at the cost of one `u32` compare. On the (once per 2^32
-//!   runs) epoch wrap, stamps are hard-reset.
+//! * **Keys.** `u64::MAX` means unreachable; it is never a real key (hops
+//!   stay far below `u32::MAX`), and a chain candidate is the continuation
+//!   key plus one hop, saturating, so an unreachable source lane yields an
+//!   unreachable candidate that never wins.
 //! * **Reachability frontier.** A per-row bitmap (one bit per column) marks
-//!   the cells whose earliest arrival is finite. Backward in time,
-//!   reachability only grows, so bits are set-only within a run; the bitmap
-//!   is 1/128th the size of the cell table and is simply cleared between
-//!   runs. Snapshots iterate set bits in ascending column order — when a row
-//!   is dense this walks the cells sequentially (the same locality as a full
-//!   row scan), and when it is sparse whole 64-column words are skipped per
-//!   `trailing_zeros` step. That pruning is decisive for early backward
+//!   the cells whose key is not `MAX`. Backward in time, reachability only
+//!   grows, so bits are set-only within a run, set in the same statement
+//!   that writes the key. Walks visit set bits in ascending column order and
+//!   skip zero 64-column words whole, which is decisive for early backward
 //!   steps, where nearly every pair is still unreachable.
-//! * **Frontier snapshots.** At each step, rows that can be read as
-//!   continuations snapshot only their frontier entries (`(col, ea, hops)`
-//!   triples appended to one flat buffer) instead of `copy_from_slice`-ing
-//!   whole rows. Snapshot bounds are frozen before any edge of the step is
-//!   applied, which is exactly the strict inequality of Remark 1 —
-//!   same-step values can never be read back (see the ablation test
-//!   `remark1_ablation.rs` for the naive in-place variant's failure).
+//! * **Frontier-walk reset.** Between runs, every key is `MAX` except those
+//!   the previous run wrote, and its frontier names exactly those. The next
+//!   run's `prepare` resets them by walking that frontier under the geometry
+//!   it was written with, then clears the frontier words and their change
+//!   marks, so a reset costs the previous run's reach, not the table. The
+//!   frontier is updated before any sink call, so an abandoned run (a caught
+//!   sink panic, a cancelled token) leaves nothing the walk misses. Only
+//!   `collect_distances` runs keep a per-cell install-step table; a cell's
+//!   step is written when it first becomes reachable, so it needs no reset.
+//! * **Block snapshots.** At each step, rows that can be read as
+//!   continuations are snapshotted one 64-column word at a time: a word
+//!   with at least `BLOCK_MIN_LIVE` (16) live cells copies all its keys, a
+//!   sparser word copies only its live keys, and each word records its live
+//!   bits and change mark in a block header. Snapshot bounds are frozen
+//!   before any edge of the step is applied, which is exactly the strict
+//!   inequality of Remark 1 — same-step values can never be read back (see
+//!   the ablation test `remark1_ablation.rs` for the naive in-place
+//!   variant's failure).
 //! * **CSR timelines.** Steps arrive as [`StepView`] slices into the
 //!   timeline's flat `edge_src` / `edge_dst` arrays ([`Timeline`] docs);
 //!   the engine walks them with zero per-step allocation.
@@ -62,80 +71,82 @@
 //! * **Memory budget.** An arena whose tile is at most [`max_tile_cols`]
 //!   wide reserves at most [`ARENA_BUDGET_BYTES`] ([`arena_bytes`]), and
 //!   the sweep never runs a wider tile, so a worker's memory is bounded
-//!   whatever `n` is. Untiled runs have no bound, but a cell table the
+//!   whatever `n` is. Untiled runs have no bound, but a key table the
 //!   allocator refuses is an unwindable panic naming it, not an abort.
 //! * **Degree-1 snapshot bypass.** A step carrying a single edge `(u, w)`
 //!   skips the slot machinery entirely: direction `u → w` reads row `w`
-//!   *live* (nothing has written it yet this step — offers only touch the
+//!   *live* (nothing has written it yet this step — merges only touch the
 //!   reader's own row), and for undirected timelines row `u` alone is
-//!   snapshotted (one flat append) before direction `u → w` dirties it, so
-//!   direction `w → u` still sees pre-step values. The offer sequence is
-//!   identical to the general path's, so results are bit-identical; what is
-//!   saved is one row snapshot, all `slot_of` bookkeeping, and (directed)
-//!   every snapshot write. This attacks the snapshot-bound fine-scale tail
-//!   where nearly every non-empty window holds one edge.
+//!   snapshotted before direction `u → w` dirties it, so direction `w → u`
+//!   still sees pre-step values. The merges are identical to the general
+//!   path's, so results are bit-identical; what is saved is one row
+//!   snapshot, all `slot_of` bookkeeping, and (directed) every snapshot
+//!   write. This attacks the snapshot-bound fine-scale tail where nearly
+//!   every non-empty window holds one edge.
 //!
 //! # Delta propagation invariants
 //!
-//! The fine-scale tail is *offer-bound*: the same few edges fire step after
-//! step, and each firing re-offers every live column of its continuation
+//! The fine-scale tail is *merge-bound*: the same few edges fire step after
+//! step, and each firing would re-merge every live cell of its continuation
 //! row even though almost none of them changed since the previous firing.
-//! The engine therefore tracks change, and only emits chain offers for
-//! columns that actually changed:
+//! The engine therefore tracks change per 64-column word, and only merges
+//! words that changed:
 //!
 //! * **Per-(edge, direction) watermarks.** The timeline assigns every
 //!   distinct `(src, dst)` pair a stable id ([`crate::StepView::pair`]); the arena
 //!   keeps, at `wm[2 · pair + direction]`, the step at which that traversal
-//!   direction last consumed its continuation row. Watermarks are
-//!   epoch-stamped like cells, so arena reuse across scales/tiles (whose
-//!   pair ids mean different edges) needs no clearing.
-//! * **Change record = `set_at`.** A cell's `set_at` is by construction the
-//!   step of its most recent `(ea, hops)` change. With the backward sweep
-//!   running `k = K-1 .. 0`, "cell changed since direction `d` last fired
-//!   at step `L`" is exactly `set_at <= L` (snapshot values always have
-//!   `set_at >= k + 1`, so same-step writes never leak in). Alongside, a
-//!   per-row mark (`row_changed_at`, the minimum live `set_at` of the row)
-//!   lets a consumer skip the *whole* row scan when `row_changed_at > L`.
-//! * **Correctness (why skipped offers are no-ops).** Inductive invariant:
+//!   direction last consumed its continuation row (`NEVER` = not yet this
+//!   run; the table is refilled per run, `O(distinct pairs)`).
+//! * **Change marks.** `marks[row · words + w]` is the step of the most
+//!   recent change (any key write, hops ties included) of a cell in word
+//!   `w` of `row`, written when the step's changes are reported. With the
+//!   backward sweep running `k = K-1 .. 0`, "some cell of the word changed
+//!   since direction `d` last fired at step `L`" is exactly `mark <= L`
+//!   (snapshot values are always pre-step, so same-step writes never leak
+//!   in). Alongside, a per-row mark (`row_changed_at`, the minimum over the
+//!   row's word marks) lets a consumer skip the *whole* row when
+//!   `row_changed_at > L`.
+//! * **Correctness (why skipped merges are no-ops).** Inductive invariant:
 //!   after direction `(u, w)` fires at step `L`, every chain candidate
-//!   `(ea'[w][v], hops'[w][v] + 1)` built from row `w`'s pre-step-`L`
-//!   values has been offered to `(u, v)`, so `cell[u][v]` is at least as
-//!   good (first on `ea`, then `hops`) as that candidate — and cells only
-//!   improve monotonically. At a later (smaller) step `k`, an entry with
-//!   `set_at > L` still holds the *same* value it held at step `L`, so its
-//!   candidate is already dominated and cannot pass `offer`'s strict
-//!   improvement test. Offers that cannot improve have *zero* side effects
-//!   (no cell write, no dirty bit, no distance flush), hence the filtered
-//!   run's cell states, trip stream, and distance sums are bit-identical to
-//!   an unfiltered run's — enforced differentially against [`baseline`]
-//!   (which keeps no watermarks) in `proptest_frontier.rs`, and across tile
-//!   × thread combinations in `core/tests/tiling_determinism.rs`. The
-//!   single-hop offer `(k, 1)` is never filtered: its candidate is new
-//!   every step.
-//! * **Filtered snapshots.** Remark-1 snapshots stay the value source, but
-//!   are built *already filtered*: a pre-pass over the step's edges
-//!   computes, per slotted row, the most permissive consumer watermark
-//!   (`slot_maxlast`), and the snapshot keeps only entries with
-//!   `set_at <= slot_maxlast` (each direction then re-filters by its own
-//!   watermark). Rows with no consumer in the step — e.g. directed tails —
-//!   and rows unchanged since every consumer's last visit skip the
-//!   frontier scan outright. This composes with the degree-1 bypass: a
-//!   single-edge step whose rows are unchanged since the edge last fired
-//!   does no snapshot work and no chain scan at all, which is the common
-//!   case on bursty contact trains.
-//! * **Interaction with Remark 1 and the degree-1 bypass.** Filters only
-//!   ever *remove* offers whose values are pre-step by the existing
-//!   snapshot discipline; they never change which values are read, so the
-//!   strict inequality of Remark 1 is untouched. In the degree-1 forward
-//!   direction the row is read live (nothing has written it this step) and
-//!   its live `row_changed_at` / `set_at` are therefore pre-step exact; the
-//!   reverse-direction snapshot is taken before the forward offers dirty
-//!   row `eu`, watermark filtering included.
+//!   `ea'[w][v] · 2^32 + hops'[w][v] + 1` built from row `w`'s pre-step-`L`
+//!   keys is at least as large as `key[u][v]` — and keys only decrease. At a
+//!   later (smaller) step `k`, a word with `mark > L` holds the *same* keys
+//!   it held at step `L`, so none of its candidates can pass the strict
+//!   improvement test. A merged word may also hold unchanged cells next to
+//!   changed ones; their candidates fail the same test. Candidates that do
+//!   not improve have *zero* side effects (no key write, no dirty bit, no
+//!   distance flush), hence the filtered run's keys, trip stream, and
+//!   distance sums are bit-identical to an unfiltered run's — enforced
+//!   differentially against [`baseline`] (which keeps no watermarks) in
+//!   `proptest_frontier.rs`, and across tile × thread combinations in
+//!   `core/tests/tiling_determinism.rs`. The single-hop candidate `(k, 1)`
+//!   is never filtered: it is new every step.
+//! * **Why the crossover exists.** A word with at least `BLOCK_MIN_LIVE` (16)
+//!   live source cells is merged branch-free over all its lanes (the block
+//!   path): each lane is a saturating add, two compares and a `min`, and
+//!   the changed and `ea`-improved lane masks come out directly as the
+//!   dirty and `ea` bitmap words. A sparser word walks its live bits (the
+//!   bit walk), paying per live cell instead of per lane. Block-only
+//!   merging loses on sparse rings, where words hold a handful of live
+//!   cells; per-cell merging loses on dense rows, where every cell costs a
+//!   data-dependent branch.
+//! * **Filtered snapshots.** A pre-pass over the step's edges computes, per
+//!   slotted row, the most permissive consumer watermark (`slot_maxlast`),
+//!   and the snapshot copies only the words with `mark <= slot_maxlast`
+//!   (each direction then re-filters blocks by its own watermark). Rows with
+//!   no consumer in the step — e.g. directed tails — and rows unchanged
+//!   since every consumer's last visit copy nothing. This composes with the
+//!   degree-1 bypass: a single-edge step whose rows are unchanged since the
+//!   edge last fired does no snapshot work and no merge at all, which is
+//!   the common case on bursty contact trains. In the degree-1 forward
+//!   direction row `w` is read live, and its live marks are therefore
+//!   pre-step exact; the reverse-direction snapshot is taken before the
+//!   forward merges dirty row `u`.
 //! * **Change tracking.** Every write lands in two per-slot bitmaps:
-//!   `dirty_bits` (any change, hops ties included) feeds the per-row change
-//!   marks, and `ea_bits` (strict `ea` improvements) is exactly the
-//!   minimal-trip condition. Walking them with slots in ascending node order
-//!   reports trips in canonical order with no per-step sort.
+//!   `dirty_bits` (any change, hops ties included) feeds the change marks,
+//!   and `ea_bits` (strict `ea` improvements) is exactly the minimal-trip
+//!   condition. Walking them with slots in ascending node order reports
+//!   trips in canonical order with no per-step sort.
 //!
 //! [`baseline`] is the comparison oracle: the pre-rework engine (full-row
 //! snapshots, per-run table allocation, `O(ncols)` chain scans, no
@@ -169,10 +180,18 @@
 use crate::cancel::CancelToken;
 use crate::{TargetSet, Timeline};
 
-/// Sentinel for "no path".
+/// Sentinel for "no path" in the baseline's `ea` table.
 const NONE_EA: u32 = u32::MAX;
-/// Sentinel for "value never set" / "no slot".
+/// Sentinel for "value never set" / "no slot" / "not this run".
 const NEVER: u32 = u32::MAX;
+/// The key of an unreachable cell (module docs, "Keys").
+const UNREACHED: u64 = u64::MAX;
+/// The `ea` half of a key: a candidate improves `ea` iff it is below the
+/// cell's key masked with this.
+const EA_MASK: u64 = !(u32::MAX as u64);
+/// Live source cells from which a word is merged by the branch-free block
+/// path rather than the bit walk (module docs, "Why the crossover exists").
+const BLOCK_MIN_LIVE: u32 = 16;
 /// Steps between cancellation polls in the main DP loop: a fired
 /// [`CancelToken`] stops a run within this many steps of one tile. Chosen so
 /// the poll is amortized to nothing even on degree-1 timelines where a step
@@ -183,16 +202,18 @@ pub const CANCEL_STRIDE: u32 = 512;
 /// docs, "Memory budget"); [`max_tile_cols`] turns it into a tile width.
 pub const ARENA_BUDGET_BYTES: usize = 256 << 20;
 
-/// Bytes an arena reserves per (row, column), at most: the cell, the
-/// worst-case snapshot entry (a step touching every row snapshots every
-/// live cell) doubled for push growth, and the frontier, dirty and `ea`
-/// bits, doubled for resize growth.
-const ROW_COL_BYTES: usize = size_of::<Cell>() + 2 * size_of::<Snap>() + 1;
-/// Bytes per row on top: the three bitmaps' partial last words, doubled.
-const ROW_BYTES: usize = 3 * 2 * size_of::<u64>();
+/// Bytes an arena reserves per (row, column), at most: the key, the
+/// worst-case snapshot copy (a step touching every row copies every live
+/// key) doubled for push growth, the install step of a distance-collecting
+/// run, and two bytes for the per-word tables — the frontier, dirty and
+/// `ea` bits, the change marks and the snapshot block headers, each doubled
+/// for growth (13 bits per column).
+const ROW_COL_BYTES: usize = 3 * size_of::<u64>() + size_of::<u32>() + 2;
+/// Bytes per row on top: the per-word tables' partial last word, doubled.
+const ROW_BYTES: usize = 2 * (3 * size_of::<u64>() + size_of::<u32>() + size_of::<Block>());
 
-/// Upper bound on the bytes an arena reserves for its cells, snapshot
-/// buffer and bitmaps over an `nrows × ncols` run.
+/// Upper bound on the bytes an arena reserves for its keys, install steps,
+/// snapshot buffers and per-word tables over an `nrows × ncols` run.
 pub fn arena_bytes(nrows: usize, ncols: usize) -> usize {
     nrows.saturating_mul(ncols.saturating_mul(ROW_COL_BYTES).saturating_add(ROW_BYTES))
 }
@@ -257,77 +278,69 @@ pub struct DpStats {
     pub trips: u64,
     /// Total edge traversals processed (`M`, doubled for undirected).
     pub traversals: u64,
-    /// Chain offers actually emitted (after delta filtering; excludes the
-    /// per-traversal single-hop offer).
+    /// Source cells merged into written rows, after delta filtering: every
+    /// lane of a block-merged word, every live cell of a walked word
+    /// (excludes the per-traversal single-hop candidate).
     pub chain_offers: u64,
-    /// Snapshot entries appended across all steps (after snapshot-side
-    /// delta filtering).
+    /// Snapshot cells copied across all steps, after delta filtering: every
+    /// lane of a block word, every live cell of a sparse word.
     pub snap_entries: u64,
     /// Steps taken through the degree-1 fast path (single-edge steps with
     /// no slot machinery — the fine-scale tail's dominant step shape).
     /// Always 0 for the baseline engine, which has no such path.
     pub degree1_steps: u64,
+    /// Words merged by the branch-free block path. Always 0 for the
+    /// baseline engine.
+    pub block_words: u64,
+    /// Words merged by the per-cell bit walk. Always 0 for the baseline
+    /// engine.
+    pub walked_words: u64,
     /// Distance sums, if requested.
     pub distances: Option<DistanceSums>,
 }
 
-/// One DP table cell, sized to a half cache line so every `offer` touches a
-/// single line (the pre-rework layout spread `ea`/`hops`/`set_at` across
-/// three parallel arrays — three random accesses per offer).
-#[repr(C)]
+/// The header of one snapshotted 64-column word of a continuation row.
 #[derive(Clone, Copy, Debug)]
-struct Cell {
-    /// Earliest arrival; garbage unless `stamp` matches the run's epoch.
-    ea: u32,
-    /// Min hops at the earliest arrival.
-    hops: u32,
-    /// Step at which `(ea, hops)` was installed.
-    set_at: u32,
-    /// Generation stamp; the cell is live iff `stamp == arena.epoch`.
-    stamp: u32,
+struct Block {
+    /// The word's live cells (its frontier bits) when copied.
+    live: u64,
+    /// Offset of the copied keys in the snapshot buffer: one per lane when
+    /// `live` reaches `BLOCK_MIN_LIVE`, else one per live bit, ascending.
+    at: u32,
+    /// Word index within the row.
+    word: u32,
+    /// The word's change mark when copied.
+    mark: u32,
 }
 
-/// One snapshotted frontier entry of a continuation row. `set_at` is the
-/// pre-step install step of the value — consumers with a live delta
-/// watermark `L` skip entries with `set_at > L` (unchanged since they last
-/// consumed the row; module docs). 16 bytes keeps the flat snapshot buffer
-/// quarter-cache-line aligned.
-#[repr(C)]
-#[derive(Clone, Copy, Debug)]
-struct Snap {
-    col: u32,
-    ea: u32,
-    hops: u32,
-    set_at: u32,
-}
-
-/// Reusable per-worker engine state; see the module docs for the epoch and
+/// Reusable per-worker engine state; see the module docs for the reset and
 /// frontier invariants. One arena serves any number of sequential runs; the
 /// sweep gives each worker thread its own.
 #[derive(Clone, Debug, Default)]
 pub struct EngineArena {
     nrows: usize,
     ncols: usize,
-    /// Current run's generation stamp; cells are live iff their stamp
-    /// matches.
-    epoch: u32,
-    cells: Vec<Cell>,
-    /// Per-row frontier bitmap (one bit per column): bit set = live cell.
-    /// Iterated in ascending column order, so snapshots and chain updates
-    /// walk rows sequentially — baseline-grade locality when dense, 64
-    /// columns skipped per zero word when sparse. 1/128th the size of the
-    /// cell table, so clearing it per run costs nothing measurable.
-    frontier: Vec<u64>,
-    /// Words per frontier row: `ceil(ncols / 64)`.
+    /// Words per row of every per-word table: `ceil(ncols / 64)`.
     words_per_row: usize,
-    /// Flat per-step snapshot of frontier entries.
-    snap: Vec<Snap>,
-    /// Per snapshot slot: `(start, len)` into `snap`.
+    /// `ea << 32 | hops` per cell, `UNREACHED` when unreachable.
+    keys: Vec<u64>,
+    /// Per cell, the step its key was installed at; `collect_distances`
+    /// runs only (the distance flush needs it).
+    set_at: Vec<u32>,
+    /// Per-row frontier bitmap (one bit per column): bit set = live key.
+    frontier: Vec<u64>,
+    /// Per (row, word): the step of the word's most recent change (`NEVER`
+    /// = unchanged this run).
+    marks: Vec<u32>,
+    /// Flat per-step snapshot of copied keys, and the copied words' headers.
+    snap: Vec<u64>,
+    blocks: Vec<Block>,
+    /// Per snapshot slot: `(start, len)` into `blocks`.
     slot_bounds: Vec<(u32, u32)>,
     /// Per snapshot slot: the most permissive delta watermark among the
     /// step's consumers of the row (`0` = no consumer, `NEVER` = some
-    /// consumer needs everything). Snapshots are filtered to entries with
-    /// `set_at <= slot_maxlast[slot]`.
+    /// consumer needs everything). Snapshots copy the words with
+    /// `mark <= slot_maxlast[slot]`.
     slot_maxlast: Vec<u32>,
     /// node -> snapshot slot (`NEVER` = none), plus the slotted-node list.
     slot_of: Vec<u32>,
@@ -344,21 +357,183 @@ pub struct EngineArena {
     /// Reporting scratch: the step's `(node, slot)` pairs, sorted ascending
     /// by node before the report walk.
     report_order: Vec<(u32, u32)>,
-    /// Per row: step of the row's most recent cell change (live iff
-    /// `row_changed_stamp` matches the epoch; dead = never changed this
-    /// run). Equals the minimum `set_at` over the row's live cells, so a
-    /// consumer watermark `L < row_changed_at[row]` proves the whole row
-    /// unchanged since that consumer's last visit.
+    /// Per row: the minimum of its word marks (`NEVER` = unchanged this
+    /// run), so a consumer watermark `L < row_changed_at[row]` proves the
+    /// whole row unchanged since that consumer's last visit.
     row_changed_at: Vec<u32>,
-    row_changed_stamp: Vec<u32>,
     /// Delta watermarks, indexed `2 * pair_id + direction` over the
     /// timeline's distinct edge pairs: the step at which that (edge,
-    /// direction) last consumed its continuation row (live iff `wm_stamp`
-    /// matches the epoch; dead = never fired this run). Sized for the
-    /// largest timeline seen; stale stamps from other timelines/scales are
-    /// dead by the epoch invariant, exactly like cells.
+    /// direction) last consumed its continuation row (`NEVER` = not yet).
     wm: Vec<u32>,
-    wm_stamp: Vec<u32>,
+}
+
+/// The row one traversal writes: row `u`'s keys, frontier words and
+/// install steps (empty unless collecting), its slot's dirty and `ea` words,
+/// and the run's counters.
+struct Writer<'a> {
+    keys: &'a mut [u64],
+    frontier: &'a mut [u64],
+    set_at: &'a mut [u32],
+    dirty: &'a mut [u64],
+    ea: &'a mut [u64],
+    k: u32,
+    /// `u`'s own tile-local column (`NEVER` = outside the tile): no trip
+    /// ends where it starts, so the diagonal is never merged.
+    diag: u32,
+    stats: &'a mut DpStats,
+    sums: &'a mut DistanceSums,
+}
+
+impl Writer<'_> {
+    /// Offers candidate key `cand` to column `c`.
+    #[inline(always)]
+    fn offer(&mut self, c: usize, cand: u64) {
+        let cur = self.keys[c];
+        if cand < cur {
+            self.install(c, cur);
+            self.keys[c] = cand;
+            let (w, bit) = (c >> 6, 1u64 << (c & 63));
+            self.frontier[w] |= bit;
+            self.dirty[w] |= bit;
+            if cand < cur & EA_MASK {
+                self.ea[w] |= bit;
+            }
+        }
+    }
+
+    /// Before column `c`'s key `old` is replaced at step `k` (collecting
+    /// runs only): flushes the distances `old` contributed over departure
+    /// steps `[k + 1, set_at]`, and records `k` as the new install step.
+    #[inline(always)]
+    fn install(&mut self, c: usize, old: u64) {
+        if self.set_at.is_empty() {
+            return;
+        }
+        if old == UNREACHED {
+            self.set_at[c] = self.k;
+        } else if self.set_at[c] != self.k {
+            flush_distances(old, self.set_at[c], self.k + 1, self.sums);
+            self.set_at[c] = self.k;
+        }
+    }
+
+    /// Merges the chain candidates of one continuation word into word `wi`:
+    /// `src` holds its keys per lane for the block path, and for the bit
+    /// walk per lane (`packed == false`) or one per `live` bit.
+    #[inline(always)]
+    fn merge(&mut self, wi: usize, live: u64, src: &[u64], packed: bool) {
+        let base = wi * 64;
+        let diag = (self.diag as usize).wrapping_sub(base);
+        if live.count_ones() < BLOCK_MIN_LIVE {
+            self.stats.walked_words += 1;
+            let (mut bits, mut j) = (live, 0);
+            while bits != 0 {
+                let c = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let s = src[if packed { j } else { c }];
+                j += 1;
+                if c != diag {
+                    self.stats.chain_offers += 1;
+                    self.offer(base + c, s + 1);
+                }
+            }
+            return;
+        }
+        let width = (self.keys.len() - base).min(64);
+        self.stats.block_words += 1;
+        self.stats.chain_offers += width as u64;
+        let (dst, src) = (&mut self.keys[base..base + width], &src[..width]);
+        let diag_bit = if diag < 64 { 1u64 << diag } else { 0 };
+        if !self.set_at.is_empty() {
+            let mut gains = 0u64;
+            for (i, (&d, &s)) in dst.iter().zip(src).enumerate() {
+                gains |= u64::from(s.saturating_add(1) < d) << i;
+            }
+            gains &= !diag_bit;
+            while gains != 0 {
+                let c = gains.trailing_zeros() as usize;
+                gains &= gains - 1;
+                let old = self.keys[base + c];
+                self.install(base + c, old);
+            }
+        }
+        let dst = &mut self.keys[base..base + width];
+        // lane masks shift in from the top (constant shifts only), so lane
+        // `i` ends at bit `i` once the last lane is in
+        let (mut changed, mut improved) = (0u64, 0u64);
+        for (d, &s) in dst.iter_mut().zip(src) {
+            let (cand, cur) = (s.saturating_add(1), *d);
+            changed = changed >> 1 | u64::from(cand < cur) << 63;
+            improved = improved >> 1 | u64::from(cand < cur & EA_MASK) << 63;
+            *d = cur.min(cand);
+        }
+        (changed, improved) = (changed >> (64 - width), improved >> (64 - width));
+        if changed & diag_bit != 0 {
+            dst[diag] = UNREACHED;
+            changed &= !diag_bit;
+            improved &= !diag_bit;
+        }
+        self.frontier[wi] |= changed;
+        self.dirty[wi] |= changed;
+        self.ea[wi] |= improved;
+    }
+}
+
+/// Adds the distances of key `key`, valid for departure steps `[lo, hi]`.
+#[inline]
+fn flush_distances(key: u64, hi: u32, lo: u32, sums: &mut DistanceSums) {
+    let (hi, lo) = (hi as i128, lo as i128);
+    if hi < lo {
+        return;
+    }
+    let cnt = hi - lo + 1;
+    // Σ_{t=lo..hi} (a - t + 1) = cnt·(a + 1) - Σ t
+    let sum_t = (lo + hi) * cnt / 2;
+    sums.sum_dtime_steps += cnt * ((key >> 32) as i128 + 1) - sum_t;
+    sums.sum_dhops += cnt * (key as u32) as i128;
+    sums.finite_triples += cnt;
+}
+
+/// Row `dst` (mutable) and row `src` (shared) of a row-major table of rows
+/// `width` wide; `dst != src`.
+fn two_rows<T>(table: &mut [T], width: usize, dst: usize, src: usize) -> (&mut [T], &[T]) {
+    if dst < src {
+        let (lo, hi) = table.split_at_mut(src * width);
+        (&mut lo[dst * width..][..width], &hi[..width])
+    } else {
+        let (lo, hi) = table.split_at_mut(dst * width);
+        (&mut hi[..width], &lo[src * width..][..width])
+    }
+}
+
+/// Appends the words of one row changed at or before step `maxlast` to the
+/// snapshot (module docs, "Block snapshots"); returns the keys copied.
+fn snapshot_row(
+    keys: &[u64],
+    frontier: &[u64],
+    marks: &[u32],
+    maxlast: u32,
+    snap: &mut Vec<u64>,
+    blocks: &mut Vec<Block>,
+) -> u64 {
+    let start = snap.len();
+    for (wi, (&live, &mark)) in frontier.iter().zip(marks).enumerate() {
+        if live == 0 || mark > maxlast {
+            continue;
+        }
+        blocks.push(Block { live, at: snap.len() as u32, word: wi as u32, mark });
+        let lanes = &keys[wi * 64..(wi * 64 + 64).min(keys.len())];
+        if live.count_ones() >= BLOCK_MIN_LIVE {
+            snap.extend_from_slice(lanes);
+        } else {
+            let mut bits = live;
+            while bits != 0 {
+                snap.push(lanes[bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+    }
+    (snap.len() - start) as u64
 }
 
 impl EngineArena {
@@ -371,71 +546,59 @@ impl EngineArena {
 
     /// Readies the arena for a run over an `nrows × ncols` table.
     ///
-    /// Geometry changes reuse the cell buffer whenever it is large enough:
-    /// a stale stamp is always from a past epoch, so cells re-read under a
-    /// different `(nrows, ncols)` mapping are dead regardless of which
-    /// `(row, col)` wrote them. Workers of a tiled sweep alternate between
-    /// full tiles and the remainder tile, and must not reallocate per item.
-    fn prepare(&mut self, nrows: usize, ncols: usize) {
+    /// The previous run's keys are reset by walking its frontier under its
+    /// own geometry (module docs), so geometry changes reuse the key buffer
+    /// whenever it is large enough: workers of a tiled sweep alternate
+    /// between full tiles and the remainder tile, and must not reallocate
+    /// per item.
+    fn prepare(&mut self, nrows: usize, ncols: usize, collect: bool) {
         let n_cells = nrows.checked_mul(ncols).expect("state table size overflow");
-        let mut epoch_restarted = false;
-        if n_cells > self.cells.len() {
-            // grow: drop the old table, then allocate fallibly (a refused
-            // table unwinds instead of aborting); ea/hops/set_at are garbage
-            // until stamped, only `stamp` needs real init
-            self.cells = Vec::new();
-            if self.cells.try_reserve_exact(n_cells).is_err() {
-                let bytes = n_cells as u128 * size_of::<Cell>() as u128;
+        let (old_ncols, old_words) = (self.ncols, self.words_per_row);
+        let reuse = n_cells <= self.keys.len();
+        for i in 0..self.nrows * old_words {
+            let mut bits = std::mem::take(&mut self.frontier[i]);
+            self.marks[i] = NEVER;
+            let base = (i / old_words) * old_ncols + (i % old_words) * 64;
+            while reuse && bits != 0 {
+                self.keys[base + bits.trailing_zeros() as usize] = UNREACHED;
+                bits &= bits - 1;
+            }
+        }
+        if !reuse {
+            self.keys = Vec::new();
+            if self.keys.try_reserve_exact(n_cells).is_err() {
+                let bytes = n_cells as u128 * size_of::<u64>() as u128;
                 panic!("DP state table of {nrows} x {ncols} cells ({bytes} bytes) cannot be allocated");
             }
-            self.cells.resize(n_cells, Cell { ea: NONE_EA, hops: 0, set_at: NEVER, stamp: 0 });
-            self.epoch = 1;
-            epoch_restarted = true;
-        } else if self.epoch == u32::MAX {
-            for cell in &mut self.cells {
-                cell.stamp = 0;
-            }
-            self.epoch = 1;
-            epoch_restarted = true;
-        } else {
-            self.epoch += 1;
+            self.keys.resize(n_cells, UNREACHED);
         }
-        if epoch_restarted {
-            // every stamped side table restarts with the epoch counter, or
-            // stale entries from before the restart would read as live
-            self.wm_stamp.fill(0);
-            self.row_changed_stamp.fill(0);
+        if collect && n_cells > self.set_at.len() {
+            self.set_at = Vec::new();
+            self.set_at.resize(n_cells, 0);
         }
-        if self.nrows != nrows || self.ncols != ncols {
-            self.words_per_row = ncols.div_ceil(64);
-            let words = nrows * self.words_per_row;
-            if words > self.frontier.len() {
-                self.frontier.resize(words, 0);
-            }
-            if nrows > self.slot_of.len() {
-                self.slot_of.resize(nrows, NEVER);
-            }
-            if nrows > self.row_changed_stamp.len() {
-                self.row_changed_at.resize(nrows, 0);
-                self.row_changed_stamp.resize(nrows, 0);
-            }
-            self.nrows = nrows;
-            self.ncols = ncols;
+        self.words_per_row = ncols.div_ceil(64);
+        let words = nrows * self.words_per_row;
+        if words > self.frontier.len() {
+            self.frontier.resize(words, 0);
+            self.marks.resize(words, NEVER);
         }
-        self.frontier[..nrows * self.words_per_row].fill(0);
+        if nrows > self.slot_of.len() {
+            self.slot_of.resize(nrows, NEVER);
+            self.row_changed_at.resize(nrows, NEVER);
+        }
+        (self.nrows, self.ncols) = (nrows, ncols);
+        self.row_changed_at.fill(NEVER);
         self.slotted.clear();
         self.slot_bounds.clear();
         self.slot_maxlast.clear();
         self.snap.clear();
-        // normally already zero (the report walk clears the words it
-        // visits), but a sink panic can abandon a run mid-step
+        self.blocks.clear();
+        // normally already clear (the report walk clears the words it
+        // visits, and step 5 of run releases slots), but a sink panic or a
+        // cancellation can abandon a run mid-step
         self.dirty_bits.fill(0);
         self.ea_bits.fill(0);
         self.report_order.clear();
-        // normally all NEVER already (step 5 of run releases slots), but a
-        // sink panic caught by the caller can abandon a run mid-step and
-        // leave stale slot indices behind; O(nrows) is noise next to the
-        // table itself
         self.slot_of.fill(NEVER);
     }
 
@@ -449,15 +612,17 @@ impl EngineArena {
         cancel: Option<&CancelToken>,
     ) -> DpStats {
         // Field-split the arena so the hot loops can hold a shared borrow of
-        // the snapshot buffer while mutating cells/frontier/dirty bits.
+        // the snapshot while mutating keys/frontier/dirty bits.
         let EngineArena {
             nrows,
             ncols,
-            epoch,
-            cells,
-            frontier,
             words_per_row,
+            keys,
+            set_at,
+            frontier,
+            marks,
             snap,
+            blocks,
             slot_bounds,
             slot_maxlast,
             slot_of,
@@ -466,46 +631,13 @@ impl EngineArena {
             ea_bits,
             report_order,
             row_changed_at,
-            row_changed_stamp,
             wm,
-            wm_stamp,
         } = self;
-        let (nrows, ncols, epoch, words_per_row) = (*nrows, *ncols, *epoch, *words_per_row);
+        let (nrows, ncols, wpr) = (*nrows, *ncols, *words_per_row);
         let undirected = !timeline.is_directed();
         let collect = options.collect_distances;
-        // Watermark storage: two slots (one per direction) for each distinct
-        // edge pair of this timeline. Capacity is kept across runs; entries
-        // stamped by earlier runs — including runs over other timelines,
-        // whose pair ids mean something else — are dead by the epoch check.
-        let wm_len = timeline.distinct_pairs() as usize * 2;
-        if wm.len() < wm_len {
-            wm.resize(wm_len, 0);
-            wm_stamp.resize(wm_len, 0);
-        }
-
-        /// The delta watermark of one (edge, direction): the step at which
-        /// it last consumed its continuation row, or `NEVER` when it has not
-        /// fired this run — `NEVER` passes every `set_at <= last` filter,
-        /// i.e. "offer everything".
-        #[inline(always)]
-        fn wm_last(wm: &[u32], wm_stamp: &[u32], epoch: u32, idx: usize) -> u32 {
-            if wm_stamp[idx] == epoch {
-                wm[idx]
-            } else {
-                NEVER
-            }
-        }
-
-        /// The step of `row`'s most recent change, or `NEVER` when the row
-        /// has not changed this run (its frontier is then empty anyway).
-        #[inline(always)]
-        fn row_mark(at: &[u32], stamp: &[u32], epoch: u32, row: usize) -> u32 {
-            if stamp[row] == epoch {
-                at[row]
-            } else {
-                NEVER
-            }
-        }
+        wm.clear();
+        wm.resize(timeline.distinct_pairs() as usize * 2, NEVER);
         // Tile-local column of node `v`, if `v` is a destination inside
         // `[col_start, col_start + ncols)` — one array read plus a wrapping
         // range compare on the hot path.
@@ -519,88 +651,28 @@ impl EngineArena {
             }
         };
         let mut sums = DistanceSums::default();
-        let mut trips = 0u64;
-        let mut traversals = 0u64;
-        let mut chain_offers = 0u64;
-        let mut snap_entries = 0u64;
-        let mut degree1_steps = 0u64;
-
-        /// The DP update for one candidate `(arrival, hops)` at cell `idx`
-        /// (= row `row_node` × column `col`) during step `k`. A free fn over
-        /// the split-out arena parts so callers can keep disjoint borrows.
-        ///
-        /// Changes are recorded in the caller's per-slot bitmaps at
-        /// `bit_base` (idempotent ORs; `ea_bits` additionally marks strict
-        /// `ea` improvements — the minimal-trip condition).
-        #[allow(clippy::too_many_arguments)] // hot inner call; a params struct costs moves
-        #[inline(always)]
-        fn offer(
-            cells: &mut [Cell],
-            frontier: &mut [u64],
-            words_per_row: usize,
-            dirty_bits: &mut [u64],
-            ea_bits: &mut [u64],
-            bit_base: usize,
-            epoch: u32,
-            idx: usize,
-            row_node: u32,
-            col: u32,
-            k: u32,
-            arr: u32,
-            h: u32,
-            collect: bool,
-            sums: &mut DistanceSums,
-        ) {
-            let cell = &mut cells[idx];
-            let live = cell.stamp == epoch;
-            let cur = if live { cell.ea } else { NONE_EA };
-            if arr < cur {
-                if !live {
-                    // first touch this run: enters the frontier
-                    cell.stamp = epoch;
-                    cell.set_at = k;
-                    frontier[row_node as usize * words_per_row + (col as usize >> 6)] |=
-                        1u64 << (col & 63);
-                } else if cell.set_at != k {
-                    if collect {
-                        flush_distances(cell, k, sums);
-                    }
-                    cell.set_at = k;
+        let mut stats = DpStats::default();
+        // The writer of row `u` into dirty-bitmap slot `slot`, whose
+        // continuation row `w` is not borrowed by it (the degree-1 forward
+        // direction reads row `w` live through `two_rows`).
+        macro_rules! writer {
+            ($keys:expr, $frontier:expr, $u:expr, $slot:expr, $k:expr) => {
+                Writer {
+                    keys: $keys,
+                    frontier: $frontier,
+                    set_at: if collect {
+                        &mut set_at[$u as usize * ncols..][..ncols]
+                    } else {
+                        &mut []
+                    },
+                    dirty: &mut dirty_bits[$slot * wpr..][..wpr],
+                    ea: &mut ea_bits[$slot * wpr..][..wpr],
+                    k: $k,
+                    diag: local_col($u).unwrap_or(NEVER),
+                    stats: &mut stats,
+                    sums: &mut sums,
                 }
-                cell.ea = arr;
-                cell.hops = h;
-                let w = bit_base + (col as usize >> 6);
-                let bit = 1u64 << (col & 63);
-                dirty_bits[w] |= bit;
-                ea_bits[w] |= bit;
-            } else if arr == cur && arr != NONE_EA && h < cell.hops {
-                if cell.set_at != k {
-                    if collect {
-                        flush_distances(cell, k, sums);
-                    }
-                    cell.set_at = k;
-                }
-                cell.hops = h;
-                dirty_bits[bit_base + (col as usize >> 6)] |= 1u64 << (col & 63);
-            }
-        }
-
-        /// Flushes the distance contribution of a live cell's value, valid
-        /// for departure steps `[new_k + 1, set_at]`, before replacement.
-        #[inline]
-        fn flush_distances(cell: &Cell, new_k: u32, sums: &mut DistanceSums) {
-            debug_assert!(cell.ea != NONE_EA);
-            let hi = cell.set_at as i128; // inclusive
-            let lo = new_k as i128 + 1; // inclusive
-            if hi < lo {
-                return;
-            }
-            let cnt = hi - lo + 1;
-            // Σ_{t=lo..hi} (a - t + 1) = cnt·(a + 1) - Σ t
-            let sum_t = (lo + hi) * cnt / 2;
-            sums.sum_dtime_steps += cnt * (cell.ea as i128 + 1) - sum_t;
-            sums.sum_dhops += cnt * cell.hops as i128;
-            sums.finite_triples += cnt;
+            };
         }
 
         // Cooperative cancellation: polled once per CANCEL_STRIDE steps —
@@ -620,183 +692,77 @@ impl EngineArena {
                 }
             }
             let k = step.index;
+            let single_hop = key(k, 0);
 
             if step.len() == 1 {
                 // Degree-1 fast path (module docs): one edge `(eu, ew)`,
                 // no slot machinery. Direction `eu -> ew` writes only row
                 // `eu`, so row `ew` stays pre-step and is read live; for the
-                // undirected reverse direction, row `eu`'s frontier is
-                // snapshotted (one flat append) *before* the forward
-                // direction dirties it — the strict inequality of Remark 1,
-                // with half the snapshot writes and zero bookkeeping.
-                // Delta propagation applies per direction: a continuation
-                // row unchanged since the direction's last visit is skipped
-                // outright (for the reverse direction that skips building
-                // the snapshot at all — the tail's dominant cost), and a
-                // changed row only offers the entries installed since.
+                // undirected reverse direction, row `eu`'s changed words are
+                // snapshotted *before* the forward direction dirties it —
+                // the strict inequality of Remark 1, with half the snapshot
+                // writes and zero bookkeeping. Delta propagation applies per
+                // direction: a continuation row unchanged since the
+                // direction's last visit is skipped outright, and a changed
+                // row only merges the words changed since.
                 let (eu, ew) = (step.src[0], step.dst[0]);
-                degree1_steps += 1;
+                let (u, w) = (eu as usize, ew as usize);
+                stats.degree1_steps += 1;
                 debug_assert_ne!(eu, ew, "streams never carry self-loops");
                 debug_assert!(snap.is_empty() && slotted.is_empty());
                 // fixed dirty-bitmap slots: row eu -> 0, row ew -> 1
-                let need = 2 * words_per_row;
-                if dirty_bits.len() < need {
-                    dirty_bits.resize(need, 0);
-                    ea_bits.resize(need, 0);
+                if dirty_bits.len() < 2 * wpr {
+                    dirty_bits.resize(2 * wpr, 0);
+                    ea_bits.resize(2 * wpr, 0);
                 }
                 report_order.push((eu, 0));
                 if undirected {
                     report_order.push((ew, 1));
                 }
                 let wi_fwd = step.pair[0] as usize * 2;
-                let last_fwd = wm_last(wm, wm_stamp, epoch, wi_fwd);
+                let last_fwd = std::mem::replace(&mut wm[wi_fwd], k);
                 let last_rev =
-                    if undirected { wm_last(wm, wm_stamp, epoch, wi_fwd + 1) } else { 0 };
-                wm[wi_fwd] = k;
-                wm_stamp[wi_fwd] = epoch;
-                if undirected {
-                    wm[wi_fwd + 1] = k;
-                    wm_stamp[wi_fwd + 1] = epoch;
+                    if undirected { std::mem::replace(&mut wm[wi_fwd + 1], k) } else { 0 };
+                if row_changed_at[u] <= last_rev {
+                    stats.snap_entries += snapshot_row(
+                        &keys[u * ncols..][..ncols],
+                        &frontier[u * wpr..][..wpr],
+                        &marks[u * wpr..][..wpr],
+                        last_rev,
+                        snap,
+                        blocks,
+                    );
                 }
-                if undirected
-                    && row_mark(row_changed_at, row_changed_stamp, epoch, eu as usize)
-                        <= last_rev
+                // forward direction eu -> ew: merges row ew, read live
                 {
-                    let row = eu as usize * ncols;
-                    let words = &frontier[eu as usize * words_per_row..][..words_per_row];
-                    for (wi, &word) in words.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let c = (wi as u32) * 64 + bits.trailing_zeros();
-                            bits &= bits - 1;
-                            let cell = &cells[row + c as usize];
-                            if cell.set_at <= last_rev {
-                                snap.push(Snap {
-                                    col: c,
-                                    ea: cell.ea,
-                                    hops: cell.hops,
-                                    set_at: cell.set_at,
-                                });
-                            }
-                        }
-                    }
-                }
-                // forward direction eu -> ew: chains over row ew, read live
-                {
-                    traversals += 1;
-                    let row = eu as usize * ncols;
+                    stats.traversals += 1;
+                    let (keys_u, keys_w) = two_rows(keys, ncols, u, w);
+                    let (front_u, front_w) = two_rows(frontier, wpr, u, w);
+                    let mut wr = writer!(keys_u, front_u, eu, 0, k);
                     if let Some(c) = local_col(ew) {
-                        offer(
-                            cells,
-                            frontier,
-                            words_per_row,
-                            dirty_bits,
-                            ea_bits,
-                            0,
-                            epoch,
-                            row + c as usize,
-                            eu,
-                            c,
-                            k,
-                            k,
-                            1,
-                            collect,
-                            &mut sums,
-                        );
+                        wr.offer(c as usize, single_hop + 1);
                     }
-                    if row_mark(row_changed_at, row_changed_stamp, epoch, ew as usize)
-                        <= last_fwd
-                    {
-                        let diag = local_col(eu).unwrap_or(u32::MAX);
-                        let row_w = ew as usize * ncols;
-                        let fw = ew as usize * words_per_row;
-                        for wi in 0..words_per_row {
-                            // copy the word: offers touch row eu's words
-                            // only, never row ew's, so each copy is the
-                            // pre-step value
-                            let mut bits = frontier[fw + wi];
-                            while bits != 0 {
-                                let c = (wi as u32) * 64 + bits.trailing_zeros();
-                                bits &= bits - 1;
-                                if c == diag {
-                                    continue;
-                                }
-                                let (s_ea, s_hops, s_set_at) = {
-                                    let cell = &cells[row_w + c as usize];
-                                    (cell.ea, cell.hops, cell.set_at)
-                                };
-                                if s_set_at > last_fwd {
-                                    continue;
-                                }
-                                chain_offers += 1;
-                                offer(
-                                    cells,
-                                    frontier,
-                                    words_per_row,
-                                    dirty_bits,
-                                    ea_bits,
-                                    0,
-                                    epoch,
-                                    row + c as usize,
-                                    eu,
-                                    c,
-                                    k,
-                                    s_ea,
-                                    s_hops + 1,
-                                    collect,
-                                    &mut sums,
-                                );
+                    if row_changed_at[w] <= last_fwd {
+                        for (wi, (&live, &mark)) in
+                            front_w.iter().zip(&marks[w * wpr..]).enumerate()
+                        {
+                            if live != 0 && mark <= last_fwd {
+                                wr.merge(wi, live, &keys_w[wi * 64..], false);
                             }
                         }
                     }
                 }
-                // reverse direction ew -> eu: chains over the (already
-                // delta-filtered) snapshot
+                // reverse direction ew -> eu: merges the (already
+                // delta-filtered) snapshot of row eu
                 if undirected {
-                    traversals += 1;
-                    let row = ew as usize * ncols;
+                    stats.traversals += 1;
+                    let keys_w = &mut keys[w * ncols..][..ncols];
+                    let mut wr = writer!(keys_w, &mut frontier[w * wpr..][..wpr], ew, 1, k);
                     if let Some(c) = local_col(eu) {
-                        offer(
-                            cells,
-                            frontier,
-                            words_per_row,
-                            dirty_bits,
-                            ea_bits,
-                            words_per_row,
-                            epoch,
-                            row + c as usize,
-                            ew,
-                            c,
-                            k,
-                            k,
-                            1,
-                            collect,
-                            &mut sums,
-                        );
+                        wr.offer(c as usize, single_hop + 1);
                     }
-                    let diag = local_col(ew).unwrap_or(u32::MAX);
-                    for s in snap.iter() {
-                        if s.col == diag {
-                            continue;
-                        }
-                        chain_offers += 1;
-                        offer(
-                            cells,
-                            frontier,
-                            words_per_row,
-                            dirty_bits,
-                            ea_bits,
-                            words_per_row,
-                            epoch,
-                            row + s.col as usize,
-                            ew,
-                            s.col,
-                            k,
-                            s.ea,
-                            s.hops + 1,
-                            collect,
-                            &mut sums,
-                        );
+                    for b in blocks.iter() {
+                        wr.merge(b.word as usize, b.live, &snap[b.at as usize..], true);
                     }
                 }
             } else {
@@ -810,131 +776,75 @@ impl EngineArena {
                         let slot = slotted.len() as u32;
                         slot_of[node as usize] = slot;
                         slotted.push(node);
-                        // 0 = "no consumer yet": live watermarks and row marks
+                        // 0 = "no consumer yet": live watermarks and marks
                         // at step k are always >= k + 1 >= 1, so 0 filters
                         // everything out
                         slot_maxlast.push(0);
                         report_order.push((node, slot));
                     }
                 }
-                let need = slotted.len() * words_per_row;
+                let need = slotted.len() * wpr;
                 if dirty_bits.len() < need {
                     dirty_bits.resize(need, 0);
                     ea_bits.resize(need, 0);
                 }
                 // 1b. Per slot, the most permissive consumer watermark: the
-                //     snapshot below keeps exactly the entries at least one of
+                //     snapshot below keeps exactly the words at least one of
                 //     the step's consuming directions still needs.
                 for e in 0..step.len() {
                     let wi = step.pair[e] as usize * 2;
                     let heads: [(usize, u32); 2] = [(wi, step.dst[e]), (wi + 1, step.src[e])];
-                    let nheads = if undirected { 2 } else { 1 };
-                    for &(wi, head) in &heads[..nheads] {
-                        let last = wm_last(wm, wm_stamp, epoch, wi);
+                    for &(wi, head) in &heads[..1 + undirected as usize] {
                         let slot = slot_of[head as usize] as usize;
-                        slot_maxlast[slot] = slot_maxlast[slot].max(last);
+                        slot_maxlast[slot] = slot_maxlast[slot].max(wm[wi]);
                     }
                 }
-                // 2. Snapshot the pre-step frontier of every slotted row — only
-                //    pre-step values are ever read, which is exactly the strict
-                //    inequality of Remark 1 — filtered to the entries installed
-                //    since some consumer's last visit. A row whose most recent
-                //    change predates every consumer's watermark skips the scan
-                //    outright (its entries all have `set_at > maxlast`).
-                for (si, &node) in slotted.iter().enumerate() {
-                    let start = snap.len() as u32;
-                    let maxlast = slot_maxlast[si];
-                    if row_mark(row_changed_at, row_changed_stamp, epoch, node as usize)
-                        <= maxlast
-                    {
-                        let row = node as usize * ncols;
-                        let words = &frontier[node as usize * words_per_row..][..words_per_row];
-                        for (wi, &word) in words.iter().enumerate() {
-                            let mut bits = word;
-                            while bits != 0 {
-                                let c = (wi as u32) * 64 + bits.trailing_zeros();
-                                bits &= bits - 1;
-                                let cell = &cells[row + c as usize];
-                                if cell.set_at <= maxlast {
-                                    snap.push(Snap {
-                                        col: c,
-                                        ea: cell.ea,
-                                        hops: cell.hops,
-                                        set_at: cell.set_at,
-                                    });
-                                }
-                            }
-                        }
+                // 2. Snapshot the pre-step changed words of every slotted
+                //    row — only pre-step values are ever read, which is
+                //    exactly the strict inequality of Remark 1. A row whose
+                //    most recent change predates every consumer's watermark
+                //    copies nothing.
+                for (&node, &maxlast) in slotted.iter().zip(slot_maxlast.iter()) {
+                    let (row, start) = (node as usize, blocks.len() as u32);
+                    if row_changed_at[row] <= maxlast {
+                        stats.snap_entries += snapshot_row(
+                            &keys[row * ncols..][..ncols],
+                            &frontier[row * wpr..][..wpr],
+                            &marks[row * wpr..][..wpr],
+                            maxlast,
+                            snap,
+                            blocks,
+                        );
                     }
-                    slot_bounds.push((start, snap.len() as u32 - start));
+                    slot_bounds.push((start, blocks.len() as u32 - start));
                 }
 
                 // 3. Process every traversal of the step against the snapshots,
-                //    each direction filtering by its own watermark (the shared
-                //    snapshot was filtered by the *max* over consumers).
+                //    each direction filtering blocks by its own watermark (the
+                //    shared snapshot was filtered by the *max* over consumers).
                 for e in 0..step.len() {
                     let (eu, ew) = (step.src[e], step.dst[e]);
                     let wi = step.pair[e] as usize * 2;
                     let dirs: [(u32, u32, usize); 2] = [(eu, ew, wi), (ew, eu, wi + 1)];
-                    let ndirs = if undirected { 2 } else { 1 };
-                    for &(u, w, wi) in &dirs[..ndirs] {
-                        traversals += 1;
-                        let row = u as usize * ncols;
-                        // dirty-bitmap tile of the written row (= row u)
-                        let bit_base = slot_of[u as usize] as usize * words_per_row;
+                    for &(u, w, wi) in &dirs[..1 + undirected as usize] {
+                        stats.traversals += 1;
+                        let slot = slot_of[u as usize] as usize;
+                        let keys_u = &mut keys[u as usize * ncols..][..ncols];
+                        let front_u = &mut frontier[u as usize * wpr..][..wpr];
+                        let mut wr = writer!(keys_u, front_u, u, slot, k);
                         // single hop: u -> w at step k (never delta-filtered —
                         // its candidate `(k, 1)` is new every step)
                         if let Some(c) = local_col(w) {
-                            offer(
-                                cells,
-                                frontier,
-                                words_per_row,
-                                dirty_bits,
-                                ea_bits,
-                                bit_base,
-                                epoch,
-                                row + c as usize,
-                                u,
-                                c,
-                                k,
-                                k,
-                                1,
-                                collect,
-                                &mut sums,
-                            );
+                            wr.offer(c as usize, single_hop + 1);
                         }
-                        let last = wm_last(wm, wm_stamp, epoch, wi);
-                        wm[wi] = k;
-                        wm_stamp[wi] = epoch;
-                        // chain: u -(k)-> w, then w's pre-step frontier entries
-                        // changed since this direction last consumed them
-                        let slot = slot_of[w as usize] as usize;
-                        let (start, len) = slot_bounds[slot];
-                        // diagonal column to skip (no u -> u trips); NONE_COL
-                        // sentinel can never equal a stored column
-                        let diag = local_col(u).unwrap_or(u32::MAX);
-                        for s in &snap[start as usize..(start + len) as usize] {
-                            if s.col == diag || s.set_at > last {
-                                continue;
+                        let last = std::mem::replace(&mut wm[wi], k);
+                        // chain: u -(k)-> w, then w's pre-step words changed
+                        // since this direction last consumed them
+                        let (start, len) = slot_bounds[slot_of[w as usize] as usize];
+                        for b in &blocks[start as usize..(start + len) as usize] {
+                            if b.mark <= last {
+                                wr.merge(b.word as usize, b.live, &snap[b.at as usize..], true);
                             }
-                            chain_offers += 1;
-                            offer(
-                                cells,
-                                frontier,
-                                words_per_row,
-                                dirty_bits,
-                                ea_bits,
-                                bit_base,
-                                epoch,
-                                row + s.col as usize,
-                                u,
-                                s.col,
-                                k,
-                                s.ea,
-                                s.hops + 1,
-                                collect,
-                                &mut sums,
-                            );
                         }
                     }
                 }
@@ -948,45 +858,33 @@ impl EngineArena {
             //    TargetSet::from_nodes.) The per-slot dirty bitmaps are walked
             //    with slots in ascending node order: set bits ascend within a
             //    row, so the canonical order falls out with no per-step
-            //    sort. An `ea_bits` bit is
-            //    set iff the cell's ea strictly improved this step — exactly
-            //    the minimal-trip condition — while `dirty_bits` (any change,
-            //    hops ties included) feeds the per-row change marks the delta
-            //    filters read.
+            //    sort. An `ea_bits` bit is set iff the cell's ea strictly
+            //    improved this step — exactly the minimal-trip condition —
+            //    while `dirty_bits` (any change, hops ties included) sets
+            //    the change marks the delta filters read.
             report_order.sort_unstable();
             for &(node, slot) in report_order.iter() {
-                let base = slot as usize * words_per_row;
-                let row = node as usize * ncols;
-                let mut row_changed = false;
-                for (wi, dirty_word) in
-                    dirty_bits[base..base + words_per_row].iter_mut().enumerate()
-                {
-                    if *dirty_word == 0 {
+                let (base, row) = (slot as usize * wpr, node as usize);
+                for wi in 0..wpr {
+                    if std::mem::take(&mut dirty_bits[base + wi]) == 0 {
                         continue;
                     }
-                    *dirty_word = 0;
-                    row_changed = true;
-                    let ea_word = &mut ea_bits[base + wi];
-                    let mut bits = *ea_word;
-                    *ea_word = 0;
+                    marks[row * wpr + wi] = k;
+                    row_changed_at[row] = k;
+                    let mut bits = std::mem::take(&mut ea_bits[base + wi]);
                     while bits != 0 {
-                        let c = (wi as u32) * 64 + bits.trailing_zeros();
+                        let c = wi * 64 + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        let cell = &cells[row + c as usize];
-                        let v = targets.node_of(col_start + c);
-                        sink.minimal_trip(node, v, k, cell.ea, cell.hops);
-                        trips += 1;
+                        let key = keys[row * ncols + c];
+                        let v = targets.node_of(col_start + c as u32);
+                        sink.minimal_trip(node, v, k, (key >> 32) as u32, key as u32);
+                        stats.trips += 1;
                     }
-                }
-                if row_changed {
-                    row_changed_at[node as usize] = k;
-                    row_changed_stamp[node as usize] = epoch;
                 }
             }
             report_order.clear();
 
             // 5. Release snapshot slots and buffers (capacity kept).
-            snap_entries += snap.len() as u64;
             for &node in slotted.iter() {
                 slot_of[node as usize] = NEVER;
             }
@@ -994,37 +892,30 @@ impl EngineArena {
             slot_bounds.clear();
             slot_maxlast.clear();
             snap.clear();
+            blocks.clear();
         }
 
-        // Final distance flush: each surviving value is valid for departure
-        // steps [0, set_at]. Only frontier cells can carry finite values.
-        let distances = if collect {
-            for node in 0..nrows {
-                let row = node * ncols;
-                let words = &frontier[node * words_per_row..][..words_per_row];
-                for (wi, &word) in words.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let c = (wi as u32) * 64 + bits.trailing_zeros();
-                        bits &= bits - 1;
-                        let cell = &cells[row + c as usize];
-                        debug_assert!(cell.ea != NONE_EA && cell.stamp == epoch);
-                        let hi = cell.set_at as i128;
-                        let cnt = hi + 1; // steps 0..=hi
-                        let sum_t = hi * (hi + 1) / 2;
-                        sums.sum_dtime_steps += cnt * (cell.ea as i128 + 1) - sum_t;
-                        sums.sum_dhops += cnt * cell.hops as i128;
-                        sums.finite_triples += cnt;
-                    }
+        // Final distance flush: each surviving key is valid for departure
+        // steps [0, set_at]. Only frontier cells hold finite keys.
+        if collect {
+            for (i, &word) in frontier[..nrows * wpr].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let c = (i / wpr) * ncols + (i % wpr) * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    flush_distances(keys[c], set_at[c], 0, &mut sums);
                 }
             }
-            Some(sums)
-        } else {
-            None
-        };
-
-        DpStats { trips, traversals, chain_offers, snap_entries, degree1_steps, distances }
+            stats.distances = Some(sums);
+        }
+        stats
     }
+}
+
+/// The key of `(ea, hops)`.
+#[inline(always)]
+fn key(ea: u32, hops: u32) -> u64 {
+    (ea as u64) << 32 | hops as u64
 }
 
 /// The scope of one engine run: which target columns, under which
@@ -1080,8 +971,8 @@ pub fn earliest_arrival_dp(
 
 /// [`earliest_arrival_dp`] against caller-owned state, scoped by a
 /// [`DpRun`] (tile, options, cancel token; a plain [`DpOptions`] converts).
-/// The arena's tables are reused (epoch-stamped, not re-zeroed) when
-/// consecutive runs share dimensions — the hot configuration of the Δ sweep.
+/// The arena's tables are reused (reset along the previous run's frontier,
+/// not re-zeroed) — the hot configuration of the Δ sweep.
 ///
 /// # Panics
 /// Panics if the run's tile is empty or exceeds `targets.len()`.
@@ -1100,7 +991,7 @@ pub fn earliest_arrival_dp_in<'a>(
         "tile [{col_start}, {col_start}+{col_len}) out of range for {} targets",
         targets.len()
     );
-    arena.prepare(timeline.n() as usize, col_len as usize);
+    arena.prepare(timeline.n() as usize, col_len as usize, run.options.collect_distances);
     arena.run(timeline, targets, col_start, sink, run.options, run.cancel)
 }
 
@@ -1303,6 +1194,8 @@ pub mod baseline {
                 chain_offers,
                 snap_entries,
                 degree1_steps: 0,
+                block_words: 0,
+                walked_words: 0,
                 distances,
             }
         }
@@ -1611,7 +1504,8 @@ mod tests {
     }
 
     /// The budget estimate bounds what an arena really reserves, on the
-    /// worst case for every table: a complete graph fires in two windows,
+    /// worst case for every table, with and without the install-step table
+    /// of distance-collecting runs: a complete graph fires in two windows,
     /// so at the earlier step every row is slotted and snapshots its whole
     /// (fully reachable) frontier.
     #[test]
@@ -1628,27 +1522,31 @@ mod tests {
         let s = saturn_linkstream::io::read_str(&text, Directedness::Undirected).unwrap();
         let t = Timeline::aggregated(&s, 2);
         let targets = TargetSet::all(n);
-        for tile in [n, 7, 1] {
+        for (tile, collect) in [n, 7, 1].into_iter().flat_map(|t| [(t, false), (t, true)]) {
             let mut arena = EngineArena::new();
             let mut max_snap = 0;
             for (start, len) in targets.tile_ranges(tile as usize) {
-                let run = DpRun { tile: Some((start, len)), ..Default::default() };
+                let options = DpOptions { collect_distances: collect };
+                let run = DpRun { tile: Some((start, len)), options, cancel: None };
                 let stats =
                     earliest_arrival_dp_in(&mut arena, &t, &targets, &mut NullSink, run);
                 max_snap = max_snap.max(stats.snap_entries);
             }
             // every row but the target's own is reachable in every column
-            assert_eq!(max_snap, u64::from((n - 1) * tile), "tile={tile}: worst case not hit");
-            let reserved = arena.cells.capacity() * size_of::<Cell>()
-                + arena.snap.capacity() * size_of::<Snap>()
-                + (arena.frontier.capacity()
-                    + arena.dirty_bits.capacity()
-                    + arena.ea_bits.capacity())
-                    * size_of::<u64>();
+            assert!(max_snap >= u64::from((n - 1) * tile), "tile={tile}: worst case not hit");
+            assert_eq!(arena.set_at.is_empty(), !collect);
+            let reserved = (arena.keys.capacity()
+                + arena.snap.capacity()
+                + arena.frontier.capacity()
+                + arena.dirty_bits.capacity()
+                + arena.ea_bits.capacity())
+                * size_of::<u64>()
+                + (arena.set_at.capacity() + arena.marks.capacity()) * size_of::<u32>()
+                + arena.blocks.capacity() * size_of::<Block>();
             let estimate = arena_bytes(n as usize, tile as usize);
             assert!(
                 reserved <= estimate,
-                "tile={tile}: {reserved} bytes > estimate {estimate}"
+                "tile={tile} collect={collect}: {reserved} bytes > estimate {estimate}"
             );
         }
         // the cap is the widest tile the estimate admits
@@ -1659,12 +1557,12 @@ mod tests {
         }
     }
 
-    /// A cell table the allocator refuses is a panic naming the table —
+    /// A key table the allocator refuses is a panic naming the table —
     /// unwindable, unlike the abort of an infallible allocation.
     #[test]
     #[should_panic(expected = "cannot be allocated")]
     fn an_unallocatable_table_panics_instead_of_aborting() {
-        EngineArena::new().prepare(usize::MAX / 64, 2);
+        EngineArena::new().prepare(usize::MAX / 64, 2, false);
     }
 
     /// Asserts that the frontier engine, run on `arena`, and [`baseline`]

@@ -2,16 +2,18 @@
 //! on random small streams it must agree with (a) the retained baseline
 //! engine (full-row snapshots, fresh tables, no watermarks, no degree-1
 //! bypass) and (b) the brute-force earliest-arrival reference — on trips,
-//! hops, and distance sums alike.
+//! hops, and distance sums alike. The wide cases (65 to 200 nodes) check
+//! rows spanning several 64-column words, on both merge paths.
 
 use proptest::prelude::*;
 use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
-use saturn_trips::dp::{baseline, NullSink};
+use saturn_trips::dp::{baseline, DistanceSums, NullSink};
 use saturn_trips::reference::earliest_arrival_bruteforce;
 use saturn_trips::{
     earliest_arrival_dp, earliest_arrival_dp_in, DpOptions, DpRun, EngineArena, TargetSet,
     Timeline, TripSink,
 };
+use std::collections::BTreeSet;
 
 #[derive(Default)]
 struct Collect(Vec<(u32, u32, u32, u32, u32)>);
@@ -226,5 +228,160 @@ proptest! {
         prop_assert_eq!(dtime, fd.sum_dtime_steps);
         prop_assert_eq!(dhops, fd.sum_dhops);
         prop_assert_eq!(triples, fd.finite_triples);
+    }
+}
+
+/// A wide stream over `n` nodes: a ring walked `laps` times, three ticks
+/// per hop (sparse rows), plus dense bursts `(first, size, at)` in which
+/// the `size` nodes from `first` on (mod `n`) are all-pairs active at tick
+/// `at` per mille of the ring's span (rows with many live cells per word).
+fn wide_stream(n: u32, directed: bool, laps: i64, bursts: &[(u32, u32, i64)]) -> LinkStream {
+    let d = if directed { Directedness::Directed } else { Directedness::Undirected };
+    let mut b = LinkStreamBuilder::indexed(d, n);
+    let span = laps * i64::from(n) * 3;
+    for t in 0..laps * i64::from(n) {
+        let i = (t % i64::from(n)) as u32;
+        b.add_indexed(i, (i + 1) % n, t * 3);
+    }
+    for &(first, size, at) in bursts {
+        let clique: Vec<u32> = (0..size).map(|i| (first + i) % n).collect();
+        for &u in &clique {
+            for &v in &clique {
+                if u != v && (directed || u < v) {
+                    b.add_indexed(u, v, span * at / 1000);
+                }
+            }
+        }
+    }
+    b.build().expect("the ring is never empty")
+}
+
+/// `nodes` below `n` as a target set; every node when none is.
+fn targets_of(n: u32, nodes: &BTreeSet<u32>) -> TargetSet {
+    let nodes: Vec<u32> = nodes.iter().copied().filter(|&v| v < n).collect();
+    if nodes.is_empty() {
+        TargetSet::all(n)
+    } else {
+        TargetSet::from_nodes(n, &nodes)
+    }
+}
+
+/// A cover of `[0, ncols)` whose tiles run wide, narrow, wide, rest, with
+/// bounds falling inside 64-column words.
+fn word_splitting_cover(ncols: u32) -> Vec<(u32, u32)> {
+    let mut cuts: Vec<u32> = [0, 60, 63, 130].into_iter().filter(|&c| c < ncols).collect();
+    cuts.push(ncols);
+    cuts.windows(2).map(|w| (w[0], w[1] - w[0])).collect()
+}
+
+/// Runs `timeline` untiled and then over [`word_splitting_cover`], all on
+/// one `arena` (so its geometry goes wide, narrow, wide), with distances
+/// collected or not, and checks every run against [`baseline`]: each
+/// tile's trip sequence is the baseline's restricted to its columns, and
+/// the tiles' distance sums add up to the baseline's. Returns the runs'
+/// summed stats.
+fn assert_wide_matches_baseline(
+    arena: &mut EngineArena,
+    timeline: &Timeline,
+    targets: &TargetSet,
+    collect_distances: bool,
+) -> saturn_trips::DpStats {
+    let options = DpOptions { collect_distances };
+    let mut slow = Collect::default();
+    let bs = baseline::earliest_arrival_dp(timeline, targets, &mut slow, options);
+    let mut runs = vec![None];
+    runs.extend(word_splitting_cover(targets.len() as u32).into_iter().map(Some));
+    let mut total = saturn_trips::DpStats::default();
+    for tiles in [&runs[..1], &runs[1..]] {
+        let mut sums = DistanceSums::default();
+        for &tile in tiles {
+            let mut fast = Collect::default();
+            let run = DpRun { tile, options, cancel: None };
+            let fs = earliest_arrival_dp_in(arena, timeline, targets, &mut fast, run);
+            let (start, len) = tile.unwrap_or((0, targets.len() as u32));
+            let cols = start..start + len;
+            let expected: Vec<_> = slow
+                .0
+                .iter()
+                .copied()
+                .filter(|t| targets.col_of(t.1).is_some_and(|c| cols.contains(&c)))
+                .collect();
+            assert_eq!(fs.trips, expected.len() as u64, "tile {tile:?}");
+            assert_eq!(fast.0, expected, "tile {tile:?}");
+            assert_eq!(fs.traversals, bs.traversals);
+            assert_eq!(fs.distances.is_some(), collect_distances);
+            if let Some(d) = fs.distances {
+                sums.sum_dtime_steps += d.sum_dtime_steps;
+                sums.sum_dhops += d.sum_dhops;
+                sums.finite_triples += d.finite_triples;
+            }
+            total.block_words += fs.block_words;
+            total.walked_words += fs.walked_words;
+        }
+        if let Some(bd) = bs.distances {
+            assert_eq!(sums.sum_dtime_steps, bd.sum_dtime_steps);
+            assert_eq!(sums.sum_dhops, bd.sum_dhops);
+            assert_eq!(sums.finite_triples, bd.finite_triples);
+        }
+    }
+    total
+}
+
+/// Random bursts: first node, clique size, tick per mille of the span.
+fn arb_bursts() -> impl Strategy<Value = Vec<(u32, u32, i64)>> {
+    proptest::collection::vec((0u32..200, 2u32..48, 0i64..1001), 0..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Rows of two to four words, on random rings and bursts, both
+    /// directednesses, exact and aggregated timelines, sampled targets,
+    /// tiles splitting words, distances on and off, one arena throughout.
+    #[test]
+    fn wide_rows_match_baseline(
+        n in 65u32..201,
+        directed in any::<bool>(),
+        laps in 1i64..4,
+        bursts in arb_bursts(),
+        k in 0u64..40,
+        sampled in any::<bool>(),
+        nodes in proptest::collection::btree_set(0u32..200, 1..160),
+    ) {
+        let stream = wide_stream(n, directed, laps, &bursts);
+        let timeline = timeline_of(&stream, k == 0, k.max(1));
+        let targets = if sampled { targets_of(n, &nodes) } else { TargetSet::all(n) };
+        let mut arena = EngineArena::new();
+        for collect in [false, true] {
+            assert_wide_matches_baseline(&mut arena, &timeline, &targets, collect);
+        }
+    }
+}
+
+/// On a fixed two-word stream whose bursts give rows dense words and whose
+/// ring leaves them sparse ones, both merge paths run — with distances on
+/// and off, directed and undirected — and match [`baseline`].
+#[test]
+fn wide_rows_take_both_merge_paths() {
+    for directed in [false, true] {
+        let stream =
+            wide_stream(150, directed, 2, &[(0, 40, 300), (70, 30, 600), (10, 3, 900)]);
+        for collect in [false, true] {
+            let mut arena = EngineArena::new();
+            let mut total = saturn_trips::DpStats::default();
+            for k in [0u64, 7, 60] {
+                let timeline = timeline_of(&stream, k == 0, k);
+                let stats = assert_wide_matches_baseline(
+                    &mut arena,
+                    &timeline,
+                    &TargetSet::all(150),
+                    collect,
+                );
+                total.block_words += stats.block_words;
+                total.walked_words += stats.walked_words;
+            }
+            assert!(total.block_words > 0, "block path never ran (directed={directed})");
+            assert!(total.walked_words > 0, "bit walk never ran (directed={directed})");
+        }
     }
 }
