@@ -663,6 +663,7 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerContext>) {
                 &ApiError::with_code(503, "draining", "server is draining").body(),
                 false,
             );
+            refuse_close(stream);
             continue;
         }
         let active = ctx.active_connections.fetch_add(1, Ordering::SeqCst) + 1;
@@ -676,6 +677,7 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerContext>) {
                     .body(),
                 false,
             );
+            refuse_close(stream);
             ctx.active_connections.fetch_sub(1, Ordering::SeqCst);
             continue;
         }
@@ -770,6 +772,25 @@ fn linger_close(reader: BufReader<TcpStream>, writer: &TcpStream) {
     let _ = writer.shutdown(std::net::Shutdown::Write);
     let _ = writer.set_read_timeout(Some(LINGER));
     let _ = std::io::copy(&mut reader.into_inner().take(LINGER_BYTES), &mut std::io::sink());
+}
+
+/// Closes a connection the accept thread answered itself (the lame-duck
+/// and connection-limit 503s) without resetting it, and without blocking
+/// the accept loop: the write side is shut (the 503 goes out ahead of the
+/// FIN), then the input already received is discarded with non-blocking
+/// reads, at most [`LINGER_BYTES`] of it, before the socket closes.
+fn refuse_close(stream: TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let mut buf = [0u8; 4096];
+        let mut left = LINGER_BYTES;
+        while let Ok(n @ 1..) = (&stream).read(&mut buf) {
+            left = left.saturating_sub(n as u64);
+            if left == 0 {
+                break;
+            }
+        }
+    }
 }
 
 /// A response body: bytes built for this request, or a shared allocation

@@ -469,6 +469,39 @@ fn drain_completes_work_then_goes_lame_duck() {
     server.stop();
 }
 
+/// The 503s the accept thread writes itself reach a client that pipelined
+/// two requests as a complete envelope, for the lame-duck refusal and the
+/// connection-limit one alike: the unread input is discarded before the
+/// socket closes, so the kernel does not reset the connection over it.
+#[test]
+fn accept_thread_503s_survive_pipelined_requests() {
+    let pipelined = b"GET /v1/health HTTP/1.1\r\nContent-Length: 0\r\n\r\n\
+                      GET /v1/health HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+    let refused = |addr: SocketAddr| {
+        let stream = TcpStream::connect(addr).expect("connect");
+        // the 503 may be written before the requests land: write best-effort
+        let _ = stream.try_clone().expect("clone").write_all(pipelined);
+        read_response(&mut BufReader::new(stream))
+    };
+
+    let server = start(|_| {});
+    server.drain(Duration::from_secs(5));
+    for _ in 0..3 {
+        assert_envelope(&refused(server.addr()), 503, "draining");
+    }
+    server.stop();
+
+    // one connection slot, held by a served keep-alive connection
+    let server = start(|c| c.max_connections = 1);
+    let mut held = TcpStream::connect(server.addr()).expect("connect");
+    assert_eq!(requests_on(&mut held, "GET", "/v1/health", b"", 1)[0].status, 200);
+    for _ in 0..3 {
+        assert_envelope(&refused(server.addr()), 503, "connection_limit");
+    }
+    drop(held);
+    server.stop();
+}
+
 /// The value of a sample line in a Prometheus scrape. `name` includes the
 /// label set for labelled families (`foo{a="b"}`).
 fn metric_sample(text: &str, name: &str) -> f64 {
