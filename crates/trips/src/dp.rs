@@ -48,9 +48,9 @@
 //!   step is written when it first becomes reachable, so it needs no reset.
 //! * **Block snapshots.** At each step, rows that can be read as
 //!   continuations are snapshotted one 64-column word at a time: a word
-//!   with at least `BLOCK_MIN_LIVE` (16) live cells copies all its keys, a
-//!   sparser word copies only its live keys, and each word records its live
-//!   bits and change mark in a block header. Snapshot bounds are frozen
+//!   with at least `BLOCK_MIN_LIVE` (16) cells to merge copies all its
+//!   keys, a sparser word copies only those cells' keys, and each word
+//!   records the cells and its change mark in a block header. Snapshot bounds are frozen
 //!   before any edge of the step is applied, which is exactly the strict
 //!   inequality of Remark 1 — same-step values can never be read back (see
 //!   the ablation test `remark1_ablation.rs` for the naive in-place
@@ -90,30 +90,35 @@
 //! step, and each firing would re-merge every live cell of its continuation
 //! row even though almost none of them changed since the previous firing.
 //! The engine therefore tracks change per 64-column word, and only merges
-//! words that changed:
+//! the cells of words that changed:
 //!
 //! * **Per-(edge, direction) watermarks.** The timeline assigns every
 //!   distinct `(src, dst)` pair a stable id ([`crate::StepView::pair`]); the arena
 //!   keeps, at `wm[2 · pair + direction]`, the step at which that traversal
 //!   direction last consumed its continuation row (`NEVER` = not yet this
 //!   run; the table is refilled per run, `O(distinct pairs)`).
-//! * **Change marks.** `marks[row · words + w]` is the step of the most
-//!   recent change (any key write, hops ties included) of a cell in word
-//!   `w` of `row`, written when the step's changes are reported. With the
-//!   backward sweep running `k = K-1 .. 0`, "some cell of the word changed
-//!   since direction `d` last fired at step `L`" is exactly `mark <= L`
-//!   (snapshot values are always pre-step, so same-step writes never leak
-//!   in). Alongside, a per-row mark (`row_changed_at`, the minimum over the
-//!   row's word marks) lets a consumer skip the *whole* row when
+//! * **Change marks.** `marks[row · words + w]` records, for word `w` of
+//!   `row`, the step `at` of its most recent change (any key write, hops
+//!   ties included), the step `prev` of the change before, and the cells
+//!   `recent` that changed at `at`; the report walk writes it from the
+//!   step's dirty bits. With the backward sweep running `k = K-1 .. 0`, the
+//!   cells changed since direction `d` last fired at step `L` are none when
+//!   `at > L`, within `recent` when only `at <= L < prev`, and within the
+//!   live cells otherwise (snapshot values are always pre-step, so same-step
+//!   writes never leak in). The middle case is the steady state of a
+//!   contact train, where an edge fires every step and each firing changes
+//!   a cell or two. Alongside, a per-row mark (`row_changed_at`, the
+//!   minimum of the row's `at`s) lets a consumer skip the *whole* row when
 //!   `row_changed_at > L`.
 //! * **Correctness (why skipped merges are no-ops).** Inductive invariant:
 //!   after direction `(u, w)` fires at step `L`, every chain candidate
 //!   `ea'[w][v] · 2^32 + hops'[w][v] + 1` built from row `w`'s pre-step-`L`
 //!   keys is at least as large as `key[u][v]` — and keys only decrease. At a
-//!   later (smaller) step `k`, a word with `mark > L` holds the *same* keys
-//!   it held at step `L`, so none of its candidates can pass the strict
-//!   improvement test. A merged word may also hold unchanged cells next to
-//!   changed ones; their candidates fail the same test. Candidates that do
+//!   later (smaller) step `k`, a cell unchanged since `L` holds the *same*
+//!   key it held at step `L`, so its candidate cannot pass the strict
+//!   improvement test. A merge may also cover unchanged cells next to
+//!   changed ones (a block merge covers every lane); their candidates fail
+//!   the same test. Candidates that do
 //!   not improve have *zero* side effects (no key write, no dirty bit, no
 //!   distance flush), hence the filtered run's keys, trip stream, and
 //!   distance sums are bit-identical to an unfiltered run's — enforced
@@ -121,18 +126,18 @@
 //!   `proptest_frontier.rs`, and across tile × thread combinations in
 //!   `core/tests/tiling_determinism.rs`. The single-hop candidate `(k, 1)`
 //!   is never filtered: it is new every step.
-//! * **Why the crossover exists.** A word with at least `BLOCK_MIN_LIVE` (16)
-//!   live source cells is merged branch-free over all its lanes (the block
-//!   path): each lane is a saturating add, two compares and a `min`, and
-//!   the changed and `ea`-improved lane masks come out directly as the
-//!   dirty and `ea` bitmap words. A sparser word walks its live bits (the
-//!   bit walk), paying per live cell instead of per lane. Block-only
-//!   merging loses on sparse rings, where words hold a handful of live
-//!   cells; per-cell merging loses on dense rows, where every cell costs a
-//!   data-dependent branch.
+//! * **Why the crossover exists.** A word with at least `BLOCK_MIN_LIVE`
+//!   (16) source cells to merge is merged branch-free over all its lanes
+//!   (the block path): each lane is a saturating add, two compares and a
+//!   `min`, and the changed and `ea`-improved lane masks come out directly
+//!   as the dirty and `ea` bitmap words. A sparser word walks its cells'
+//!   bits (the bit walk), paying per cell instead of per lane. Block-only
+//!   merging loses on sparse rings and contact trains, where a word holds
+//!   or changes a handful of cells; per-cell merging loses on dense rows,
+//!   where every cell costs a data-dependent branch.
 //! * **Filtered snapshots.** A pre-pass over the step's edges computes, per
 //!   slotted row, the most permissive consumer watermark (`slot_maxlast`),
-//!   and the snapshot copies only the words with `mark <= slot_maxlast`
+//!   and the snapshot copies only the cells changed since then, word by word
 //!   (each direction then re-filters blocks by its own watermark). Rows with
 //!   no consumer in the step — e.g. directed tails — and rows unchanged
 //!   since every consumer's last visit copy nothing. This composes with the
@@ -143,7 +148,7 @@
 //!   pre-step exact; the reverse-direction snapshot is taken before the
 //!   forward merges dirty row `u`.
 //! * **Change tracking.** Every write lands in two per-slot bitmaps:
-//!   `dirty_bits` (any change, hops ties included) feeds the change marks,
+//!   `dirty_bits` (any change, hops ties included) feeds the change records,
 //!   and `ea_bits` (strict `ea` improvements) is exactly the minimal-trip
 //!   condition. Walking them with slots in ascending node order reports
 //!   trips in canonical order with no per-step sort.
@@ -206,11 +211,12 @@ pub const ARENA_BUDGET_BYTES: usize = 256 << 20;
 /// worst-case snapshot copy (a step touching every row copies every live
 /// key) doubled for push growth, the install step of a distance-collecting
 /// run, and two bytes for the per-word tables — the frontier, dirty and
-/// `ea` bits, the change marks and the snapshot block headers, each doubled
-/// for growth (13 bits per column).
+/// `ea` bits, the change records and the snapshot block headers, each
+/// doubled for growth (16 bits per column).
 const ROW_COL_BYTES: usize = 3 * size_of::<u64>() + size_of::<u32>() + 2;
 /// Bytes per row on top: the per-word tables' partial last word, doubled.
-const ROW_BYTES: usize = 2 * (3 * size_of::<u64>() + size_of::<u32>() + size_of::<Block>());
+const ROW_BYTES: usize =
+    2 * (3 * size_of::<u64>() + size_of::<WordMark>() + size_of::<Block>());
 
 /// Upper bound on the bytes an arena reserves for its keys, install steps,
 /// snapshot buffers and per-word tables over an `nrows × ncols` run.
@@ -302,15 +308,45 @@ pub struct DpStats {
 /// The header of one snapshotted 64-column word of a continuation row.
 #[derive(Clone, Copy, Debug)]
 struct Block {
-    /// The word's live cells (its frontier bits) when copied.
-    live: u64,
+    /// The word's cells some consumer still needs ([`WordMark::since`]).
+    cells: u64,
     /// Offset of the copied keys in the snapshot buffer: one per lane when
-    /// `live` reaches `BLOCK_MIN_LIVE`, else one per live bit, ascending.
+    /// `cells` reaches `BLOCK_MIN_LIVE`, else one per `cells` bit, ascending.
     at: u32,
     /// Word index within the row.
     word: u32,
     /// The word's change mark when copied.
     mark: u32,
+}
+
+/// The change record of one (row, word) (module docs, "Change marks").
+#[derive(Clone, Copy, Debug)]
+struct WordMark {
+    /// The step of the word's most recent change (`NEVER` = none this run).
+    at: u32,
+    /// The step of the change before that (`NEVER` = none).
+    prev: u32,
+    /// The cells that changed at step `at`.
+    recent: u64,
+}
+
+impl WordMark {
+    const UNCHANGED: WordMark = WordMark { at: NEVER, prev: NEVER, recent: 0 };
+
+    /// The cells of a word live in `live` that may have changed since a
+    /// consumer last read it at step `last`: none when the word's latest
+    /// change predates that visit, the latest change's cells when only it
+    /// follows it, and every live cell otherwise.
+    #[inline(always)]
+    fn since(&self, live: u64, last: u32) -> u64 {
+        if self.at > last {
+            0
+        } else if self.prev > last {
+            self.recent
+        } else {
+            live
+        }
+    }
 }
 
 /// Reusable per-worker engine state; see the module docs for the reset and
@@ -329,9 +365,8 @@ pub struct EngineArena {
     set_at: Vec<u32>,
     /// Per-row frontier bitmap (one bit per column): bit set = live key.
     frontier: Vec<u64>,
-    /// Per (row, word): the step of the word's most recent change (`NEVER`
-    /// = unchanged this run).
-    marks: Vec<u32>,
+    /// Per (row, word): the word's change record.
+    marks: Vec<WordMark>,
     /// Flat per-step snapshot of copied keys, and the copied words' headers.
     snap: Vec<u64>,
     blocks: Vec<Block>,
@@ -417,16 +452,17 @@ impl Writer<'_> {
         }
     }
 
-    /// Merges the chain candidates of one continuation word into word `wi`:
-    /// `src` holds its keys per lane for the block path, and for the bit
-    /// walk per lane (`packed == false`) or one per `live` bit.
+    /// Merges the chain candidates of the cells `cells` of one continuation
+    /// word into word `wi`: `src` holds the word's keys per lane for the
+    /// block path (which merges every lane), and for the bit walk per lane
+    /// (`packed == false`) or one per `cells` bit.
     #[inline(always)]
-    fn merge(&mut self, wi: usize, live: u64, src: &[u64], packed: bool) {
+    fn merge(&mut self, wi: usize, cells: u64, src: &[u64], packed: bool) {
         let base = wi * 64;
         let diag = (self.diag as usize).wrapping_sub(base);
-        if live.count_ones() < BLOCK_MIN_LIVE {
+        if cells.count_ones() < BLOCK_MIN_LIVE {
             self.stats.walked_words += 1;
-            let (mut bits, mut j) = (live, 0);
+            let (mut bits, mut j) = (cells, 0);
             while bits != 0 {
                 let c = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -506,27 +542,29 @@ fn two_rows<T>(table: &mut [T], width: usize, dst: usize, src: usize) -> (&mut [
     }
 }
 
-/// Appends the words of one row changed at or before step `maxlast` to the
-/// snapshot (module docs, "Block snapshots"); returns the keys copied.
+/// Appends the cells of one row changed at or before step `maxlast` to the
+/// snapshot, a word at a time (module docs, "Block snapshots"); returns the
+/// keys copied.
 fn snapshot_row(
     keys: &[u64],
     frontier: &[u64],
-    marks: &[u32],
+    marks: &[WordMark],
     maxlast: u32,
     snap: &mut Vec<u64>,
     blocks: &mut Vec<Block>,
 ) -> u64 {
     let start = snap.len();
-    for (wi, (&live, &mark)) in frontier.iter().zip(marks).enumerate() {
-        if live == 0 || mark > maxlast {
+    for (wi, (&live, mark)) in frontier.iter().zip(marks).enumerate() {
+        let cells = mark.since(live, maxlast);
+        if cells == 0 {
             continue;
         }
-        blocks.push(Block { live, at: snap.len() as u32, word: wi as u32, mark });
+        blocks.push(Block { cells, at: snap.len() as u32, word: wi as u32, mark: mark.at });
         let lanes = &keys[wi * 64..(wi * 64 + 64).min(keys.len())];
-        if live.count_ones() >= BLOCK_MIN_LIVE {
+        if cells.count_ones() >= BLOCK_MIN_LIVE {
             snap.extend_from_slice(lanes);
         } else {
-            let mut bits = live;
+            let mut bits = cells;
             while bits != 0 {
                 snap.push(lanes[bits.trailing_zeros() as usize]);
                 bits &= bits - 1;
@@ -557,7 +595,7 @@ impl EngineArena {
         let reuse = n_cells <= self.keys.len();
         for i in 0..self.nrows * old_words {
             let mut bits = std::mem::take(&mut self.frontier[i]);
-            self.marks[i] = NEVER;
+            self.marks[i] = WordMark::UNCHANGED;
             let base = (i / old_words) * old_ncols + (i % old_words) * 64;
             while reuse && bits != 0 {
                 self.keys[base + bits.trailing_zeros() as usize] = UNREACHED;
@@ -580,7 +618,7 @@ impl EngineArena {
         let words = nrows * self.words_per_row;
         if words > self.frontier.len() {
             self.frontier.resize(words, 0);
-            self.marks.resize(words, NEVER);
+            self.marks.resize(words, WordMark::UNCHANGED);
         }
         if nrows > self.slot_of.len() {
             self.slot_of.resize(nrows, NEVER);
@@ -692,7 +730,8 @@ impl EngineArena {
                 }
             }
             let k = step.index;
-            let single_hop = key(k, 0);
+            // the key of the single hop's candidate `(arrival = k, hops = 1)`
+            let single_hop = u64::from(k) << 32 | 1;
 
             if step.len() == 1 {
                 // Degree-1 fast path (module docs): one edge `(eu, ew)`,
@@ -721,6 +760,7 @@ impl EngineArena {
                 }
                 let wi_fwd = step.pair[0] as usize * 2;
                 let last_fwd = std::mem::replace(&mut wm[wi_fwd], k);
+                // 0 when directed: no reverse direction reads the snapshot
                 let last_rev =
                     if undirected { std::mem::replace(&mut wm[wi_fwd + 1], k) } else { 0 };
                 if row_changed_at[u] <= last_rev {
@@ -740,14 +780,15 @@ impl EngineArena {
                     let (front_u, front_w) = two_rows(frontier, wpr, u, w);
                     let mut wr = writer!(keys_u, front_u, eu, 0, k);
                     if let Some(c) = local_col(ew) {
-                        wr.offer(c as usize, single_hop + 1);
+                        wr.offer(c as usize, single_hop);
                     }
                     if row_changed_at[w] <= last_fwd {
-                        for (wi, (&live, &mark)) in
+                        for (wi, (&live, mark)) in
                             front_w.iter().zip(&marks[w * wpr..]).enumerate()
                         {
-                            if live != 0 && mark <= last_fwd {
-                                wr.merge(wi, live, &keys_w[wi * 64..], false);
+                            let cells = mark.since(live, last_fwd);
+                            if cells != 0 {
+                                wr.merge(wi, cells, &keys_w[wi * 64..], false);
                             }
                         }
                     }
@@ -759,10 +800,10 @@ impl EngineArena {
                     let keys_w = &mut keys[w * ncols..][..ncols];
                     let mut wr = writer!(keys_w, &mut frontier[w * wpr..][..wpr], ew, 1, k);
                     if let Some(c) = local_col(eu) {
-                        wr.offer(c as usize, single_hop + 1);
+                        wr.offer(c as usize, single_hop);
                     }
                     for b in blocks.iter() {
-                        wr.merge(b.word as usize, b.live, &snap[b.at as usize..], true);
+                        wr.merge(b.word as usize, b.cells, &snap[b.at as usize..], true);
                     }
                 }
             } else {
@@ -835,7 +876,7 @@ impl EngineArena {
                         // single hop: u -> w at step k (never delta-filtered —
                         // its candidate `(k, 1)` is new every step)
                         if let Some(c) = local_col(w) {
-                            wr.offer(c as usize, single_hop + 1);
+                            wr.offer(c as usize, single_hop);
                         }
                         let last = std::mem::replace(&mut wm[wi], k);
                         // chain: u -(k)-> w, then w's pre-step words changed
@@ -843,7 +884,12 @@ impl EngineArena {
                         let (start, len) = slot_bounds[slot_of[w as usize] as usize];
                         for b in &blocks[start as usize..(start + len) as usize] {
                             if b.mark <= last {
-                                wr.merge(b.word as usize, b.live, &snap[b.at as usize..], true);
+                                wr.merge(
+                                    b.word as usize,
+                                    b.cells,
+                                    &snap[b.at as usize..],
+                                    true,
+                                );
                             }
                         }
                     }
@@ -866,10 +912,12 @@ impl EngineArena {
             for &(node, slot) in report_order.iter() {
                 let (base, row) = (slot as usize * wpr, node as usize);
                 for wi in 0..wpr {
-                    if std::mem::take(&mut dirty_bits[base + wi]) == 0 {
+                    let dirty = std::mem::take(&mut dirty_bits[base + wi]);
+                    if dirty == 0 {
                         continue;
                     }
-                    marks[row * wpr + wi] = k;
+                    let mark = &mut marks[row * wpr + wi];
+                    *mark = WordMark { at: k, prev: mark.at, recent: dirty };
                     row_changed_at[row] = k;
                     let mut bits = std::mem::take(&mut ea_bits[base + wi]);
                     while bits != 0 {
@@ -910,12 +958,6 @@ impl EngineArena {
         }
         stats
     }
-}
-
-/// The key of `(ea, hops)`.
-#[inline(always)]
-fn key(ea: u32, hops: u32) -> u64 {
-    (ea as u64) << 32 | hops as u64
 }
 
 /// The scope of one engine run: which target columns, under which
@@ -1541,7 +1583,8 @@ mod tests {
                 + arena.dirty_bits.capacity()
                 + arena.ea_bits.capacity())
                 * size_of::<u64>()
-                + (arena.set_at.capacity() + arena.marks.capacity()) * size_of::<u32>()
+                + arena.set_at.capacity() * size_of::<u32>()
+                + arena.marks.capacity() * size_of::<WordMark>()
                 + arena.blocks.capacity() * size_of::<Block>();
             let estimate = arena_bytes(n as usize, tile as usize);
             assert!(

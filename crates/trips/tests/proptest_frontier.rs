@@ -155,10 +155,10 @@ proptest! {
     }
 
     /// One arena carried across runs over random streams, scales and
-    /// timeline kinds matches the baseline every run — the epoch stamping
-    /// never leaks state between scales. Stale watermarks, row marks and
-    /// dirty bitmaps from a previous run (whose pair ids mean different
-    /// edges) must stay dead.
+    /// timeline kinds matches the baseline every run — the frontier-walk
+    /// reset never leaks state between scales. Stale keys, watermarks, row
+    /// and word change marks and dirty bitmaps from a previous run (whose
+    /// pair ids mean different edges) must stay dead.
     #[test]
     fn arena_epoch_reuse_never_leaks(
         stream in arb_stream(false),
