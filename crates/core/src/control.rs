@@ -79,9 +79,9 @@ pub struct TileSpan {
     pub trips: u64,
     /// Edge traversals processed (repeated per tile, not partitioned).
     pub traversals: u64,
-    /// Chain offers emitted after delta filtering.
+    /// Source cells merged after delta filtering ([`saturn_trips::DpStats`]).
     pub chain_offers: u64,
-    /// Snapshot entries appended after delta filtering.
+    /// Snapshot cells copied after delta filtering.
     pub snap_entries: u64,
     /// Steps taken through the degree-1 fast path.
     pub degree1_steps: u64,

@@ -228,8 +228,8 @@
 //! | `saturn_sweep_scales_total` | counter | — | scales fully analyzed |
 //! | `saturn_dp_trips_total` | counter | — | minimal trips reported by the engines |
 //! | `saturn_dp_traversals_total` | counter | — | edge traversals processed |
-//! | `saturn_dp_chain_offers_total` | counter | — | chain offers after delta filtering |
-//! | `saturn_dp_snap_entries_total` | counter | — | snapshot entries after delta filtering |
+//! | `saturn_dp_chain_offers_total` | counter | — | source cells merged after delta filtering (every lane of a block-merged word, every live cell of a walked one) |
+//! | `saturn_dp_snap_entries_total` | counter | — | snapshot cells copied after delta filtering |
 //! | `saturn_dp_degree1_steps_total` | counter | — | degree-1 fast-path steps |
 //! | `saturn_parse_seconds` | histogram | — | request read + parse (includes peer I/O) |
 //! | `saturn_handle_seconds` | histogram | — | routing + synchronous job wait |
@@ -782,14 +782,8 @@ fn linger_close(reader: BufReader<TcpStream>, writer: &TcpStream) {
 fn refuse_close(stream: TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
     if stream.set_nonblocking(true).is_ok() {
-        let mut buf = [0u8; 4096];
-        let mut left = LINGER_BYTES;
-        while let Ok(n @ 1..) = (&stream).read(&mut buf) {
-            left = left.saturating_sub(n as u64);
-            if left == 0 {
-                break;
-            }
-        }
+        // stops at the first read that would block
+        let _ = std::io::copy(&mut (&stream).take(LINGER_BYTES), &mut std::io::sink());
     }
 }
 

@@ -330,9 +330,11 @@ pub struct Metrics {
     pub dp_trips: Counter,
     /// `saturn_dp_traversals_total` — edge traversals processed.
     pub dp_traversals: Counter,
-    /// `saturn_dp_chain_offers_total` — chain offers after delta filtering.
+    /// `saturn_dp_chain_offers_total` — source cells merged after delta
+    /// filtering.
     pub dp_chain_offers: Counter,
-    /// `saturn_dp_snap_entries_total` — snapshot entries after filtering.
+    /// `saturn_dp_snap_entries_total` — snapshot cells copied after
+    /// filtering.
     pub dp_snap_entries: Counter,
     /// `saturn_dp_degree1_steps_total` — degree-1 fast-path steps.
     pub dp_degree1_steps: Counter,
@@ -516,12 +518,12 @@ impl Metrics {
             ("saturn_dp_traversals_total", "Edge traversals processed.", &self.dp_traversals),
             (
                 "saturn_dp_chain_offers_total",
-                "Chain offers after delta filtering.",
+                "Source cells merged after delta filtering.",
                 &self.dp_chain_offers,
             ),
             (
                 "saturn_dp_snap_entries_total",
-                "Snapshot entries after delta filtering.",
+                "Snapshot cells copied after delta filtering.",
                 &self.dp_snap_entries,
             ),
             (
