@@ -48,7 +48,7 @@
 //!   step is written when it first becomes reachable, so it needs no reset.
 //! * **Block snapshots.** At each step, rows that can be read as
 //!   continuations are snapshotted one 64-column word at a time: a word
-//!   with at least `BLOCK_MIN_LIVE` (16) cells to merge copies all its
+//!   with at least `BLOCK_MIN_CELLS` (16) cells to merge copies all its
 //!   keys, a sparser word copies only those cells' keys, and each word
 //!   records the cells and its change mark in a block header. Snapshot bounds are frozen
 //!   before any edge of the step is applied, which is exactly the strict
@@ -126,7 +126,7 @@
 //!   `proptest_frontier.rs`, and across tile × thread combinations in
 //!   `core/tests/tiling_determinism.rs`. The single-hop candidate `(k, 1)`
 //!   is never filtered: it is new every step.
-//! * **Why the crossover exists.** A word with at least `BLOCK_MIN_LIVE`
+//! * **Why the crossover exists.** A word with at least `BLOCK_MIN_CELLS`
 //!   (16) source cells to merge is merged branch-free over all its lanes
 //!   (the block path): each lane is a saturating add, two compares and a
 //!   `min`, and the changed and `ea`-improved lane masks come out directly
@@ -194,9 +194,9 @@ const UNREACHED: u64 = u64::MAX;
 /// The `ea` half of a key: a candidate improves `ea` iff it is below the
 /// cell's key masked with this.
 const EA_MASK: u64 = !(u32::MAX as u64);
-/// Live source cells from which a word is merged by the branch-free block
+/// The fewest cells to merge at which a word takes the branch-free block
 /// path rather than the bit walk (module docs, "Why the crossover exists").
-const BLOCK_MIN_LIVE: u32 = 16;
+const BLOCK_MIN_CELLS: u32 = 16;
 /// Steps between cancellation polls in the main DP loop: a fired
 /// [`CancelToken`] stops a run within this many steps of one tile. Chosen so
 /// the poll is amortized to nothing even on degree-1 timelines where a step
@@ -311,11 +311,11 @@ struct Block {
     /// The word's cells some consumer still needs ([`WordMark::since`]).
     cells: u64,
     /// Offset of the copied keys in the snapshot buffer: one per lane when
-    /// `cells` reaches `BLOCK_MIN_LIVE`, else one per `cells` bit, ascending.
+    /// `cells` reaches `BLOCK_MIN_CELLS`, else one per `cells` bit, ascending.
     at: u32,
     /// Word index within the row.
     word: u32,
-    /// The word's change mark when copied.
+    /// The step of the word's latest change when copied.
     mark: u32,
 }
 
@@ -374,8 +374,8 @@ pub struct EngineArena {
     slot_bounds: Vec<(u32, u32)>,
     /// Per snapshot slot: the most permissive delta watermark among the
     /// step's consumers of the row (`0` = no consumer, `NEVER` = some
-    /// consumer needs everything). Snapshots copy the words with
-    /// `mark <= slot_maxlast[slot]`.
+    /// consumer needs everything). Snapshots copy the cells changed since
+    /// then ([`WordMark::since`]).
     slot_maxlast: Vec<u32>,
     /// node -> snapshot slot (`NEVER` = none), plus the slotted-node list.
     slot_of: Vec<u32>,
@@ -392,8 +392,8 @@ pub struct EngineArena {
     /// Reporting scratch: the step's `(node, slot)` pairs, sorted ascending
     /// by node before the report walk.
     report_order: Vec<(u32, u32)>,
-    /// Per row: the minimum of its word marks (`NEVER` = unchanged this
-    /// run), so a consumer watermark `L < row_changed_at[row]` proves the
+    /// Per row: the minimum of its words' latest change steps (`NEVER` =
+    /// unchanged this run), so a consumer watermark `L < row_changed_at[row]` proves the
     /// whole row unchanged since that consumer's last visit.
     row_changed_at: Vec<u32>,
     /// Delta watermarks, indexed `2 * pair_id + direction` over the
@@ -460,7 +460,7 @@ impl Writer<'_> {
     fn merge(&mut self, wi: usize, cells: u64, src: &[u64], packed: bool) {
         let base = wi * 64;
         let diag = (self.diag as usize).wrapping_sub(base);
-        if cells.count_ones() < BLOCK_MIN_LIVE {
+        if cells.count_ones() < BLOCK_MIN_CELLS {
             self.stats.walked_words += 1;
             let (mut bits, mut j) = (cells, 0);
             while bits != 0 {
@@ -561,7 +561,7 @@ fn snapshot_row(
         }
         blocks.push(Block { cells, at: snap.len() as u32, word: wi as u32, mark: mark.at });
         let lanes = &keys[wi * 64..(wi * 64 + 64).min(keys.len())];
-        if cells.count_ones() >= BLOCK_MIN_LIVE {
+        if cells.count_ones() >= BLOCK_MIN_CELLS {
             snap.extend_from_slice(lanes);
         } else {
             let mut bits = cells;
