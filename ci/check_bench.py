@@ -75,6 +75,16 @@ def check_workloads(bench):
                 row.get("current_pipeline_seconds", 0) > 0,
                 f"{workload} k={k}: current_pipeline_seconds must be > 0",
             )
+            low = row.get("current_pipeline_min_seconds", 0)
+            high = row.get("current_pipeline_max_seconds", 0)
+            require(
+                low > 0,
+                f"{workload} k={k}: current_pipeline_min_seconds must be > 0",
+            )
+            require(
+                low <= row["current_pipeline_seconds"] <= high,
+                f"{workload} k={k}: current pipeline spread is not min <= median <= max",
+            )
             require(
                 row.get("legacy_pipeline_seconds", 0) > 0,
                 f"{workload} k={k}: legacy_pipeline_seconds must be > 0",
@@ -84,7 +94,9 @@ def check_workloads(bench):
 def check_intra_scale(bench):
     """Target tiling: checksums and shape. The `sink` row times one scale's
     DP into a counting sink and into the rate counter; the counter's
-    histogram must equal the one the dp::baseline oracle records."""
+    histogram must equal the one the dp::baseline oracle records. The same
+    row times the histogram layer (seal and score) on the bench scale with
+    the most distinct rates."""
     intra = section(bench, "intra_scale")
     require(
         intra.get("checksums_match") is True,
@@ -96,7 +108,13 @@ def check_intra_scale(bench):
         sink.get("checksum_match") is True,
         "intra_scale.sink: counter histogram diverged from the baseline's",
     )
-    for key in ("counting_seconds", "counter_seconds"):
+    for key in (
+        "counting_seconds",
+        "counter_seconds",
+        "seal_seconds",
+        "score_seconds",
+        "seal_distinct_rates",
+    ):
         require(sink.get(key, 0) > 0, f"intra_scale.sink: {key} must be > 0")
     require(intra.get("tile_sensitivity"), "intra_scale: no tile sensitivity points")
     require(
@@ -253,6 +271,33 @@ def self_test():
     failing(
         lambda b: b["intra_scale"]["sink"].update(counter_seconds=0),
         "counter_seconds must be > 0",
+    )
+    failing(
+        lambda b: b["intra_scale"]["sink"].pop("seal_seconds"),
+        "seal_seconds must be > 0",
+    )
+    failing(
+        lambda b: b["intra_scale"]["sink"].update(score_seconds=0),
+        "score_seconds must be > 0",
+    )
+    failing(
+        lambda b: b["sparse_ring"]["per_scale"][1].pop("current_pipeline_min_seconds"),
+        "current_pipeline_min_seconds must be > 0",
+    )
+
+    def invert_spread(bench):
+        row = bench["dense_uniform"]["per_scale"][0]
+        row["current_pipeline_min_seconds"] = 2 * row["current_pipeline_seconds"]
+
+    failing(invert_spread, "spread is not min <= median <= max")
+    failing(
+        lambda b: b["sparse_burst"]["per_scale"][2].update(
+            current_pipeline_max_seconds=b["sparse_burst"]["per_scale"][2][
+                "current_pipeline_seconds"
+            ]
+            / 2
+        ),
+        "spread is not min <= median <= max",
     )
     failing(
         lambda b: b["sparse_burst"].update(per_scale=[]),

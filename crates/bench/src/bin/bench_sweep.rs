@@ -19,12 +19,17 @@
 //! retained baseline engine with fresh tables) and the current pipeline
 //! (shared sorted event view + frontier/arena engine) are timed, and the
 //! two engines' checksums (trip stream + distance sums) are hard-asserted
-//! equal — `dp::baseline` is the differential oracle at bench scale.
+//! equal — `dp::baseline` is the differential oracle at bench scale. The
+//! current pipeline's median comes with the min and max of its reps, so a
+//! reader can tell a change from the run-to-run spread.
 //! The `intra_scale` section also times one dense scale's DP into a
 //! counting sink and into the `RateCounter` trip sink (its `sink` row), with
 //! the counter's histogram hard-asserted equal to the one `dp::baseline`
-//! records. End-to-end `OccupancyMethod::run` timings and a peak-RSS proxy
-//! (`VmHWM`) round out the record.
+//! records. The same row times the histogram layer on the bench scale with
+//! the most distinct rates: the counter's seal (`finish`) and the scoring a
+//! sweep runs on the sealed histogram (scores, mean, saturated fraction).
+//! End-to-end `OccupancyMethod::run` timings and a peak-RSS proxy (`VmHWM`)
+//! round out the record.
 //!
 //! ```sh
 //! cargo run --release -p saturn-bench --bin bench_sweep           # full
@@ -33,7 +38,7 @@
 //! ```
 
 use saturn_core::parallel::WorkerPool;
-use saturn_core::{OccupancyMethod, SweepCache, SweepControl, SweepGrid};
+use saturn_core::{histogram_scores, OccupancyMethod, SweepCache, SweepControl, SweepGrid};
 use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
 use saturn_synth::TimeUniform;
 use saturn_trips::dp::{baseline, NullSink};
@@ -48,17 +53,28 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// `(min, median, max)` wall time of `reps` runs of `f`, in seconds.
+fn time_spread<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, f64, f64) {
+    spread(
+        (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(f());
+                start.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
 /// Median-of-`reps` wall time of `f`, in seconds.
-fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
+fn time_median<R>(reps: usize, f: impl FnMut() -> R) -> f64 {
+    time_spread(reps, f).1
+}
+
+/// `(min, median, max)` of `times`.
+fn spread(mut times: Vec<f64>) -> (f64, f64, f64) {
     times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    (times[0], times[times.len() / 2], times[times.len() - 1])
 }
 
 /// Peak resident set size in kilobytes, read from `/proc/self/status`
@@ -129,16 +145,24 @@ impl TripChecksum {
     }
 }
 
-/// Times one workload across `scales`; returns `(json, Σ legacy, Σ current)`.
-/// Each scale's frontier-vs-baseline checksum is hard-asserted: a mismatch
-/// is a correctness bug, so it aborts the bench (and CI) rather than
-/// recording garbage trend data.
+/// What one workload's run measured.
+struct WorkloadRun {
+    json: Value,
+    legacy_seconds: f64,
+    current_seconds: f64,
+    /// `(distinct rates, k)` of the scale with the most distinct rates.
+    richest_scale: (usize, u64),
+}
+
+/// Times one workload across `scales`. Each scale's frontier-vs-baseline
+/// checksum is hard-asserted: a mismatch is a correctness bug, so it aborts
+/// the bench (and CI) rather than recording garbage trend data.
 fn measure_workload(
     name: &str,
     stream: &LinkStream,
     scales: &[u64],
     reps: usize,
-) -> (Value, f64, f64) {
+) -> WorkloadRun {
     let n = stream.node_count() as u32;
     let targets = TargetSet::all(n);
     let view = EventView::new(stream);
@@ -148,6 +172,7 @@ fn measure_workload(
     let mut total_legacy = 0.0f64;
     let mut total_current = 0.0f64;
     let mut all_match = true;
+    let mut richest_scale = (0, 0);
     let checksum_options = DpOptions { collect_distances: true };
     for &k in scales {
         let timeline = Timeline::aggregated_from_view(&view, k);
@@ -170,6 +195,9 @@ fn measure_workload(
         all_match &= ok;
         assert!(ok, "frontier vs baseline checksum diverged: {name} k={k}");
         let traversals = frontier.traversals;
+        let rates = occupancy_histogram_in(&mut EngineArena::new(), &timeline, &targets)
+            .distinct_rates();
+        richest_scale = richest_scale.max((rates, k));
 
         // pre-rework pipeline: per-call timeline build + fresh-table engine
         let t_legacy = time_median(reps, || {
@@ -178,7 +206,7 @@ fn measure_workload(
         });
         // current pipeline: shared view + frontier/arena engine
         let mut arena = EngineArena::new();
-        let t_current = time_median(reps, || {
+        let (t_min, t_current, t_max) = time_spread(reps, || {
             let t = Timeline::aggregated_from_view(&view, k);
             earliest_arrival_dp_in(
                 &mut arena,
@@ -204,9 +232,12 @@ fn measure_workload(
             ("traversals", Value::Int(traversals as i128)),
             ("legacy_pipeline_seconds", Value::Float(t_legacy)),
             ("current_pipeline_seconds", Value::Float(t_current)),
+            ("current_pipeline_min_seconds", Value::Float(t_min)),
+            ("current_pipeline_max_seconds", Value::Float(t_max)),
             ("speedup", Value::Float(speedup)),
             ("traversals_per_second", Value::Float(traversals as f64 / t_current)),
             ("trips", Value::Int(frontier.trips as i128)),
+            ("distinct_rates", Value::Int(rates as i128)),
             ("checksum_match", Value::Bool(ok)),
         ]));
     }
@@ -218,7 +249,12 @@ fn measure_workload(
         ("workload_speedup", Value::Float(total_legacy / total_current)),
         ("checksums_match", Value::Bool(all_match)),
     ]);
-    (json, total_legacy, total_current)
+    WorkloadRun {
+        json,
+        legacy_seconds: total_legacy,
+        current_seconds: total_current,
+        richest_scale,
+    }
 }
 
 /// Merges the tiles of `ranges` into one histogram with a shared arena and
@@ -249,14 +285,67 @@ impl TripSink for CountingSink {
     }
 }
 
+/// The scale of the bench with the most distinct rates, where the
+/// `intra_scale.sink` row times the histogram layer.
+struct RichestScale<'a> {
+    workload: &'a str,
+    stream: &'a LinkStream,
+    k: u64,
+}
+
+/// The histogram layer on one scale: the untiled DP's trips sealed by
+/// [`RateCounter::finish`] (timed alone, the DP is rerun untimed before
+/// each seal), and the scoring a sweep runs on the sealed histogram.
+fn measure_histogram_layer(scale: &RichestScale, reps: usize) -> Vec<(&'static str, Value)> {
+    let targets = TargetSet::all(scale.stream.node_count() as u32);
+    let timeline = Timeline::aggregated(scale.stream, scale.k);
+    let mut arena = EngineArena::new();
+    let mut counter = RateCounter::new();
+    let mut hist = OccupancyHistogram::new();
+    let seals = (0..reps)
+        .map(|_| {
+            earliest_arrival_dp_in(
+                &mut arena,
+                &timeline,
+                &targets,
+                &mut counter,
+                DpOptions::default(),
+            );
+            let start = Instant::now();
+            hist = std::hint::black_box(counter.finish());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    let (_, seal, _) = spread(seals);
+    let score =
+        time_median(reps, || (histogram_scores(&hist), hist.mean(), hist.fraction_at_one()));
+    println!(
+        "  intra_scale histogram layer ({} k={}, {} rates): seal {:.3} ms  score {:.3} ms",
+        scale.workload,
+        scale.k,
+        hist.distinct_rates(),
+        seal * 1e3,
+        score * 1e3,
+    );
+    vec![
+        ("seal_seconds", Value::Float(seal)),
+        ("score_seconds", Value::Float(score)),
+        ("seal_workload", Value::String(scale.workload.to_string())),
+        ("seal_k", Value::Int(scale.k as i128)),
+        ("seal_distinct_rates", Value::Int(hist.distinct_rates() as i128)),
+    ]
+}
+
 /// The `intra_scale.sink` row: the untiled DP of one scale timed into a
 /// counting sink and into a [`RateCounter`] sealed by `finish`, so their
 /// ratio is the trip sink's share of the histogram DP. The histogram is
-/// hard-asserted equal to the one the `dp::baseline` oracle records.
+/// hard-asserted equal to the one the `dp::baseline` oracle records. The
+/// row ends with [`measure_histogram_layer`] on `richest`.
 fn measure_sink(
     arena: &mut EngineArena,
     timeline: &Timeline,
     targets: &TargetSet,
+    richest: &RichestScale,
     reps: usize,
 ) -> Value {
     let t_counting = time_median(reps, || {
@@ -283,20 +372,27 @@ fn measure_sink(
         hist.total_trips(),
         hist.distinct_rates(),
     );
-    obj(vec![
+    let mut row = vec![
         ("counting_seconds", Value::Float(t_counting)),
         ("counter_seconds", Value::Float(t_counter)),
         ("counter_vs_counting", Value::Float(overhead)),
         ("trips", Value::Int(hist.total_trips() as i128)),
         ("distinct_rates", Value::Int(hist.distinct_rates() as i128)),
         ("checksum_match", Value::Bool(ok)),
-    ])
+    ];
+    row.extend(measure_histogram_layer(richest, reps));
+    obj(row)
 }
 
 /// The `intra_scale` section: what the second parallel axis costs and buys.
 /// Tiled-vs-untiled checksums are hard-asserted — a mismatch aborts the
 /// bench (and CI) rather than recording garbage trend data.
-fn measure_intra_scale(dense: &LinkStream, fast: bool, reps: usize) -> Value {
+fn measure_intra_scale(
+    dense: &LinkStream,
+    richest: &RichestScale,
+    fast: bool,
+    reps: usize,
+) -> Value {
     // --- tile-size sensitivity on one dense scale, single-threaded --------
     let k = if fast { 1_000u64 } else { 10_000 };
     let targets = TargetSet::all(dense.node_count() as u32);
@@ -308,7 +404,7 @@ fn measure_intra_scale(dense: &LinkStream, fast: bool, reps: usize) -> Value {
     let t_untiled =
         time_median(reps, || occupancy_histogram_in(&mut arena, &timeline, &targets));
     let reference = occupancy_histogram_in(&mut arena, &timeline, &targets);
-    let sink = measure_sink(&mut arena, &timeline, &targets, reps);
+    let sink = measure_sink(&mut arena, &timeline, &targets, richest, reps);
 
     let mut checksums_match = true;
     let mut tile_sensitivity = Vec::new();
@@ -614,19 +710,25 @@ fn main() {
         vec![1_000, 2_000, 10_000, 20_000, 100_000]
     };
 
-    let (dense_json, dl, dc) = measure_workload("dense_uniform", &dense, &scales, reps);
-    let (sparse_json, sl, sc) = measure_workload("sparse_ring", &sparse, &scales, reps);
-    let (burst_json, bl, bc) = measure_workload("sparse_burst", &burst, &scales, reps);
+    let workloads =
+        [("dense_uniform", &dense), ("sparse_ring", &sparse), ("sparse_burst", &burst)];
+    let runs: Vec<WorkloadRun> = workloads
+        .iter()
+        .map(|&(name, stream)| measure_workload(name, stream, &scales, reps))
+        .collect();
+    let ((_, k), (workload, stream)) = runs
+        .iter()
+        .map(|run| run.richest_scale)
+        .zip(workloads)
+        .max_by_key(|&((rates, _), _)| rates)
+        .expect("three workloads");
+    let richest = RichestScale { workload, stream, k };
 
     println!("intra-scale parallelism (target tiling):");
-    let intra_scale = measure_intra_scale(&dense, fast, reps);
+    let intra_scale = measure_intra_scale(&dense, &richest, fast, reps);
 
     println!("incremental timeline construction (adjacent-window merge) vs scratch:");
-    let timeline = measure_timeline(
-        &[("dense_uniform", &dense), ("sparse_ring", &sparse), ("sparse_burst", &burst)],
-        fast,
-        reps,
-    );
+    let timeline = measure_timeline(&workloads, fast, reps);
 
     println!("streaming ingest refresh (session sweep cache) vs scratch sweeps:");
     let streaming = measure_streaming(fast, reps);
@@ -645,7 +747,9 @@ fn main() {
         ]));
     }
 
-    let aggregate = (dl + sl + bl) / (dc + sc + bc);
+    let legacy: f64 = runs.iter().map(|run| run.legacy_seconds).sum();
+    let current: f64 = runs.iter().map(|run| run.current_seconds).sum();
+    let aggregate = legacy / current;
     println!("aggregate pipeline speedup over all workloads: {aggregate:.2}x");
 
     let mut top = vec![
@@ -675,15 +779,17 @@ fn main() {
                 ("cpu_model", cpu_model().map_or(Value::Null, Value::String)),
             ]),
         ),
-        ("dense_uniform", dense_json),
-        ("sparse_ring", sparse_json),
-        ("sparse_burst", burst_json),
+    ];
+    top.extend(
+        workloads.iter().map(|&(name, _)| name).zip(runs.into_iter().map(|run| run.json)),
+    );
+    top.extend([
         ("intra_scale", intra_scale),
         ("timeline", timeline),
         ("streaming", streaming),
         ("end_to_end", Value::Array(end_to_end)),
         ("aggregate_pipeline_speedup", Value::Float(aggregate)),
-    ];
+    ]);
     if let Some(kb) = peak_rss_kb() {
         top.push(("peak_rss_kb", Value::Int(kb as i128)));
     }

@@ -57,8 +57,8 @@ pub use heterogeneity::{
     HeterogeneityConfig, HeterogeneityReport,
 };
 pub use method::{
-    DeltaResult, KeepPolicy, OccupancyMethod, RefreshStats, SweepCache, TargetSpec,
-    UniformityScores,
+    histogram_scores, DeltaResult, KeepPolicy, OccupancyMethod, RefreshStats, SweepCache,
+    TargetSpec, UniformityScores,
 };
 pub use parallel::WorkerPool;
 pub use report::{GammaResult, OccupancyReport};

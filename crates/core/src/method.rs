@@ -5,7 +5,7 @@ use crate::parallel::{auto_tile_cols, merge_sources, sweep_queue, WorkerPool};
 use crate::report::OccupancyReport;
 use crate::SweepGrid;
 use rustc_hash::FxHashMap;
-use saturn_distrib::{SelectionMetric, WeightedDist};
+use saturn_distrib::{Ascending, SelectionMetric, WeightedDist};
 use saturn_linkstream::LinkStream;
 use saturn_trips::{
     dp::max_tile_cols, earliest_arrival_dp_in, Cancelled, DpRun, EngineArena, EventView,
@@ -16,9 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Slot counts at which the Shannon-entropy score is always evaluated
-/// (the paper discusses k ∈ {5, 10, 20, 100}).
-pub const SHANNON_SLOTS: [usize; 4] = [5, 10, 20, 100];
+pub use saturn_distrib::{UniformityScores, SHANNON_SLOTS};
 
 /// How destinations are chosen for the trip computations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -147,53 +145,12 @@ impl SweepCache {
     }
 }
 
-/// All Section 7 uniformity scores of one occupancy distribution, computed
-/// together (each is cheap once the distribution is materialized).
-#[derive(Clone, Debug, Serialize)]
-pub struct UniformityScores {
-    /// M-K proximity `1/2 - dist_MK` (the paper's reference method).
-    pub mk_proximity: f64,
-    /// Weighted standard deviation.
-    pub std_dev: f64,
-    /// Variation coefficient `σ/µ`.
-    pub variation_coefficient: f64,
-    /// Shannon entropy at each slot count of [`SHANNON_SLOTS`].
-    pub shannon: Vec<(usize, f64)>,
-    /// Cumulative residual entropy.
-    pub cre: f64,
-}
-
-impl UniformityScores {
-    /// Scores `dist` under every metric.
-    pub fn of(dist: &WeightedDist) -> Self {
-        UniformityScores {
-            mk_proximity: saturn_distrib::mk_proximity(dist),
-            std_dev: saturn_distrib::std_dev(dist),
-            variation_coefficient: saturn_distrib::variation_coefficient(dist),
-            shannon: SHANNON_SLOTS
-                .iter()
-                .map(|&s| (s, saturn_distrib::shannon_entropy(dist, s)))
-                .collect(),
-            cre: saturn_distrib::cumulative_residual_entropy(dist),
-        }
-    }
-
-    /// The score under `metric`. Shannon slot counts outside
-    /// [`SHANNON_SLOTS`] return `NaN`.
-    pub fn get(&self, metric: SelectionMetric) -> f64 {
-        match metric {
-            SelectionMetric::MkProximity => self.mk_proximity,
-            SelectionMetric::StdDev => self.std_dev,
-            SelectionMetric::VariationCoefficient => self.variation_coefficient,
-            SelectionMetric::ShannonEntropy { slots } => self
-                .shannon
-                .iter()
-                .find(|&&(s, _)| s == slots)
-                .map(|&(_, v)| v)
-                .unwrap_or(f64::NAN),
-            SelectionMetric::Cre => self.cre,
-        }
-    }
+/// The scores a sweep records for a scale: [`UniformityScores::of`] over
+/// the histogram's rates read in their stored order, with no distribution
+/// materialized. Bit-identical to scoring
+/// `WeightedDist::from_pairs(hist.sorted_rates())`.
+pub fn histogram_scores(hist: &OccupancyHistogram) -> UniformityScores {
+    UniformityScores::of(&Ascending::new(hist.rates(), hist.total_trips()))
 }
 
 /// The analysis of one aggregation scale.
@@ -265,7 +222,18 @@ impl OccupancyMethod {
     }
 
     /// Sets the selection metric (default: M-K proximity).
+    ///
+    /// # Panics
+    /// Panics on a Shannon entropy whose slot count is not one of
+    /// [`SHANNON_SLOTS`] (`slots: 0` included): a sweep scores no other
+    /// count, so such a metric could never select a scale.
     pub fn metric(mut self, metric: SelectionMetric) -> Self {
+        if let SelectionMetric::ShannonEntropy { slots } = metric {
+            assert!(
+                SHANNON_SLOTS.contains(&slots),
+                "Shannon entropy is scored at {SHANNON_SLOTS:?} slots only, not {slots}"
+            );
+        }
         self.metric = metric;
         self
     }
@@ -314,9 +282,9 @@ impl OccupancyMethod {
         self
     }
 
-    /// Scores one scale's merged histogram.
+    /// Scores one scale's merged histogram; the distribution is built only
+    /// when the report keeps it.
     fn delta_result(&self, span: i64, k: u64, hist: &OccupancyHistogram) -> DeltaResult {
-        let dist = WeightedDist::from_pairs(hist.sorted_rates());
         DeltaResult {
             k,
             delta_ticks: span as f64 / k as f64,
@@ -324,8 +292,9 @@ impl OccupancyMethod {
             distinct_rates: hist.distinct_rates(),
             mean_rate: hist.mean(),
             fraction_at_one: hist.fraction_at_one(),
-            scores: UniformityScores::of(&dist),
-            distribution: matches!(self.keep, KeepPolicy::All).then_some(dist),
+            scores: histogram_scores(hist),
+            distribution: matches!(self.keep, KeepPolicy::All)
+                .then(|| WeightedDist::from_pairs(hist.sorted_rates())),
         }
     }
 
@@ -839,6 +808,7 @@ pub(crate) fn argmax(results: &[DeltaResult], metric: SelectionMetric) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saturn_distrib::SortedStream;
     use saturn_linkstream::{Directedness, LinkStreamBuilder};
 
     /// A stream with one link every `gap` ticks along a ring.
@@ -889,6 +859,64 @@ mod tests {
         assert!(fine.mean_rate < coarse.mean_rate);
         // both kept distributions present
         assert!(fine.distribution.is_some() && coarse.distribution.is_some());
+    }
+
+    fn score_bits(s: &UniformityScores) -> Vec<u64> {
+        let mut fields = vec![s.mk_proximity, s.std_dev, s.variation_coefficient, s.cre];
+        fields.extend(s.shannon.iter().map(|&(_, h)| h));
+        fields.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// Under `KeepPolicy::All` every kept distribution rescores to the bits
+    /// the sweep recorded from the histogram, and its support is the
+    /// scale's distinct rates as `f64`s.
+    #[test]
+    fn kept_distributions_agree_with_their_scores() {
+        let s = saturn_synth::DatasetProfile::enron().scaled(0.1).generate(3);
+        let report = OccupancyMethod::new()
+            .grid(SweepGrid::Geometric { points: 10 })
+            .threads(2)
+            .keep(KeepPolicy::All)
+            .run(&s);
+        let view = EventView::new(&s);
+        let targets = TargetSpec::All.build(s.node_count() as u32);
+        let mut arena = EngineArena::new();
+        assert!(report.results().len() >= 10);
+        for r in report.results() {
+            let dist = r.distribution.as_ref().expect("every distribution is kept");
+            assert_eq!(
+                score_bits(&UniformityScores::of(dist)),
+                score_bits(&r.scores),
+                "k={}",
+                r.k
+            );
+            let timeline = Timeline::aggregated_from_view(&view, r.k);
+            let hist = saturn_trips::occupancy_histogram_in(&mut arena, &timeline, &targets);
+            let mut rates: Vec<f64> = hist.rates().map(|(v, _)| v).collect();
+            rates.dedup();
+            let support: Vec<f64> = dist.pairs().map(|(v, _)| v).collect();
+            assert_eq!(support, rates, "k={}", r.k);
+            assert_eq!(dist.total_weight(), r.trips, "k={}", r.k);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "Shannon entropy is scored at [5, 10, 20, 100] slots only, not 7"
+    )]
+    fn unsupported_shannon_slot_count_is_rejected() {
+        let _ = OccupancyMethod::new().metric(SelectionMetric::ShannonEntropy { slots: 7 });
+    }
+
+    #[test]
+    fn supported_shannon_slot_count_selects_a_scale() {
+        let report = OccupancyMethod::new()
+            .metric(SelectionMetric::ShannonEntropy { slots: 10 })
+            .grid(SweepGrid::Geometric { points: 12 })
+            .threads(1)
+            .run(&ring_stream(8, 80, 7));
+        let gamma = report.gamma().expect("a healthy stream selects a scale");
+        assert!(gamma.score.is_finite());
     }
 
     #[test]

@@ -1,6 +1,76 @@
 //! Entropy-based uniformity measures (Section 7 of the paper).
 
-use crate::WeightedDist;
+use crate::dist::walk;
+use crate::SortedStream;
+
+/// The weight of a distribution in `slots` equal bins of `[0, 1]`, filled
+/// from an ascending stream.
+pub(crate) struct Bins {
+    weights: Vec<u64>,
+    /// The bin the last value fell in.
+    current: usize,
+    /// `current + 1`: the scaled value from which on a value falls in a
+    /// later bin.
+    next: f64,
+}
+
+impl Bins {
+    /// # Panics
+    /// Panics if `slots == 0`.
+    pub(crate) fn new(slots: usize) -> Self {
+        assert!(slots > 0, "need at least one slot");
+        Bins { weights: vec![0; slots], current: 0, next: 1.0 }
+    }
+
+    /// Adds weight `w` at value `v`, no smaller than the values before it.
+    /// `v` falls in bin `⌊v · slots⌋` (1.0 in the last bin). Values ascend,
+    /// so the bin changes only once `v · slots` reaches `current + 1` (an
+    /// integer: the truncation reaches it exactly when the product does),
+    /// and only then is the index recomputed.
+    pub(crate) fn pair(&mut self, v: f64, w: u64) {
+        let slots = self.weights.len();
+        let scaled = v * slots as f64;
+        if scaled >= self.next {
+            self.current = (scaled as usize).min(slots - 1);
+            self.next = (self.current + 1) as f64;
+        }
+        self.weights[self.current] += w;
+    }
+
+    /// `-Σ p_j ln p_j` over the bins, for a distribution of weight `total`.
+    pub(crate) fn entropy(&self, total: u64) -> f64 {
+        let total = total as f64;
+        self.weights
+            .iter()
+            .filter(|&&w| w > 0)
+            .map(|&w| {
+                let p = w as f64 / total;
+                -p * p.ln()
+            })
+            .sum()
+    }
+}
+
+/// The cumulative residual entropy accumulated one survival segment at a
+/// time.
+pub(crate) struct Cre(f64);
+
+impl Cre {
+    /// Starts where `f64`'s `Sum` starts, at `-0.0`: a distribution with
+    /// all its mass at 1 keeps the sign bit of its only, `-0.0`, term.
+    pub(crate) fn new() -> Self {
+        Cre(-0.0)
+    }
+
+    /// Adds `-∫ s ln s dλ` over `[a, b)`.
+    pub(crate) fn segment(&mut self, a: f64, b: f64, s: f64) {
+        self.0 += if s > 0.0 { -(b - a) * s * s.ln() } else { 0.0 };
+    }
+
+    pub(crate) fn value(&self) -> f64 {
+        self.0
+    }
+}
 
 /// Shannon entropy `H = -Σ p_j ln p_j` of the distribution discretized into
 /// `slots` equal bins of `[0, 1]` (value 1.0 falls in the last bin).
@@ -11,24 +81,13 @@ use crate::WeightedDist;
 ///
 /// # Panics
 /// Panics if `slots == 0`.
-pub fn shannon_entropy(dist: &WeightedDist, slots: usize) -> f64 {
-    assert!(slots > 0, "need at least one slot");
+pub fn shannon_entropy(dist: &(impl SortedStream + ?Sized), slots: usize) -> f64 {
+    let mut bins = Bins::new(slots);
     if dist.is_empty() {
         return f64::NAN;
     }
-    let mut bins = vec![0u64; slots];
-    for (v, w) in dist.pairs() {
-        let j = ((v * slots as f64) as usize).min(slots - 1);
-        bins[j] += w;
-    }
-    let total = dist.total_weight() as f64;
-    bins.iter()
-        .filter(|&&w| w > 0)
-        .map(|&w| {
-            let p = w as f64 / total;
-            -p * p.ln()
-        })
-        .sum()
+    walk(dist, |v, w| bins.pair(v, w), |_, _, _| {});
+    bins.entropy(dist.total_weight())
 }
 
 /// Cumulative residual entropy `ε(X) = -∫₀¹ P(X > λ) ln P(X > λ) dλ`,
@@ -38,14 +97,13 @@ pub fn shannon_entropy(dist: &WeightedDist, slots: usize) -> f64 {
 /// Like the Shannon entropy it is maximized by the uniform density, but it
 /// compares distributions on the common support `[0, 1]` without any binning.
 /// Returns `NaN` for an empty distribution.
-pub fn cumulative_residual_entropy(dist: &WeightedDist) -> f64 {
+pub fn cumulative_residual_entropy(dist: &(impl SortedStream + ?Sized)) -> f64 {
     if dist.is_empty() {
         return f64::NAN;
     }
-    dist.survival_segments()
-        .into_iter()
-        .map(|(a, b, s)| if s > 0.0 { -(b - a) * s * s.ln() } else { 0.0 })
-        .sum()
+    let mut cre = Cre::new();
+    walk(dist, |_, _| {}, |a, b, s| cre.segment(a, b, s));
+    cre.value()
 }
 
 #[cfg(test)]

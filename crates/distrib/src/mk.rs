@@ -11,20 +11,22 @@
 //! integral is computed in closed form over the constant segments of the
 //! survival function — no numerical quadrature.
 
-use crate::WeightedDist;
+use crate::dist::walk;
+use crate::SortedStream;
 
-/// Exact `∫₀¹ |P(X > λ) - (1 - λ)| dλ`.
-///
-/// Returns `NaN` for an empty distribution.
-pub fn mk_distance_to_uniform(dist: &WeightedDist) -> f64 {
-    if dist.is_empty() {
-        return f64::NAN;
+/// `dist_MK` accumulated one survival segment at a time.
+pub(crate) struct MkDistance(f64);
+
+impl MkDistance {
+    pub(crate) fn new() -> Self {
+        MkDistance(0.0)
     }
-    let mut acc = 0.0f64;
-    for (a, b, s) in dist.survival_segments() {
+
+    /// Adds `∫ |s - (1 - λ)| dλ` over `[a, b)`.
+    pub(crate) fn segment(&mut self, a: f64, b: f64, s: f64) {
         // integrand |s - 1 + λ| = |λ - c| with c = 1 - s, over [a, b]
         let c = 1.0 - s;
-        acc += if c <= a {
+        self.0 += if c <= a {
             // λ - c >= 0 throughout
             ((b - c) * (b - c) - (a - c) * (a - c)) / 2.0
         } else if c >= b {
@@ -35,19 +37,40 @@ pub fn mk_distance_to_uniform(dist: &WeightedDist) -> f64 {
             ((c - a) * (c - a) + (b - c) * (b - c)) / 2.0
         };
     }
-    acc
+
+    pub(crate) fn value(&self) -> f64 {
+        self.0
+    }
+}
+
+/// Exact `∫₀¹ |P(X > λ) - (1 - λ)| dλ`.
+///
+/// Returns `NaN` for an empty distribution.
+pub fn mk_distance_to_uniform(dist: &(impl SortedStream + ?Sized)) -> f64 {
+    if dist.is_empty() {
+        return f64::NAN;
+    }
+    let mut mk = MkDistance::new();
+    walk(dist, |_, _| {}, |a, b, s| mk.segment(a, b, s));
+    mk.value()
 }
 
 /// The M-K proximity `1/2 - dist_MK(X)` — the quantity maximized by the
 /// occupancy method (Figures 3, 5 of the paper). Higher is closer to the
 /// uniform density.
-pub fn mk_proximity(dist: &WeightedDist) -> f64 {
-    0.5 - mk_distance_to_uniform(dist)
+pub fn mk_proximity(dist: &(impl SortedStream + ?Sized)) -> f64 {
+    proximity(mk_distance_to_uniform(dist))
+}
+
+/// The M-K proximity of a distribution at M-K distance `distance`.
+pub(crate) fn proximity(distance: f64) -> f64 {
+    0.5 - distance
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WeightedDist;
 
     fn dirac(x: f64) -> WeightedDist {
         WeightedDist::from_pairs(vec![(x, 1)])

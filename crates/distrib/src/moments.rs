@@ -1,9 +1,9 @@
 //! Weighted moments: mean, standard deviation, variation coefficient.
 
-use crate::WeightedDist;
+use crate::SortedStream;
 
 /// Weighted mean `E[X]`. `NaN` for an empty distribution.
-pub fn mean(dist: &WeightedDist) -> f64 {
+pub fn mean(dist: &(impl SortedStream + ?Sized)) -> f64 {
     if dist.is_empty() {
         return f64::NAN;
     }
@@ -14,11 +14,15 @@ pub fn mean(dist: &WeightedDist) -> f64 {
 /// Weighted population standard deviation `σ = sqrt(E[(X - µ)²])`.
 /// One of the five selection methods of Section 7 (select max σ). `NaN` for
 /// an empty distribution.
-pub fn std_dev(dist: &WeightedDist) -> f64 {
+pub fn std_dev(dist: &(impl SortedStream + ?Sized)) -> f64 {
+    std_dev_about(dist, mean(dist))
+}
+
+/// [`std_dev`] about the already computed mean `mu` of `dist`.
+fn std_dev_about(dist: &(impl SortedStream + ?Sized), mu: f64) -> f64 {
     if dist.is_empty() {
         return f64::NAN;
     }
-    let mu = mean(dist);
     let s: f64 = dist.pairs().map(|(v, w)| (v - mu) * (v - mu) * w as f64).sum();
     (s / dist.total_weight() as f64).sqrt()
 }
@@ -27,12 +31,19 @@ pub fn std_dev(dist: &WeightedDist) -> f64 {
 /// over-favors distributions with tiny means (it selects no aggregation at
 /// all) — kept for the Section 7 comparison. `NaN` for an empty distribution
 /// or zero mean.
-pub fn variation_coefficient(dist: &WeightedDist) -> f64 {
+pub fn variation_coefficient(dist: &(impl SortedStream + ?Sized)) -> f64 {
+    std_dev_and_variation_coefficient(dist).1
+}
+
+/// `(`[`std_dev`]`, `[`variation_coefficient`]`)` from one pass for the mean
+/// and one for the deviation.
+pub(crate) fn std_dev_and_variation_coefficient(
+    dist: &(impl SortedStream + ?Sized),
+) -> (f64, f64) {
     let mu = mean(dist);
-    if mu <= 0.0 || mu.is_nan() {
-        return f64::NAN;
-    }
-    std_dev(dist) / mu
+    let sigma = std_dev_about(dist, mu);
+    let cv = if mu <= 0.0 || mu.is_nan() { f64::NAN } else { sigma / mu };
+    (sigma, cv)
 }
 
 #[cfg(test)]

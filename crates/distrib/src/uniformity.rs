@@ -1,11 +1,20 @@
-//! The five selection methods of Section 7 behind one interface.
+//! The five selection methods of Section 7 behind one interface, and all
+//! of their scores computed together.
 
+use crate::dist::walk;
+use crate::entropy::{Bins, Cre};
+use crate::mk::{proximity, MkDistance};
+use crate::moments::std_dev_and_variation_coefficient;
 use crate::{
     cumulative_residual_entropy, mk_proximity, shannon_entropy, std_dev, variation_coefficient,
-    WeightedDist,
+    SortedStream,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Slot counts at which the Shannon-entropy score is always evaluated
+/// (the paper discusses k ∈ {5, 10, 20, 100}).
+pub const SHANNON_SLOTS: [usize; 4] = [5, 10, 20, 100];
 
 /// A method for scoring how uniformly a distribution is spread over `[0, 1]`.
 /// Higher score = more uniformly spread; the occupancy method selects the
@@ -46,7 +55,7 @@ impl SelectionMetric {
     }
 
     /// Scores `dist`; `NaN` for empty distributions.
-    pub fn score(&self, dist: &WeightedDist) -> f64 {
+    pub fn score(&self, dist: &(impl SortedStream + ?Sized)) -> f64 {
         match *self {
             SelectionMetric::MkProximity => mk_proximity(dist),
             SelectionMetric::StdDev => std_dev(dist),
@@ -71,9 +80,86 @@ impl fmt::Display for SelectionMetric {
     }
 }
 
+/// All Section 7 uniformity scores of one distribution, computed together:
+/// one walk of the stream feeds the Shannon bins of every slot count and
+/// both survival integrals (M-K and CRE), then the mean and the deviation
+/// take one pass each. Each score runs the same fold as its own function,
+/// in the same order, so it has exactly that function's bits.
+#[derive(Clone, Debug, Serialize)]
+pub struct UniformityScores {
+    /// M-K proximity `1/2 - dist_MK` (the paper's reference method).
+    pub mk_proximity: f64,
+    /// Weighted standard deviation.
+    pub std_dev: f64,
+    /// Variation coefficient `σ/µ`.
+    pub variation_coefficient: f64,
+    /// Shannon entropy at each slot count of [`SHANNON_SLOTS`].
+    pub shannon: Vec<(usize, f64)>,
+    /// Cumulative residual entropy.
+    pub cre: f64,
+}
+
+impl UniformityScores {
+    /// Scores `dist` under every metric: a [`crate::WeightedDist`], or any
+    /// [`SortedStream`]. Every score is `NaN` for an empty distribution.
+    pub fn of(dist: &(impl SortedStream + ?Sized)) -> Self {
+        if dist.is_empty() {
+            let nan = f64::NAN;
+            return UniformityScores {
+                mk_proximity: nan,
+                std_dev: nan,
+                variation_coefficient: nan,
+                shannon: SHANNON_SLOTS.map(|slots| (slots, nan)).to_vec(),
+                cre: nan,
+            };
+        }
+        let mut bins = SHANNON_SLOTS.map(Bins::new);
+        let (mut mk, mut cre) = (MkDistance::new(), Cre::new());
+        walk(
+            dist,
+            |v, w| bins.iter_mut().for_each(|b| b.pair(v, w)),
+            |a, b, s| {
+                mk.segment(a, b, s);
+                cre.segment(a, b, s);
+            },
+        );
+        let (std_dev, variation_coefficient) = std_dev_and_variation_coefficient(dist);
+        let total = dist.total_weight();
+        UniformityScores {
+            mk_proximity: proximity(mk.value()),
+            std_dev,
+            variation_coefficient,
+            shannon: SHANNON_SLOTS
+                .into_iter()
+                .zip(&bins)
+                .map(|(s, b)| (s, b.entropy(total)))
+                .collect(),
+            cre: cre.value(),
+        }
+    }
+
+    /// The score under `metric`. Shannon slot counts outside
+    /// [`SHANNON_SLOTS`] return `NaN`.
+    pub fn get(&self, metric: SelectionMetric) -> f64 {
+        match metric {
+            SelectionMetric::MkProximity => self.mk_proximity,
+            SelectionMetric::StdDev => self.std_dev,
+            SelectionMetric::VariationCoefficient => self.variation_coefficient,
+            SelectionMetric::ShannonEntropy { slots } => self
+                .shannon
+                .iter()
+                .find(|&&(s, _)| s == slots)
+                .map(|&(_, v)| v)
+                .unwrap_or(f64::NAN),
+            SelectionMetric::Cre => self.cre,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WeightedDist;
 
     fn spread() -> WeightedDist {
         WeightedDist::from_pairs((1..=20).map(|i| (i as f64 / 20.0, 1)).collect())

@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 use saturn_distrib::{
-    cumulative_residual_entropy, mk_distance_to_uniform, shannon_entropy, std_dev,
-    SelectionMetric, WeightedDist,
+    cumulative_residual_entropy, mk_distance_to_uniform, mk_proximity, shannon_entropy,
+    std_dev, variation_coefficient, Ascending, SelectionMetric, SortedStream, UniformityScores,
+    WeightedDist,
 };
 
 fn arb_dist() -> impl Strategy<Value = WeightedDist> {
@@ -128,5 +129,50 @@ proptest! {
         prop_assert_eq!(a.support_size(), b.support_size());
         prop_assert_eq!(b.total_weight(), 2 * a.total_weight());
         prop_assert!((mk_distance_to_uniform(&a) - mk_distance_to_uniform(&b)).abs() < 1e-12);
+    }
+
+    /// All scores computed together equal each metric's own function, for
+    /// the materialized distribution and for an `Ascending` stream over the
+    /// same pairs unmerged, bit for bit; each Shannon entropy equals binning
+    /// every value by `⌊v · slots⌋` directly.
+    #[test]
+    fn joint_scores_match_each_metric_bit_for_bit(
+        pairs in proptest::collection::vec((0u32..=1000, 1u64..50, 0usize..3), 1..60),
+    ) {
+        let mut raw: Vec<(f64, u64)> = pairs
+            .iter()
+            .map(|&(v, w, q)| {
+                let q = [1000, 7, 3][q];
+                ((v % (q + 1)) as f64 / q as f64, w)
+            })
+            .collect();
+        raw.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let total: u64 = raw.iter().map(|&(_, w)| w).sum();
+        let dist = WeightedDist::from_pairs(raw.clone());
+        let stream = Ascending::new(raw.iter().copied(), total);
+        for scores in [UniformityScores::of(&dist), UniformityScores::of(&stream)] {
+            prop_assert_eq!(scores.mk_proximity.to_bits(), mk_proximity(&dist).to_bits());
+            prop_assert_eq!(scores.std_dev.to_bits(), std_dev(&dist).to_bits());
+            let cv = variation_coefficient(&dist);
+            prop_assert_eq!(scores.variation_coefficient.to_bits(), cv.to_bits());
+            let cre = cumulative_residual_entropy(&dist);
+            prop_assert_eq!(scores.cre.to_bits(), cre.to_bits());
+            for &(slots, h) in &scores.shannon {
+                prop_assert_eq!(h.to_bits(), shannon_entropy(&dist, slots).to_bits());
+                let mut bins = vec![0u64; slots];
+                for (v, w) in dist.pairs() {
+                    bins[((v * slots as f64) as usize).min(slots - 1)] += w;
+                }
+                let direct: f64 = bins
+                    .iter()
+                    .filter(|&&w| w > 0)
+                    .map(|&w| {
+                        let p = w as f64 / total as f64;
+                        -p * p.ln()
+                    })
+                    .sum();
+                prop_assert_eq!(h.to_bits(), direct.to_bits());
+            }
+        }
     }
 }

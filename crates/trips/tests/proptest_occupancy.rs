@@ -7,9 +7,16 @@
 //! The draws straddle the counter's dense-front bounds (hops 15/16,
 //! durations 1023/1024), reach `duration == u32::MAX`, include
 //! `hops == duration`, and scale small rates by common factors so that
-//! dense and sparse keys fold into one reduced rate.
+//! dense and sparse keys fold into one reduced rate. One family of draws
+//! sits just below 1/2 with durations near `u32::MAX`: distinct reduced
+//! rates there round to the same `f64`, so the exact rational order and the
+//! float merge of the scores are both exercised. The scores a sweep records
+//! (read off the histogram's stored order) must equal, bit for bit, the
+//! scores of the distribution materialized from `sorted_rates`.
 
 use proptest::prelude::*;
+use saturn_core::{histogram_scores, UniformityScores};
+use saturn_distrib::WeightedDist;
 use saturn_trips::{OccupancyHistogram, RateCounter};
 use std::collections::BTreeMap;
 
@@ -46,6 +53,13 @@ fn trip(kind: u32, a: u32, b: u32) -> (u32, u32) {
         }
         // the longest duration, with small, boundary and extreme hop counts
         4 => ([1, 3, 15, 16, 255, u32::MAX - 1, u32::MAX][a as usize % 7], u32::MAX),
+        // `(m - j)/(2m + 1 - 2j)` for `m = 2^31 - 1`: rates `1/2 - ε` whose
+        // gaps (~2^-65) are far below an `f64` step near 1/2 (2^-54), so
+        // distinct rationals collide in `f64`
+        5 => {
+            let j = a % 64 + (b % 3) * (1 << 20);
+            (i32::MAX as u32 - j, u32::MAX - 2 * j)
+        }
         // a small rate scaled by a common factor: the same reduced key
         // reached from dense and sparse unreduced keys
         _ => {
@@ -57,7 +71,7 @@ fn trip(kind: u32, a: u32, b: u32) -> (u32, u32) {
 }
 
 fn arb_trips() -> impl Strategy<Value = Vec<(u32, u32)>> {
-    proptest::collection::vec((0u32..6, any::<u32>(), any::<u32>()), 1..160)
+    proptest::collection::vec((0u32..7, any::<u32>(), any::<u32>()), 1..160)
         .prop_map(|parts| parts.into_iter().map(|(kind, a, b)| trip(kind, a, b)).collect())
 }
 
@@ -96,6 +110,45 @@ impl Reference {
     fn fraction_at_one(&self) -> f64 {
         self.counts.get(&(1, 1)).copied().unwrap_or(0) as f64 / self.total as f64
     }
+}
+
+/// Asserts that the scores a sweep records for `h` equal those of the
+/// distribution materialized from its sorted rates, field by field, bits
+/// included.
+fn assert_scores_match_the_materialized_distribution(h: &OccupancyHistogram) {
+    let swept = histogram_scores(h);
+    let dist = UniformityScores::of(&WeightedDist::from_pairs(h.sorted_rates()));
+    let fields = |s: &UniformityScores| {
+        let mut bits = vec![s.mk_proximity, s.std_dev, s.variation_coefficient, s.cre];
+        bits.extend(s.shannon.iter().map(|&(_, h)| h));
+        bits.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+    };
+    assert_eq!(fields(&swept), fields(&dist));
+    assert_eq!(swept.shannon.len(), dist.shannon.len());
+}
+
+/// Two reduced rates just below 1/2 that round to the same `f64` stay
+/// apart, in exact order, and score as the merged `f64` value does.
+#[test]
+fn rates_that_collide_in_f64_stay_distinct_and_ordered() {
+    let (hi, lo) = ((2_147_483_647, 4_294_967_295), (2_147_483_646, 4_294_967_293));
+    assert_eq!(gcd(hi.0, hi.1), 1);
+    assert_eq!(gcd(lo.0, lo.1), 1);
+    let rate = |(h, d): (u32, u32)| h as f64 / d as f64;
+    assert_eq!(rate(hi), rate(lo));
+    // `lo < hi` exactly: 2147483646 · 4294967295 < 2147483647 · 4294967293
+    assert!(u64::from(lo.0) * u64::from(hi.1) < u64::from(hi.0) * u64::from(lo.1));
+    let mut counter = RateCounter::new();
+    for _ in 0..3 {
+        counter.record(hi.0, hi.1);
+    }
+    counter.record(lo.0, lo.1);
+    counter.record(1, 2);
+    let h = counter.finish();
+    assert_eq!(h.distinct_rates(), 3);
+    assert_eq!(h.sorted_rates(), vec![(rate(lo), 1), (rate(hi), 3), (0.5, 1)]);
+    assert_eq!(WeightedDist::from_pairs(h.sorted_rates()).support_size(), 2);
+    assert_scores_match_the_materialized_distribution(&h);
 }
 
 /// A deterministic permutation of `0..len` from `seed` (Fisher–Yates over
@@ -156,6 +209,7 @@ proptest! {
         let at_one = reference.fraction_at_one().to_bits();
         prop_assert_eq!(merged.fraction_at_one().to_bits(), at_one);
         prop_assert_eq!(merged.mean().to_bits(), reference.mean().to_bits());
+        assert_scores_match_the_materialized_distribution(&merged);
 
         // the reused counter was left empty, and sealing everything at
         // once gives the same histogram as any tiling
