@@ -61,12 +61,19 @@ impl Digest {
         self.write_u64(key as u64);
     }
 
-    /// Mixes a byte string (length-prefixed, so `("ab", "c")` and
-    /// `("a", "bc")` digest differently).
+    /// Mixes a string (length-prefixed, so `("ab", "c")` and `("a", "bc")`
+    /// digest differently).
     pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.a.write(s.as_bytes());
-        self.b.write(s.as_bytes());
+        self.write_bytes(s.as_bytes());
+    }
+
+    /// Mixes raw bytes, length-prefixed like [`write_str`](Self::write_str)
+    /// (a string digests the same as its bytes). Input need not be UTF-8:
+    /// the server digests request bodies before it parses them.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        self.write_u64(bytes.len() as u64);
+        self.a.write(bytes);
+        self.b.write(bytes);
     }
 
     /// Finalizes the 128-bit key.
@@ -232,6 +239,41 @@ mod tests {
             hex(d.finish()),
             "1d8eaee1c57818b6acd707e5584443d1",
             "analyze request digest moved"
+        );
+    }
+
+    /// Pinned like the stream and request digests: the server's parse memo
+    /// keys raw request bodies with [`Digest::write_bytes`], and a string
+    /// digests the same as its bytes (so [`Digest::write_str`], under every
+    /// pinned digest above, cannot move without this one moving too).
+    #[test]
+    fn byte_digests_are_pinned() {
+        let body: &[u8] = b"a b 1\nb c 5\nc a 9\n";
+        let bytes = |domain: &str, body: &[u8]| {
+            let mut d = Digest::new(domain);
+            d.write_bytes(body);
+            d.finish()
+        };
+        assert_eq!(
+            hex(bytes("saturn.body.v1", body)),
+            "ef12933df70bb76c5f663b66fa144880",
+            "byte digest moved"
+        );
+        let mut d = Digest::new("saturn.body.v1");
+        d.write_str(std::str::from_utf8(body).unwrap());
+        assert_eq!(d.finish(), bytes("saturn.body.v1", body), "str and bytes disagree");
+        // length-prefixed: the split point of two writes shows
+        let mut ab_c = Digest::new("saturn.body.v1");
+        ab_c.write_bytes(b"ab");
+        ab_c.write_bytes(b"c");
+        let mut a_bc = Digest::new("saturn.body.v1");
+        a_bc.write_bytes(b"a");
+        a_bc.write_bytes(b"bc");
+        assert_ne!(ab_c.finish(), a_bc.finish());
+        // bytes that are not UTF-8 digest like any others
+        assert_ne!(
+            bytes("saturn.body.v1", &[0xff, 0xfe]),
+            bytes("saturn.body.v1", &[0xfe, 0xff])
         );
     }
 

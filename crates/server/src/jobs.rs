@@ -555,10 +555,15 @@ impl JobManager {
         if let Some(key) = fingerprint {
             if let Some(&id) = state.inflight.get(&key) {
                 // a cancelled job is doomed to a 504 and will never fill the
-                // cache; queue a fresh run instead of chaining new waiters
-                // onto it (the insert below repoints `inflight` at the new
-                // job, so the doomed one retires without touching the map)
-                let doomed = state.jobs.get(&id).map(|r| r.ctx.is_cancelled()).unwrap_or(false);
+                // cache, and so is one past its deadline whose token the
+                // watchdog has yet to fire; queue a fresh run instead of
+                // chaining new waiters onto it (the insert below repoints
+                // `inflight` at the new job, so the doomed one retires
+                // without touching the map)
+                let now = Instant::now();
+                let doomed = state.jobs.get(&id).is_some_and(|r| {
+                    r.ctx.is_cancelled() || r.deadline.is_some_and(|at| at <= now)
+                });
                 if !doomed {
                     metrics.jobs_coalesced.inc();
                     return Ok(id);

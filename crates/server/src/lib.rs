@@ -31,6 +31,18 @@
 //! Built on `std::net::TcpListener` only: the deployment container is
 //! offline and the workspace policy is zero external dependencies.
 //!
+//! **Key first, parse on miss.** A report's cache key is built from the
+//! canonical digest of the parsed stream, so reordered uploads of one trace
+//! share it. `/v1/analyze`, `/v1/validate` and `/v1/stats` find that digest
+//! in a fixed-size [`memo`] first: 4096 direct-mapped slots (128 KiB) from
+//! a digest of the raw body and its directedness to the stream digest. A
+//! repeated body therefore makes one cache lookup without being parsed; the
+//! body is parsed only when the memo does not know it (the entry is then
+//! recorded) or when the lookup misses and a job has to run. The memo is a
+//! pure-function memo, so it can never serve a key the canonical path would
+//! not, and a memo hit counts as an ordinary cache hit or miss: the cache
+//! counters still count exactly one lookup per request.
+//!
 //! # Request lifecycle & failure semantics
 //!
 //! Every request moves through admission → queue → sweep → response, and
@@ -247,6 +259,7 @@ pub mod cache;
 pub mod faults;
 pub mod http;
 pub mod jobs;
+pub mod memo;
 pub mod metrics;
 pub mod params;
 pub mod persist;
@@ -269,8 +282,10 @@ use http::{
 };
 use metrics::route_label;
 use saturn_core::fingerprint::{self, Digest};
-use saturn_core::{validation_sweep, OccupancyMethod, SweepGrid, ValidationOptions};
-use saturn_linkstream::{io as stream_io, Directedness, LinkStream};
+use saturn_core::{
+    validation_sweep, OccupancyMethod, SweepGrid, TargetSpec, ValidationOptions,
+};
+use saturn_linkstream::{Directedness, LinkStream};
 use serde_json::Value;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -465,6 +480,9 @@ struct ServerContext {
     /// Behind its own `Arc` so job closures (which outlive the request)
     /// can own a handle and populate it on completion.
     cache: Arc<ReportCache>,
+    /// Raw body → canonical stream digest, so a repeated body finds its
+    /// cache key without being parsed ([`memo`]).
+    memo: memo::ParseMemo,
     jobs: JobManager,
     /// The one registry `/v1/metrics` renders. The cache and job manager
     /// hold clones of this `Arc` and count into it directly.
@@ -521,6 +539,7 @@ impl Server {
                     disk,
                     Arc::clone(&shared_metrics),
                 )),
+                memo: memo::ParseMemo::new(),
                 jobs: JobManager::with_config(jobs_config, Some(Arc::clone(&shared_metrics))),
                 metrics: shared_metrics,
                 max_body_bytes: config.max_body_bytes,
@@ -887,25 +906,46 @@ fn route(request: &Request, ctx: &ServerContext) -> Reply {
 /// error the dispatcher renders through [`error_envelope`].
 type Handled = Result<Reply, ApiError>;
 
-/// Parses the trace body under the request's directedness.
-fn parse_stream(request: &Request) -> Result<LinkStream, ApiError> {
-    let directedness = if request.flag("directed") {
-        Directedness::Directed
-    } else {
-        Directedness::Undirected
+/// Serves a trace-body request (analyze, validate, stats) "key first,
+/// parse on miss": the canonical stream digest comes from the parse memo
+/// when the same bytes were seen under the same `directedness`, the
+/// request's cache key is `request_key` of it, and that key gets exactly
+/// one cache lookup. Only a miss gets the parsed stream, handed to
+/// `on_miss` with the key; a body the memo already knew is parsed only then.
+fn keyed_trace(
+    request: &Request,
+    ctx: &ServerContext,
+    directedness: Directedness,
+    request_key: impl FnOnce(u128) -> u128,
+    on_miss: impl FnOnce(LinkStream, u128) -> Handled,
+) -> Handled {
+    let resolved = ctx.memo.resolve(&request.body, directedness)?;
+    let key = request_key(resolved.stream_digest);
+    if let Some(body) = ctx.cache.get(key) {
+        return Ok(Reply::new(200, body));
+    }
+    let stream = match resolved.stream {
+        Some(stream) => stream,
+        None => memo::parse_body(&request.body, directedness)?,
     };
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| ApiError::new(400, "trace body is not UTF-8"))?;
-    stream_io::read_str(text, directedness)
-        .map_err(|e| ApiError::new(400, format!("trace body: {e}")))
+    on_miss(stream, key)
 }
 
-/// Everything that addresses one sweep submission: where its result lives
-/// in the response cache, how in-flight duplicates coalesce, and the
-/// deadline/size hints the job system schedules by.
+/// The response-cache key of an occupancy analysis, shared by
+/// `/v1/analyze` and stream-session refreshes: the same events, grid and
+/// targets are the same report, whichever surface computes it.
+pub(crate) fn analyze_key(stream_digest: u128, grid: &SweepGrid, targets: &TargetSpec) -> u128 {
+    let mut digest = Digest::new("saturn.analyze.v1");
+    digest.write_u128(stream_digest);
+    fingerprint::write_grid(&mut digest, grid);
+    fingerprint::write_targets(&mut digest, targets);
+    digest.finish()
+}
+
+/// Everything that addresses one sweep submission: how in-flight
+/// duplicates coalesce, and the deadline/size hints the job system
+/// schedules by.
 pub(crate) struct SweepJobSpec {
-    /// Response-cache fingerprint the finished body is stored under.
-    pub cache_key: u128,
     /// Coalescing key — identical in-flight submissions share one job.
     pub job_key: u128,
     /// Which executor-side work class this is.
@@ -916,20 +956,17 @@ pub(crate) struct SweepJobSpec {
     pub scales_hint: u64,
 }
 
-/// Serves from cache, or submits `work` as a job and (unless `async=1`)
-/// waits for it — within the request's deadline, when it has one. The
-/// shared plumbing of every sweep endpoint (analyze, validate, stream
-/// refresh).
-fn cached_or_submitted(
+/// Submits `work` as a job and (unless `async=1`) waits for it — within
+/// the request's deadline, when it has one. The shared plumbing of every
+/// sweep endpoint (analyze, validate, stream refresh), called once the
+/// request's cache lookup missed.
+fn submitted(
     request: &Request,
     ctx: &ServerContext,
     spec: SweepJobSpec,
     work: jobs::JobWork,
 ) -> Handled {
-    let SweepJobSpec { cache_key, job_key, kind, deadline, scales_hint } = spec;
-    if let Some(body) = ctx.cache.get(cache_key) {
-        return Ok(Reply::new(200, body));
-    }
+    let SweepJobSpec { job_key, kind, deadline, scales_hint } = spec;
     // fix the client's own wall-clock budget before queueing
     let wait_until = deadline.map(|budget| Instant::now() + budget);
     let id = match ctx.jobs.submit_with(Some(job_key), deadline, kind, scales_hint, work) {
@@ -994,92 +1031,89 @@ fn cached_or_submitted(
 
 fn endpoint_analyze(request: &Request, ctx: &ServerContext) -> Handled {
     let p = RequestParams::parse(request, ctx.default_deadline_ms)?;
-    let stream = parse_stream(request)?;
     // execution choices stay OUT of the fingerprint: the tile layout the
     // sweep picks (from the pool and the memory budget) never changes the
     // bytes, and a deadline either leaves the result untouched or prevents
     // there being one.
     let grid = SweepGrid::Geometric { points: p.points };
-    let scales_hint = grid.k_values(&stream, 1).len() as u64;
-
-    let mut digest = Digest::new("saturn.analyze.v1");
-    digest.write_u128(fingerprint::stream_digest(&stream));
-    fingerprint::write_grid(&mut digest, &grid);
-    fingerprint::write_targets(&mut digest, &p.targets);
-    let key = digest.finish();
-
-    let cache_insert = cache_filler(Arc::clone(&ctx.cache), key);
     let targets = p.targets;
-    let work: jobs::JobWork = Box::new(move |pool, jctx| {
-        let method = OccupancyMethod::new().grid(grid).targets(targets);
-        match method.try_run_on(&stream, pool, &jctx.control) {
-            // cancelled sweeps never reach the cache: only complete reports
-            // are content-addressed
-            Ok(report) => cache_insert(report.to_json()),
-            Err(_cancelled) => jctx.cancelled_outcome(),
-        }
-    });
-    let spec = SweepJobSpec {
-        cache_key: key,
-        job_key: key,
-        kind: JobKind::Analyze,
-        deadline: p.deadline,
-        scales_hint,
-    };
-    cached_or_submitted(request, ctx, spec, work)
+    let key_of = |stream_digest| analyze_key(stream_digest, &grid, &targets);
+    keyed_trace(request, ctx, p.directedness, key_of, |stream, key| {
+        let scales_hint = grid.k_values(&stream, 1).len() as u64;
+        let grid = grid.clone();
+        let cache_insert = cache_filler(Arc::clone(&ctx.cache), key);
+        let work: jobs::JobWork = Box::new(move |pool, jctx| {
+            let method = OccupancyMethod::new().grid(grid).targets(targets);
+            match method.try_run_on(&stream, pool, &jctx.control) {
+                // cancelled sweeps never reach the cache: only complete
+                // reports are content-addressed
+                Ok(report) => cache_insert(report.to_json()),
+                Err(_cancelled) => jctx.cancelled_outcome(),
+            }
+        });
+        let spec = SweepJobSpec {
+            job_key: key,
+            kind: JobKind::Analyze,
+            deadline: p.deadline,
+            scales_hint,
+        };
+        submitted(request, ctx, spec, work)
+    })
 }
 
 fn endpoint_validate(request: &Request, ctx: &ServerContext) -> Handled {
     let p = RequestParams::parse(request, ctx.default_deadline_ms)?;
-    let stream = parse_stream(request)?;
     let grid = SweepGrid::Geometric { points: p.points };
+    let targets = p.targets;
     let options =
         ValidationOptions { delta_min: p.delta_min, weighted_transitions: p.weighted };
-    let scales_hint = grid.k_values(&stream, options.delta_min).len() as u64;
-
-    let mut digest = Digest::new("saturn.validate.v1");
-    digest.write_u128(fingerprint::stream_digest(&stream));
-    fingerprint::write_grid(&mut digest, &grid);
-    fingerprint::write_targets(&mut digest, &p.targets);
-    digest.write_i64(options.delta_min);
-    digest.write_u64(options.weighted_transitions as u64);
-    let key = digest.finish();
-
-    let cache_insert = cache_filler(Arc::clone(&ctx.cache), key);
-    let targets = p.targets;
-    let work: jobs::JobWork = Box::new(move |pool, jctx| {
-        match validation_sweep(&stream, &grid, targets, &options, pool, &jctx.control) {
-            Ok(report) => {
-                let json = serde_json::to_string_pretty(&report).expect("report serializes");
-                cache_insert(json)
-            }
-            Err(_cancelled) => jctx.cancelled_outcome(),
-        }
-    });
-    let spec = SweepJobSpec {
-        cache_key: key,
-        job_key: key,
-        kind: JobKind::Validate,
-        deadline: p.deadline,
-        scales_hint,
+    let key_of = |stream_digest| {
+        let mut digest = Digest::new("saturn.validate.v1");
+        digest.write_u128(stream_digest);
+        fingerprint::write_grid(&mut digest, &grid);
+        fingerprint::write_targets(&mut digest, &targets);
+        digest.write_i64(options.delta_min);
+        digest.write_u64(options.weighted_transitions as u64);
+        digest.finish()
     };
-    cached_or_submitted(request, ctx, spec, work)
+    keyed_trace(request, ctx, p.directedness, key_of, |stream, key| {
+        let scales_hint = grid.k_values(&stream, options.delta_min).len() as u64;
+        let grid = grid.clone();
+        let cache_insert = cache_filler(Arc::clone(&ctx.cache), key);
+        let work: jobs::JobWork = Box::new(move |pool, jctx| {
+            match validation_sweep(&stream, &grid, targets, &options, pool, &jctx.control) {
+                Ok(report) => {
+                    let json =
+                        serde_json::to_string_pretty(&report).expect("report serializes");
+                    cache_insert(json)
+                }
+                Err(_cancelled) => jctx.cancelled_outcome(),
+            }
+        });
+        let spec = SweepJobSpec {
+            job_key: key,
+            kind: JobKind::Validate,
+            deadline: p.deadline,
+            scales_hint,
+        };
+        submitted(request, ctx, spec, work)
+    })
 }
 
 fn endpoint_stats(request: &Request, ctx: &ServerContext) -> Handled {
-    let stream = parse_stream(request)?;
-    let mut digest = Digest::new("saturn.stats.v1");
-    digest.write_u128(fingerprint::stream_digest(&stream));
-    let key = digest.finish();
-    if let Some(body) = ctx.cache.get(key) {
-        return Ok(Reply::new(200, body));
-    }
-    // stats are a single pass over the events — computed inline on the
-    // connection thread, never queued behind sweeps
-    let body: Arc<str> =
-        Arc::from(serde_json::to_string_pretty(&stream.stats()).expect("stats serialize"));
-    ctx.cache.insert(key, Arc::clone(&body));
-    Ok(Reply::new(200, body))
+    let key_of = |stream_digest| {
+        let mut digest = Digest::new("saturn.stats.v1");
+        digest.write_u128(stream_digest);
+        digest.finish()
+    };
+    keyed_trace(request, ctx, params::directedness(request), key_of, |stream, key| {
+        // stats are a single pass over the events — computed inline on the
+        // connection thread, never queued behind sweeps
+        let body: Arc<str> =
+            Arc::from(serde_json::to_string_pretty(&stream.stats()).expect("stats serialize"));
+        ctx.cache.insert(key, Arc::clone(&body));
+        Ok(Reply::new(200, body))
+    })
 }
 
 fn endpoint_job(request: &Request, ctx: &ServerContext) -> Handled {

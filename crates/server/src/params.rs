@@ -87,13 +87,20 @@ impl RequestParams {
             deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             delta_min: numeric(request, "delta_min", 1i64)?,
             weighted: request.param("weighted").is_none_or(|v| v != "0"),
-            directedness: if request.flag("directed") {
-                Directedness::Directed
-            } else {
-                Directedness::Undirected
-            },
+            directedness: directedness(request),
             async_job: request.flag("async"),
         })
+    }
+}
+
+/// The `directed` flag: how the request's trace body is read. The one
+/// place the flag is parsed, for the endpoints that run
+/// [`RequestParams::parse`] and for those that take no other parameter.
+pub fn directedness(request: &Request) -> Directedness {
+    if request.flag("directed") {
+        Directedness::Directed
+    } else {
+        Directedness::Undirected
     }
 }
 

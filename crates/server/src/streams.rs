@@ -42,7 +42,7 @@ use crate::jobs::{self, JobKind};
 use crate::metrics::Metrics;
 use crate::params::{self, RequestParams};
 use crate::{
-    cache_filler, cached_or_submitted, ApiError, Handled, Reply, ServerContext, SweepJobSpec,
+    analyze_key, cache_filler, submitted, ApiError, Handled, Reply, ServerContext, SweepJobSpec,
 };
 use saturn_core::fingerprint::{self, Digest};
 use saturn_core::parallel::WorkerPool;
@@ -51,7 +51,7 @@ use saturn_core::{
     SweepGrid,
 };
 use saturn_linkstream::io::{self as stream_io, ParsedEvent};
-use saturn_linkstream::{check_span, Directedness, LinkStream, LinkStreamBuilder};
+use saturn_linkstream::{check_span, LinkStream, LinkStreamBuilder};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,12 +209,7 @@ pub(crate) fn endpoint_create(request: &Request, ctx: &ServerContext) -> Handled
         ));
     }
     check_span(t_begin.into(), t_end.into()).map_err(|e| ApiError::new(400, e.to_string()))?;
-    let directedness = if request.flag("directed") {
-        Directedness::Directed
-    } else {
-        Directedness::Undirected
-    };
-    let mut builder = LinkStreamBuilder::new(directedness);
+    let mut builder = LinkStreamBuilder::new(params::directedness(request));
     builder.period(t_begin, t_end);
     let mut dirty_min_t = None;
     if !request.body.is_empty() {
@@ -409,11 +404,7 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
     // trace are the same artifact. Session state (dirty mark, cache
     // contents) is an accelerator and MUST stay out: it never changes the
     // bytes, only how much work producing them takes.
-    let mut digest = Digest::new("saturn.analyze.v1");
-    digest.write_u128(fingerprint::stream_digest(&stream));
-    fingerprint::write_grid(&mut digest, &grid);
-    fingerprint::write_targets(&mut digest, &p.targets);
-    let cache_key = digest.finish();
+    let cache_key = analyze_key(fingerprint::stream_digest(&stream), &grid, &p.targets);
     // job key: session-scoped, so a refresh coalesces with an identical
     // refresh of the same session but never with a plain analyze (which
     // would skip the sweep-cache update and leave the session cold)
@@ -459,19 +450,18 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
             Err(_cancelled) => jctx.cancelled_outcome(),
         }
     });
-    let spec = SweepJobSpec {
-        cache_key,
-        job_key,
-        kind: JobKind::Analyze,
-        deadline: p.deadline,
-        scales_hint,
-    };
-    cached_or_submitted(request, ctx, spec, work)
+    if let Some(body) = ctx.cache.get(cache_key) {
+        return Ok(Reply::new(200, body));
+    }
+    let spec =
+        SweepJobSpec { job_key, kind: JobKind::Analyze, deadline: p.deadline, scales_hint };
+    submitted(request, ctx, spec, work)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saturn_linkstream::Directedness;
 
     fn session(id: u64) -> Arc<Session> {
         let mut builder = LinkStreamBuilder::new(Directedness::Undirected);

@@ -235,6 +235,113 @@ fn concurrent_clients_get_byte_identical_reports_cold_and_cached() {
     server.stop();
 }
 
+/// "Key first, parse on miss": a repeated body finds its cache key in the
+/// parse memo. On every trace endpoint the repeat runs no job and serves
+/// the first response's bytes, counted as one cache hit.
+#[test]
+fn same_bytes_twice_run_one_job_and_give_identical_bodies() {
+    let server = start(|_| {});
+    let addr = server.addr();
+    let body = trace(6, 220, 35);
+    for target in ["/v1/analyze?points=9", "/v1/validate?points=6", "/v1/stats"] {
+        let first = request(addr, "POST", target, body.as_bytes());
+        assert_eq!(first.status, 200, "{target}");
+        let second = request(addr, "POST", target, body.as_bytes());
+        assert_eq!(second.status, 200, "{target}");
+        assert_eq!(first.body, second.body, "{target}: repeat must be byte-identical");
+    }
+    let health = json(&request(addr, "GET", "/v1/health", b""));
+    assert_eq!(health["jobs"]["executed"].as_u64(), Some(2), "one job per sweep endpoint");
+    assert_eq!(health["cache"]["hits"].as_u64(), Some(3));
+    assert_eq!(health["cache"]["misses"].as_u64(), Some(3));
+    server.stop();
+}
+
+/// The memo key is the body *and* its directedness, and the request key
+/// adds every report parameter: the same bytes under another `directed`,
+/// `points` or `sample` get their own report, equal to what a server that
+/// never saw the bytes computes.
+#[test]
+fn same_bytes_with_other_parameters_get_their_own_reports() {
+    let server = start(|_| {});
+    let body = trace(7, 240, 30);
+    let base = request(server.addr(), "POST", "/v1/analyze?points=8", body.as_bytes());
+    assert_eq!(base.status, 200);
+    for target in [
+        "/v1/analyze?points=8&directed=1",
+        "/v1/analyze?points=10",
+        "/v1/analyze?points=8&sample=4&seed=3",
+    ] {
+        let seen = request(server.addr(), "POST", target, body.as_bytes());
+        assert_eq!(seen.status, 200, "{target}");
+        assert_ne!(seen.body, base.body, "{target} must not be served the base report");
+        let fresh_server = start(|_| {});
+        let fresh = request(fresh_server.addr(), "POST", target, body.as_bytes());
+        fresh_server.stop();
+        assert_eq!(seen.body, fresh.body, "{target}: memoized key diverged from a fresh parse");
+    }
+    // a mirrored pair is one link undirected, two directed: stats differ
+    let mirrored = b"a b 1\nb a 1\nb c 2\n";
+    let stats = |target: &str| request(server.addr(), "POST", target, mirrored).body;
+    let undirected = stats("/v1/stats");
+    assert_ne!(undirected, stats("/v1/stats?directed=1"));
+    assert_eq!(undirected, stats("/v1/stats?directed=0"));
+    assert_eq!(undirected, stats("/v1/stats"));
+    let health = json(&request(server.addr(), "GET", "/v1/health", b""));
+    assert_eq!(health["jobs"]["executed"].as_u64(), Some(4));
+    server.stop();
+}
+
+/// A body that does not parse has no key: it is a `400` every time, and
+/// never reaches the cache (no lookup is counted for it).
+#[test]
+fn malformed_bodies_are_rejected_every_time_and_never_memoized() {
+    let server = start(|_| {});
+    let bodies: [&[u8]; 3] =
+        [b"a b\n", b"a b 1\nc d banana\n", &[0xff, 0xfe, b' ', b'1', b'\n']];
+    for body in bodies {
+        for target in ["/v1/analyze?points=8", "/v1/validate?points=6", "/v1/stats"] {
+            for _ in 0..3 {
+                let response = request(server.addr(), "POST", target, body);
+                assert_envelope(&response, 400, "bad_request");
+                let message = json(&response)["error"]["message"].as_str().unwrap().to_string();
+                assert!(message.contains("trace body"), "{target}: {message}");
+            }
+        }
+    }
+    let health = json(&request(server.addr(), "GET", "/v1/health", b""));
+    assert_eq!(health["cache"]["hits"].as_u64(), Some(0));
+    assert_eq!(health["cache"]["misses"].as_u64(), Some(0));
+    assert_eq!(health["jobs"]["executed"].as_u64(), Some(0));
+    server.stop();
+}
+
+/// The memo holds keys, not reports: when the report behind a memo hit
+/// was evicted from a tiny cache, the request falls through, parses, and
+/// recomputes the same bytes.
+#[test]
+fn memo_hit_on_an_evicted_report_recomputes_the_same_bytes() {
+    let (a, b) = (trace(6, 200, 30), trace(6, 200, 31));
+    let target = "/v1/analyze?points=8";
+    let sizing = start(|_| {});
+    let size = |body: &str| request(sizing.addr(), "POST", target, body.as_bytes()).body.len();
+    let room = size(&a).max(size(&b)) + 16;
+    sizing.stop();
+    // room for either report, not for both
+    let server = start(|c| c.cache_bytes = room);
+    let first = request(server.addr(), "POST", target, a.as_bytes());
+    assert_eq!(request(server.addr(), "POST", target, b.as_bytes()).status, 200);
+    let again = request(server.addr(), "POST", target, a.as_bytes());
+    assert_eq!(again.status, 200);
+    assert_eq!(first.body, again.body, "recomputed report must be byte-identical");
+    let text = scrape_metrics(server.addr());
+    assert!(metric_sample(&text, "saturn_cache_evictions_total") >= 1.0);
+    assert_eq!(metric_sample(&text, "saturn_cache_hits_total"), 0.0);
+    assert_eq!(metric_sample(&text, "saturn_cache_misses_total"), 3.0);
+    assert_eq!(metric_sample(&text, "saturn_jobs_executed_total"), 3.0);
+    server.stop();
+}
+
 #[test]
 fn async_jobs_roundtrip_matches_sync() {
     let server = start(|_| {});

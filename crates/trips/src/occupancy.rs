@@ -51,9 +51,12 @@
 //! report bytes. The stored order is by rate, so `mean` rebuilds key order
 //! with one stable bucket pass: within one hop count, descending rate is
 //! ascending duration, so dealing the entries, read from the highest rate
-//! down, into one bucket per *distinct* hop count present (never one per
-//! hop magnitude: hop counts reach `u32::MAX`) and reading the buckets by
-//! ascending hop count yields ascending `(hops, duration)`.
+//! down, into one bucket per hop count and reading the buckets by ascending
+//! hop count yields ascending `(hops, duration)`. A bucket is found by
+//! direct index when the largest hop count is small, and otherwise by
+//! binary search over the sorted *distinct* hop counts present (never a
+//! table per hop magnitude: hop counts reach `u32::MAX`); no hash map is
+//! involved.
 
 use crate::{earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline, TripSink};
 use rustc_hash::FxHashMap;
@@ -66,6 +69,12 @@ use std::cmp::Ordering;
 const DENSE_HOPS: u32 = 16;
 const DENSE_DURATION: u32 = 1024;
 const DENSE_CELLS: usize = (DENSE_HOPS * DENSE_DURATION) as usize;
+
+/// [`OccupancyHistogram::mean`] finds its hop buckets by direct index when
+/// the largest hop count is at most this or the number of distinct rates
+/// (so the table is never much longer than the histogram), and by binary
+/// search over the distinct hop counts otherwise.
+const DIRECT_BUCKETS: usize = 1 << 10;
 
 #[inline]
 fn gcd(mut a: u32, mut b: u32) -> u32 {
@@ -229,28 +238,45 @@ impl OccupancyHistogram {
     /// Summation runs in ascending reduced-key order, which does not depend
     /// on how trips were split into tiles, so the float result is
     /// bit-identical across tilings and thread counts. The terms are dealt
-    /// into that order by one bucket pass (see the module docs), the only
-    /// buffer the size of the histogram that scoring a scale allocates.
+    /// into that order by one bucket pass (see the module docs) into one
+    /// buffer the size of the histogram; the bucket offsets and the sorted
+    /// hop counts take at most two words per distinct rate, or 1,025 words
+    /// for a histogram of fewer rates.
     pub fn mean(&self) -> f64 {
         if self.total == 0 {
             return f64::NAN;
         }
-        // bucket sizes per distinct hop count, then their start offsets in
-        // ascending hop order
-        let mut start: FxHashMap<u32, usize> = FxHashMap::default();
+        // one bucket per distinct hop count, in ascending hop order: a
+        // direct table when the largest hop count is small, a binary search
+        // over the sorted distinct hop counts otherwise
+        let max_hops = self.counts.iter().map(|&((h, _), _)| h).max().unwrap_or(0) as usize;
+        let hops: Vec<u32> = if max_hops <= self.counts.len().max(DIRECT_BUCKETS) {
+            Vec::new()
+        } else {
+            let mut hops: Vec<u32> = self.counts.iter().map(|&((h, _), _)| h).collect();
+            hops.sort_unstable();
+            hops.dedup();
+            hops
+        };
+        let bucket = |h: u32| {
+            if hops.is_empty() {
+                h as usize
+            } else {
+                hops.binary_search(&h).expect("collected above")
+            }
+        };
+        // bucket sizes, then their start offsets
+        let mut start = vec![0usize; if hops.is_empty() { max_hops + 1 } else { hops.len() }];
         for &((h, _), _) in &self.counts {
-            *start.entry(h).or_insert(0) += 1;
+            start[bucket(h)] += 1;
         }
-        let mut hops: Vec<u32> = start.keys().copied().collect();
-        hops.sort_unstable();
         let mut offset = 0;
-        for h in hops {
-            let size = start.get_mut(&h).expect("counted above");
+        for size in &mut start {
             offset += std::mem::replace(size, offset);
         }
         let mut terms = vec![0.0; self.counts.len()];
         for &((h, d), c) in self.counts.iter().rev() {
-            let next = start.get_mut(&h).expect("counted above");
+            let next = &mut start[bucket(h)];
             terms[*next] = c as f64 * h as f64 / d as f64;
             *next += 1;
         }

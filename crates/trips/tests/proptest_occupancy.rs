@@ -12,7 +12,9 @@
 //! rates there round to the same `f64`, so the exact rational order and the
 //! float merge of the scores are both exercised. The scores a sweep records
 //! (read off the histogram's stored order) must equal, bit for bit, the
-//! scores of the distribution materialized from `sorted_rates`.
+//! scores of the distribution materialized from `sorted_rates`. A last
+//! family checks the mean on both of its bucket paths: small hop counts,
+//! and the same trips with hop counts lifted past 2^16.
 
 use proptest::prelude::*;
 use saturn_core::{histogram_scores, UniformityScores};
@@ -254,5 +256,27 @@ proptest! {
         prop_assert_eq!(merged.sorted_rates(), whole.sorted_rates());
         prop_assert_eq!(merged.mean().to_bits(), whole.mean().to_bits());
         prop_assert_eq!(merged, whole);
+    }
+
+    /// `mean` finds its hop buckets by direct index while hop counts are
+    /// small and by binary search once they reach 2^16: the same trips
+    /// with every hop count lifted past 2^16 take the second path, and both
+    /// must sum in key order, to the bit.
+    #[test]
+    fn mean_sums_in_key_order_on_both_bucket_paths(
+        parts in proptest::collection::vec((1u32..48, 0u32..2_000, 1usize..4), 1..160),
+    ) {
+        for lift in [0, 1 << 16] {
+            let trips: Vec<(u32, u32)> = parts
+                .iter()
+                .flat_map(|&(h, extra, n)| std::iter::repeat_n((h + lift, h + lift + extra), n))
+                .collect();
+            let mut counter = RateCounter::new();
+            for &(hops, duration) in &trips {
+                counter.record(hops, duration);
+            }
+            let h = counter.finish();
+            prop_assert_eq!(h.mean().to_bits(), Reference::of(&trips).mean().to_bits());
+        }
     }
 }
