@@ -7,7 +7,7 @@
 //! [`validation_sweep`]; firing its [`CancelToken`] makes the sweep
 //! stop at the next `(scale, tile)` item boundary — and, inside a running
 //! DP, within one [`CANCEL_STRIDE`](saturn_trips::CANCEL_STRIDE) of steps —
-//! after which the entry point returns [`Cancelled`] and every partial
+//! after which the entry point returns [`Cancelled`](crate::Cancelled) and every partial
 //! result is discarded. A control whose token never fires is pure overhead
 //! of a few relaxed atomic reads per work item: it cannot change results,
 //! which is what keeps execution knobs out of report bytes and cache

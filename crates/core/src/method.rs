@@ -359,7 +359,7 @@ impl OccupancyMethod {
     ///   recomputed on the spliced timeline;
     /// * cache miss — scratch or merge build, exactly as a cold sweep.
     ///
-    /// Reports are **byte-identical** to a scratch [`try_run_on`] over the
+    /// Reports are **byte-identical** to a scratch [`try_run_on`](Self::try_run_on) over the
     /// same stream — both run the same sweep, the cache and the dirty mark
     /// only decide where each scale's timeline and histogram come from.
     /// Refinement rounds run through the cache too, so the refined scales

@@ -320,7 +320,7 @@ const MAX_MERGE_RATIO: u64 = 256;
 ///
 /// For each scale the *nearest* preceding (finer) scale whose window count
 /// it divides is chosen — the smallest merge ratio, hence the cheapest
-/// merge — capped at [`MAX_MERGE_RATIO`]. Because [`sweep_queue`] orders
+/// merge — capped at `MAX_MERGE_RATIO` (256). Because [`sweep_queue`] orders
 /// items finest-first and `j < i` always holds, a scale's merge source is
 /// claimed earlier in the queue than the scale itself, so chained builds
 /// run fine-to-coarse along the existing dispatch order; non-divisor

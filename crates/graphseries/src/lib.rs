@@ -31,10 +31,8 @@ pub mod metrics;
 pub mod series;
 pub mod snapshot;
 pub mod union_find;
-pub mod variants;
 
 pub use metrics::{snapshot_means, SnapshotMeans};
 pub use series::GraphSeries;
 pub use snapshot::Snapshot;
 pub use union_find::UnionFind;
-pub use variants::{aggregate_with, VariantWindow, WindowScheme};

@@ -8,14 +8,16 @@
 //! without touching the sweep engine or re-serializing the report, and two
 //! clients of the same key observe byte-identical responses by construction.
 //!
-//! Eviction is least-recently-used, bounded by **total body bytes** rather
-//! than entry count (reports range from a few KiB to MiB depending on grid
-//! size and `KeepPolicy`). Recency is an intrusive doubly-linked list over
-//! slab indices: every touch unlinks the entry and pushes it to the head,
-//! eviction pops the tail — all O(1), no allocation past the slab itself.
-//! (The previous design scanned all entries for the minimum touch stamp,
-//! linear per eviction; fine for thousands of multi-kilobyte reports,
-//! wrong once small per-tile fragments multiply the population.)
+//! Eviction is least-recently-used, bounded by **total bytes** rather than
+//! entry count (reports range from a few KiB to MiB depending on grid size
+//! and `KeepPolicy`). Both tiers keep their recency in one structure,
+//! `Lru`: a slab of entries threaded by an intrusive doubly-linked list
+//! over slab indices, each entry weighted by its byte size. Every touch
+//! unlinks the entry and pushes it to the head, eviction pops the tail — all
+//! O(1), no allocation past the slab itself. The memory tier stores the
+//! bodies weighted by their length; the disk tier's index
+//! ([`crate::persist`]) stores `()` weighted by each spill file's length.
+//! Each tier keeps its LRU behind its own lock.
 //!
 //! When a [`DiskTier`] is attached, inserts are written through to disk
 //! asynchronously (completed reports spill even if they later fall out of
@@ -37,30 +39,117 @@ use std::time::Duration;
 /// "No slot" sentinel for slab links.
 const NIL: usize = usize::MAX;
 
-/// One slab slot: a resident entry's body plus its recency-list links, or a
-/// vacancy in the free list (`body == None`, `next` = next free slot).
-struct Slot {
+/// One slab slot: a resident entry's value, byte weight and recency-list
+/// links, or a vacancy in the free list (`value == None`, `next` = next
+/// free slot).
+#[derive(Debug)]
+struct Slot<V> {
     key: u128,
-    body: Option<Arc<str>>,
+    value: Option<V>,
+    weight: usize,
     prev: usize,
     next: usize,
 }
 
-struct Inner {
+/// A byte-weighted least-recently-used map from 128-bit keys to `V`: the
+/// recency structure of both cache tiers. It does no eviction of its own —
+/// callers compare [`Lru::bytes`] with their budget and [`Lru::pop_lru`]
+/// until it holds — and no locking.
+#[derive(Debug)]
+pub(crate) struct Lru<V> {
     /// key → slab index of the resident entry.
     map: FxHashMap<u128, usize>,
     /// Slab of entries; vacancies are threaded through `free_head`.
-    slab: Vec<Slot>,
+    slab: Vec<Slot<V>>,
     free_head: usize,
     /// Most-recently-used entry (NIL when empty).
     head: usize,
     /// Least-recently-used entry (NIL when empty) — the eviction end.
     tail: usize,
+    /// Sum of the resident entries' weights.
     bytes: usize,
 }
 
-impl Inner {
-    /// Unlinks slot `i` from the recency list (it must be linked).
+impl<V> Lru<V> {
+    pub(crate) fn new() -> Self {
+        Lru {
+            map: FxHashMap::default(),
+            slab: Vec::new(),
+            free_head: NIL,
+            head: NIL,
+            tail: NIL,
+            bytes: 0,
+        }
+    }
+
+    /// Resident entries.
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Total weight of the resident entries.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Whether `key` is resident; unlike [`Lru::get`], leaves recency alone.
+    pub(crate) fn contains(&self, key: u128) -> bool {
+        self.map.contains_key(&key)
+    }
+
+    /// The value under `key`, made most recently used.
+    pub(crate) fn get(&mut self, key: u128) -> Option<&V> {
+        let i = *self.map.get(&key)?;
+        self.touch(i);
+        self.slab[i].value.as_ref()
+    }
+
+    /// Stores `value` of `weight` bytes under `key` as the most recently
+    /// used entry, returning the value it replaced.
+    pub(crate) fn insert(&mut self, key: u128, value: V, weight: usize) -> Option<V> {
+        self.bytes += weight;
+        if let Some(&i) = self.map.get(&key) {
+            let slot = &mut self.slab[i];
+            self.bytes -= std::mem::replace(&mut slot.weight, weight);
+            let old = slot.value.replace(value);
+            self.touch(i);
+            return old;
+        }
+        let slot = Slot { key, value: Some(value), weight, prev: NIL, next: NIL };
+        let i = match self.free_head {
+            NIL => {
+                self.slab.push(slot);
+                self.slab.len() - 1
+            }
+            i => {
+                self.free_head = self.slab[i].next;
+                self.slab[i] = slot;
+                i
+            }
+        };
+        self.push_front(i);
+        self.map.insert(key, i);
+        None
+    }
+
+    /// Removes `key`, returning its value.
+    pub(crate) fn remove(&mut self, key: u128) -> Option<V> {
+        let i = self.map.remove(&key)?;
+        Some(self.release(i))
+    }
+
+    /// Removes and returns the least recently used entry.
+    pub(crate) fn pop_lru(&mut self) -> Option<(u128, V)> {
+        let i = self.tail;
+        if i == NIL {
+            return None;
+        }
+        let key = self.slab[i].key;
+        self.map.remove(&key);
+        Some((key, self.release(i)))
+    }
+
+    /// Unlinks slot `i` (it must be linked).
     fn unlink(&mut self, i: usize) {
         let (prev, next) = (self.slab[i].prev, self.slab[i].next);
         match prev {
@@ -92,53 +181,23 @@ impl Inner {
         }
     }
 
-    /// Takes a vacant slot off the free list, or grows the slab.
-    fn alloc(&mut self, key: u128, body: Arc<str>) -> usize {
-        match self.free_head {
-            NIL => {
-                self.slab.push(Slot { key, body: Some(body), prev: NIL, next: NIL });
-                self.slab.len() - 1
-            }
-            i => {
-                self.free_head = self.slab[i].next;
-                self.slab[i] = Slot { key, body: Some(body), prev: NIL, next: NIL };
-                i
-            }
-        }
-    }
-
-    /// Unlinks slot `i`, returns its body to the caller, and threads the
-    /// slot onto the free list.
-    fn release(&mut self, i: usize) -> Arc<str> {
+    /// Unlinks slot `i` (already gone from `map`), subtracts its weight,
+    /// threads it onto the free list and returns its value.
+    fn release(&mut self, i: usize) -> V {
         self.unlink(i);
-        let body = self.slab[i].body.take().expect("resident slot has a body");
-        self.slab[i].next = self.free_head;
+        let slot = &mut self.slab[i];
+        self.bytes -= slot.weight;
+        slot.next = self.free_head;
         self.free_head = i;
-        body
+        slot.value.take().expect("resident slot has a value")
     }
 }
 
-/// The in-memory LRU tier: the slab behind its lock plus its byte budget.
-/// `None` in [`ReportCache`] when the memory tier is disabled.
+/// The in-memory LRU tier: the bodies behind their lock plus the byte
+/// budget. `None` in [`ReportCache`] when the memory tier is disabled.
 struct MemTier {
-    inner: Mutex<Inner>,
+    lru: Mutex<Lru<Arc<str>>>,
     capacity_bytes: usize,
-}
-
-impl MemTier {
-    fn new(capacity_bytes: usize) -> Self {
-        MemTier {
-            inner: Mutex::new(Inner {
-                map: FxHashMap::default(),
-                slab: Vec::new(),
-                free_head: NIL,
-                head: NIL,
-                tail: NIL,
-                bytes: 0,
-            }),
-            capacity_bytes,
-        }
-    }
 }
 
 /// Byte-bounded LRU of serialized reports, keyed by content fingerprint,
@@ -151,9 +210,9 @@ pub struct ReportCache {
     /// (or `--cache-disk-mb 0` disabled it).
     disk: Option<Arc<DiskTier>>,
     /// Hit/miss/eviction counters and occupancy gauges live in the shared
-    /// registry, not in `Inner`: `/v1/health` and `/v1/metrics` both read
-    /// these same atomics, so the two surfaces cannot disagree. Counter
-    /// bumps and gauge syncs happen while `inner`'s lock is held, keeping
+    /// registry, not in the `Lru`: `/v1/health` and `/v1/metrics` both
+    /// read these same atomics, so the two surfaces cannot disagree. Counter
+    /// bumps and gauge syncs happen while the LRU's lock is held, keeping
     /// them exact with respect to the structural accounting.
     metrics: Arc<Metrics>,
 }
@@ -199,7 +258,8 @@ impl ReportCache {
         metrics: Arc<Metrics>,
     ) -> Self {
         ReportCache {
-            mem: (capacity_bytes > 0).then(|| MemTier::new(capacity_bytes)),
+            mem: (capacity_bytes > 0)
+                .then(|| MemTier { lru: Mutex::new(Lru::new()), capacity_bytes }),
             disk,
             metrics,
         }
@@ -210,11 +270,9 @@ impl ReportCache {
     /// LRU. Disk I/O happens outside the memory lock.
     pub fn get(&self, key: u128) -> Option<Arc<str>> {
         if let Some(mem) = &self.mem {
-            let mut inner = mem.inner.lock().expect("cache poisoned");
-            if let Some(i) = inner.map.get(&key).copied() {
-                inner.touch(i);
+            if let Some(body) = mem.lru.lock().expect("cache poisoned").get(key) {
                 self.metrics.cache_hits.inc();
-                return Some(Arc::clone(inner.slab[i].body.as_ref().expect("resident")));
+                return Some(Arc::clone(body));
             }
         }
         self.metrics.cache_misses.inc();
@@ -257,34 +315,17 @@ impl ReportCache {
         if body.len() > mem.capacity_bytes {
             return Vec::new();
         }
-        let mut inner = mem.inner.lock().expect("cache poisoned");
-        if let Some(i) = inner.map.get(&key).copied() {
-            let old = inner.slab[i]
-                .body
-                .replace(Arc::clone(&body))
-                .expect("resident slot has a body");
-            inner.bytes -= old.len();
-            inner.bytes += body.len();
-            inner.touch(i);
-        } else {
-            let i = inner.alloc(key, Arc::clone(&body));
-            inner.push_front(i);
-            inner.map.insert(key, i);
-            inner.bytes += body.len();
-        }
+        let mut lru = mem.lru.lock().expect("cache poisoned");
+        let len = body.len();
+        lru.insert(key, body, len);
         let mut victims = Vec::new();
-        while inner.bytes > mem.capacity_bytes {
-            let victim = inner.tail;
-            debug_assert_ne!(victim, NIL, "over budget implies a resident entry");
-            let victim_key = inner.slab[victim].key;
-            let evicted = inner.release(victim);
-            inner.map.remove(&victim_key);
-            inner.bytes -= evicted.len();
+        while lru.bytes() > mem.capacity_bytes {
+            let victim = lru.pop_lru().expect("over budget implies a resident entry");
             self.metrics.cache_evictions.inc();
-            victims.push((victim_key, evicted));
+            victims.push(victim);
         }
-        self.metrics.cache_bytes.set(inner.bytes as u64);
-        self.metrics.cache_entries.set(inner.map.len() as u64);
+        self.metrics.cache_bytes.set(lru.bytes() as u64);
+        self.metrics.cache_entries.set(lru.len() as u64);
         victims
     }
 
@@ -303,8 +344,8 @@ impl ReportCache {
     pub fn stats(&self) -> CacheStats {
         let (entries, bytes, capacity_bytes) = match &self.mem {
             Some(mem) => {
-                let inner = mem.inner.lock().expect("cache poisoned");
-                (inner.map.len(), inner.bytes, mem.capacity_bytes)
+                let lru = mem.lru.lock().expect("cache poisoned");
+                (lru.len(), lru.bytes(), mem.capacity_bytes)
             }
             None => (0, 0, 0),
         };

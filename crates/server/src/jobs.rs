@@ -1,7 +1,7 @@
 //! The deadline-aware job system: one bounded FIFO queue drained by N
-//! executor threads, each owning its own [`WorkerPool`], with one deadline
-//! watchdog over the queue and the running set, and one supervisor thread
-//! that restarts dead executors and unwedges stalled ones.
+//! executor threads, each owning its own [`WorkerPool`], and one supervisor
+//! thread that enforces deadlines, restarts dead executors and unwedges
+//! stalled ones.
 //!
 //! Design points:
 //!
@@ -17,7 +17,7 @@
 //!   Connection threads never spawn workers; they enqueue and wait. The
 //!   `--threads` total is split evenly across executors, and there are
 //!   never more executors than threads ([`executor_layout`]).
-//! * **Supervised recovery.** A supervisor thread watches every executor
+//! * **Supervised recovery.** The supervisor watches every executor
 //!   slot. An executor that dies (a panic escaping `catch_unwind`, e.g. a
 //!   poisoned pool, or the `executor_die` fault) is restarted with capped
 //!   exponential backoff; its in-flight job is finalized as a structured
@@ -34,12 +34,16 @@
 //!   pooled backlog (queued + running) × the EWMA of job service seconds /
 //!   N. Every [`Reject`] maps to `503` with a `Retry-After` hint of that
 //!   estimate plus one service time.
-//! * **Deadlines are enforced, not advisory.** The watchdog finalizes
-//!   queued jobs whose deadline passes as structured `504`s without
-//!   executing them, and fires the [`CancelToken`] of a running job past
-//!   its deadline; the sweep stops cooperatively at its next tile / DP
-//!   stride poll and reports partial progress (`scales_done` /
-//!   `scales_total`). Cancelled jobs never populate the response cache.
+//! * **Deadlines are enforced, not advisory.** Every tick (10 ms) the
+//!   supervisor finalizes queued jobs past their deadline as structured
+//!   `504`s without executing them, and fires the [`CancelToken`] of a
+//!   running job past its deadline; the sweep stops cooperatively at its
+//!   next tile / DP stride poll and reports partial progress
+//!   (`scales_done` / `scales_total`). Cancelled jobs never populate the
+//!   response cache. A deadline may fire a tick late, which no client
+//!   sees: [`JobManager::wait_until`] answers each waiter on its own
+//!   deadline, and admission treats a job past its deadline as doomed. A
+//!   zero stall budget turns off only the stall checks, never deadlines.
 //! * **In-flight coalescing.** Jobs carry the request's content
 //!   fingerprint; a submission whose fingerprint matches a queued or
 //!   running job attaches to it instead of recomputing, so N concurrent
@@ -93,7 +97,7 @@ const EWMA_ALPHA: f64 = 0.3;
 /// after the drain budget itself is spent.
 const DRAIN_GRACE: Duration = Duration::from_secs(30);
 
-/// Supervisor polling cadence for executor liveness.
+/// Supervisor polling cadence for deadlines and executor liveness.
 const SUPERVISOR_TICK: Duration = Duration::from_millis(10);
 
 /// First restart delay after an executor death; doubles per consecutive
@@ -135,7 +139,7 @@ pub enum CancelCause {
 }
 
 /// Per-job cancellation and progress context, shared between the executor,
-/// the watchdog, the supervisor, and waiting request handlers.
+/// the supervisor, and waiting request handlers.
 #[derive(Debug)]
 pub struct JobCtx {
     /// Cancel token + progress counters threaded into the sweep.
@@ -329,8 +333,6 @@ struct Shared {
     /// Pokes an idle executor when the queue grows.
     work_available: Condvar,
     job_done: Condvar,
-    /// Pokes the watchdog whenever the set of armed deadlines changes.
-    deadlines_changed: Condvar,
     /// Pokes the supervisor out of its tick sleep at shutdown.
     supervisor_wake: Condvar,
     /// Lifecycle counters (executed / completed / cancelled / panicked /
@@ -442,8 +444,8 @@ pub fn executor_layout(threads: usize, executors: usize) -> (usize, usize) {
     (executors, threads / executors)
 }
 
-/// Owner of the supervisor, executor, and watchdog threads and the job
-/// table.
+/// Owner of the job table, the executor threads and the one supervisor
+/// thread that spawns and monitors them.
 pub struct JobManager {
     shared: Arc<Shared>,
     queue_depth: usize,
@@ -451,7 +453,6 @@ pub struct JobManager {
     /// the registry and mirrors them to stderr under `SATURN_TRACE=json`.
     observer: Arc<dyn SweepObserver>,
     supervisor: Option<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl JobManager {
@@ -474,7 +475,7 @@ impl JobManager {
     }
 
     /// Lays out the executors ([`executor_layout`]) and starts the
-    /// supervisor (which spawns them) plus the deadline watchdog. `metrics`
+    /// supervisor, which spawns them and enforces deadlines. `metrics`
     /// is the shared registry where `/v1/metrics` and `/v1/health` must
     /// agree; `None` builds a private one.
     pub fn with_config(config: JobsConfig, metrics: Option<Arc<Metrics>>) -> Self {
@@ -496,7 +497,6 @@ impl JobManager {
             }),
             work_available: Condvar::new(),
             job_done: Condvar::new(),
-            deadlines_changed: Condvar::new(),
             supervisor_wake: Condvar::new(),
             metrics,
             faults: config.faults,
@@ -510,19 +510,11 @@ impl JobManager {
                 .spawn(move || supervisor_loop(&shared))
                 .expect("cannot spawn job supervisor")
         };
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("saturn-watchdog".into())
-                .spawn(move || watchdog_loop(&shared))
-                .expect("cannot spawn deadline watchdog")
-        };
         JobManager {
             shared,
             queue_depth: config.queue_depth,
             observer,
             supervisor: Some(supervisor),
-            watchdog: Some(watchdog),
         }
     }
 
@@ -534,10 +526,10 @@ impl JobManager {
     /// Enqueues `work`, or attaches to an in-flight job computing the same
     /// `fingerprint`. Returns the job id to wait on, or a [`Reject`] when
     /// the server is draining, the queue is full, or — with a `deadline` —
-    /// the EWMA wait estimate already exceeds it. A deadline also arms the
-    /// watchdog for the job itself; `scales_hint` pre-seeds the progress
-    /// total so even a job cancelled before its sweep starts reports a
-    /// meaningful `scales_total`.
+    /// the EWMA wait estimate already exceeds it. The supervisor cancels
+    /// the job once a `deadline` passes; `scales_hint` pre-seeds the
+    /// progress total so even a job cancelled before its sweep starts
+    /// reports a meaningful `scales_total`.
     pub fn submit_with(
         &self,
         fingerprint: Option<u128>,
@@ -556,7 +548,7 @@ impl JobManager {
             if let Some(&id) = state.inflight.get(&key) {
                 // a cancelled job is doomed to a 504 and will never fill the
                 // cache, and so is one past its deadline whose token the
-                // watchdog has yet to fire; queue a fresh run instead of
+                // supervisor has yet to fire; queue a fresh run instead of
                 // chaining new waiters onto it (the insert below repoints
                 // `inflight` at the new job, so the doomed one retires
                 // without touching the map)
@@ -609,9 +601,6 @@ impl JobManager {
         metrics.queue_depth.set(state.queue.len() as u64);
         drop(state);
         self.shared.work_available.notify_one();
-        if deadline_at.is_some() {
-            self.shared.deadlines_changed.notify_all();
-        }
         Ok(id)
     }
 
@@ -639,7 +628,7 @@ impl JobManager {
     /// Blocks until job `id` finishes or `deadline` passes, whichever
     /// comes first. A caller whose deadline fires while the job continues
     /// (the job may be shared with more patient coalesced waiters, or
-    /// about to be cancelled by the watchdog) gets the job's progress
+    /// about to be cancelled by the supervisor) gets the job's progress
     /// snapshot back instead of an outcome.
     pub fn wait_until(&self, id: u64, deadline: Option<Instant>) -> WaitOutcome {
         let mut state = self.shared.state.lock().expect("job state poisoned");
@@ -826,8 +815,6 @@ fn executor_loop(shared: &Shared, slot: usize, generation: u64) {
                 state = shared.work_available.wait(state).expect("job state poisoned");
             }
         };
-        // the running job's deadline is now the watchdog's to track
-        shared.deadlines_changed.notify_all();
         if let Some(plan) = &shared.faults {
             if plan.executor_die() {
                 // deliberately OUTSIDE catch_unwind: this kills the
@@ -899,7 +886,6 @@ fn executor_loop(shared: &Shared, slot: usize, generation: u64) {
         retire(&mut state, id, fingerprint);
         drop(state);
         shared.job_done.notify_all();
-        shared.deadlines_changed.notify_all();
     }
 }
 
@@ -952,13 +938,14 @@ fn restart_executor(
     true
 }
 
-/// Spawns every executor, then watches their slots: a dead executor
-/// (panic escaped `catch_unwind`) is reaped and restarted with capped
-/// exponential backoff; an executor whose running job makes no sweep
-/// progress for the stall budget has the job token-cancelled, and for
-/// twice the budget has its wedged thread abandoned and replaced. Keeps
-/// supervising during drain so queued work still makes progress behind a
-/// crash.
+/// Spawns every executor, then monitors the job system once per
+/// [`SUPERVISOR_TICK`]: deadlines first ([`enforce_deadlines`]), then the
+/// executor slots. A dead executor (panic escaped `catch_unwind`)
+/// is reaped and restarted with capped exponential backoff; an executor
+/// whose running job makes no sweep progress for the stall budget has the
+/// job token-cancelled, and for twice the budget has its wedged thread
+/// abandoned and replaced. Keeps supervising during drain so queued work
+/// still makes progress behind a crash.
 fn supervisor_loop(shared: &Arc<Shared>) {
     let mut state = shared.state.lock().expect("job state poisoned");
     for (slot, e) in state.executors.iter_mut().enumerate() {
@@ -966,7 +953,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
     }
     while !state.shutdown {
         let now = Instant::now();
-        let mut finalized = false;
+        let mut finalized = enforce_deadlines(&mut state, &shared.metrics, now);
         for slot in 0..state.executors.len() {
             let st = &mut *state;
             let e = &mut st.executors[slot];
@@ -1029,66 +1016,32 @@ fn supervisor_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Enforces deadlines: queued jobs past theirs are finalized as `504`s
-/// without executing; a running job past its own has its token fired (its
-/// executor then finalizes the cancelled outcome). Sleeps until the
-/// nearest armed deadline, re-checking whenever the set changes.
-fn watchdog_loop(shared: &Shared) {
-    let mut state = shared.state.lock().expect("job state poisoned");
-    while !state.shutdown {
-        let now = Instant::now();
-        let expired: Vec<u64> = state
-            .queue
-            .iter()
-            .filter(|(id, _)| {
-                state.jobs.get(id).and_then(|job| job.deadline).is_some_and(|at| at <= now)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        if !expired.is_empty() {
-            state.queue.retain(|(id, _)| !expired.contains(id));
-            shared.metrics.queue_depth.set(state.queue.len() as u64);
-            for id in expired {
-                finalize_cancelled(&mut state, &shared.metrics, id, CancelCause::Deadline);
-            }
-            shared.job_done.notify_all();
+/// The supervisor's deadline pass: finalizes every queued job whose
+/// deadline has passed as a `504` without executing it, and fires the token
+/// of every running job past its own (its executor then finalizes the
+/// cancelled outcome). Returns whether a job was finalized (the caller then
+/// notifies waiters).
+fn enforce_deadlines(state: &mut State, metrics: &Metrics, now: Instant) -> bool {
+    let past = |job: &JobRecord| job.deadline.is_some_and(|at| at <= now);
+    let expired: Vec<u64> = state
+        .queue
+        .iter()
+        .map(|&(id, _)| id)
+        .filter(|id| state.jobs.get(id).is_some_and(past))
+        .collect();
+    if !expired.is_empty() {
+        state.queue.retain(|(id, _)| !expired.contains(id));
+        metrics.queue_depth.set(state.queue.len() as u64);
+        for &id in &expired {
+            finalize_cancelled(state, metrics, id, CancelCause::Deadline);
         }
-        let running: Vec<&JobRecord> = state
-            .executors
-            .iter()
-            .filter_map(|e| e.running.and_then(|id| state.jobs.get(&id)))
-            .collect();
-        for job in &running {
-            if job.deadline.is_some_and(|at| at <= now) {
-                job.ctx.cancel(CancelCause::Deadline);
-            }
-        }
-        let next_deadline = state
-            .queue
-            .iter()
-            .filter_map(|(id, _)| state.jobs.get(id).and_then(|job| job.deadline))
-            .chain(
-                running
-                    .iter()
-                    // a running job whose token already fired needs no
-                    // further watchdog attention
-                    .filter(|job| !job.ctx.control.cancel.is_cancelled())
-                    .filter_map(|job| job.deadline),
-            )
-            .min();
-        state = match next_deadline {
-            None => shared.deadlines_changed.wait(state).expect("job state poisoned"),
-            Some(at) => {
-                let pause =
-                    at.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
-                shared
-                    .deadlines_changed
-                    .wait_timeout(state, pause)
-                    .expect("job state poisoned")
-                    .0
-            }
-        };
     }
+    for id in state.executors.iter().filter_map(|e| e.running) {
+        if let Some(job) = state.jobs.get(&id).filter(|job| past(job)) {
+            job.ctx.cancel(CancelCause::Deadline);
+        }
+    }
+    !expired.is_empty()
 }
 
 impl Drop for JobManager {
@@ -1097,11 +1050,10 @@ impl Drop for JobManager {
             let mut state = self.shared.state.lock().expect("job state poisoned");
             state.shutdown = true;
             self.shared.work_available.notify_all();
-            self.shared.deadlines_changed.notify_all();
             self.shared.supervisor_wake.notify_all();
         }
-        for thread in [self.supervisor.take(), self.watchdog.take()].into_iter().flatten() {
-            let _ = thread.join();
+        if let Some(supervisor) = self.supervisor.take() {
+            let _ = supervisor.join();
         }
     }
 }
@@ -1321,7 +1273,7 @@ mod tests {
                 }),
             )
             .unwrap();
-        // the watchdog must 504 the queued job while the blocker still runs
+        // the supervisor must 504 the queued job while the blocker still runs
         let outcome = jobs.wait(doomed).expect("expired job still reports");
         assert_eq!(outcome.status, 504);
         assert!(outcome.body.contains("deadline exceeded"), "body: {}", outcome.body);
@@ -1358,6 +1310,69 @@ mod tests {
         let stats = jobs.stats();
         assert_eq!(stats.cancelled, 1);
         assert_eq!(stats.executed, 1);
+    }
+
+    /// Deadlines share the supervisor's tick with stall supervision but must
+    /// not depend on it: with a zero stall budget, a queued job past its
+    /// deadline still 504s without running, and a running one still has its
+    /// token fired.
+    #[test]
+    fn deadlines_are_enforced_with_stall_supervision_off() {
+        let mut config = JobsConfig::new(1, 8);
+        config.stall_budget = Duration::ZERO;
+        let jobs = JobManager::with_config(config, None);
+        // the running job keeps its executor until the gate opens, even
+        // after its token fires, so the queued job can only expire; a
+        // deadline pass that never runs fails at `give_up`, not by hanging
+        let give_up = Instant::now() + Duration::from_secs(5);
+        let gate = Gate::new();
+        let g = Arc::clone(&gate);
+        let running = jobs
+            .submit_with(
+                None,
+                Some(Duration::from_millis(60)),
+                JobKind::Other,
+                2,
+                Box::new(move |_pool, ctx| {
+                    g.entered.fetch_add(1, AtomicOrdering::SeqCst);
+                    while !ctx.control.cancel.is_cancelled() && Instant::now() < give_up {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    g.hold();
+                    ctx.cancelled_outcome()
+                }),
+            )
+            .unwrap();
+        gate.wait_entered();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&ran);
+        let queued = jobs
+            .submit_with(
+                None,
+                Some(Duration::from_millis(20)),
+                JobKind::Other,
+                5,
+                Box::new(move |_pool, _ctx| {
+                    r.fetch_add(1, AtomicOrdering::SeqCst);
+                    ok("never")
+                }),
+            )
+            .unwrap();
+        let queued_outcome = jobs.wait_until(queued, Some(give_up));
+        gate.release();
+        let WaitOutcome::Done(queued_outcome) = queued_outcome else {
+            panic!("the queued job outlived its deadline: {queued_outcome:?}");
+        };
+        assert_eq!(queued_outcome.status, 504);
+        assert!(queued_outcome.body.contains("deadline exceeded"), "{}", queued_outcome.body);
+        assert!(queued_outcome.body.contains("\"scales_total\": 5"), "{}", queued_outcome.body);
+        let running_outcome = jobs.wait(running).expect("cancelled job still reports");
+        assert_eq!(running_outcome.status, 504);
+        assert!(running_outcome.body.contains("deadline exceeded"), "{}", running_outcome.body);
+        assert_eq!(ran.load(AtomicOrdering::SeqCst), 0, "expired job must never execute");
+        let stats = jobs.stats();
+        assert_eq!((stats.cancelled, stats.executed), (2, 1));
+        assert_eq!(stats.executor_restarts, 0);
     }
 
     #[test]

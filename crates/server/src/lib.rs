@@ -25,7 +25,8 @@
 //!
 //! Bodies are plain or KONECT-layout traces — exactly what
 //! [`saturn_linkstream::io`] accepts from files. Responses are JSON; an
-//! analyze response is byte-for-byte [`OccupancyReport::to_json`], so the
+//! analyze response is byte-for-byte
+//! [`OccupancyReport::to_json`](saturn_core::OccupancyReport::to_json), so the
 //! CLI's `--json` output and the service speak one shape.
 //!
 //! Built on `std::net::TcpListener` only: the deployment container is
@@ -99,22 +100,26 @@
 //! `no_incremental`), with the reason it is gone.
 //!
 //! **Deadlines.** `?deadline_ms=N` (or the `--default-deadline-ms` serve
-//! flag; `0` = none) bounds a request end to end. A watchdog finalizes
-//! queued jobs whose deadline passes without executing them, and fires the
+//! flag; `0` = none) bounds a request end to end. The job supervisor
+//! checks deadlines on every 10 ms tick: it finalizes queued jobs whose
+//! deadline has passed without executing them, and fires the
 //! [`CancelToken`](saturn_core::CancelToken) of a running job past its
-//! deadline — the sweep stops at its next tile / DP-stride poll. Admission
-//! control multiplies the EWMA of recent job service times by the backlog
-//! length and refuses up front (`503`, not `504`) when the wait alone
-//! already exceeds the deadline. Cancellation is invisible in the output
-//! like tiling: a token that never fires leaves report bytes and cache
-//! fingerprints untouched, and cancelled jobs never populate the cache.
+//! deadline — the sweep stops at its next tile / DP-stride poll. The
+//! waiting request answers on its own deadline, so a tick's lateness never
+//! reaches the client. Admission control multiplies the EWMA of recent job
+//! service times by the backlog length and refuses up front (`503`, not
+//! `504`) when the wait alone already exceeds the deadline. Cancellation
+//! is invisible in the output like tiling: a token that never fires leaves
+//! report bytes and cache fingerprints untouched, and cancelled jobs never
+//! populate the cache.
 //!
 //! **Executors & supervision.** `--executors N` starts N executor threads,
 //! each with its own worker pool, that drain one bounded FIFO job queue:
 //! a job waits only while every executor is busy. There are never more
 //! executors than `--threads`, and the threads are split evenly among
 //! them. In-flight coalescing keys on the fingerprint, not on an executor.
-//! A supervisor thread restarts dead executors with capped exponential
+//! One supervisor thread, the job system's only monitor, enforces the
+//! deadlines above, restarts dead executors with capped exponential
 //! backoff (in-flight job finalized as a structured `500`, queue
 //! untouched) and escalates stalled executors from token-cancel to
 //! replacement. Admission control and `Retry-After` compute from the

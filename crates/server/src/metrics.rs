@@ -30,7 +30,7 @@
 //! [`JobManager`]: crate::jobs::JobManager
 //! [`SweepObserver`]: saturn_core::SweepObserver
 
-use saturn_core::{SweepObserver, TileSpan};
+use saturn_core::{JsonTraceObserver, SweepObserver, TileSpan};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -617,8 +617,9 @@ fn render_histogram(out: &mut String, name: &str, help: &str, histogram: &Histog
 }
 
 /// The [`SweepObserver`] the job manager threads into every sweep: folds
-/// tile spans into the registry, optionally mirroring each span as a JSON
-/// line to stderr when `SATURN_TRACE=json` was set at server start.
+/// tile spans into the registry, optionally mirroring each span to stderr
+/// through [`JsonTraceObserver`] when `SATURN_TRACE=json` was set at server
+/// start.
 #[derive(Debug)]
 pub struct MetricsSweepObserver {
     metrics: Arc<Metrics>,
@@ -636,10 +637,7 @@ impl SweepObserver for MetricsSweepObserver {
     fn tile_done(&self, span: &TileSpan) {
         self.metrics.observe_tile(span);
         if self.trace_json {
-            use std::io::Write;
-            let mut line = span.to_json_line();
-            line.push('\n');
-            let _ = std::io::stderr().write_all(line.as_bytes());
+            JsonTraceObserver.tile_done(span);
         }
     }
 }

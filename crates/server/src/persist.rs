@@ -20,6 +20,13 @@
 //! complete old state or the complete new state, plus possibly a `.tmp-*`
 //! file that the startup recovery scan deletes as torn.
 //!
+//! The tier's in-memory index of which keys are on disk is the same
+//! byte-weighted `Lru` the [memory tier](crate::cache) uses, storing `()`
+//! per key weighted by its file length (header included): a lookup hit
+//! refreshes the key's recency, and whenever the index outgrows the disk
+//! budget — after a write, or after the startup scan — the least recently
+//! used entries are deleted until it fits.
+//!
 //! Spills are asynchronous: [`DiskTier::enqueue`] pushes onto a bounded
 //! queue drained by one `saturn-spill` writer thread, so request and
 //! executor threads never wait on disk I/O. The writer holds only a `Weak`
@@ -43,19 +50,18 @@
 //! `saturn_cache_disk_corrupt_total` is incremented, and the lookup reports
 //! a miss. Torn `.tmp-*` files found at startup count as corrupt too.
 
+use crate::cache::Lru;
 use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
 use saturn_core::fingerprint::Digest;
 use serde::Serialize;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
-
-use rustc_hash::FxHashMap;
 
 /// File magic for spill entries ("Saturn Spill Persist v1").
 const MAGIC: [u8; 4] = *b"SSP1";
@@ -85,7 +91,7 @@ const BREAKER_MAX: Duration = Duration::from_secs(5);
 pub enum DecodeError {
     /// Shorter than the fixed header.
     TooShort,
-    /// Magic bytes are not [`MAGIC`].
+    /// Magic bytes are not `MAGIC` (`SSP1`).
     BadMagic,
     /// Header body length disagrees with the actual byte count.
     LengthMismatch,
@@ -164,58 +170,6 @@ pub struct DiskStats {
     pub errors: u64,
     /// Whether the breaker is currently open (memory-only mode).
     pub degraded: bool,
-}
-
-/// One indexed entry: its on-disk size and its LRU recency stamp.
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    file_len: usize,
-    seq: u64,
-}
-
-/// The in-memory index over the spill directory: key → entry plus a
-/// recency map whose first (smallest-seq) element is the LRU victim.
-#[derive(Debug, Default)]
-struct DiskIndex {
-    entries: FxHashMap<u128, IndexEntry>,
-    recency: BTreeMap<u64, u128>,
-    next_seq: u64,
-    bytes: usize,
-}
-
-impl DiskIndex {
-    fn touch(&mut self, key: u128) {
-        if let Some(entry) = self.entries.get_mut(&key) {
-            self.recency.remove(&entry.seq);
-            entry.seq = self.next_seq;
-            self.recency.insert(self.next_seq, key);
-            self.next_seq += 1;
-        }
-    }
-
-    fn insert(&mut self, key: u128, file_len: usize) {
-        self.remove(key);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(key, IndexEntry { file_len, seq });
-        self.recency.insert(seq, key);
-        self.bytes += file_len;
-    }
-
-    fn remove(&mut self, key: u128) -> bool {
-        if let Some(entry) = self.entries.remove(&key) {
-            self.recency.remove(&entry.seq);
-            self.bytes -= entry.file_len;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The least-recently-used key, if any.
-    fn victim(&self) -> Option<u128> {
-        self.recency.iter().next().map(|(_, &key)| key)
-    }
 }
 
 /// Circuit breaker guarding all disk I/O. `degraded` is the lock-free fast
@@ -297,7 +251,8 @@ struct SpillQueue {
 pub struct DiskTier {
     dir: PathBuf,
     capacity_bytes: usize,
-    index: Mutex<DiskIndex>,
+    /// Which keys are on disk, weighted by file length, in recency order.
+    index: Mutex<Lru<()>>,
     breaker: Breaker,
     queue: Mutex<SpillQueue>,
     queue_cv: Condvar,
@@ -329,7 +284,7 @@ impl DiskTier {
         let tier = Arc::new(DiskTier {
             dir: dir.to_path_buf(),
             capacity_bytes,
-            index: Mutex::new(DiskIndex::default()),
+            index: Mutex::new(Lru::new()),
             breaker: Breaker::new(),
             queue: Mutex::new(SpillQueue::default()),
             queue_cv: Condvar::new(),
@@ -400,24 +355,29 @@ impl DiskTier {
                 && matches!(decode_entry(&blob), Ok((k, body))
                     if k == key && std::str::from_utf8(body).is_ok());
             if valid {
-                index.insert(key, blob.len());
+                index.insert(key, (), blob.len());
             } else {
                 let _ = fs::remove_file(&path);
                 self.metrics.cache_disk_corrupt.inc();
             }
         }
-        while index.bytes > self.capacity_bytes {
-            let Some(victim) = index.victim() else { break };
-            index.remove(victim);
+        self.evict_to_budget(&mut index);
+    }
+
+    /// Evicts least-recently-used entries (index and file) until the index
+    /// fits the byte budget, then syncs the bytes gauge.
+    fn evict_to_budget(&self, index: &mut Lru<()>) {
+        while index.bytes() > self.capacity_bytes {
+            let Some((victim, ())) = index.pop_lru() else { break };
             let _ = fs::remove_file(self.entry_path(victim));
             self.metrics.cache_disk_evictions.inc();
         }
-        self.metrics.cache_disk_bytes.set(index.bytes as u64);
+        self.metrics.cache_disk_bytes.set(index.bytes() as u64);
     }
 
     /// Queues `body` for asynchronous spill under `key`. Never blocks on
-    /// disk I/O; oversize bodies and overflow beyond [`MAX_QUEUE`] are
-    /// silently skipped (the entry stays memory-only).
+    /// disk I/O; oversize bodies and overflow beyond `MAX_QUEUE` (1024)
+    /// pending spills are silently skipped (the entry stays memory-only).
     pub fn enqueue(&self, key: u128, body: Arc<str>) {
         if HEADER_LEN + body.len() > self.capacity_bytes {
             return;
@@ -451,7 +411,7 @@ impl DiskTier {
     /// (deleted + counted) and report a miss; I/O errors trip the breaker
     /// and report a miss. Never fails the caller.
     pub fn lookup(&self, key: u128) -> Option<Arc<str>> {
-        if !self.index.lock().unwrap().entries.contains_key(&key) {
+        if !self.index.lock().unwrap().contains(key) {
             self.metrics.cache_disk_misses.inc();
             return None;
         }
@@ -493,7 +453,7 @@ impl DiskTier {
             }
         };
         let result: Arc<str> = Arc::from(body);
-        self.index.lock().unwrap().touch(key);
+        self.index.lock().unwrap().get(key);
         self.metrics.cache_disk_hits.inc();
         Some(result)
     }
@@ -511,14 +471,14 @@ impl DiskTier {
     fn drop_index_entry(&self, key: u128) {
         let mut index = self.index.lock().unwrap();
         index.remove(key);
-        self.metrics.cache_disk_bytes.set(index.bytes as u64);
+        self.metrics.cache_disk_bytes.set(index.bytes() as u64);
     }
 
     /// Writes one queued entry durably: encode, temp file, fsync, atomic
     /// rename, directory fsync; then index it and evict down to budget.
     /// Called only from the writer thread.
     fn write_entry(&self, key: u128, body: &str) {
-        if self.index.lock().unwrap().entries.contains_key(&key) {
+        if self.index.lock().unwrap().contains(key) {
             // Content-addressed: same key ⇒ same bytes already on disk.
             return;
         }
@@ -533,14 +493,8 @@ impl DiskTier {
                 self.breaker.success();
                 self.metrics.cache_disk_writes.inc();
                 let mut index = self.index.lock().unwrap();
-                index.insert(key, file_len);
-                while index.bytes > self.capacity_bytes {
-                    let Some(victim) = index.victim() else { break };
-                    index.remove(victim);
-                    let _ = fs::remove_file(self.entry_path(victim));
-                    self.metrics.cache_disk_evictions.inc();
-                }
-                self.metrics.cache_disk_bytes.set(index.bytes as u64);
+                index.insert(key, (), file_len);
+                self.evict_to_budget(&mut index);
             }
             Err(_) => {
                 self.metrics.cache_disk_errors.inc();
@@ -593,7 +547,7 @@ impl DiskTier {
     pub fn stats(&self) -> DiskStats {
         let (entries, bytes) = {
             let index = self.index.lock().unwrap();
-            (index.entries.len(), index.bytes)
+            (index.len(), index.bytes())
         };
         DiskStats {
             entries,

@@ -55,7 +55,7 @@
 //!   inequality of Remark 1 — same-step values can never be read back (see
 //!   the ablation test `remark1_ablation.rs` for the naive in-place
 //!   variant's failure).
-//! * **CSR timelines.** Steps arrive as [`StepView`] slices into the
+//! * **CSR timelines.** Steps arrive as [`StepView`](crate::StepView) slices into the
 //!   timeline's flat `edge_src` / `edge_dst` arrays ([`Timeline`] docs);
 //!   the engine walks them with zero per-step allocation.
 //! * **Tile locality.** The recurrence `ea[u][v] ← 1 + ea'[w][v]` never

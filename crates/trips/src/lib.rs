@@ -31,7 +31,7 @@
 //!   [`TripSink`];
 //! * [`occupancy_histogram`], [`distance_means_in`], [`ExactStream`],
 //!   [`elongation_sums_in`] — the high-level analyses built on the engine;
-//! * [`reference`] — small brute-force implementations used to validate the
+//! * [`reference`](mod@reference) — small brute-force implementations used to validate the
 //!   engine in tests.
 //!
 //! ```
