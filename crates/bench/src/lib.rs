@@ -1,5 +1,5 @@
 //! Shared infrastructure for the figure-regeneration binaries and the
-//! Criterion benches.
+//! `bench_sweep` engine trajectory.
 //!
 //! Every binary regenerates one exhibit of the paper (see DESIGN.md §5 for
 //! the index), writing gnuplot-ready `.dat` series under `results/` (override

@@ -241,13 +241,7 @@ impl ReportCache {
     /// dropped, and no LRU structure is allocated), counting into a private
     /// registry.
     pub fn new(capacity_bytes: usize) -> Self {
-        Self::with_metrics(capacity_bytes, Arc::new(Metrics::new()))
-    }
-
-    /// [`ReportCache::new`] counting into a shared registry — the server
-    /// wiring, where `/v1/metrics` and `/v1/health` must agree.
-    pub fn with_metrics(capacity_bytes: usize, metrics: Arc<Metrics>) -> Self {
-        Self::with_tiers(capacity_bytes, None, metrics)
+        Self::with_tiers(capacity_bytes, None, Arc::new(Metrics::new()))
     }
 
     /// The full two-tier constructor: a memory budget (0 ⇒ no memory tier)

@@ -462,18 +462,6 @@ impl JobManager {
         Self::with_config(JobsConfig::new(threads, queue_depth), None)
     }
 
-    /// [`JobManager::new`] with a fault-injection plan consulted at the
-    /// executor seams. Counts into a private registry.
-    pub fn with_faults(
-        threads: usize,
-        queue_depth: usize,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Self {
-        let mut config = JobsConfig::new(threads, queue_depth);
-        config.faults = faults;
-        Self::with_config(config, None)
-    }
-
     /// Lays out the executors ([`executor_layout`]) and starts the
     /// supervisor, which spawns them and enforces deadlines. `metrics`
     /// is the shared registry where `/v1/metrics` and `/v1/health` must
@@ -1247,6 +1235,8 @@ mod tests {
     #[test]
     fn queued_job_past_deadline_expires_without_executing() {
         let jobs = JobManager::new(1, 8);
+        // a deadline pass that never runs fails at `give_up`, not by hanging
+        let give_up = Instant::now() + Duration::from_secs(5);
         let gate = Gate::new();
         let g = Arc::clone(&gate);
         let blocker = jobs
@@ -1274,13 +1264,16 @@ mod tests {
             )
             .unwrap();
         // the supervisor must 504 the queued job while the blocker still runs
-        let outcome = jobs.wait(doomed).expect("expired job still reports");
+        let outcome = jobs.wait_until(doomed, Some(give_up));
+        gate.release();
+        let WaitOutcome::Done(outcome) = outcome else {
+            panic!("the queued job outlived its deadline: {outcome:?}");
+        };
         assert_eq!(outcome.status, 504);
         assert!(outcome.body.contains("deadline exceeded"), "body: {}", outcome.body);
         assert!(outcome.body.contains("\"scales_done\": 0"), "body: {}", outcome.body);
         assert!(outcome.body.contains("\"scales_total\": 7"), "body: {}", outcome.body);
         assert_eq!(ran.load(AtomicOrdering::SeqCst), 0, "expired job must never execute");
-        gate.release();
         assert_eq!(jobs.wait(blocker).unwrap().status, 200);
         assert_eq!(jobs.stats().cancelled, 1);
     }
@@ -1288,23 +1281,26 @@ mod tests {
     #[test]
     fn running_job_past_deadline_gets_its_token_fired() {
         let jobs = JobManager::new(1, 8);
+        let give_up = Instant::now() + Duration::from_secs(5);
         let id = jobs
             .submit_with(
                 None,
                 Some(Duration::from_millis(40)),
                 JobKind::Other,
                 3,
-                Box::new(|_pool, ctx| {
+                Box::new(move |_pool, ctx| {
                     // a cooperative sweep: spin until the token fires, as
                     // try_run_on would at its next poll point
-                    while !ctx.control.cancel.is_cancelled() {
+                    while !ctx.control.cancel.is_cancelled() && Instant::now() < give_up {
                         std::thread::sleep(Duration::from_millis(1));
                     }
                     ctx.cancelled_outcome()
                 }),
             )
             .unwrap();
-        let outcome = jobs.wait(id).expect("cancelled job still reports");
+        let WaitOutcome::Done(outcome) = jobs.wait_until(id, Some(give_up)) else {
+            panic!("the running job outlived its deadline");
+        };
         assert_eq!(outcome.status, 504);
         assert!(outcome.body.contains("deadline exceeded"), "body: {}", outcome.body);
         let stats = jobs.stats();
@@ -1523,8 +1519,9 @@ mod tests {
 
     #[test]
     fn injected_cancel_race_still_finalizes_cleanly() {
-        let plan = Arc::new(FaultPlan::parse("cancel_race:1").unwrap());
-        let jobs = JobManager::with_faults(1, 8, Some(plan));
+        let mut config = JobsConfig::new(1, 8);
+        config.faults = Some(Arc::new(FaultPlan::parse("cancel_race:1").unwrap()));
+        let jobs = JobManager::with_config(config, None);
         let id = jobs
             .submit(
                 None,
@@ -1545,8 +1542,9 @@ mod tests {
 
     #[test]
     fn executor_death_finalizes_inflight_as_500_and_preserves_queue() {
-        let plan = Arc::new(FaultPlan::parse("executor_die:1").unwrap());
-        let jobs = JobManager::with_faults(1, 8, Some(plan));
+        let mut config = JobsConfig::new(1, 8);
+        config.faults = Some(Arc::new(FaultPlan::parse("executor_die:1").unwrap()));
+        let jobs = JobManager::with_config(config, None);
         let first = jobs.submit(None, Box::new(|_pool, _ctx| ok("first"))).unwrap();
         let second = jobs.submit(None, Box::new(|_pool, _ctx| ok("second"))).unwrap();
         // every pop kills the executor, so BOTH jobs are finalized by the

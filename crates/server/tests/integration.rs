@@ -854,31 +854,44 @@ fn disk_dir(name: &str) -> std::path::PathBuf {
 #[test]
 fn warm_restart_serves_byte_identical_reports_from_disk() {
     let dir = disk_dir("warm-restart");
-    let body = trace(6, 240, 35);
+    let bodies: Vec<String> = (0..3).map(|k| trace(6 + k, 240, 35)).collect();
     let target = "/v1/analyze?points=10";
-    let cold = {
+    let cold: Vec<Vec<u8>> = {
         let server = start(|c| {
             c.cache_dir = Some(dir.clone());
             c.cache_disk_bytes = 8 << 20;
         });
-        let cold = request(server.addr(), "POST", target, body.as_bytes());
-        assert_eq!(cold.status, 200);
-        await_metric_at_least(server.addr(), "saturn_cache_disk_writes_total", 1.0);
+        let cold = bodies
+            .iter()
+            .map(|body| {
+                let response = request(server.addr(), "POST", target, body.as_bytes());
+                assert_eq!(response.status, 200);
+                response.body
+            })
+            .collect();
+        await_metric_at_least(server.addr(), "saturn_cache_disk_writes_total", 3.0);
         // drain flushes pending spills before the server goes away
         server.drain(Duration::from_secs(5));
         server.stop();
-        cold.body
+        cold
     };
-    // A fresh process-equivalent: new server, cold memory, same --cache-dir.
+    // A fresh process-equivalent on the same --cache-dir, with no memory
+    // tier: every repeat is one disk read and checksum verify, no sweep.
     let server = start(|c| {
+        c.cache_bytes = 0;
         c.cache_dir = Some(dir.clone());
         c.cache_disk_bytes = 8 << 20;
     });
-    let warm = request(server.addr(), "POST", target, body.as_bytes());
-    assert_eq!(warm.status, 200);
-    assert_eq!(warm.body, cold, "disk-served report must be byte-identical");
+    for (body, cold) in bodies.iter().zip(&cold) {
+        for _ in 0..2 {
+            let warm = request(server.addr(), "POST", target, body.as_bytes());
+            assert_eq!(warm.status, 200);
+            assert_eq!(&warm.body, cold, "disk-served report must be byte-identical");
+        }
+    }
     let text = scrape_metrics(server.addr());
-    assert!(metric_sample(&text, "saturn_cache_disk_hits_total") >= 1.0);
+    assert_eq!(metric_sample(&text, "saturn_cache_disk_hits_total"), 6.0);
+    assert_eq!(metric_sample(&text, "saturn_jobs_executed_total"), 0.0);
     assert_eq!(metric_sample(&text, "saturn_cache_disk_corrupt_total"), 0.0);
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,6 @@
 //! Property-based validation of the telemetry histogram: every recorded
-//! value lands in exactly the bucket its magnitude dictates, quantiles are
-//! conservative upper bounds, and merge is sample-exact.
+//! value lands in exactly the bucket its magnitude dictates, and quantiles
+//! are conservative upper bounds.
 
 use proptest::prelude::*;
 use saturn_server::metrics::{bucket_bound_micros, Histogram, BUCKETS, FINITE_BUCKETS};
@@ -61,25 +61,5 @@ proptest! {
             covered >= rank,
             "q={} bound={} covers {} of rank {}", q, bound, covered, rank
         );
-    }
-
-    /// Splitting a sample set across two histograms and merging equals
-    /// recording everything into one.
-    #[test]
-    fn merge_equals_single_histogram(samples in arb_latencies(), split in 0u32..=100) {
-        let whole = Histogram::new();
-        let left = Histogram::new();
-        let right = Histogram::new();
-        let pivot = samples.len() * split as usize / 100;
-        for (i, &(micros, _)) in samples.iter().enumerate() {
-            whole.observe_micros(micros);
-            if i < pivot { left.observe_micros(micros) } else { right.observe_micros(micros) }
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.bucket_counts(), whole.bucket_counts());
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert_eq!(left.sum_micros(), whole.sum_micros());
-        prop_assert_eq!(left.quantile(0.5), whole.quantile(0.5));
-        prop_assert_eq!(left.quantile(0.99), whole.quantile(0.99));
     }
 }
