@@ -8,11 +8,12 @@ use rustc_hash::FxHashMap;
 use saturn_distrib::{Ascending, SelectionMetric, WeightedDist};
 use saturn_linkstream::LinkStream;
 use saturn_trips::{
-    dp::max_tile_cols, earliest_arrival_dp_in, Cancelled, DpRun, EngineArena, EventView,
-    OccupancyHistogram, RateCounter, TargetSet, Timeline,
+    dp::max_tile_cols, earliest_arrival_dp_in, mirrored_histogram_in, Cancelled, Checkpoint,
+    DpRun, EngineArena, EventView, Mirror, OccupancyHistogram, RateCounter, SavedKeys,
+    TargetSet, Timeline,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -78,20 +79,61 @@ pub struct RefreshStats {
     pub tiles_skipped: u64,
     /// Windows re-scattered by splices, summed over respliced scales.
     pub suffix_windows_rebuilt: u64,
+    /// Non-empty steps that DPs resumed from a checkpoint did not re-run,
+    /// summed over their tiles.
+    pub steps_skipped: u64,
+}
+
+/// The checkpoint ladder of a session scale: its rungs sit at the step
+/// boundaries that leave `1/f` of its non-empty steps, for each `f` here.
+/// An append at or after a rung's boundary re-runs only the steps after
+/// it, so the rungs trade a few key tables per scale for refresh work
+/// that follows the append instead of the stream.
+const RUNG_LADDER: [usize; 2] = [4, 16];
+
+/// Per-session cap on the bytes of checkpoint key tables (at most `n² × 8`
+/// per rung, half that when the keys pack into 32 bits). A scale whose rungs would pass it records none and keeps
+/// today's full DP. A rung's prefix histogram is never larger than its
+/// scale's cached histogram, so the histograms add at most twice the
+/// cache's own.
+pub const CHECKPOINT_BUDGET_BYTES: usize = 64 << 20;
+
+/// One checkpoint of a session scale's mirrored DP (`saturn_trips::dp`
+/// docs, "Orientation and resume").
+#[derive(Debug)]
+struct Rung {
+    /// The step boundary: the state after every step below it.
+    step: u32,
+    /// The full-width key table at `step`, `width` columns per row.
+    keys: SavedKeys,
+    width: usize,
+    /// The trips that arrive before `step`.
+    hist: OccupancyHistogram,
+}
+
+/// The rung boundaries of `timeline`, by ladder level: the boundary right
+/// after the last step that leaves `1/f` of the non-empty steps, or `None`
+/// when `1/f` of them rounds to none.
+fn rung_steps(timeline: &Timeline) -> [Option<u32>; RUNG_LADDER.len()] {
+    let steps = timeline.nonempty_steps();
+    RUNG_LADDER.map(|f| (steps / f > 0).then(|| timeline.step(steps - steps / f - 1).index + 1))
 }
 
 /// One cached scale of a [`SweepCache`]: the timeline the histogram was
-/// computed from (the reuse witness) and the merged histogram itself.
+/// computed from (the reuse witness), the merged histogram itself, and up
+/// to one checkpoint per ladder level, ascending, all computed from that
+/// same timeline.
 #[derive(Clone, Debug)]
 struct CachedScale {
     timeline: Arc<Timeline>,
     hist: OccupancyHistogram,
     epoch: u64,
+    rungs: Vec<Arc<Rung>>,
 }
 
 /// Per-session sweep memory for [`OccupancyMethod::try_refresh_on`]: the
-/// per-scale timelines and merged histograms of the last refresh, keyed by
-/// window count `K`. An ingest session owns one cache per stream and feeds
+/// per-scale timelines, merged histograms and DP checkpoints of the last
+/// refresh, keyed by window count `K`. An ingest session owns one cache per stream and feeds
 /// every incremental re-analysis through it; the cache never changes report
 /// bytes — it only decides how much work a refresh can skip.
 ///
@@ -142,6 +184,14 @@ impl SweepCache {
     /// Whether the cache holds no scale.
     pub fn is_empty(&self) -> bool {
         self.scales.is_empty()
+    }
+
+    /// Bytes held by checkpoint key tables and their prefix histograms.
+    #[cfg(test)]
+    fn checkpoint_bytes(&self) -> usize {
+        let hist_bytes = size_of::<((u32, u32), u64)>();
+        let rungs = self.scales.values().flat_map(|entry| &entry.rungs);
+        rungs.map(|rung| rung.keys.bytes() + rung.hist.distinct_rates() * hist_bytes).sum()
     }
 }
 
@@ -356,8 +406,28 @@ impl OccupancyMethod {
     ///   the dirty window on (`Timeline::spliced_from_view`); if the splice
     ///   comes back field-for-field identical (appends deduplicated away at
     ///   this scale), the cached histogram is served, otherwise the scale is
-    ///   recomputed on the spliced timeline;
+    ///   recomputed on the spliced timeline — resumed from its latest
+    ///   checkpoint at or below the dirty window when it has one (below);
     /// * cache miss — scratch or merge build, exactly as a cold sweep.
+    ///
+    /// **Resume.** Under [`TargetSpec::All`], a session runs every DP it
+    /// computes in mirrored time (`saturn_trips::mirrored_histogram_in`,
+    /// whose module docs prove it reports the backward DP's trips), where
+    /// the state at a step boundary depends only on the steps before it.
+    /// Each entry keeps up to one checkpoint per level of `RUNG_LADDER`:
+    /// at the boundaries that leave ¼ and 1⁄16 of the scale's non-empty
+    /// steps, the full-width key table and the histogram of the trips that
+    /// arrive before it. A respliced scale whose dirty window is at or
+    /// after a rung loads the latest such rung and runs only the steps
+    /// after it; its histogram is the rung's prefix merged exactly with the
+    /// suffix. Rungs at or before the resume point are kept, later ones are
+    /// dropped before the round runs and re-recorded by it.
+    /// [`CHECKPOINT_BUDGET_BYTES`] caps a session's key tables: a scale
+    /// whose rungs would not fit keeps the backward DP and records none, as
+    /// do sampled-target sessions and every scratch run. Checkpoints enter
+    /// the cache with their entry, on success only, so they pair with the
+    /// entry's timeline as its histogram does; `cache.stats.steps_skipped`
+    /// counts the steps the resumed DPs did not re-run.
     ///
     /// Reports are **byte-identical** to a scratch [`try_run_on`](Self::try_run_on) over the
     /// same stream — both run the same sweep, the cache and the dirty mark
@@ -542,15 +612,21 @@ impl OccupancyMethod {
         // spliced); `reused[i]` serves the cached histogram.
         let mut seeds: Vec<Option<Arc<Timeline>>> = vec![None; ks.len()];
         let mut reused = vec![false; ks.len()];
+        // a session sweep over every node runs its DPs in mirrored time and
+        // keeps checkpoints; `resume[i]` holds the rungs a respliced scale
+        // may keep, ending with the one it resumes from
+        let mirrored = cache.is_some() && self.targets == TargetSpec::All;
+        let mut resume: Vec<Vec<Arc<Rung>>> = vec![Vec::new(); ks.len()];
+        let n = input.stream.node_count();
         if let Some(cache) = cache.as_deref_mut() {
             let SweepCache { scales, stats, .. } = cache;
             stats.scales_total += ks.len() as u64;
             for (i, &k) in ks.iter().enumerate() {
-                let Some(entry) = scales.get(&k) else {
+                let Some(entry) = scales.get_mut(&k) else {
                     stats.scales_scratch += 1;
                     continue;
                 };
-                let mut spliced = false;
+                let mut dirty_window = None;
                 let timeline = match input.dirty_from {
                     None => Arc::clone(&entry.timeline),
                     Some(t0) => {
@@ -560,9 +636,9 @@ impl OccupancyMethod {
                             .expect("grid window counts are valid for the stream")
                             .index(saturn_linkstream::Time::new(t0))
                             as u32;
-                        spliced = w > 0;
-                        if spliced {
+                        if w > 0 {
                             stats.suffix_windows_rebuilt += k - w as u64;
+                            dirty_window = Some(w);
                         }
                         Arc::new(entry.timeline.spliced_from_view(&input.view, w))
                     }
@@ -574,10 +650,20 @@ impl OccupancyMethod {
                     Arc::ptr_eq(&entry.timeline, &timeline) || *entry.timeline == *timeline;
                 if reused[i] {
                     stats.scales_reused += 1;
-                } else if spliced {
-                    stats.scales_respliced += 1;
                 } else {
-                    stats.scales_scratch += 1;
+                    // the windows below `w` are the cached timeline's, so
+                    // every rung at or below `w` stays a valid resume point;
+                    // the others can never be valid again (the caller's
+                    // dirty mark only moves down until a refresh succeeds),
+                    // so they go now, before this round records new ones
+                    let w = dirty_window.unwrap_or(0);
+                    entry.rungs.retain(|rung| rung.step <= w && rung.width <= n);
+                    resume[i].clone_from(&entry.rungs);
+                    if dirty_window.is_some() {
+                        stats.scales_respliced += 1;
+                    } else {
+                        stats.scales_scratch += 1;
+                    }
                 }
                 seeds[i] = Some(if reused[i] { Arc::clone(&entry.timeline) } else { timeline });
             }
@@ -585,7 +671,26 @@ impl OccupancyMethod {
 
         let computed = reused.iter().filter(|&&r| !r).count();
         ctl.progress.add_done((ks.len() - computed) as u64);
-        let n = input.stream.node_count();
+        // Which computed scales run mirrored: those that resume, and those
+        // whose new rungs fit the session's checkpoint budget next to every
+        // table the cache holds (stale entries included, so the count only
+        // errs high).
+        let mut plans: Vec<Option<RungPlan>> = (0..ks.len()).map(|_| None).collect();
+        if let Some(cache) = cache.as_deref().filter(|_| mirrored) {
+            let table = n.saturating_mul(n).saturating_mul(size_of::<u64>());
+            let rungs = cache.scales.values().flat_map(|entry| &entry.rungs);
+            let mut held: usize = rungs.map(|rung| rung.keys.bytes()).sum();
+            for (i, kept) in resume.iter_mut().enumerate().filter(|(i, _)| !reused[*i]) {
+                let want = (RUNG_LADDER.len() - kept.len()).saturating_mul(table);
+                let record = held.saturating_add(want) <= CHECKPOINT_BUDGET_BYTES;
+                if record {
+                    held += want;
+                }
+                if record || !kept.is_empty() {
+                    plans[i] = Some(RungPlan { kept: std::mem::take(kept), record });
+                }
+            }
+        }
         let tile_cols = match self.tile {
             0 => auto_tile_cols(n, input.targets.len(), computed, pool.parallelism()),
             tile => tile.min(max_tile_cols(n)),
@@ -620,7 +725,13 @@ impl OccupancyMethod {
             /// Tiles not yet merged into `hist`; the last one sets `result`.
             tiles_left: AtomicUsize,
             hist: Mutex<OccupancyHistogram>,
+            /// Mirrored scales: per rung the DP records, its step, the
+            /// trips since the rung before (or the resume point), and its
+            /// full-width key table, merged over tiles.
+            recorded: Mutex<Vec<(u32, OccupancyHistogram, Vec<u64>)>>,
             result: OnceLock<DeltaResult>,
+            /// Mirrored scales: the rungs of the new cache entry.
+            rungs: OnceLock<Vec<Arc<Rung>>>,
         }
         let slots: Vec<Slot> = seeds
             .into_iter()
@@ -634,7 +745,9 @@ impl OccupancyMethod {
                 }),
                 tiles_left: AtomicUsize::new(tiles_in_scale),
                 hist: Mutex::new(OccupancyHistogram::new()),
+                recorded: Mutex::default(),
                 result: OnceLock::new(),
+                rungs: OnceLock::new(),
             })
             .collect();
 
@@ -680,6 +793,7 @@ impl OccupancyMethod {
         }
 
         let span = input.stream.span();
+        let steps_skipped = AtomicU64::new(0);
         pool.map(&items, |wid, item| {
             if ctl.cancel.is_cancelled() {
                 return;
@@ -693,7 +807,58 @@ impl OccupancyMethod {
                 cancel: Some(&ctl.cancel),
                 ..Default::default()
             };
-            let stats = earliest_arrival_dp_in(arena, &timeline, &input.targets, counter, run);
+            let slot = &slots[item.scale];
+            let stats = match &plans[item.scale] {
+                None => earliest_arrival_dp_in(arena, &timeline, &input.targets, counter, run),
+                Some(plan) => {
+                    let from = plan.kept.last();
+                    let rungs: Vec<u32> = if plan.record {
+                        rung_steps(&timeline)[plan.kept.len()..]
+                            .iter()
+                            .flatten()
+                            .copied()
+                            .filter(|&step| from.is_none_or(|rung| step > rung.step))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    if let Some(rung) = from {
+                        let skipped = timeline.steps_before(rung.step) as u64;
+                        steps_skipped.fetch_add(skipped, Ordering::Relaxed);
+                    }
+                    let mirror = Mirror {
+                        from: from.map(|rung| Checkpoint {
+                            step: rung.step,
+                            keys: &rung.keys,
+                            width: rung.width,
+                        }),
+                        rungs: &rungs,
+                    };
+                    let (col_start, col_len) = (item.col_start as usize, item.col_len as usize);
+                    let on_rung = |r: usize, keys: &[u64], segment: OccupancyHistogram| {
+                        let mut recorded = slot.recorded.lock().expect("rung slot poisoned");
+                        if recorded.is_empty() {
+                            let blank =
+                                |&step: &u32| (step, OccupancyHistogram::new(), vec![0; n * n]);
+                            *recorded = rungs.iter().map(blank).collect();
+                        }
+                        let (_, hist, table) = &mut recorded[r];
+                        hist.merge_owned(segment);
+                        for (row, saved) in keys.chunks(col_len).enumerate() {
+                            table[row * n + col_start..][..col_len].copy_from_slice(saved);
+                        }
+                    };
+                    mirrored_histogram_in(
+                        arena,
+                        &timeline,
+                        &input.targets,
+                        counter,
+                        run,
+                        mirror,
+                        on_rung,
+                    )
+                }
+            };
             // sealing also resets the counter, so a tile cut short by the
             // token leaves no counts behind for this worker's next item
             let hist = counter.finish();
@@ -706,13 +871,35 @@ impl OccupancyMethod {
             if ctl.cancel.is_cancelled() {
                 return;
             }
-            let slot = &slots[item.scale];
             slot.hist.lock().expect("histogram slot poisoned").merge_owned(hist);
             let last_tile_of_scale = slot.tiles_left.fetch_sub(1, Ordering::AcqRel) == 1;
             if last_tile_of_scale {
                 // every tile is in: score the scale here, and free its
                 // histogram unless the cache keeps it
                 let mut merged = slot.hist.lock().expect("histogram slot poisoned");
+                if let Some(plan) = &plans[item.scale] {
+                    // a mirrored scale's histogram is its resume point's
+                    // prefix, then each recorded rung's trips, then the
+                    // trips after the last rung; each new rung keeps the
+                    // prefix up to its own step
+                    let mut prefix =
+                        plan.kept.last().map(|rung| rung.hist.clone()).unwrap_or_default();
+                    let mut rungs = plan.kept.clone();
+                    let recorded =
+                        std::mem::take(&mut *slot.recorded.lock().expect("rung slot poisoned"));
+                    for (step, segment, keys) in recorded {
+                        prefix.merge_owned(segment);
+                        rungs.push(Arc::new(Rung {
+                            step,
+                            keys: SavedKeys::new(keys),
+                            width: n,
+                            hist: prefix.clone(),
+                        }));
+                    }
+                    prefix.merge_owned(std::mem::take(&mut *merged));
+                    *merged = prefix;
+                    slot.rungs.set(rungs).expect("recorded once");
+                }
                 slot.result.set(self.delta_result(span, item.k, &merged)).expect("scored once");
                 if !keep_hist {
                     *merged = OccupancyHistogram::new();
@@ -737,6 +924,9 @@ impl OccupancyMethod {
         if ctl.cancel.is_cancelled() {
             return Err(Cancelled);
         }
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.stats.steps_skipped += steps_skipped.into_inner();
+        }
 
         let mut results = Vec::with_capacity(ks.len());
         for ((&k, slot), reused) in ks.iter().zip(slots).zip(reused) {
@@ -755,11 +945,23 @@ impl OccupancyMethod {
                     .expect("timeline slot poisoned")
                     .expect("the cache holds a reference to every computed timeline");
                 let hist = slot.hist.into_inner().expect("histogram slot poisoned");
-                cache.scales.insert(k, CachedScale { timeline, hist, epoch: cache.epoch });
+                let rungs = slot.rungs.into_inner().unwrap_or_default();
+                cache
+                    .scales
+                    .insert(k, CachedScale { timeline, hist, epoch: cache.epoch, rungs });
             }
         }
         Ok(results)
     }
+}
+
+/// How a mirrored scale uses its checkpoints.
+struct RungPlan {
+    /// The rungs its new entry keeps, ending with the one the DP resumes
+    /// from (empty = a full run).
+    kept: Vec<Arc<Rung>>,
+    /// Whether the DP records the ladder levels past `kept`.
+    record: bool,
 }
 
 /// What one analysis shares across all of its sweep rounds.
@@ -1393,5 +1595,165 @@ mod tests {
             assert_eq!(x.trips, y.trips);
             assert_eq!(x.scores.mk_proximity.to_bits(), y.scores.mk_proximity.to_bits());
         }
+    }
+
+    /// A comb over the pinned period `[0, 2000]`: ring pair `u` fires
+    /// every 40 ticks from `7u mod 40`, plus the `extra` events.
+    fn comb(directed: bool, extra: &[(u32, u32, i64)]) -> LinkStream {
+        let d = if directed { Directedness::Directed } else { Directedness::Undirected };
+        let mut b = LinkStreamBuilder::indexed(d, 10);
+        b.period(0, 2000);
+        for u in 0..10u32 {
+            for t in (i64::from(u * 7 % 40)..=2000).step_by(40) {
+                b.add_indexed(u, (u + 1) % 10, t);
+            }
+        }
+        for &(u, v, t) in extra {
+            b.add_indexed(u, v, t);
+        }
+        b.build().unwrap()
+    }
+
+    /// A batch of chords landing at `at` (a fraction of the period).
+    fn chords(at: f64, salt: u32) -> Vec<(u32, u32, i64)> {
+        (0..4u32)
+            .map(|i| {
+                (i + salt, (i + salt + 3 + i % 4) % 10, (at * 2000.0) as i64 + i64::from(i))
+            })
+            .collect()
+    }
+
+    /// Session refreshes resume each respliced scale from its latest rung
+    /// at or below the dirty window: appends before the rungs resume
+    /// nothing, appends between them resume from the ¼ rung, appends after
+    /// both from the 1/16 rung, and an out-of-order batch resumes from
+    /// where its earliest event allows. Every refresh is byte-identical to
+    /// a scratch sweep, on both directednesses and several tile widths.
+    #[test]
+    fn refresh_resumes_from_the_latest_valid_rung() {
+        for (directed, tile) in [(false, 0), (true, 0), (false, 3), (true, 10)] {
+            let method = OccupancyMethod::new()
+                .grid(SweepGrid::Geometric { points: 8 })
+                .refine(1, 3)
+                .tile(tile);
+            let mut pool = WorkerPool::new(2);
+            let mut cache = SweepCache::new();
+            let mut events = Vec::new();
+            let base = comb(directed, &events);
+            method
+                .try_refresh_on(&base, &mut pool, &SweepControl::new(), &mut cache, None)
+                .unwrap();
+            assert!(cache.checkpoint_bytes() > 0, "a cold refresh records rungs");
+            let mut skipped = Vec::new();
+            // after both rungs, between them, before them, then one batch
+            // arriving out of order (a late event, then an earlier one)
+            let batches = [vec![0.97], vec![0.8], vec![0.3], vec![0.99, 0.85]];
+            for (i, batch) in batches.iter().enumerate() {
+                let mut dirty = i64::MAX;
+                for (j, &at) in batch.iter().enumerate() {
+                    let chords = chords(at, (i + j) as u32);
+                    dirty = dirty.min(chords.iter().map(|c| c.2).min().unwrap());
+                    events.extend(chords);
+                }
+                let grown = comb(directed, &events);
+                let refreshed = method
+                    .try_refresh_on(
+                        &grown,
+                        &mut pool,
+                        &SweepControl::new(),
+                        &mut cache,
+                        Some(dirty),
+                    )
+                    .unwrap();
+                assert_eq!(
+                    refreshed.to_json(),
+                    method.run_on(&grown, &mut pool).to_json(),
+                    "directed={directed} tile={tile} batch {i}"
+                );
+                skipped.push(cache.stats.steps_skipped);
+            }
+            assert!(skipped[0] > skipped[1] && skipped[1] > 0, "{skipped:?}");
+            assert_eq!(skipped[2], 0, "an append before every rung resumes nothing");
+            assert!(skipped[3] > 0, "{skipped:?}");
+        }
+    }
+
+    /// Sampled targets keep the backward DP: no checkpoint is recorded or
+    /// resumed, and refreshes still equal scratch.
+    #[test]
+    fn sampled_target_sessions_keep_the_backward_dp() {
+        let method = OccupancyMethod::new()
+            .grid(SweepGrid::Geometric { points: 8 })
+            .targets(TargetSpec::Sample { size: 4, seed: 3 });
+        let mut pool = WorkerPool::new(2);
+        let mut cache = SweepCache::new();
+        method
+            .try_refresh_on(
+                &comb(false, &[]),
+                &mut pool,
+                &SweepControl::new(),
+                &mut cache,
+                None,
+            )
+            .unwrap();
+        assert_eq!(cache.checkpoint_bytes(), 0);
+        let batch = chords(0.97, 1);
+        let grown = comb(false, &batch);
+        let refreshed = method
+            .try_refresh_on(
+                &grown,
+                &mut pool,
+                &SweepControl::new(),
+                &mut cache,
+                Some(batch[0].2),
+            )
+            .unwrap();
+        assert_eq!(refreshed.to_json(), method.run_on(&grown, &mut pool).to_json());
+        assert!(cache.stats.scales_respliced > 0);
+        assert_eq!(cache.stats.steps_skipped, 0);
+    }
+
+    /// A resumed refresh cancelled mid-sweep (from the observer, after its
+    /// first tile) leaves the session consistent: the retry with the same
+    /// dirty mark resumes again and equals scratch.
+    #[test]
+    fn a_cancelled_resumed_refresh_retries_byte_identically() {
+        use crate::control::SweepObserver;
+        use saturn_trips::CancelToken;
+
+        struct Canceller(CancelToken);
+        impl SweepObserver for Canceller {
+            fn tile_done(&self, _: &TileSpan) {
+                self.0.cancel();
+            }
+        }
+
+        let method = OccupancyMethod::new()
+            .grid(SweepGrid::Geometric { points: 10 })
+            .refine(1, 3)
+            .tile(4);
+        let mut pool = WorkerPool::new(2);
+        let mut cache = SweepCache::new();
+        method
+            .try_refresh_on(&comb(true, &[]), &mut pool, &SweepControl::new(), &mut cache, None)
+            .unwrap();
+        let batch = chords(0.9, 2);
+        let grown = comb(true, &batch);
+        let token = CancelToken::new();
+        let ctl = SweepControl {
+            cancel: token.clone(),
+            observer: Some(Arc::new(Canceller(token))),
+            ..SweepControl::default()
+        };
+        let dirty = Some(batch[0].2);
+        assert!(matches!(
+            method.try_refresh_on(&grown, &mut pool, &ctl, &mut cache, dirty),
+            Err(Cancelled)
+        ));
+        let retry = method
+            .try_refresh_on(&grown, &mut pool, &SweepControl::new(), &mut cache, dirty)
+            .unwrap();
+        assert_eq!(retry.to_json(), method.run_on(&grown, &mut pool).to_json());
+        assert!(cache.stats.steps_skipped > 0, "{:?}", cache.stats);
     }
 }

@@ -236,16 +236,9 @@ pub struct CacheStats {
 }
 
 impl ReportCache {
-    /// Creates a memory-only cache bounded by `capacity_bytes` of report
-    /// bodies (0 disables caching: every `get` misses, every `insert` is
-    /// dropped, and no LRU structure is allocated), counting into a private
-    /// registry.
-    pub fn new(capacity_bytes: usize) -> Self {
-        Self::with_tiers(capacity_bytes, None, Arc::new(Metrics::new()))
-    }
-
-    /// The full two-tier constructor: a memory budget (0 ⇒ no memory tier)
-    /// over an optional disk spill tier.
+    /// A cache with a memory budget of `capacity_bytes` of report bodies
+    /// over an optional disk spill tier. A zero budget has no memory tier:
+    /// every memory lookup misses, and no LRU structure is allocated.
     pub fn with_tiers(
         capacity_bytes: usize,
         disk: Option<Arc<DiskTier>>,
@@ -376,6 +369,12 @@ mod tests {
         dir
     }
 
+    /// A memory-only cache of `capacity_bytes` (0 disables caching),
+    /// counting into a private registry.
+    fn mem_cache(capacity_bytes: usize) -> ReportCache {
+        ReportCache::with_tiers(capacity_bytes, None, Arc::new(Metrics::new()))
+    }
+
     fn with_disk(mem_bytes: usize, disk_bytes: usize, dir: &Path) -> ReportCache {
         let metrics = Arc::new(Metrics::new());
         let disk =
@@ -385,7 +384,7 @@ mod tests {
 
     #[test]
     fn hit_returns_the_same_bytes() {
-        let cache = ReportCache::new(1024);
+        let cache = mem_cache(1024);
         cache.insert(1, body("{\"report\":1}"));
         let a = cache.get(1).unwrap();
         let b = cache.get(1).unwrap();
@@ -398,7 +397,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_is_by_bytes_and_recency() {
-        let cache = ReportCache::new(30);
+        let cache = mem_cache(30);
         cache.insert(1, body("aaaaaaaaaa")); // 10 bytes
         cache.insert(2, body("bbbbbbbbbb"));
         cache.insert(3, body("cccccccccc"));
@@ -413,17 +412,17 @@ mod tests {
 
     #[test]
     fn oversized_bodies_and_zero_capacity_are_not_cached() {
-        let cache = ReportCache::new(5);
+        let cache = mem_cache(5);
         cache.insert(1, body("too big to fit"));
         assert!(cache.get(1).is_none());
-        let disabled = ReportCache::new(0);
+        let disabled = mem_cache(0);
         disabled.insert(1, body("x"));
         assert!(disabled.get(1).is_none());
     }
 
     #[test]
     fn zero_capacity_allocates_no_tier() {
-        let disabled = ReportCache::new(0);
+        let disabled = mem_cache(0);
         assert!(disabled.mem.is_none(), "capacity 0 must not allocate an LRU");
         assert!(disabled.disk.is_none());
         let stats = disabled.stats();
@@ -434,7 +433,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_and_keeps_accounting_exact() {
-        let cache = ReportCache::new(100);
+        let cache = mem_cache(100);
         cache.insert(1, body("short"));
         cache.insert(1, body("a longer replacement body"));
         let stats = cache.stats();
@@ -524,7 +523,7 @@ mod tests {
     fn linked_list_matches_reference_lru_under_stress() {
         use std::collections::VecDeque;
         let capacity = 64usize;
-        let cache = ReportCache::new(capacity);
+        let cache = mem_cache(capacity);
         // reference: recency-ordered deque of (key, len), most recent front
         let mut model: VecDeque<(u128, usize)> = VecDeque::new();
         let mut model_evictions = 0u64;

@@ -456,12 +456,6 @@ pub struct JobManager {
 }
 
 impl JobManager {
-    /// One executor with a pool of `threads` parallelism (0 = all cores)
-    /// and a queue bounded at `queue_depth` waiting jobs.
-    pub fn new(threads: usize, queue_depth: usize) -> Self {
-        Self::with_config(JobsConfig::new(threads, queue_depth), None)
-    }
-
     /// Lays out the executors ([`executor_layout`]) and starts the
     /// supervisor, which spawns them and enforces deadlines. `metrics`
     /// is the shared registry where `/v1/metrics` and `/v1/health` must
@@ -1055,6 +1049,13 @@ mod tests {
         JobOutcome { status: 200, body: Arc::from(body) }
     }
 
+    /// One executor with a pool of `threads` parallelism and a queue
+    /// bounded at `queue_depth` waiting jobs, counting into a private
+    /// registry.
+    fn manager(threads: usize, queue_depth: usize) -> JobManager {
+        JobManager::with_config(JobsConfig::new(threads, queue_depth), None)
+    }
+
     /// A reusable gate: jobs block in `hold` until the test `release`s.
     struct Gate {
         open: Mutex<bool>,
@@ -1093,7 +1094,7 @@ mod tests {
 
     #[test]
     fn submit_wait_roundtrip() {
-        let jobs = JobManager::new(1, 8);
+        let jobs = manager(1, 8);
         let id = jobs.submit(None, Box::new(|_pool, _ctx| ok("{\"x\":1}"))).unwrap();
         let outcome = jobs.wait(id).unwrap();
         assert_eq!(outcome.status, 200);
@@ -1109,7 +1110,7 @@ mod tests {
 
     #[test]
     fn coalescing_shares_one_execution() {
-        let jobs = JobManager::new(1, 8);
+        let jobs = manager(1, 8);
         // a blocker job keeps the executor busy so both submissions queue
         let gate = Gate::new();
         let g = Arc::clone(&gate);
@@ -1134,7 +1135,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_rejects_when_full() {
-        let jobs = JobManager::new(1, 1);
+        let jobs = manager(1, 1);
         let gate = Gate::new();
         let g = Arc::clone(&gate);
         jobs.submit(
@@ -1159,7 +1160,7 @@ mod tests {
 
     #[test]
     fn panicking_job_becomes_500_and_executor_survives() {
-        let jobs = JobManager::new(1, 8);
+        let jobs = manager(1, 8);
         let id = jobs.submit(None, Box::new(|_pool, _ctx| panic!("boom"))).unwrap();
         let outcome = jobs.wait(id).unwrap();
         assert_eq!(outcome.status, 500);
@@ -1200,7 +1201,7 @@ mod tests {
             assert!(v["error"]["scales_total"].as_u64().is_some());
         }
         // a caught panic emits the registered `panicked` code
-        let jobs = JobManager::new(1, 4);
+        let jobs = manager(1, 4);
         let id = jobs.submit(None, Box::new(|_pool, _ctx| panic!("boom"))).unwrap();
         let outcome = jobs.wait(id).unwrap();
         let v: serde_json::Value = serde_json::from_str(&outcome.body).unwrap();
@@ -1209,7 +1210,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_are_none() {
-        let jobs = JobManager::new(1, 2);
+        let jobs = manager(1, 2);
         assert!(jobs.phase(999).is_none());
         assert!(jobs.wait(999).is_none());
         assert!(jobs.outcome(999).is_none());
@@ -1218,7 +1219,7 @@ mod tests {
 
     #[test]
     fn jobs_actually_use_the_pool() {
-        let jobs = JobManager::new(3, 4);
+        let jobs = manager(3, 4);
         let id = jobs
             .submit(
                 None,
@@ -1234,7 +1235,7 @@ mod tests {
 
     #[test]
     fn queued_job_past_deadline_expires_without_executing() {
-        let jobs = JobManager::new(1, 8);
+        let jobs = manager(1, 8);
         // a deadline pass that never runs fails at `give_up`, not by hanging
         let give_up = Instant::now() + Duration::from_secs(5);
         let gate = Gate::new();
@@ -1280,7 +1281,7 @@ mod tests {
 
     #[test]
     fn running_job_past_deadline_gets_its_token_fired() {
-        let jobs = JobManager::new(1, 8);
+        let jobs = manager(1, 8);
         let give_up = Instant::now() + Duration::from_secs(5);
         let id = jobs
             .submit_with(
@@ -1373,7 +1374,7 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_wait_that_exceeds_deadline() {
-        let jobs = JobManager::new(1, 8);
+        let jobs = manager(1, 8);
         // seed the EWMA with a measured ~50ms job
         let seed = jobs
             .submit(
@@ -1434,7 +1435,7 @@ mod tests {
 
     #[test]
     fn drain_finishes_backlog_then_refuses_new_work() {
-        let jobs = JobManager::new(1, 8);
+        let jobs = manager(1, 8);
         let first = jobs
             .submit(
                 None,
@@ -1459,7 +1460,7 @@ mod tests {
 
     #[test]
     fn drain_budget_cancels_stragglers() {
-        let jobs = JobManager::new(1, 8);
+        let jobs = manager(1, 8);
         let gate = Gate::new();
         let g = Arc::clone(&gate);
         let stubborn = jobs
@@ -1489,7 +1490,7 @@ mod tests {
 
     #[test]
     fn coalesced_waiter_with_short_deadline_times_out_alone() {
-        let jobs = JobManager::new(1, 8);
+        let jobs = manager(1, 8);
         let gate = Gate::new();
         let g = Arc::clone(&gate);
         let id = jobs

@@ -155,7 +155,9 @@ impl Histogram {
     /// Samples in the `+Inf` bucket report the largest finite bound
     /// (clipped, like every value their bucket cannot distinguish).
     /// Cumulative counts saturate instead of wrapping, so pathological
-    /// totals degrade to a clipped answer rather than a wrong one.
+    /// totals degrade to a clipped answer rather than a wrong one. Tests
+    /// only: the server reads histograms through the exposition.
+    #[cfg(test)]
     pub fn quantile(&self, q: f64) -> Option<u64> {
         let total = self.count();
         if total == 0 {
@@ -343,6 +345,9 @@ pub struct Metrics {
     /// `saturn_stream_suffix_windows_rebuilt_total` — timeline windows
     /// rebuilt by suffix splices (the incremental work actually done).
     pub stream_suffix_windows_rebuilt: Counter,
+    /// `saturn_stream_dp_steps_skipped_total` — non-empty DP steps that
+    /// refreshes resumed from a checkpoint did not re-run, over tiles.
+    pub stream_dp_steps_skipped: Counter,
     /// `saturn_stream_stale_refreshes_total` — refreshes whose snapshot
     /// was outrun by a newer refresh of the same session and therefore ran
     /// from scratch, leaving the session cache alone.
@@ -553,6 +558,11 @@ impl Metrics {
                 &self.stream_suffix_windows_rebuilt,
             ),
             (
+                "saturn_stream_dp_steps_skipped_total",
+                "Non-empty DP steps not re-run by refreshes resumed from a checkpoint.",
+                &self.stream_dp_steps_skipped,
+            ),
+            (
                 "saturn_stream_stale_refreshes_total",
                 "Refreshes outrun by a newer refresh of the session (ran from scratch).",
                 &self.stream_stale_refreshes,
@@ -631,6 +641,7 @@ impl SweepObserver for MetricsSweepObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -679,6 +690,43 @@ mod tests {
         assert_eq!(h.quantile(0.50), Some(128));
         assert_eq!(h.quantile(0.90), Some(128));
         assert_eq!(h.quantile(0.99), Some(1 << 20));
+    }
+
+    /// Latencies spanning every bucket: tiny, mid-range, and past the
+    /// largest finite bound (~35.8 min in µs), plus u64 extremes via the
+    /// shifts.
+    fn arb_latencies() -> impl Strategy<Value = Vec<(u64, u32)>> {
+        proptest::collection::vec((0u64..=u64::MAX, 0u32..=63), 1..120)
+            .prop_map(|raw| raw.into_iter().map(|(v, shift)| (v >> shift, shift)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Quantiles are conservative: the reported bound is ≥ at least
+        /// `ceil(q·n)` of the recorded samples (clipped samples — those past
+        /// the largest finite bound — are the only ones a bound can
+        /// undercount).
+        #[test]
+        fn quantiles_cover_their_rank(samples in arb_latencies(), q in 1u32..=100) {
+            let h = Histogram::new();
+            for &(micros, _) in &samples {
+                h.observe_micros(micros);
+            }
+            let q = q as f64 / 100.0;
+            let bound = h.quantile(q).unwrap();
+            let rank = ((q * samples.len() as f64).ceil() as u64).clamp(1, samples.len() as u64);
+            let covered = samples
+                .iter()
+                .filter(|&&(micros, _)| {
+                    micros <= bound || micros > bucket_bound_micros(FINITE_BUCKETS - 1)
+                })
+                .count() as u64;
+            prop_assert!(
+                covered >= rank,
+                "q={} bound={} covers {} of rank {}", q, bound, covered, rank
+            );
+        }
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //!   `400` never leaves a half-applied batch behind.
 //! * `POST /v1/streams/<id>/analyze` — re-analyzes the stream-so-far
 //!   through [`OccupancyMethod::try_refresh_on`], reusing the session's
-//!   cached per-scale timelines and histograms: clean scales are served
-//!   without running any DP, dirty ones rebuild only the suffix windows
-//!   the appended events touched.
+//!   cached per-scale timelines, histograms and DP checkpoints: clean
+//!   scales are served without running any DP, dirty ones rebuild only the
+//!   suffix windows the appended events touched and resume their DP from
+//!   the latest checkpoint before the first of them, so a refresh's work
+//!   follows the append rather than the stream
+//!   (`saturn_stream_dp_steps_skipped_total` counts the steps saved).
 //!
 //! **The report is the artifact, the session is the accelerator.** A
 //! refresh produces byte-for-byte the same JSON `/v1/analyze` returns for
@@ -434,6 +437,7 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
                 metrics.stream_scales_reused.add(stats.scales_reused);
                 metrics.stream_tiles_skipped.add(stats.tiles_skipped);
                 metrics.stream_suffix_windows_rebuilt.add(stats.suffix_windows_rebuilt);
+                metrics.stream_dp_steps_skipped.add(stats.steps_skipped);
                 cache_insert(report.to_json())
             }
             // outrun by a newer refresh: correct bytes for this snapshot,

@@ -181,9 +181,68 @@
 //! reported once per step, after all its edges are processed (in ascending
 //! `(row, target-column)` order within the step), so the sink always sees
 //! final values.
+//!
+//! # Orientation and resume
+//!
+//! The engine runs in one of two orientations, monomorphized over a const
+//! parameter so the backward hot loop is the one described above:
+//! backward ([`earliest_arrival_dp_in`]), or mirrored
+//! ([`mirrored_histogram_in`]), which walks the steps in *ascending*
+//! order, reads step index `i` as `K − 1 − i` (`K` = the timeline's step
+//! count) and turns every directed edge around. This is rust_road_router's
+//! move of running a backward profile search forward on a reversed graph.
+//!
+//! * **The reversal bijection.** Let `M` be the mirrored timeline: step
+//!   `K − 1 − i` of `M` holds `(w, u)` for each edge `(u, w)` of step `i`
+//!   (the same edges when undirected). A temporal path from `v` to `u`
+//!   over steps `s1 < … < sh` is, read backwards, a path of `M` from `u` to
+//!   `v` over steps `K − 1 − sh < … < K − 1 − s1`, with the same hops, and
+//!   conversely; strict step order (Remark 1) survives the map. So a trip
+//!   `(v, u, d, a)` exists iff trip `(u, v, K − 1 − a, K − 1 − d)` of `M`
+//!   does. The interval map `[d, a] ↦ [K − 1 − a, K − 1 − d]` is a
+//!   bijection that preserves inclusion, so interval minimality — no trip
+//!   in a strictly smaller interval — holds on one side iff on the other,
+//!   and the paths inside matching intervals are the same paths, so the
+//!   minimum hops agree. The backward engine run on `M` therefore reports
+//!   exactly the minimal trips `(u, v, d, a, h) ↔ (v, u, K−1−a, K−1−d, h)`,
+//!   and the mirrored run maps each one back before the sink sees it.
+//!   Durations `a − d + 1`, hence occupancy rates, are unchanged. What does
+//!   change is the grouping: `M`'s columns are the original *sources*, so
+//!   tiles partition trips by source, rows must cover every destination
+//!   (the target set must be every node), and trips arrive by ascending
+//!   original arrival — so only an order-free sink, the [`RateCounter`],
+//!   may take them. The unit tests compare both orientations trip for trip
+//!   and histogram for histogram.
+//! * **What a checkpoint holds.** Before the first step at or above index
+//!   `c`, the mirrored state depends on the steps below `c` alone: key
+//!   `[u][v]` holds `K − 1` minus the latest departure of a path from `v`
+//!   to `u` that arrives before `c`, with its minimum hops, and every trip
+//!   reported so far arrives before `c`. A [`Checkpoint`] is `c` plus that
+//!   table over every column ([`SavedKeys`], packed into 32 bits when the
+//!   keys fit). A run that loads it and walks the remaining steps reports
+//!   exactly the trips that arrive at or after `c`, on any timeline whose
+//!   steps below `c` are unchanged, with any tile layout. A run hands its
+//!   tile's table and its sealed counter back at each rung of
+//!   [`Mirror::rungs`], so one run both resumes and records.
+//! * **Why `NEVER` watermarks keep the delta invariants.** A loaded run
+//!   treats every loaded cell as changed at a virtual step `NEVER`, before
+//!   every real step: change marks stay `UNCHANGED` (`at = NEVER`),
+//!   `row_changed_at` stays `NEVER`, and every watermark starts at `NEVER`,
+//!   as in a fresh run. A direction's first firing then has
+//!   `last = NEVER`, so the word filter yields every live cell and the
+//!   whole loaded row is merged, which establishes the inductive invariant
+//!   of "Correctness" just as a fresh run's first firing does. Afterwards a
+//!   word still marked `at = NEVER` reads as changed before the direction's
+//!   last visit and is skipped — rightly, that visit merged it — and a
+//!   word's first real change records `prev = NEVER`, which sends later
+//!   consumers to `recent`, the only cells that changed since they merged
+//!   the loaded ones. Watermarks are not saved at all: pair ids are view
+//!   ranks, which an append may shift (the timeline's "Splice
+//!   invariants"), so a saved watermark could name another pair. Loaded
+//!   cells get their frontier bits, so the next `prepare` resets them.
 
 use crate::cancel::CancelToken;
-use crate::{TargetSet, Timeline};
+use crate::{OccupancyHistogram, RateCounter, TargetSet, Timeline};
 
 /// Sentinel for "no path" in the baseline's `ea` table.
 const NONE_EA: u32 = u32::MAX;
@@ -640,15 +699,45 @@ impl EngineArena {
         self.slot_of.fill(NEVER);
     }
 
-    fn run(
+    /// One run over the steps from non-empty ordinal `walk.from` on, in
+    /// the orientation `MIRROR` names (module docs, "Orientation and
+    /// resume"): descending step index, or ascending with every index `i`
+    /// read as `K − 1 − i` and directed edges reversed. Before the step of
+    /// each ordinal in `walk.rungs` (mirrored runs only), `on_rung` gets the
+    /// rung's position, the tile's key table and the sink.
+    /// Loads a checkpoint's columns `[col_start, col_start + ncols)` into
+    /// a freshly prepared arena: its keys and their frontier bits. The
+    /// change marks stay "unchanged" and every watermark starts at `NEVER`,
+    /// so each consumer's first firing merges every loaded cell (module
+    /// docs, "Orientation and resume").
+    fn load(&mut self, ck: &Checkpoint<'_>, col_start: usize) {
+        let (ncols, wpr) = (self.ncols, self.words_per_row);
+        let cols = ck.width.saturating_sub(col_start).min(ncols);
+        if cols == 0 {
+            return;
+        }
+        for row in 0..self.nrows.min(ck.keys.len() / ck.width.max(1)) {
+            for c in 0..cols {
+                let key = ck.keys.get(row * ck.width + col_start + c);
+                if key != UNREACHED {
+                    self.keys[row * ncols + c] = key;
+                    self.frontier[row * wpr + c / 64] |= 1 << (c % 64);
+                }
+            }
+        }
+    }
+
+    fn run<S: TripSink, const MIRROR: bool>(
         &mut self,
         timeline: &Timeline,
         targets: &TargetSet,
-        col_start: u32,
-        sink: &mut impl TripSink,
-        options: DpOptions,
-        cancel: Option<&CancelToken>,
+        sink: &mut S,
+        scope: &DpRun<'_>,
+        walk: Walk<'_>,
+        on_rung: &mut impl FnMut(usize, &[u64], &mut S),
     ) -> DpStats {
+        let (col_start, options, cancel) =
+            (scope.tile.map_or(0, |(start, _)| start), scope.options, scope.cancel);
         // Field-split the arena so the hot loops can hold a shared borrow of
         // the snapshot while mutating keys/frontier/dirty bits.
         let EngineArena {
@@ -719,7 +808,11 @@ impl EngineArena {
         // leaves the arena in the same state a caught sink panic would;
         // `prepare` resets it, and the partial stats are discarded upstream.
         let mut cancel_countdown = CANCEL_STRIDE;
-        for step in timeline.steps_desc() {
+        let nsteps = timeline.nonempty_steps();
+        // a mirrored run reads step index `i` as `last - i`
+        let last = timeline.num_steps().saturating_sub(1);
+        let mut next_rung = 0;
+        for j in walk.from..nsteps {
             if let Some(token) = cancel {
                 cancel_countdown -= 1;
                 if cancel_countdown == 0 {
@@ -729,11 +822,20 @@ impl EngineArena {
                     }
                 }
             }
-            let k = step.index;
+            while MIRROR && walk.rungs.get(next_rung).is_some_and(|&at| at <= j) {
+                on_rung(next_rung, &keys[..nrows * ncols], sink);
+                next_rung += 1;
+            }
+            let step = timeline.step(if MIRROR { j } else { nsteps - 1 - j });
+            let k = if MIRROR { last - step.index } else { step.index };
+            // time reversal turns a directed edge around
+            let (src, dst) =
+                if MIRROR && !undirected { (step.dst, step.src) } else { (step.src, step.dst) };
+            let pair = step.pair;
             // the key of the single hop's candidate `(arrival = k, hops = 1)`
             let single_hop = u64::from(k) << 32 | 1;
 
-            if step.len() == 1 {
+            if pair.len() == 1 {
                 // Degree-1 fast path (module docs): one edge `(eu, ew)`,
                 // no slot machinery. Direction `eu -> ew` writes only row
                 // `eu`, so row `ew` stays pre-step and is read live; for the
@@ -744,7 +846,7 @@ impl EngineArena {
                 // direction: a continuation row unchanged since the
                 // direction's last visit is skipped outright, and a changed
                 // row only merges the words changed since.
-                let (eu, ew) = (step.src[0], step.dst[0]);
+                let (eu, ew) = (src[0], dst[0]);
                 let (u, w) = (eu as usize, ew as usize);
                 stats.degree1_steps += 1;
                 debug_assert_ne!(eu, ew, "streams never carry self-loops");
@@ -758,7 +860,7 @@ impl EngineArena {
                 if undirected {
                     report_order.push((ew, 1));
                 }
-                let wi_fwd = step.pair[0] as usize * 2;
+                let wi_fwd = pair[0] as usize * 2;
                 let last_fwd = std::mem::replace(&mut wm[wi_fwd], k);
                 // 0 when directed: no reverse direction reads the snapshot
                 let last_rev =
@@ -812,7 +914,7 @@ impl EngineArena {
                 //    `u` can be the head of another edge of the same step, so
                 //    both endpoints are slotted uniformly.
                 debug_assert!(slotted.is_empty());
-                for &node in step.src.iter().chain(step.dst.iter()) {
+                for &node in src.iter().chain(dst.iter()) {
                     if slot_of[node as usize] == NEVER {
                         let slot = slotted.len() as u32;
                         slot_of[node as usize] = slot;
@@ -832,9 +934,9 @@ impl EngineArena {
                 // 1b. Per slot, the most permissive consumer watermark: the
                 //     snapshot below keeps exactly the words at least one of
                 //     the step's consuming directions still needs.
-                for e in 0..step.len() {
-                    let wi = step.pair[e] as usize * 2;
-                    let heads: [(usize, u32); 2] = [(wi, step.dst[e]), (wi + 1, step.src[e])];
+                for e in 0..pair.len() {
+                    let wi = pair[e] as usize * 2;
+                    let heads: [(usize, u32); 2] = [(wi, dst[e]), (wi + 1, src[e])];
                     for &(wi, head) in &heads[..1 + undirected as usize] {
                         let slot = slot_of[head as usize] as usize;
                         slot_maxlast[slot] = slot_maxlast[slot].max(wm[wi]);
@@ -863,9 +965,9 @@ impl EngineArena {
                 // 3. Process every traversal of the step against the snapshots,
                 //    each direction filtering blocks by its own watermark (the
                 //    shared snapshot was filtered by the *max* over consumers).
-                for e in 0..step.len() {
-                    let (eu, ew) = (step.src[e], step.dst[e]);
-                    let wi = step.pair[e] as usize * 2;
+                for e in 0..pair.len() {
+                    let (eu, ew) = (src[e], dst[e]);
+                    let wi = pair[e] as usize * 2;
                     let dirs: [(u32, u32, usize); 2] = [(eu, ew, wi), (ew, eu, wi + 1)];
                     for &(u, w, wi) in &dirs[..1 + undirected as usize] {
                         stats.traversals += 1;
@@ -925,7 +1027,14 @@ impl EngineArena {
                         bits &= bits - 1;
                         let key = keys[row * ncols + c];
                         let v = targets.node_of(col_start + c as u32);
-                        sink.minimal_trip(node, v, k, (key >> 32) as u32, key as u32);
+                        let (ea, hops) = ((key >> 32) as u32, key as u32);
+                        if MIRROR {
+                            // mirrored trip (node, v, k, ea) is (v, node,
+                            // last - ea, last - k) in forward time
+                            sink.minimal_trip(v, node, last - ea, last - k, hops);
+                        } else {
+                            sink.minimal_trip(node, v, k, ea, hops);
+                        }
                         stats.trips += 1;
                     }
                 }
@@ -941,6 +1050,11 @@ impl EngineArena {
             slot_maxlast.clear();
             snap.clear();
             blocks.clear();
+        }
+        // rungs past the last non-empty step (a cancelled run's output is
+        // discarded anyway)
+        for r in next_rung..walk.rungs.len() {
+            on_rung(r, &keys[..nrows * ncols], sink);
         }
 
         // Final distance flush: each surviving key is valid for departure
@@ -1026,6 +1140,14 @@ pub fn earliest_arrival_dp_in<'a>(
     run: impl Into<DpRun<'a>>,
 ) -> DpStats {
     let run = run.into();
+    let (_, col_len) = tile_of(&run, targets);
+    arena.prepare(timeline.n() as usize, col_len as usize, run.options.collect_distances);
+    let walk = Walk { from: 0, rungs: &[] };
+    arena.run::<_, false>(timeline, targets, sink, &run, walk, &mut |_, _, _| {})
+}
+
+/// The run's tile `(col_start, col_len)`, checked against `targets`.
+fn tile_of(run: &DpRun<'_>, targets: &TargetSet) -> (u32, u32) {
     let (col_start, col_len) = run.tile.unwrap_or((0, targets.len() as u32));
     assert!(col_len > 0, "empty target tile");
     assert!(
@@ -1033,8 +1155,162 @@ pub fn earliest_arrival_dp_in<'a>(
         "tile [{col_start}, {col_start}+{col_len}) out of range for {} targets",
         targets.len()
     );
-    arena.prepare(timeline.n() as usize, col_len as usize, run.options.collect_distances);
-    arena.run(timeline, targets, col_start, sink, run.options, run.cancel)
+    (col_start, col_len)
+}
+
+/// Where a run starts and where it stops to hand back its state: the first
+/// non-empty step ordinal, and the ordinals (ascending, above `from`)
+/// before whose step a mirrored run calls its rung callback.
+struct Walk<'a> {
+    from: usize,
+    rungs: &'a [usize],
+}
+
+/// The key table a mirrored run saved at a step boundary (module docs,
+/// "Orientation and resume").
+#[derive(Clone, Copy, Debug)]
+pub struct Checkpoint<'a> {
+    /// The boundary: the table is the state after every step with a lower
+    /// index and before any other.
+    pub step: u32,
+    /// Row-major keys of every column, `width` per row. Rows and columns
+    /// past `width` (nodes that joined the stream after the checkpoint)
+    /// load as unreachable.
+    pub keys: &'a SavedKeys,
+    /// Columns per row of `keys`.
+    pub width: usize,
+}
+
+/// A saved key table: the keys themselves, or, when every reachable key's
+/// `ea` and `hops` fit 31 bits together, each packed into a `u32` as
+/// `ea << hop_bits | hops` (`u32::MAX` = unreachable), half the bytes.
+#[derive(Debug)]
+pub struct SavedKeys(Saved);
+
+#[derive(Debug)]
+enum Saved {
+    Wide(Vec<u64>),
+    Packed { keys: Vec<u32>, hop_bits: u32 },
+}
+
+impl SavedKeys {
+    /// Saves `keys`, packed when they fit.
+    pub fn new(keys: Vec<u64>) -> Self {
+        let (mut ea, mut hops) = (0u32, 0u32);
+        for &key in keys.iter().filter(|&&key| key != UNREACHED) {
+            ea = ea.max((key >> 32) as u32);
+            hops = hops.max(key as u32);
+        }
+        let hop_bits = u32::BITS - hops.leading_zeros();
+        if hop_bits + u32::BITS - ea.leading_zeros() > 31 {
+            return SavedKeys(Saved::Wide(keys));
+        }
+        let pack = |&key: &u64| match key {
+            UNREACHED => u32::MAX,
+            key => ((key >> 32) as u32) << hop_bits | key as u32,
+        };
+        SavedKeys(Saved::Packed { keys: keys.iter().map(pack).collect(), hop_bits })
+    }
+
+    /// Bytes of the saved keys.
+    pub fn bytes(&self) -> usize {
+        match &self.0 {
+            Saved::Wide(keys) => keys.len() * size_of::<u64>(),
+            Saved::Packed { keys, .. } => keys.len() * size_of::<u32>(),
+        }
+    }
+
+    /// The number of keys.
+    fn len(&self) -> usize {
+        match &self.0 {
+            Saved::Wide(keys) => keys.len(),
+            Saved::Packed { keys, .. } => keys.len(),
+        }
+    }
+
+    /// Key `i`, unpacked.
+    fn get(&self, i: usize) -> u64 {
+        match self.0 {
+            Saved::Wide(ref keys) => keys[i],
+            Saved::Packed { ref keys, hop_bits } => match keys[i] {
+                u32::MAX => UNREACHED,
+                key => {
+                    u64::from(key >> hop_bits) << 32 | u64::from(key & ((1 << hop_bits) - 1))
+                }
+            },
+        }
+    }
+}
+
+/// The resume point and the rungs of a mirrored run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Mirror<'a> {
+    /// Start from this checkpoint instead of the first step.
+    pub from: Option<Checkpoint<'a>>,
+    /// Step boundaries, ascending and above `from`'s, at which the run
+    /// hands back its key table and seals its counter.
+    pub rungs: &'a [u32],
+}
+
+/// [`earliest_arrival_dp_in`] in mirrored time, into a [`RateCounter`]:
+/// the same engine over the steps in ascending order, each index `i` read
+/// as `K − 1 − i` and directed edges reversed, which reports every minimal
+/// trip of the backward run exactly once (module docs, "Orientation and
+/// resume"). Tiles partition the trips by *source*, not destination, and
+/// trips arrive in no particular order, so only an order-free sink like the
+/// counter may take them; the sealed histograms equal the backward run's.
+///
+/// The run starts at `mirror.from` when given, and before the first step at
+/// or above each boundary of `mirror.rungs` calls `on_rung` with the rung's
+/// position in `mirror.rungs`, the tile's `n × col_len` key table, and the
+/// counter sealed so far (which resets it). Every trip lands in exactly one
+/// of the histograms handed to `on_rung` or left in the counter at the end:
+/// the ones that arrive before the first rung's boundary (after
+/// `mirror.from`'s), then between consecutive rungs, then after the last.
+///
+/// # Panics
+/// Panics if `targets` is not every node, the run collects distances, the
+/// tile is out of range, or a rung is not above the resume point.
+pub fn mirrored_histogram_in(
+    arena: &mut EngineArena,
+    timeline: &Timeline,
+    targets: &TargetSet,
+    counter: &mut RateCounter,
+    run: DpRun<'_>,
+    mirror: Mirror<'_>,
+    mut on_rung: impl FnMut(usize, &[u64], OccupancyHistogram),
+) -> DpStats {
+    mirrored_in(arena, timeline, targets, counter, run, mirror, &mut |r, keys, counter| {
+        on_rung(r, keys, counter.finish())
+    })
+}
+
+/// [`mirrored_histogram_in`] into any sink; crate-private, because only an
+/// order-free sink may see a mirrored run's trips.
+fn mirrored_in<S: TripSink>(
+    arena: &mut EngineArena,
+    timeline: &Timeline,
+    targets: &TargetSet,
+    sink: &mut S,
+    run: DpRun<'_>,
+    mirror: Mirror<'_>,
+    on_rung: &mut impl FnMut(usize, &[u64], &mut S),
+) -> DpStats {
+    assert!(targets.is_all(), "a mirrored run needs every node as a target");
+    assert!(!run.options.collect_distances, "a mirrored run collects no distances");
+    let (col_start, col_len) = tile_of(&run, targets);
+    arena.prepare(timeline.n() as usize, col_len as usize, false);
+    let from = mirror.from.map_or(0, |ck| {
+        arena.load(&ck, col_start as usize);
+        timeline.steps_before(ck.step)
+    });
+    let rungs: Vec<usize> = mirror.rungs.iter().map(|&c| timeline.steps_before(c)).collect();
+    assert!(
+        mirror.rungs.windows(2).all(|w| w[0] < w[1])
+            && mirror.rungs.first().is_none_or(|&c| mirror.from.is_none_or(|ck| ck.step < c)),
+        "rungs must ascend above the resume point"
+    );
+    arena.run::<_, true>(timeline, targets, sink, &run, Walk { from, rungs: &rungs }, on_rung)
 }
 
 pub mod baseline {
@@ -1247,6 +1523,7 @@ pub mod baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use saturn_linkstream::Directedness;
 
     /// Collects trips into a vector for inspection.
@@ -1777,5 +2054,238 @@ mod tests {
             earliest_arrival_dp_in(&mut arena, &t, &targets, &mut again, DpOptions::default());
         assert_eq!(again.0, full.0);
         assert_eq!(rs.trips, fs.trips);
+    }
+
+    /// A reported trip: `(u, v, dep, arr, hops)`.
+    type Trip = (u32, u32, u32, u32, u32);
+
+    /// A mirrored run's output, split at its rungs: the trips (as the
+    /// sink saw them) before each rung and after the last one, and each
+    /// rung's full-width key table stitched from its tiles.
+    struct MirrorRun {
+        segments: Vec<Vec<Trip>>,
+        tables: Vec<Vec<u64>>,
+    }
+
+    /// Runs [`mirrored_in`] over every `tile`-wide tile of an all-nodes
+    /// target set on `arena`, from `from`, sealing at `rungs`.
+    fn mirrored_run(
+        arena: &mut EngineArena,
+        t: &Timeline,
+        tile: usize,
+        from: Option<Checkpoint<'_>>,
+        rungs: &[u32],
+    ) -> MirrorRun {
+        let n = t.n() as usize;
+        let targets = TargetSet::all(t.n());
+        let mut out = MirrorRun {
+            segments: vec![Vec::new(); rungs.len() + 1],
+            tables: vec![vec![UNREACHED; n * n]; rungs.len()],
+        };
+        for (start, len) in targets.tile_ranges(tile) {
+            let run = DpRun { tile: Some((start, len)), ..Default::default() };
+            let mut sink = Collect::default();
+            let segments = &mut out.segments;
+            let tables = &mut out.tables;
+            mirrored_in(
+                arena,
+                t,
+                &targets,
+                &mut sink,
+                run,
+                Mirror { from, rungs },
+                &mut |r, keys, sink: &mut Collect| {
+                    segments[r].append(&mut sink.0);
+                    for (row, saved) in keys.chunks(len as usize).enumerate() {
+                        tables[r][row * n + start as usize..][..len as usize]
+                            .copy_from_slice(saved);
+                    }
+                },
+            );
+            out.segments[rungs.len()].append(&mut sink.0);
+        }
+        out
+    }
+
+    fn sorted(mut trips: Vec<Trip>) -> Vec<Trip> {
+        trips.sort_unstable();
+        trips
+    }
+
+    /// Up to 40 random events over `n` nodes in [0, 60], self-loops dropped.
+    fn arb_stream() -> impl Strategy<Value = saturn_linkstream::LinkStream> {
+        (any::<bool>(), any::<bool>(), 1usize..40, any::<u64>()).prop_filter_map(
+            "needs a non-loop event",
+            |(directed, wide, len, seed)| {
+                let n = if wide { 70 } else { 6 };
+                let d =
+                    if directed { Directedness::Directed } else { Directedness::Undirected };
+                let mut b = saturn_linkstream::LinkStreamBuilder::indexed(d, n);
+                let mut x = seed | 1;
+                let mut next = |m: u64| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x % m
+                };
+                // a small hub set keeps the wide case's paths multi-hop
+                let hubs = u64::from(n.min(9));
+                for _ in 0..len {
+                    let (u, v) = (next(hubs) as u32, next(u64::from(n)) as u32);
+                    if u != v {
+                        b.add_indexed(u, v, next(61) as i64);
+                    }
+                }
+                (!b.is_empty()).then(|| b.build().expect("non-empty"))
+            },
+        )
+    }
+
+    fn timeline_of(stream: &saturn_linkstream::LinkStream, exact: bool, k: u64) -> Timeline {
+        if exact {
+            Timeline::exact(stream)
+        } else {
+            Timeline::aggregated(stream, if stream.span() == 0 { 1 } else { k })
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(150))]
+
+        /// The mirrored run is the backward run in reverse time: the same
+        /// trips once mapped back (as a multiset), the same sealed
+        /// histogram through a counter, and the same `mean` bits — for
+        /// both directednesses, exact and aggregated timelines, tile widths
+        /// 1, 3 and `n`, on one arena reused across all of it.
+        #[test]
+        fn mirrored_run_equals_backward_run(
+            stream in arb_stream(),
+            exact in any::<bool>(),
+            k in 1u64..30,
+        ) {
+            let t = timeline_of(&stream, exact, k);
+            let targets = TargetSet::all(t.n());
+            let mut arena = EngineArena::new();
+            let mut backward = Collect::default();
+            earliest_arrival_dp_in(&mut arena, &t, &targets, &mut backward, DpOptions::default());
+            let expected = occupancy_hist(&mut arena, &t, &targets);
+            let backward = sorted(backward.0);
+            for tile in [1, 3, t.n() as usize] {
+                let run = mirrored_run(&mut arena, &t, tile, None, &[]);
+                prop_assert_eq!(&sorted(run.segments.concat()), &backward, "tile={}", tile);
+                let mut hist = OccupancyHistogram::new();
+                let mut counter = RateCounter::new();
+                for (start, len) in targets.tile_ranges(tile) {
+                    let run = DpRun { tile: Some((start, len)), ..Default::default() };
+                    mirrored_histogram_in(&mut arena, &t, &targets, &mut counter, run, Mirror::default(), |_, _, _| {});
+                    hist.merge_owned(counter.finish());
+                }
+                prop_assert_eq!(&hist, &expected, "tile={}", tile);
+                prop_assert_eq!(hist.mean().to_bits(), expected.mean().to_bits());
+            }
+        }
+
+        /// Resuming from any rung's checkpoint equals the uninterrupted
+        /// run: the resumed trips are exactly its trips after the rung,
+        /// the later rungs hand back the same tables and segments, and the
+        /// resume may use another tile width than the recording.
+        #[test]
+        fn resuming_from_any_rung_equals_an_uninterrupted_run(
+            stream in arb_stream(),
+            exact in any::<bool>(),
+            k in 1u64..30,
+            cuts in proptest::collection::vec(0usize..64, 1..4),
+            tiles in (0usize..3, 0usize..3),
+        ) {
+            let t = timeline_of(&stream, exact, k);
+            let widths = [1, 3, t.n() as usize];
+            let mut rungs: Vec<u32> = cuts.iter().map(|&c| (c % (t.num_steps() as usize + 1)) as u32).filter(|&c| c > 0).collect();
+            rungs.sort_unstable();
+            rungs.dedup();
+            let mut arena = EngineArena::new();
+            let full = mirrored_run(&mut arena, &t, widths[tiles.0], None, &rungs);
+            for (r, &c) in rungs.iter().enumerate() {
+                let saved = SavedKeys::new(full.tables[r].clone());
+                let from = Checkpoint { step: c, keys: &saved, width: t.n() as usize };
+                let resumed = mirrored_run(&mut arena, &t, widths[tiles.1], Some(from), &rungs[r + 1..]);
+                let after: Vec<_> = full.segments[r + 1..].concat();
+                prop_assert!(after.iter().all(|trip| trip.3 >= c), "rung {} splits by arrival", c);
+                prop_assert_eq!(sorted(resumed.segments.concat()), sorted(after), "rung {}", c);
+                for (later, table) in resumed.tables.iter().enumerate() {
+                    prop_assert_eq!(table, &full.tables[r + 1 + later]);
+                    prop_assert_eq!(sorted(resumed.segments[later].clone()), sorted(full.segments[r + 1 + later].clone()));
+                }
+            }
+        }
+    }
+
+    fn occupancy_hist(
+        arena: &mut EngineArena,
+        t: &Timeline,
+        targets: &TargetSet,
+    ) -> OccupancyHistogram {
+        crate::occupancy_histogram_in(arena, t, targets)
+    }
+
+    /// Saved tables pack into 32 bits exactly when `ea` and `hops` fit 31
+    /// bits together, and unpack to the same keys either way.
+    #[test]
+    fn saved_keys_pack_when_they_fit_and_round_trip() {
+        let fits = vec![UNREACHED, 5 << 32 | 3, (1 << 26) << 32 | 15, 1];
+        let saved = SavedKeys::new(fits.clone());
+        assert!(matches!(saved.0, Saved::Packed { hop_bits: 4, .. }), "{saved:?}");
+        assert_eq!(saved.bytes(), 4 * size_of::<u32>());
+        let wide = vec![UNREACHED, (1 << 26) << 32 | 16];
+        assert!(matches!(SavedKeys::new(wide.clone()).0, Saved::Wide(_)));
+        for keys in [fits, wide] {
+            let saved = SavedKeys::new(keys.clone());
+            assert_eq!((0..keys.len()).map(|i| saved.get(i)).collect::<Vec<_>>(), keys);
+        }
+    }
+
+    /// A cancelled mirrored run leaves nothing behind: resuming from a
+    /// checkpoint on the same arena afterwards still equals the
+    /// uninterrupted run's suffix.
+    #[test]
+    fn resume_after_a_cancelled_run_on_the_same_arena_is_exact() {
+        let mut text = String::new();
+        for i in 0..(3 * CANCEL_STRIDE + 100) {
+            let (u, v) = (i % 5, (i * 3 + 1) % 5);
+            if u != v {
+                text.push_str(&format!("{u} {v} {i}\n"));
+            }
+        }
+        for directedness in [Directedness::Undirected, Directedness::Directed] {
+            let s = saturn_linkstream::io::read_str(&text, directedness).unwrap();
+            let t = Timeline::aggregated(&s, u64::from(3 * CANCEL_STRIDE + 100));
+            let targets = TargetSet::all(t.n());
+            let rungs = [t.num_steps() * 3 / 4, t.num_steps() * 15 / 16];
+            let mut arena = EngineArena::new();
+            let full = mirrored_run(&mut arena, &t, 2, None, &rungs);
+            let token = CancelToken::new();
+            token.cancel();
+            for (r, &c) in rungs.iter().enumerate() {
+                let saved = SavedKeys::new(full.tables[r].clone());
+                let from = Checkpoint { step: c, keys: &saved, width: t.n() as usize };
+                let cancelled = DpRun { cancel: Some(&token), ..Default::default() };
+                let mut partial = Collect::default();
+                let stats = mirrored_in(
+                    &mut arena,
+                    &t,
+                    &targets,
+                    &mut partial,
+                    cancelled,
+                    Mirror::default(),
+                    &mut |_, _, _| {},
+                );
+                assert!(stats.traversals > 0 && partial.0.len() < full.segments.concat().len());
+                let resumed = mirrored_run(&mut arena, &t, 5, Some(from), &rungs[r + 1..]);
+                assert_eq!(
+                    sorted(resumed.segments.concat()),
+                    sorted(full.segments[r + 1..].concat()),
+                    "rung {c}"
+                );
+            }
+        }
     }
 }

@@ -63,8 +63,8 @@ pub mod transitions;
 pub use cancel::{CancelToken, Cancelled};
 pub use distances::{distance_means_in, DistanceMeans};
 pub use dp::{
-    earliest_arrival_dp, earliest_arrival_dp_in, DpOptions, DpRun, DpStats, EngineArena,
-    TripSink, CANCEL_STRIDE,
+    earliest_arrival_dp, earliest_arrival_dp_in, mirrored_histogram_in, Checkpoint, DpOptions,
+    DpRun, DpStats, EngineArena, Mirror, SavedKeys, TripSink, CANCEL_STRIDE,
 };
 pub use elongation::{elongation_sums_in, ElongationStats, ElongationSums};
 pub use occupancy::{

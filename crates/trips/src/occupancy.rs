@@ -130,7 +130,7 @@ impl RateCounter {
 
     /// Records one minimal trip with the given hop count and duration (in
     /// steps, `>= 1`).
-    #[inline]
+    #[inline(always)]
     pub fn record(&mut self, hops: u32, duration: u32) {
         debug_assert!(hops >= 1 && duration >= hops, "0 < hops <= duration violated");
         if hops < DENSE_HOPS && duration < DENSE_DURATION {
@@ -179,11 +179,14 @@ impl RateCounter {
 /// [`crate::earliest_arrival_dp_in`] with a tile/cancel [`crate::DpRun`],
 /// keep the returned [`crate::DpStats`] and then
 /// [`finish`](RateCounter::finish) the counter. The engine is generic over
-/// its sink, so it is compiled in the calling crate; `#[inline]` on this
-/// path keeps the per-trip record from becoming an out-of-line cross-crate
-/// call there (measured ~10% of sweep time on a 60-node ring).
+/// its sink, so it is compiled in the calling crate; `#[inline(always)]` on
+/// this path keeps the per-trip record from becoming an out-of-line call
+/// there (measured ~10% of sweep time on a 60-node ring). A plain
+/// `#[inline]` is not enough once the sweep instantiates the engine in both
+/// orientations ([`crate::mirrored_histogram_in`]): with two call sites the
+/// inliner stopped taking it, and the backward sweep lost 10–30%.
 impl TripSink for RateCounter {
-    #[inline]
+    #[inline(always)]
     fn minimal_trip(&mut self, _u: u32, _v: u32, dep: u32, arr: u32, hops: u32) {
         self.record(hops, arr - dep + 1);
     }

@@ -411,8 +411,15 @@ impl Timeline {
         self.step_index.len()
     }
 
-    /// The `i`-th non-empty step in **ascending** index order.
-    #[inline]
+    /// Number of non-empty steps with an index below `step`: the ordinal
+    /// of the first non-empty step at or above it.
+    pub fn steps_before(&self, step: u32) -> usize {
+        self.step_index.partition_point(|&i| i < step)
+    }
+
+    /// The `i`-th non-empty step in **ascending** index order. Always
+    /// inlined: the DP calls it once per step, from both orientations.
+    #[inline(always)]
     pub fn step(&self, i: usize) -> StepView<'_> {
         let lo = self.step_offsets[i] as usize;
         let hi = self.step_offsets[i + 1] as usize;
