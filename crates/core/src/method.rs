@@ -88,8 +88,12 @@ pub struct RefreshStats {
 /// boundaries that leave `1/f` of its non-empty steps, for each `f` here.
 /// An append at or after a rung's boundary re-runs only the steps after
 /// it, so the rungs trade a few key tables per scale for refresh work
-/// that follows the append instead of the stream.
-const RUNG_LADDER: [usize; 2] = [4, 16];
+/// that follows the append instead of the stream. Each level halves the
+/// last, so a refresh whose dirty suffix holds between 1⁄32 and ¼ of a
+/// scale's non-empty steps re-runs at most twice that suffix (the rung
+/// below it leaves at most twice as many steps); a longer suffix re-runs
+/// the whole scale, a shorter one the last 1⁄32.
+const RUNG_LADDER: [usize; 4] = [4, 8, 16, 32];
 
 /// Per-session cap on the bytes of checkpoint key tables (at most `n² × 8`
 /// per rung, half that when the keys pack into 32 bits). A scale whose rungs would pass it records none and keeps
@@ -415,12 +419,14 @@ impl OccupancyMethod {
     /// whose module docs prove it reports the backward DP's trips), where
     /// the state at a step boundary depends only on the steps before it.
     /// Each entry keeps up to one checkpoint per level of `RUNG_LADDER`:
-    /// at the boundaries that leave ¼ and 1⁄16 of the scale's non-empty
-    /// steps, the full-width key table and the histogram of the trips that
-    /// arrive before it. A respliced scale whose dirty window is at or
-    /// after a rung loads the latest such rung and runs only the steps
-    /// after it; its histogram is the rung's prefix merged exactly with the
-    /// suffix. Rungs at or before the resume point are kept, later ones are
+    /// at the boundaries that leave ¼, ⅛, 1⁄16 and 1⁄32 of the scale's
+    /// non-empty steps, the full-width key table and the histogram of the
+    /// trips that arrive before it. A respliced scale whose dirty window is
+    /// at or after a rung loads the latest such rung and runs only the
+    /// steps after it; its histogram is the rung's prefix merged exactly
+    /// with the suffix. The halving ladder bounds that re-run to twice the
+    /// dirty suffix whenever the suffix holds between 1⁄32 and ¼ of the
+    /// steps. Rungs at or before the resume point are kept, later ones are
     /// dropped before the round runs and re-recorded by it.
     /// [`CHECKPOINT_BUDGET_BYTES`] caps a session's key tables: a scale
     /// whose rungs would not fit keeps the backward DP and records none, as
@@ -1624,11 +1630,14 @@ mod tests {
     }
 
     /// Session refreshes resume each respliced scale from its latest rung
-    /// at or below the dirty window: appends before the rungs resume
-    /// nothing, appends between them resume from the ¼ rung, appends after
-    /// both from the 1/16 rung, and an out-of-order batch resumes from
-    /// where its earliest event allows. Every refresh is byte-identical to
-    /// a scratch sweep, on both directednesses and several tile widths.
+    /// at or below the dirty window: a late append resumes from a late
+    /// rung, one past only the ¼ rung resumes earlier, one before every
+    /// rung resumes nothing, and an out-of-order batch resumes from where
+    /// its earliest event allows. A second session then appends once inside
+    /// each interval of the ladder, from before ¼ to after 1⁄32: the resume
+    /// point moves up one rung with each append, so the skipped steps rise.
+    /// Every refresh is byte-identical to a scratch sweep, on both
+    /// directednesses and several tile widths.
     #[test]
     fn refresh_resumes_from_the_latest_valid_rung() {
         for (directed, tile) in [(false, 0), (true, 0), (false, 3), (true, 10)] {
@@ -1645,7 +1654,7 @@ mod tests {
                 .unwrap();
             assert!(cache.checkpoint_bytes() > 0, "a cold refresh records rungs");
             let mut skipped = Vec::new();
-            // after both rungs, between them, before them, then one batch
+            // late, past only the ¼ rung, before every rung, then one batch
             // arriving out of order (a late event, then an earlier one)
             let batches = [vec![0.97], vec![0.8], vec![0.3], vec![0.99, 0.85]];
             for (i, batch) in batches.iter().enumerate() {
@@ -1675,6 +1684,34 @@ mod tests {
             assert!(skipped[0] > skipped[1] && skipped[1] > 0, "{skipped:?}");
             assert_eq!(skipped[2], 0, "an append before every rung resumes nothing");
             assert!(skipped[3] > 0, "{skipped:?}");
+
+            // one append per ladder interval: before ¼, ¼–⅛, ⅛–1⁄16,
+            // 1⁄16–1⁄32, after 1⁄32 (of the period; the comb spreads the
+            // non-empty steps evenly over it)
+            let mut cache = SweepCache::new();
+            let mut events = Vec::new();
+            method
+                .try_refresh_on(&base, &mut pool, &SweepControl::new(), &mut cache, None)
+                .unwrap();
+            let mut skipped = Vec::new();
+            for (i, at) in [0.5, 0.81, 0.905, 0.953, 0.985].into_iter().enumerate() {
+                let chords = chords(at, i as u32);
+                let dirty = chords.iter().map(|c| c.2).min();
+                events.extend(chords);
+                let grown = comb(directed, &events);
+                let refreshed = method
+                    .try_refresh_on(&grown, &mut pool, &SweepControl::new(), &mut cache, dirty)
+                    .unwrap();
+                assert_eq!(
+                    refreshed.to_json(),
+                    method.run_on(&grown, &mut pool).to_json(),
+                    "directed={directed} tile={tile} append at {at}"
+                );
+                skipped.push(cache.stats.steps_skipped);
+            }
+            // every rung is a resume point: each later interval skips more
+            assert_eq!(skipped[0], 0, "an append before ¼ resumes nothing: {skipped:?}");
+            assert!(skipped.windows(2).all(|w| w[0] < w[1]), "{skipped:?}");
         }
     }
 

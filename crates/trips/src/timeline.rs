@@ -21,12 +21,14 @@
 //! Aggregating at scale `Δ = T/K` needs, per window, the *distinct* pairs
 //! linked inside it. The naive route (bucket events per window, sort, dedup
 //! — what this module did before the CSR rework) re-sorts every window of
-//! every swept scale. [`EventView`] instead sorts the stream **once** by
-//! `(u, v, t)`; for any `K`, scanning that view yields each pair's windows
-//! in non-decreasing order, so per-window dedup degenerates to comparing
-//! neighbors, and grouping by window is a stable two-pass radix scatter —
-//! `O(E)` per scale, no comparison sort, no per-window allocation. The
-//! occupancy sweep builds one `EventView` and feeds it to every scale (see
+//! every swept scale. [`EventView`] instead orders the stream **once** by
+//! `(u, v, t)` — two stable counting passes over the `(t, u, v)`-sorted
+//! events, `O(E + n)` — and records where each pair's run starts; for any
+//! `K`, scanning that view yields each pair's windows in non-decreasing
+//! order, so per-window dedup degenerates to comparing neighbors, and
+//! grouping by window is a stable two-pass radix scatter — `O(E)` per
+//! scale, no comparison sort, no per-window allocation. The occupancy
+//! sweep builds one `EventView` and feeds it to every scale (see
 //! [`Timeline::aggregated_from_view`]).
 //!
 //! # Merge invariants (incremental adjacent-scale construction)
@@ -92,12 +94,21 @@
 //!   byte-for-byte. A conservative (too small) `first_dirty` is always
 //!   safe — it only rebuilds more suffix than strictly necessary.
 //! * **Pair ids are view ranks.** The aggregated path assigns pair ids in
-//!   `(u, v)`-sorted view order. Appends can introduce new pairs anywhere
-//!   in that order, shifting the ranks of existing pairs, so the reused
-//!   prefix remaps each old id to the pair's rank in the *new* view
-//!   (a monotone map — within-step ascending `(u, v)` order survives).
+//!   `(u, v)`-sorted view order, so a pair's id is the index of its run in
+//!   the view. Appends can introduce new pairs anywhere in that order,
+//!   shifting the ranks of existing pairs, so the reused prefix remaps
+//!   each old id to the pair's rank in the *new* view (a monotone map —
+//!   within-step ascending `(u, v)` order survives). When the pair count
+//!   is unchanged there is nothing to remap: an append-only superset with
+//!   as many pairs has the same pairs, so the ids are copied verbatim.
 //!   The spliced timeline's ids therefore match the scratch build's ids
 //!   exactly, preserving the stable-id contract inside the one timeline.
+//! * **Suffix by tick.** Window `index(t) >= first_dirty` exactly when
+//!   `t >= t_begin + ⌈first_dirty · span / K⌉` (floor division makes the
+//!   ceiling the first such tick), and no tick qualifies when
+//!   `first_dirty == K`, since `t_end` clamps into window `K − 1`. Ticks
+//!   ascend within a pair run, so one binary search per run finds its
+//!   suffix events, and only those get a window index.
 //! * **Dedup locality.** Same-pair-same-window repeats are adjacent in
 //!   the view, and a window is either entirely in the prefix or entirely
 //!   in the suffix — the scratch build's neighbor dedup commutes with the
@@ -149,8 +160,12 @@ impl<'a> StepView<'a> {
 }
 
 /// The stream's events re-sorted by `(u, v, t)`, shared by every scale of a
-/// sweep. Building one costs a single `O(E log E)` sort; each
-/// [`Timeline::aggregated_from_view`] is then `O(E)`.
+/// sweep, plus the index of its pair runs: the events of one `(u, v)` pair
+/// are contiguous, and the `p`-th run holds the pair every aggregated
+/// timeline gives id `p` (its rank among the distinct pairs). Building one
+/// is `O(E + n)`; each [`Timeline::aggregated_from_view`] is then `O(E)`,
+/// and a [`Timeline::spliced_from_view`] reaches each pair's suffix events
+/// by a binary search in its run.
 #[derive(Clone, Debug)]
 pub struct EventView {
     n: u32,
@@ -161,10 +176,16 @@ pub struct EventView {
     src: Vec<u32>,
     dst: Vec<u32>,
     ticks: Vec<i64>,
+    /// Start of each pair run, plus `len()` at the end: pair `p`'s events
+    /// are `pair_starts[p]..pair_starts[p + 1]`.
+    pair_starts: Vec<u32>,
 }
 
 impl EventView {
-    /// Sorts `stream`'s events by `(u, v, t)`.
+    /// Sorts `stream`'s events by `(u, v, t)` and indexes their pair runs.
+    /// The stream is already sorted by `(t, u, v)`, so two stable counting
+    /// passes — by `v`, then by `u` — give the `(u, v, t)` order without a
+    /// comparison sort.
     ///
     /// # Panics
     /// Panics if the stream holds `>= u32::MAX` events (the view and the
@@ -172,28 +193,34 @@ impl EventView {
     pub fn new(stream: &LinkStream) -> Self {
         let events = stream.events();
         assert!(events.len() < u32::MAX as usize, "event count exceeds engine limit");
-        let mut order: Vec<u32> = (0..events.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let l = &events[i as usize];
-            (l.u.raw(), l.v.raw(), l.t.ticks())
-        });
+        let n = stream.node_count();
+        let by_dst =
+            counting_order(n, events.iter().enumerate().map(|(i, l)| (i as u32, l.v.raw())));
+        let order = counting_order(n, by_dst.iter().map(|&i| (i, events[i as usize].u.raw())));
         let mut src = Vec::with_capacity(events.len());
         let mut dst = Vec::with_capacity(events.len());
         let mut ticks = Vec::with_capacity(events.len());
-        for &i in &order {
+        let mut pair_starts = Vec::new();
+        for (at, &i) in order.iter().enumerate() {
             let l = &events[i as usize];
-            src.push(l.u.raw());
-            dst.push(l.v.raw());
+            let (u, v) = (l.u.raw(), l.v.raw());
+            if src.last() != Some(&u) || dst.last() != Some(&v) {
+                pair_starts.push(at as u32);
+            }
+            src.push(u);
+            dst.push(v);
             ticks.push(l.t.ticks());
         }
+        pair_starts.push(events.len() as u32);
         EventView {
-            n: stream.node_count() as u32,
+            n: n as u32,
             directed: stream.is_directed(),
             t_begin: stream.t_begin(),
             t_end: stream.t_end(),
             src,
             dst,
             ticks,
+            pair_starts,
         }
     }
 
@@ -206,6 +233,37 @@ impl EventView {
     pub fn is_empty(&self) -> bool {
         self.src.is_empty()
     }
+
+    /// Number of distinct `(u, v)` pairs: the id space of every aggregated
+    /// timeline built from the view.
+    fn pairs(&self) -> usize {
+        self.pair_starts.len() - 1
+    }
+
+    /// The `(u, v)` of pair `p`.
+    fn pair(&self, p: usize) -> (u32, u32) {
+        let at = self.pair_starts[p] as usize;
+        (self.src[at], self.dst[at])
+    }
+}
+
+/// The indices of `keyed` (`(index, key)` with keys `< n`), stably ordered
+/// by key: one counting pass.
+fn counting_order(n: usize, keyed: impl Iterator<Item = (u32, u32)> + Clone) -> Vec<u32> {
+    let mut starts = vec![0u32; n + 1];
+    for (_, key) in keyed.clone() {
+        starts[key as usize + 1] += 1;
+    }
+    for k in 1..=n {
+        starts[k] += starts[k - 1];
+    }
+    let mut out = vec![0u32; starts[n] as usize];
+    for (i, key) in keyed {
+        let at = &mut starts[key as usize];
+        out[*at as usize] = i;
+        *at += 1;
+    }
+    out
 }
 
 /// A prepared sequence of steps for the DP engine (see the module docs for
@@ -265,70 +323,19 @@ impl Timeline {
         assert!(k < u32::MAX as u64, "window count {k} exceeds engine limit");
         let partition =
             WindowPartition::new(view.t_begin, view.t_end, k).expect("invalid window count");
-
-        // 1. One pass over the pair-sorted view: map each event to its
-        //    window and drop same-pair-same-window repeats (within a pair,
-        //    ticks ascend, so repeats are adjacent). The same sort order
-        //    makes all occurrences of one pair adjacent, so stable pair ids
-        //    are assigned here by neighbor comparison — no hashing.
-        let len = view.len();
-        let mut win: Vec<u32> = Vec::with_capacity(len);
-        let mut src: Vec<u32> = Vec::with_capacity(len);
-        let mut dst: Vec<u32> = Vec::with_capacity(len);
-        let mut pair: Vec<u32> = Vec::with_capacity(len);
-        let mut next_pair = 0u32;
-        for i in 0..len {
-            let w = partition.index(saturn_linkstream::Time::new(view.ticks[i])) as u32;
-            if let Some(last) = win.last() {
-                let j = src.len() - 1;
-                let same_pair = src[j] == view.src[i] && dst[j] == view.dst[i];
-                if *last == w && same_pair {
-                    continue;
-                }
-                if !same_pair {
-                    next_pair += 1;
-                }
-            }
-            win.push(w);
-            src.push(view.src[i]);
-            dst.push(view.dst[i]);
-            pair.push(next_pair);
-        }
-        let distinct_pairs = if pair.is_empty() { 0 } else { next_pair + 1 };
-
-        // 2. Stable LSD radix scatter by window. Stability preserves the
-        //    pair-sorted order within each window, so every step's edges end
-        //    up in ascending (u, v) order — the order the per-window sort
-        //    used to produce. (The u32 bound is guaranteed by EventView::new,
-        //    asserted here too since the radix offsets are u32 arithmetic.)
-        assert!(src.len() < u32::MAX as usize, "edge count exceeds engine limit");
-        let (win, src, dst, pair) = radix_by_window(win, src, dst, pair, k as u32);
-
-        // 3. Fold runs of equal windows into the CSR arrays.
-        let mut step_index = Vec::new();
-        let mut step_offsets = vec![0u32];
-        for (i, &w) in win.iter().enumerate() {
-            if step_index.last() != Some(&w) {
-                if !step_index.is_empty() {
-                    step_offsets.push(i as u32);
-                }
-                step_index.push(w);
-            }
-        }
-        if !step_index.is_empty() {
-            step_offsets.push(win.len() as u32);
-        }
-
+        let (win, edge_src, edge_dst, edge_pair) = window_edges(view, &partition, 0);
+        let (mut step_index, mut step_offsets) = (Vec::new(), vec![0u32]);
+        fold_steps(&win, 0, 0, &mut step_index, &mut step_offsets);
         Timeline {
             n: view.n,
             directed: view.directed,
             num_steps: k as u32,
             step_index,
             step_offsets,
-            edge_src: src,
-            edge_dst: dst,
-            edge_pair: pair,
-            distinct_pairs,
+            edge_src,
+            edge_dst,
+            edge_pair,
+            distinct_pairs: view.pairs() as u32,
             ticks: Vec::new(),
         }
     }
@@ -641,15 +648,18 @@ impl Timeline {
     /// `first_dirty == 0` is a plain scratch rebuild; a conservative
     /// (too small) `first_dirty` is always correct, just slower.
     ///
-    /// Cost is `O(E)` for the pair/window pass (the pass is shared with a
-    /// scratch build) but the radix scatter and CSR fold — the allocation-
-    /// heavy parts — touch only the suffix events and `K - first_dirty`
-    /// buckets.
+    /// Cost is `O(P log E + S + M_prefix)` for `P` pairs, `S` suffix
+    /// events and `M_prefix` prefix edges: one binary search per pair run
+    /// of the view for its first suffix tick, a window index only for the
+    /// suffix events (the radix scatter and CSR fold touch only those and
+    /// `K - first_dirty` buckets), and a copy of the prefix — verbatim when
+    /// the pair count is unchanged, else with each old pair id remapped by
+    /// one binary search over the pairs.
     ///
     /// # Panics
     /// Panics if this timeline is exact, or `first_dirty > num_steps`, or
-    /// the view's period disagrees with a prefix pair's presence (an
-    /// append-only violation).
+    /// the pair count changed and a prefix pair is absent from the view
+    /// (an append-only violation).
     pub fn spliced_from_view(&self, view: &EventView, first_dirty: u32) -> Timeline {
         assert!(!self.is_exact(), "suffix splice applies to aggregated timelines only");
         assert!(
@@ -657,101 +667,56 @@ impl Timeline {
             "first_dirty {first_dirty} exceeds window count {}",
             self.num_steps
         );
-        let k = self.num_steps as u64;
-        if first_dirty == 0 {
-            return Timeline::aggregated_from_view(view, k);
-        }
-        let partition =
-            WindowPartition::new(view.t_begin, view.t_end, k).expect("invalid window count");
+        let partition = WindowPartition::new(view.t_begin, view.t_end, self.num_steps as u64)
+            .expect("invalid window count");
+        let (win, src, dst, pair) = window_edges(view, &partition, first_dirty);
+        let distinct_pairs = view.pairs() as u32;
 
-        // One pass over the pair-sorted view: collect the sorted distinct
-        // pairs (rank = the id a scratch build would assign) and the
-        // deduplicated suffix events with windows shifted down by
-        // `first_dirty`. Same-pair-same-window repeats are adjacent (within
-        // a pair, ticks ascend), so the dedup matches the scratch pass.
-        let len = view.len();
-        let mut pairs_src: Vec<u32> = Vec::new();
-        let mut pairs_dst: Vec<u32> = Vec::new();
-        let mut win: Vec<u32> = Vec::new();
-        let mut src: Vec<u32> = Vec::new();
-        let mut dst: Vec<u32> = Vec::new();
-        let mut pair: Vec<u32> = Vec::new();
-        let mut cur: Option<(u32, u32)> = None;
-        let mut prev_win = u32::MAX;
-        for i in 0..len {
-            let uv = (view.src[i], view.dst[i]);
-            if cur != Some(uv) {
-                cur = Some(uv);
-                pairs_src.push(uv.0);
-                pairs_dst.push(uv.1);
-                prev_win = u32::MAX;
-            }
-            let w = partition.index(saturn_linkstream::Time::new(view.ticks[i])) as u32;
-            if w == prev_win {
-                continue;
-            }
-            prev_win = w;
-            if w >= first_dirty {
-                win.push(w - first_dirty);
-                src.push(uv.0);
-                dst.push(uv.1);
-                pair.push((pairs_src.len() - 1) as u32);
-            }
-        }
-        let distinct_pairs = pairs_src.len() as u32;
-        assert!(src.len() < u32::MAX as usize, "edge count exceeds engine limit");
-        let (win, src, dst, pair) =
-            radix_by_window(win, src, dst, pair, self.num_steps - first_dirty);
-
-        // Reuse the clean CSR prefix (steps with window < first_dirty),
-        // remapping each old pair id to the pair's rank in the new view.
+        // Reuse the clean CSR prefix (steps with window < first_dirty). An
+        // append-only superset with as many pairs has the same pairs, so
+        // their ids carry over verbatim; otherwise each old id is remapped
+        // to the pair's rank in the new view.
         let p = self.step_index.partition_point(|&w| w < first_dirty);
         let prefix_edges = self.step_offsets[p] as usize;
-        let mut step_index = self.step_index[..p].to_vec();
-        let mut step_offsets = self.step_offsets[..=p].to_vec();
-        let mut edge_src = self.edge_src[..prefix_edges].to_vec();
-        let mut edge_dst = self.edge_dst[..prefix_edges].to_vec();
-        let mut remap = vec![u32::MAX; self.distinct_pairs as usize];
+        // every array is allocated once, at its final length
+        let joined = |prefix: &[u32], suffix: &[u32]| {
+            let mut out = Vec::with_capacity(prefix.len() + suffix.len());
+            out.extend_from_slice(prefix);
+            out.extend_from_slice(suffix);
+            out
+        };
+        let edge_src = joined(&self.edge_src[..prefix_edges], &src);
+        let edge_dst = joined(&self.edge_dst[..prefix_edges], &dst);
+        let mut step_index = Vec::with_capacity(p + win.len());
+        step_index.extend_from_slice(&self.step_index[..p]);
+        let mut step_offsets = Vec::with_capacity(p + 1 + win.len());
+        step_offsets.extend_from_slice(&self.step_offsets[..=p]);
         let mut edge_pair: Vec<u32> = Vec::with_capacity(prefix_edges + pair.len());
-        for e in 0..prefix_edges {
-            let old = self.edge_pair[e] as usize;
-            if remap[old] == u32::MAX {
-                let uv = (self.edge_src[e], self.edge_dst[e]);
-                let (mut lo, mut hi) = (0usize, pairs_src.len());
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if (pairs_src[mid], pairs_dst[mid]) < uv {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
+        if distinct_pairs == self.distinct_pairs {
+            edge_pair.extend_from_slice(&self.edge_pair[..prefix_edges]);
+        } else {
+            let mut remap = vec![u32::MAX; self.distinct_pairs as usize];
+            for e in 0..prefix_edges {
+                let old = self.edge_pair[e] as usize;
+                if remap[old] == u32::MAX {
+                    let uv = (self.edge_src[e], self.edge_dst[e]);
+                    let at = view.pair_starts[..view.pairs()].partition_point(|&start| {
+                        (view.src[start as usize], view.dst[start as usize]) < uv
+                    });
+                    assert!(
+                        at < view.pairs() && view.pair(at) == uv,
+                        "prefix pair absent from the view: splice requires an append-only superset"
+                    );
+                    remap[old] = at as u32;
                 }
-                assert!(
-                    lo < pairs_src.len() && (pairs_src[lo], pairs_dst[lo]) == uv,
-                    "prefix pair absent from the view: splice requires an append-only superset"
-                );
-                remap[old] = lo as u32;
+                edge_pair.push(remap[old]);
             }
-            edge_pair.push(remap[old]);
         }
 
         // Append the rebuilt suffix, folding equal-window runs into the CSR
         // arrays with indices and offsets shifted back up.
-        edge_src.extend_from_slice(&src);
-        edge_dst.extend_from_slice(&dst);
         edge_pair.extend_from_slice(&pair);
-        let base = prefix_edges as u32;
-        let mut i = 0usize;
-        while i < win.len() {
-            let w = win[i];
-            let mut j = i + 1;
-            while j < win.len() && win[j] == w {
-                j += 1;
-            }
-            step_index.push(w + first_dirty);
-            step_offsets.push(base + j as u32);
-            i = j;
-        }
+        fold_steps(&win, first_dirty, prefix_edges as u32, &mut step_index, &mut step_offsets);
 
         Timeline {
             n: view.n,
@@ -790,6 +755,75 @@ impl Timeline {
             mix(self.edge_pair[e] as u64);
         }
         acc
+    }
+}
+
+/// The deduplicated edges of the windows `>= first_dirty`, as parallel
+/// `(window − first_dirty, src, dst, pair id)` arrays grouped by window;
+/// within a window, edges ascend by pair id, i.e. by `(u, v)`.
+///
+/// Per pair run of the view (pair id = run index), the edges start at the
+/// first tick whose window is `>= first_dirty`: the offset
+/// `⌈first_dirty · span / K⌉` (module docs, "Splice invariants"), found by
+/// one binary search, and there is none when `first_dirty == K`. Within a
+/// run ticks ascend, so same-pair-same-window repeats are adjacent and
+/// collapse by neighbor comparison — no hashing, no comparison sort. A
+/// stable radix scatter by window then keeps the pair order inside each.
+fn window_edges(
+    view: &EventView,
+    partition: &WindowPartition,
+    first_dirty: u32,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
+    let k = partition.k();
+    // a full build keeps up to every event
+    let cap = if first_dirty == 0 { view.len() } else { 0 };
+    let (mut win, mut src, mut dst, mut pair) = (
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+        Vec::with_capacity(cap),
+    );
+    if u64::from(first_dirty) < k {
+        let span = i128::from(partition.span());
+        let offset = (i128::from(first_dirty) * span + i128::from(k) - 1) / i128::from(k);
+        let first_tick = (i128::from(view.t_begin.ticks()) + offset) as i64;
+        for p in 0..view.pairs() {
+            let (lo, hi) = (view.pair_starts[p] as usize, view.pair_starts[p + 1] as usize);
+            let from = lo + view.ticks[lo..hi].partition_point(|&t| t < first_tick);
+            let mut prev_win = u32::MAX;
+            for i in from..hi {
+                let w = partition.index(saturn_linkstream::Time::new(view.ticks[i])) as u32;
+                if w != prev_win {
+                    prev_win = w;
+                    win.push(w - first_dirty);
+                    src.push(view.src[i]);
+                    dst.push(view.dst[i]);
+                    pair.push(p as u32);
+                }
+            }
+        }
+    }
+    // (the u32 bound is guaranteed by EventView::new, asserted here too
+    // since the radix offsets are u32 arithmetic)
+    assert!(src.len() < u32::MAX as usize, "edge count exceeds engine limit");
+    radix_by_window(win, src, dst, pair, k as u32 - first_dirty)
+}
+
+/// Appends one CSR step per run of equal windows in the window-grouped
+/// `win` (shifted back up by `first_dirty`), whose edges start at edge
+/// `base`.
+fn fold_steps(
+    win: &[u32],
+    first_dirty: u32,
+    base: u32,
+    step_index: &mut Vec<u32>,
+    step_offsets: &mut Vec<u32>,
+) {
+    let mut end = base;
+    for run in win.chunk_by(|a, b| a == b) {
+        end += run.len() as u32;
+        step_index.push(run[0] + first_dirty);
+        step_offsets.push(end);
     }
 }
 
@@ -1060,6 +1094,113 @@ mod tests {
         // first_dirty == num_steps: the whole timeline is clean prefix
         assert_identical(&t.spliced_from_view(&view, 3), &t, "no-op splice");
         assert_eq!(t.spliced_from_view(&view, 3), t);
+    }
+
+    /// A stream over the pinned period `[0, 1000]` whose pairs all avoid
+    /// node 0, plus `extra`.
+    fn pinned(extra: &[(u32, u32, i64)]) -> LinkStream {
+        let mut b = LinkStreamBuilder::indexed(Directedness::Directed, 6);
+        b.period(0, 1000);
+        for i in 0..60i64 {
+            b.add_indexed(1 + (i % 5) as u32, 1 + ((i + 2) % 5) as u32, i * 16);
+        }
+        for &(u, v, t) in extra {
+            b.add_indexed(u, v, t);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn splice_of_the_full_window_count_is_identity_with_events_at_t_end() {
+        // events at t_end land in window K − 1 by the clamp; no tick is in
+        // window K, so a splice there must keep every edge
+        let s = pinned(&[(1, 2, 1000), (3, 4, 999)]);
+        let view = EventView::new(&s);
+        for k in [1u64, 7, 8, 1000] {
+            let t = Timeline::aggregated_from_view(&view, k);
+            assert_identical(&t.spliced_from_view(&view, k as u32), &t, &format!("k={k}"));
+        }
+    }
+
+    #[test]
+    fn splice_takes_appends_at_t_end_into_the_last_window() {
+        let old = pinned(&[]);
+        let new = pinned(&[(2, 1, 1000), (1, 3, 1000)]);
+        let view = EventView::new(&new);
+        for k in [3u64, 7, 8, 1000] {
+            let spliced = Timeline::aggregated(&old, k).spliced_from_view(&view, k as u32 - 1);
+            let scratch = Timeline::aggregated_from_view(&view, k);
+            assert_identical(&spliced, &scratch, &format!("k={k}"));
+        }
+    }
+
+    #[test]
+    fn splice_takes_appends_on_the_first_tick_of_the_dirty_window() {
+        // K = 7 starts window 3 at 3000/7 ≈ 428.6, so its first tick is
+        // the ceiling 429 while 428 stays in window 2; K = 8 starts it
+        // exactly at 375
+        for (k, first, before) in [(7u64, 429i64, 428i64), (8, 375, 374)] {
+            let p = WindowPartition::new(
+                saturn_linkstream::Time::new(0),
+                saturn_linkstream::Time::new(1000),
+                k,
+            )
+            .unwrap();
+            assert_eq!(p.index(saturn_linkstream::Time::new(first)), 3);
+            assert_eq!(p.index(saturn_linkstream::Time::new(before)), 2);
+            let old = pinned(&[(5, 1, before)]);
+            let new = pinned(&[(5, 1, before), (5, 1, first), (2, 5, first)]);
+            let view = EventView::new(&new);
+            let spliced = Timeline::aggregated(&old, k).spliced_from_view(&view, 3);
+            assert_identical(
+                &spliced,
+                &Timeline::aggregated_from_view(&view, k),
+                &format!("k={k}"),
+            );
+        }
+    }
+
+    #[test]
+    fn splice_remaps_when_a_new_pair_sorts_before_every_old_one() {
+        let old = pinned(&[]);
+        let new = pinned(&[(0, 1, 990)]);
+        let view = EventView::new(&new);
+        let old_tl = Timeline::aggregated(&old, 10);
+        assert_eq!(view.pairs() as u32, old_tl.distinct_pairs() + 1);
+        let spliced = old_tl.spliced_from_view(&view, 9);
+        let scratch = Timeline::aggregated_from_view(&view, 10);
+        assert_identical(&spliced, &scratch, "new lowest pair");
+        // every old pair's id moved up by one
+        assert_eq!(
+            spliced.step(0).pair.iter().map(|p| p - 1).collect::<Vec<_>>(),
+            old_tl.step(0).pair
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix pair absent from the view")]
+    fn splice_rejects_a_view_missing_a_prefix_pair() {
+        let old = pinned(&[(0, 1, 10)]);
+        // the grown view lacks (0, 1) and adds two pairs, so the pair
+        // count changes and the prefix ids go through the remap
+        let new = pinned(&[(0, 2, 990), (0, 3, 990)]);
+        Timeline::aggregated(&old, 10).spliced_from_view(&EventView::new(&new), 9);
+    }
+
+    #[test]
+    fn view_indexes_pair_runs() {
+        let s = pinned(&[(0, 1, 10), (0, 1, 20)]);
+        let view = EventView::new(&s);
+        assert_eq!(view.pairs() as u32, Timeline::aggregated(&s, 1).distinct_pairs());
+        assert_eq!(view.pair(0), (0, 1));
+        assert_eq!(view.pair_starts[..2], [0, 2]);
+        for p in 0..view.pairs() {
+            let (lo, hi) = (view.pair_starts[p] as usize, view.pair_starts[p + 1] as usize);
+            assert!(lo < hi);
+            assert!((lo..hi).all(|i| (view.src[i], view.dst[i]) == view.pair(p)));
+            assert!(view.ticks[lo..hi].windows(2).all(|w| w[0] < w[1]));
+        }
+        assert!((1..view.pairs()).all(|p| view.pair(p - 1) < view.pair(p)));
     }
 
     #[test]

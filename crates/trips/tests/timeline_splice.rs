@@ -92,6 +92,55 @@ proptest! {
         }
     }
 
+    /// The splice's edges: appends on the first tick of the dirty window
+    /// (`⌈first_dirty · span / K⌉`, where the ceiling decides the window)
+    /// and at `t_end` (clamped into window `K − 1`), a dirty mark of `K`
+    /// (nothing can land there, so the splice is the identity), and new
+    /// pairs on node 0, which sort before every base pair (base events
+    /// avoid node 0) and so shift every old pair id.
+    #[test]
+    fn splice_edges_equal_scratch(
+        base in proptest::collection::vec((1u32..7, 1u32..7, 0i64..=PERIOD_END), 1..18),
+        appends in proptest::collection::vec((0u32..7, 0u32..7, any::<bool>()), 0..8),
+        k in 1u64..16,
+        dirty in 0u64..16,
+        directed in any::<bool>(),
+    ) {
+        let first_dirty = (1 + dirty % k) as u32;
+        let d = if directed { Directedness::Directed } else { Directedness::Undirected };
+        let mut builder = LinkStreamBuilder::indexed(d, 7);
+        builder.period(0, PERIOD_END);
+        for &(u, v, t) in &base {
+            if u != v {
+                builder.add_indexed(u, v, t);
+            }
+        }
+        prop_assume!(!builder.is_empty());
+        let base_stream = builder.snapshot().expect("non-empty base");
+        // the first tick of window `first_dirty`; none when it is `K`
+        let first_tick = (i64::from(first_dirty) * PERIOD_END + k as i64 - 1) / k as i64;
+        if u64::from(first_dirty) < k {
+            for &(u, v, at_end) in &appends {
+                if u != v {
+                    builder.add_indexed(u, v, if at_end { PERIOD_END } else { first_tick });
+                }
+            }
+        }
+        let grown_stream = builder.build().expect("non-empty");
+        if u64::from(first_dirty) < k {
+            prop_assert_eq!(tight_dirty(&grown_stream, k, first_tick), first_dirty);
+            prop_assert_eq!(tight_dirty(&grown_stream, k, first_tick - 1), first_dirty - 1);
+        }
+
+        let old = Timeline::aggregated_from_view(&EventView::new(&base_stream), k);
+        let grown_view = EventView::new(&grown_stream);
+        assert_timelines_identical(
+            &old.spliced_from_view(&grown_view, first_dirty),
+            &Timeline::aggregated_from_view(&grown_view, k),
+            &format!("k={k} first_dirty={first_dirty}"),
+        );
+    }
+
     /// Repeated appends: three growth rounds, each round splicing the
     /// *previous round's spliced* timeline (never a scratch one), exactly
     /// as a session's sweep cache chains refreshes. Every round must equal
