@@ -3,9 +3,9 @@
 
 The sweep bench is the repository's perf trajectory record *and* its
 cross-engine correctness oracle: the per-workload, intra_scale, and
-timeline sections each carry hard checksum comparisons (frontier engine vs
-the dp::baseline oracle, tiled vs untiled, merged vs scratch timelines)
-that must all hold — a divergence is a correctness bug in an engine or an
+streaming sections each carry hard comparisons (frontier engine vs the
+dp::baseline oracle, tiled vs untiled, refresh vs scratch reports) that
+must all hold — a divergence is a correctness bug in an engine or an
 execution knob that claims to be invisible, not benchmark noise. This script fails loudly, naming the
 workload and scale that diverged, if any section is missing, any checksum
 mismatches, or a section's shape degenerates (empty scale lists, zero
@@ -22,9 +22,10 @@ import sys
 
 WORKLOADS = ("dense_uniform", "sparse_ring", "sparse_burst")
 
-# Sections older bench versions emitted for engine switches that no longer
-# exist; a record still carrying one was not regenerated by this bench.
-RETIRED = (("delta",), ("intra_scale", "degree1"))
+# Sections older bench versions emitted for engine switches and timeline
+# builders that no longer exist; a record still carrying one was not
+# regenerated by this bench.
+RETIRED = (("delta",), ("intra_scale", "degree1"), ("timeline",))
 
 
 class GateFailure(Exception):
@@ -55,8 +56,8 @@ def check_retired(bench):
 
 
 def check_workloads(bench):
-    """The per-workload pipeline sections: legacy vs current per scale, and
-    the frontier engine's checksum against the dp::baseline oracle."""
+    """The per-workload pipeline sections: timings per scale, and the
+    frontier engine's checksum against the dp::baseline oracle."""
     for workload in WORKLOADS:
         data = section(bench, workload)
         require(
@@ -84,10 +85,6 @@ def check_workloads(bench):
             require(
                 low <= row["current_pipeline_seconds"] <= high,
                 f"{workload} k={k}: current pipeline spread is not min <= median <= max",
-            )
-            require(
-                row.get("legacy_pipeline_seconds", 0) > 0,
-                f"{workload} k={k}: legacy_pipeline_seconds must be > 0",
             )
 
 
@@ -120,39 +117,6 @@ def check_intra_scale(bench):
     require(
         intra.get("single_scale_threads"), "intra_scale: no single-scale thread points"
     )
-
-
-def check_timeline(bench):
-    """Incremental (adjacent-window merge) timeline construction: the
-    merged timeline must be field-for-field identical to the scratch build
-    at every ladder step of every workload."""
-    timeline = section(bench, "timeline")
-    require(
-        timeline.get("checksums_match") is True,
-        "timeline: merged vs scratch checksum mismatch",
-    )
-    for workload in WORKLOADS:
-        rows = timeline.get(workload)
-        require(rows, f"timeline: section has no {workload} ladder")
-        for row in rows:
-            k, from_k = row.get("k"), row.get("from_k")
-            where = f"timeline: {workload} {from_k} -> {k}"
-            require(
-                row.get("checksum_match") is True,
-                f"{where}: merged timeline diverged from scratch build",
-            )
-            require(
-                row.get("scratch_seconds", 0) > 0,
-                f"{where}: scratch_seconds must be > 0",
-            )
-            require(
-                row.get("incremental_seconds", 0) > 0,
-                f"{where}: incremental_seconds must be > 0",
-            )
-            require(
-                from_k and k and from_k % k == 0,
-                f"{where}: ladder scales must be divisor-related",
-            )
 
 
 def check_streaming(bench):
@@ -200,7 +164,6 @@ CHECKS = (
     check_retired,
     check_workloads,
     check_intra_scale,
-    check_timeline,
     check_streaming,
 )
 
@@ -226,13 +189,13 @@ def self_test():
         else:
             raise AssertionError(f"gate accepted a bench violating: {expect}")
 
-    failing(lambda b: b.pop("timeline"), "`timeline` is missing")
     failing(lambda b: b.pop("intra_scale"), "`intra_scale` is missing")
     failing(lambda b: b.update(delta={}), "section `delta` is retired")
     failing(
         lambda b: b["intra_scale"].update(degree1={}),
         "section `intra_scale.degree1` is retired",
     )
+    failing(lambda b: b.update(timeline={}), "section `timeline` is retired")
     failing(
         lambda b: b["dense_uniform"].update(checksums_match=False),
         "dense_uniform: frontier vs baseline checksum mismatch",
@@ -242,19 +205,6 @@ def self_test():
         lambda b: b["sparse_burst"]["per_scale"][0].update(checksum_match=False),
         "frontier engine diverged from the baseline",
     )
-    failing(
-        lambda b: b["timeline"].update(checksums_match=False),
-        "merged vs scratch checksum mismatch",
-    )
-    failing(
-        lambda b: b["timeline"]["sparse_ring"][0].update(checksum_match=False),
-        "merged timeline diverged",
-    )
-    failing(
-        lambda b: b["timeline"]["sparse_burst"][0].update(incremental_seconds=0),
-        "incremental_seconds must be > 0",
-    )
-    failing(lambda b: b["timeline"].update(sparse_ring=[]), "no sparse_ring ladder")
     failing(
         lambda b: b["intra_scale"].update(checksums_match=False),
         "tiled vs untiled checksum mismatch",

@@ -15,12 +15,10 @@
 //!   windows with unchanged continuation rows, the regime the engine's
 //!   delta propagation targets.
 //!
-//! Per scale, both the pre-rework pipeline (per-call timeline build + the
-//! retained baseline engine with fresh tables) and the current pipeline
-//! (shared sorted event view + frontier/arena engine) are timed, and the
-//! two engines' checksums (trip stream + distance sums) are hard-asserted
-//! equal — `dp::baseline` is the differential oracle at bench scale. The
-//! current pipeline's median comes with the min and max of its reps, so a
+//! Per scale, the pipeline (shared sorted event view + frontier/arena
+//! engine) is timed, and its checksum (trip stream + distance sums) is
+//! hard-asserted equal to `dp::baseline`'s — the differential oracle at
+//! bench scale. The median comes with the min and max of its reps, so a
 //! reader can tell a change from the run-to-run spread.
 //! The `intra_scale` section also times one dense scale's DP into a
 //! counting sink and into the `RateCounter` trip sink (its `sink` row), with
@@ -148,8 +146,6 @@ impl TripChecksum {
 /// What one workload's run measured.
 struct WorkloadRun {
     json: Value,
-    legacy_seconds: f64,
-    current_seconds: f64,
     /// `(distinct rates, k)` of the scale with the most distinct rates.
     richest_scale: (usize, u64),
 }
@@ -169,8 +165,6 @@ fn measure_workload(
     println!("workload {name}: n={n} events={} span={}", stream.len(), stream.span());
 
     let mut per_scale = Vec::new();
-    let mut total_legacy = 0.0f64;
-    let mut total_current = 0.0f64;
     let mut all_match = true;
     let mut richest_scale = (0, 0);
     let checksum_options = DpOptions { collect_distances: true };
@@ -199,12 +193,6 @@ fn measure_workload(
             .distinct_rates();
         richest_scale = richest_scale.max((rates, k));
 
-        // pre-rework pipeline: per-call timeline build + fresh-table engine
-        let t_legacy = time_median(reps, || {
-            let t = Timeline::aggregated(stream, k);
-            baseline::earliest_arrival_dp(&t, &targets, &mut NullSink, DpOptions::default())
-        });
-        // current pipeline: shared view + frontier/arena engine
         let mut arena = EngineArena::new();
         let (t_min, t_current, t_max) = time_spread(reps, || {
             let t = Timeline::aggregated_from_view(&view, k);
@@ -216,13 +204,8 @@ fn measure_workload(
                 DpOptions::default(),
             )
         });
-        total_legacy += t_legacy;
-        total_current += t_current;
-        let speedup = t_legacy / t_current;
         println!(
-            "  k={k:>7}  legacy {:>9.3} ms  current {:>9.3} ms  ({speedup:.2}x)  \
-             {:.1}M traversals/s",
-            t_legacy * 1e3,
+            "  k={k:>7}  current {:>9.3} ms  {:.1}M traversals/s",
             t_current * 1e3,
             traversals as f64 / t_current / 1e6,
         );
@@ -230,11 +213,9 @@ fn measure_workload(
             ("k", Value::Int(k as i128)),
             ("edges", Value::Int(timeline.total_edges() as i128)),
             ("traversals", Value::Int(traversals as i128)),
-            ("legacy_pipeline_seconds", Value::Float(t_legacy)),
             ("current_pipeline_seconds", Value::Float(t_current)),
             ("current_pipeline_min_seconds", Value::Float(t_min)),
             ("current_pipeline_max_seconds", Value::Float(t_max)),
-            ("speedup", Value::Float(speedup)),
             ("traversals_per_second", Value::Float(traversals as f64 / t_current)),
             ("trips", Value::Int(frontier.trips as i128)),
             ("distinct_rates", Value::Int(rates as i128)),
@@ -246,15 +227,9 @@ fn measure_workload(
         ("events", Value::Int(stream.len() as i128)),
         ("span_ticks", Value::Int(stream.span() as i128)),
         ("per_scale", Value::Array(per_scale)),
-        ("workload_speedup", Value::Float(total_legacy / total_current)),
         ("checksums_match", Value::Bool(all_match)),
     ]);
-    WorkloadRun {
-        json,
-        legacy_seconds: total_legacy,
-        current_seconds: total_current,
-        richest_scale,
-    }
+    WorkloadRun { json, richest_scale }
 }
 
 /// Merges the tiles of `ranges` into one histogram with a shared arena and
@@ -464,64 +439,6 @@ fn measure_intra_scale(
     ])
 }
 
-/// The `timeline` section: per-scale CSR timeline build cost, scratch (the
-/// full radix scatter off the shared event view) vs incremental
-/// (adjacent-window merge from the previously built finer scale,
-/// `Timeline::aggregated_by_merge`), along a divisor ladder per workload.
-/// Merged-vs-scratch checksums are hard-asserted — the merge claims
-/// field-for-field identity, so any divergence is a correctness bug, not
-/// noise.
-fn measure_timeline(workloads: &[(&str, &LinkStream)], fast: bool, reps: usize) -> Value {
-    // consecutive entries divide (ratios 2/5/5/2/10), so every scale after
-    // the first takes the merge path — the access pattern of a sweep's
-    // fine-scale tail, where the per-scale build is a visible wall-time
-    // fraction since the delta engine closed the offer-bound tail
-    let ladder: Vec<u64> = if fast {
-        vec![10_000, 5_000, 1_000, 200, 100]
-    } else {
-        vec![100_000, 50_000, 10_000, 2_000, 1_000, 100]
-    };
-    let mut sections = Vec::new();
-    let mut all_match = true;
-    for &(name, stream) in workloads {
-        let view = EventView::new(stream);
-        let mut rows = Vec::new();
-        let mut fine = Timeline::aggregated_from_view(&view, ladder[0]);
-        for pair in ladder.windows(2) {
-            let (from_k, k) = (pair[0], pair[1]);
-            let merged = fine.aggregated_by_merge(k);
-            let scratch = Timeline::aggregated_from_view(&view, k);
-            let ok = merged.checksum() == scratch.checksum();
-            all_match &= ok;
-            assert!(ok, "merged vs scratch timeline checksum diverged: {name} k={k}");
-            let t_scratch = time_median(reps, || Timeline::aggregated_from_view(&view, k));
-            let t_inc = time_median(reps, || fine.aggregated_by_merge(k));
-            let speedup = t_scratch / t_inc;
-            println!(
-                "  timeline {name} k={from_k:>7} -> {k:>7}  scratch {:>9.3} ms  \
-                 merge {:>9.3} ms  ({speedup:.2}x)",
-                t_scratch * 1e3,
-                t_inc * 1e3,
-            );
-            rows.push(obj(vec![
-                ("k", Value::Int(k as i128)),
-                ("from_k", Value::Int(from_k as i128)),
-                ("ratio", Value::Int((from_k / k) as i128)),
-                ("edges", Value::Int(scratch.total_edges() as i128)),
-                ("scratch_seconds", Value::Float(t_scratch)),
-                ("incremental_seconds", Value::Float(t_inc)),
-                ("speedup", Value::Float(speedup)),
-                ("checksum_match", Value::Bool(ok)),
-            ]));
-            fine = merged;
-        }
-        sections.push((name, Value::Array(rows)));
-    }
-    let mut entries: Vec<(&str, Value)> = vec![("checksums_match", Value::Bool(all_match))];
-    entries.extend(sections);
-    obj(entries)
-}
-
 /// The `streaming` section: what an ingest session's sweep cache buys. A
 /// pinned-period ring stream grows through append rounds landing in the
 /// late suffix (the `/v1/streams` access pattern), and each round times a
@@ -727,9 +644,6 @@ fn main() {
     println!("intra-scale parallelism (target tiling):");
     let intra_scale = measure_intra_scale(&dense, &richest, fast, reps);
 
-    println!("incremental timeline construction (adjacent-window merge) vs scratch:");
-    let timeline = measure_timeline(&workloads, fast, reps);
-
     println!("streaming ingest refresh (session sweep cache) vs scratch sweeps:");
     let streaming = measure_streaming(fast, reps);
 
@@ -747,21 +661,14 @@ fn main() {
         ]));
     }
 
-    let legacy: f64 = runs.iter().map(|run| run.legacy_seconds).sum();
-    let current: f64 = runs.iter().map(|run| run.current_seconds).sum();
-    let aggregate = legacy / current;
-    println!("aggregate pipeline speedup over all workloads: {aggregate:.2}x");
-
     let mut top = vec![
         (
             "description",
             Value::String(
-                "Sweep-engine perf trajectory: per-scale wall time of the pre-rework \
-                 pipeline (per-call timeline build + fresh-table baseline engine) vs the \
-                 current pipeline (shared sorted event view + frontier/arena engine) with \
-                 hard-asserted frontier-vs-baseline checksums, traversal throughput, \
-                 end-to-end method timings. Regenerate: cargo run \
-                 --release -p saturn-bench --bin bench_sweep"
+                "Sweep-engine perf trajectory: per-scale wall time of the pipeline \
+                 (shared sorted event view + frontier/arena engine) with hard-asserted \
+                 frontier-vs-baseline checksums, traversal throughput, end-to-end method \
+                 timings. Regenerate: cargo run --release -p saturn-bench --bin bench_sweep"
                     .to_string(),
             ),
         ),
@@ -785,10 +692,8 @@ fn main() {
     );
     top.extend([
         ("intra_scale", intra_scale),
-        ("timeline", timeline),
         ("streaming", streaming),
         ("end_to_end", Value::Array(end_to_end)),
-        ("aggregate_pipeline_speedup", Value::Float(aggregate)),
     ]);
     if let Some(kb) = peak_rss_kb() {
         top.push(("peak_rss_kb", Value::Int(kb as i128)));

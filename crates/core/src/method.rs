@@ -1,7 +1,7 @@
 //! The occupancy method driver (Section 4 of the paper).
 
 use crate::control::{SweepControl, TileSpan};
-use crate::parallel::{auto_tile_cols, merge_sources, sweep_queue, WorkerPool};
+use crate::parallel::{auto_tile_cols, sweep_queue, WorkerPool};
 use crate::report::OccupancyReport;
 use crate::SweepGrid;
 use rustc_hash::FxHashMap;
@@ -71,8 +71,8 @@ pub struct RefreshStats {
     /// Scales recomputed on a suffix-spliced timeline
     /// (`Timeline::spliced_from_view`).
     pub scales_respliced: u64,
-    /// Scales recomputed on a scratch- or merge-built timeline
-    /// (cache miss, or a dirty mark reaching window 0).
+    /// Scales recomputed on a timeline built from the event view (cache
+    /// miss, or a dirty mark reaching window 0).
     pub scales_scratch: u64,
     /// `(scale, tile)` work items skipped by histogram reuse, under each
     /// round's tile layout (sized for the scales that round computes).
@@ -95,11 +95,11 @@ pub struct RefreshStats {
 /// the whole scale, a shorter one the last 1⁄32.
 const RUNG_LADDER: [usize; 4] = [4, 8, 16, 32];
 
-/// Per-session cap on the bytes of checkpoint key tables (at most `n² × 8`
-/// per rung, half that when the keys pack into 32 bits). A scale whose rungs would pass it records none and keeps
-/// today's full DP. A rung's prefix histogram is never larger than its
-/// scale's cached histogram, so the histograms add at most twice the
-/// cache's own.
+/// Per-session cap on the bytes of checkpoint key tables (`n² × 8` per
+/// rung, half that when the keys pack into 32 bits). A scale whose rungs
+/// might pass it (`rung_reserve`) records none and runs the backward DP.
+/// A rung's prefix histogram is never larger than its scale's cached
+/// histogram, so the histograms add at most twice the cache's own.
 pub const CHECKPOINT_BUDGET_BYTES: usize = 64 << 20;
 
 /// One checkpoint of a session scale's mirrored DP (`saturn_trips::dp`
@@ -121,6 +121,19 @@ struct Rung {
 fn rung_steps(timeline: &Timeline) -> [Option<u32>; RUNG_LADDER.len()] {
     let steps = timeline.nonempty_steps();
     RUNG_LADDER.map(|f| (steps / f > 0).then(|| timeline.step(steps - steps / f - 1).index + 1))
+}
+
+/// The key-table bytes a scale of `k` windows over `n` nodes may record
+/// past its first `kept` ladder levels, when it has at most `steps`
+/// non-empty steps: one `n × n` table per level that `steps` can hold, at
+/// 4 bytes per key when every key packs ([`SavedKeys::new`]; a key's
+/// `ea < k` and its minimal hops `< n`), else 8.
+fn rung_reserve(n: usize, k: u64, steps: usize, kept: usize) -> usize {
+    let bits = |x: u64| u64::BITS - x.leading_zeros();
+    let packs = bits(k.saturating_sub(1)) + bits((n as u64).saturating_sub(1)) <= 31;
+    let key = if packs { size_of::<u32>() } else { size_of::<u64>() };
+    let levels = RUNG_LADDER[kept..].iter().filter(|&&f| steps / f > 0).count();
+    levels.saturating_mul(n).saturating_mul(n).saturating_mul(key)
 }
 
 /// One cached scale of a [`SweepCache`]: the timeline the histogram was
@@ -412,7 +425,8 @@ impl OccupancyMethod {
     ///   this scale), the cached histogram is served, otherwise the scale is
     ///   recomputed on the spliced timeline — resumed from its latest
     ///   checkpoint at or below the dirty window when it has one (below);
-    /// * cache miss — scratch or merge build, exactly as a cold sweep.
+    /// * cache miss — built from the event view, exactly as in a cold
+    ///   sweep.
     ///
     /// **Resume.** Under [`TargetSpec::All`], a session runs every DP it
     /// computes in mirrored time (`saturn_trips::mirrored_histogram_in`,
@@ -572,8 +586,8 @@ impl OccupancyMethod {
     /// **Plan.** Each scale takes its histogram from one of three places:
     /// a cached histogram whose timeline still equals the current one
     /// (reuse — no DP work), a DP run on a suffix-spliced seed timeline, or
-    /// a DP run on a lazily built timeline. Only a session `cache` yields
-    /// the first two; without one every scale is built.
+    /// a DP run on a timeline built from the shared view. Only a session
+    /// `cache` yields the first two; without one every scale is built.
     ///
     /// **Fan-out.** The scales to compute become one `(scale, tile)` queue
     /// (finest scales first, one tile layout for the round) dispatched
@@ -584,20 +598,15 @@ impl OccupancyMethod {
     /// every thread count and tile width. A scratch sweep frees a scale's
     /// histogram once it is scored; a session sweep keeps it for the cache.
     ///
-    /// **Lazy timelines.** A built scale's timeline is derived by
-    /// adjacent-window merging from the nearest finer scale of the round
-    /// whose window count it divides ([`merge_sources`];
-    /// `Timeline::aggregated_by_merge` is field-for-field identical to a
-    /// scratch build), or else from scratch off the shared view. Each scale
-    /// owns one `Arc<Timeline>` slot shared by its tiles *and* its merge
-    /// dependents; the slot's refcount (`tiles + dependents`, plus one when
-    /// the cache will keep the timeline) releases the handle as soon as the
-    /// last consumer is done, so without a cache only the scales in flight
-    /// (plus pending merge sources) hold timelines. Builds follow the
-    /// queue's finest-first order: a merge source always precedes its
-    /// dependents, and slot mutexes are only ever taken in descending scale
-    /// order (coarser scales wait on finer ones), so lazy cross-scale builds
-    /// cannot deadlock.
+    /// **Timelines.** Each scale owns one `Arc<Timeline>` slot shared by
+    /// its tiles. A seeded scale's slot starts filled; any other is filled
+    /// by the scale's first tile, which builds the timeline from the shared
+    /// view (`Timeline::aggregated_from_view`, `O(E)`) under the slot's
+    /// lock, so the scale's other tiles wait for that one build instead of
+    /// repeating it. No worker ever holds two slot locks. The slot's
+    /// refcount (its tiles, plus one when the cache will keep the timeline)
+    /// releases the handle as soon as the last tile is done, so without a
+    /// cache only the scales in flight hold timelines.
     ///
     /// **Cancellation** (`ctl.cancel`): workers poll the token before each
     /// queue item and thread it into the DP, which polls at a coarse step
@@ -680,14 +689,15 @@ impl OccupancyMethod {
         // Which computed scales run mirrored: those that resume, and those
         // whose new rungs fit the session's checkpoint budget next to every
         // table the cache holds (stale entries included, so the count only
-        // errs high).
+        // errs high). An unbuilt scale has at most `k` non-empty steps.
         let mut plans: Vec<Option<RungPlan>> = (0..ks.len()).map(|_| None).collect();
         if let Some(cache) = cache.as_deref().filter(|_| mirrored) {
-            let table = n.saturating_mul(n).saturating_mul(size_of::<u64>());
             let rungs = cache.scales.values().flat_map(|entry| &entry.rungs);
             let mut held: usize = rungs.map(|rung| rung.keys.bytes()).sum();
             for (i, kept) in resume.iter_mut().enumerate().filter(|(i, _)| !reused[*i]) {
-                let want = (RUNG_LADDER.len() - kept.len()).saturating_mul(table);
+                let bound = usize::try_from(ks[i]).unwrap_or(usize::MAX);
+                let steps = seeds[i].as_ref().map_or(bound, |t| t.nonempty_steps());
+                let want = rung_reserve(n, ks[i], steps, kept.len());
                 let record = held.saturating_add(want) <= CHECKPOINT_BUDGET_BYTES;
                 if record {
                     held += want;
@@ -709,24 +719,12 @@ impl OccupancyMethod {
         let mut items = sweep_queue(ks, &tile_ranges);
         items.retain(|item| !reused[item.scale]);
 
-        // a seeded scale never builds, so it is nobody's merge dependent
-        // (the release bookkeeping would otherwise never reach zero)
-        let mut sources = merge_sources(ks);
-        for (source, seed) in sources.iter_mut().zip(&seeds) {
-            if seed.is_some() {
-                *source = None;
-            }
-        }
-        let mut dependents = vec![0usize; ks.len()];
-        for &j in sources.iter().flatten() {
-            dependents[j] += 1;
-        }
         let keep_hist = cache.is_some();
 
         struct Slot {
             timeline: Mutex<Option<Arc<Timeline>>>,
-            /// Consumers (tiles + merge dependents + the cache) not yet
-            /// finished; the decrement to 0 clears `timeline`.
+            /// Consumers (tiles + the cache) not yet finished; the
+            /// decrement to 0 clears `timeline`.
             remaining: AtomicUsize,
             /// Tiles not yet merged into `hist`; the last one sets `result`.
             tiles_left: AtomicUsize,
@@ -741,14 +739,9 @@ impl OccupancyMethod {
         }
         let slots: Vec<Slot> = seeds
             .into_iter()
-            .enumerate()
-            .map(|(i, seed)| Slot {
+            .map(|seed| Slot {
                 timeline: Mutex::new(seed),
-                remaining: AtomicUsize::new(if reused[i] {
-                    dependents[i]
-                } else {
-                    tiles_in_scale + dependents[i] + usize::from(keep_hist)
-                }),
+                remaining: AtomicUsize::new(tiles_in_scale + usize::from(keep_hist)),
                 tiles_left: AtomicUsize::new(tiles_in_scale),
                 hist: Mutex::new(OccupancyHistogram::new()),
                 recorded: Mutex::default(),
@@ -767,37 +760,6 @@ impl OccupancyMethod {
             }
         }
 
-        /// Scale `i`'s timeline, building it on first demand — by merging
-        /// down from its planned source scale (recursing at most the chain
-        /// length, always toward smaller indices) or from scratch off the
-        /// shared view. Holding slot `i`'s lock across the build makes
-        /// concurrent requesters wait for the one build instead of
-        /// duplicating it.
-        fn obtain(
-            slots: &[Slot],
-            sources: &[Option<usize>],
-            ks: &[u64],
-            view: &EventView,
-            i: usize,
-        ) -> Arc<Timeline> {
-            let mut slot = slots[i].timeline.lock().expect("timeline slot poisoned");
-            if let Some(timeline) = slot.as_ref() {
-                return Arc::clone(timeline);
-            }
-            let built = Arc::new(match sources[i] {
-                Some(j) => {
-                    let fine = obtain(slots, sources, ks, view, j);
-                    let merged = fine.aggregated_by_merge(ks[i]);
-                    drop(fine);
-                    release(slots, j);
-                    merged
-                }
-                None => Timeline::aggregated_from_view(view, ks[i]),
-            });
-            *slot = Some(Arc::clone(&built));
-            built
-        }
-
         let span = input.stream.span();
         let steps_skipped = AtomicU64::new(0);
         pool.map(&items, |wid, item| {
@@ -806,14 +768,18 @@ impl OccupancyMethod {
             }
             let mut worker = input.workers[wid].lock().expect("worker state poisoned");
             let WorkerState { arena, counter } = &mut *worker;
-            let timeline = obtain(&slots, &sources, ks, &input.view, item.scale);
+            let slot = &slots[item.scale];
+            let timeline = Arc::clone(
+                slot.timeline.lock().expect("timeline slot poisoned").get_or_insert_with(
+                    || Arc::new(Timeline::aggregated_from_view(&input.view, item.k)),
+                ),
+            );
             let started = Instant::now();
             let run = DpRun {
                 tile: Some((item.col_start, item.col_len)),
                 cancel: Some(&ctl.cancel),
                 ..Default::default()
             };
-            let slot = &slots[item.scale];
             let stats = match &plans[item.scale] {
                 None => earliest_arrival_dp_in(arena, &timeline, &input.targets, counter, run),
                 Some(plan) => {
@@ -1629,6 +1595,16 @@ mod tests {
             .collect()
     }
 
+    /// Asserts that admission reserved no less than each cached scale's
+    /// key tables take (`rung_reserve` of the levels its timeline holds).
+    fn assert_reserve_covers(cache: &SweepCache, n: usize) {
+        for (&k, entry) in &cache.scales {
+            let held: usize = entry.rungs.iter().map(|rung| rung.keys.bytes()).sum();
+            let reserve = rung_reserve(n, k, entry.timeline.nonempty_steps(), 0);
+            assert!(held <= reserve, "k={k}: {held} bytes recorded, {reserve} reserved");
+        }
+    }
+
     /// Session refreshes resume each respliced scale from its latest rung
     /// at or below the dirty window: a late append resumes from a late
     /// rung, one past only the ¼ rung resumes earlier, one before every
@@ -1653,6 +1629,7 @@ mod tests {
                 .try_refresh_on(&base, &mut pool, &SweepControl::new(), &mut cache, None)
                 .unwrap();
             assert!(cache.checkpoint_bytes() > 0, "a cold refresh records rungs");
+            assert_reserve_covers(&cache, 10);
             let mut skipped = Vec::new();
             // late, past only the ¼ rung, before every rung, then one batch
             // arriving out of order (a late event, then an earlier one)
@@ -1680,6 +1657,7 @@ mod tests {
                     "directed={directed} tile={tile} batch {i}"
                 );
                 skipped.push(cache.stats.steps_skipped);
+                assert_reserve_covers(&cache, 10);
             }
             assert!(skipped[0] > skipped[1] && skipped[1] > 0, "{skipped:?}");
             assert_eq!(skipped[2], 0, "an append before every rung resumes nothing");
@@ -1713,6 +1691,38 @@ mod tests {
             assert_eq!(skipped[0], 0, "an append before ¼ resumes nothing: {skipped:?}");
             assert!(skipped.windows(2).all(|w| w[0] < w[1]), "{skipped:?}");
         }
+    }
+
+    /// A cold 250-node session of 44 scales records every rung each scale's
+    /// timeline can hold: its packed key tables fit the budget.
+    #[test]
+    fn a_wide_session_records_every_rung() {
+        let n = 250u32;
+        let mut b = LinkStreamBuilder::indexed(Directedness::Undirected, n);
+        b.period(0, 20_000);
+        for i in 0..1000u32 {
+            b.add_indexed(i % n, (i % n + 1 + i % 5) % n, i64::from(i) * 20);
+        }
+        let stream = b.build().unwrap();
+        let ks: Vec<u64> = (0..44).map(|i| 1940 - 45 * i).collect();
+        let method = OccupancyMethod::new().grid(SweepGrid::ExplicitK(ks)).refine(0, 0);
+        let mut cache = SweepCache::new();
+        method
+            .try_refresh_on(
+                &stream,
+                &mut WorkerPool::new(2),
+                &SweepControl::new(),
+                &mut cache,
+                None,
+            )
+            .unwrap();
+        assert_eq!(cache.len(), 44);
+        for (&k, entry) in &cache.scales {
+            let steps = entry.timeline.nonempty_steps();
+            let levels = RUNG_LADDER.iter().filter(|&&f| steps / f > 0).count();
+            assert_eq!(entry.rungs.len(), levels, "k={k}: {steps} steps");
+        }
+        assert_reserve_covers(&cache, n as usize);
     }
 
     /// Sampled targets keep the backward DP: no checkpoint is recorded or

@@ -303,38 +303,10 @@ pub fn sweep_queue(ks: &[u64], tile_ranges: &[(u32, u32)]) -> Vec<SweepItem> {
     items
 }
 
-/// Largest fine-to-coarse window ratio the sweep will bridge by merging.
-/// Merging is linear in the fine timeline's edges plus, per merged coarse
-/// window, a walk over the touched words of a pair-id bitmap
-/// (`Timeline::aggregated_by_merge` docs); what grows with the ratio is
-/// only how much *finer* the source is than the target needs — at extreme
-/// ratios the fine timeline carries far more pre-dedup edges than the
-/// scratch build would ever scan, so chaining stops paying and the scratch
-/// radix scatter (linear in raw events) wins.
-const MAX_MERGE_RATIO: u64 = 256;
-
-/// The incremental-timeline merge plan for a descending-sorted scale list:
-/// `plan[i] = Some(j)` means scale `i`'s timeline is derived from scale
-/// `j`'s by adjacent-window merging (`Timeline::aggregated_by_merge`), and
-/// `None` means a scratch build from the shared event view.
-///
-/// For each scale the *nearest* preceding (finer) scale whose window count
-/// it divides is chosen — the smallest merge ratio, hence the cheapest
-/// merge — capped at `MAX_MERGE_RATIO` (256). Because [`sweep_queue`] orders
-/// items finest-first and `j < i` always holds, a scale's merge source is
-/// claimed earlier in the queue than the scale itself, so chained builds
-/// run fine-to-coarse along the existing dispatch order; non-divisor
-/// neighbors simply fall back to scratch builds.
+/// All `None`: only perfbench calls this; ROADMAP item 3 deletes it.
+#[doc(hidden)]
 pub fn merge_sources(ks: &[u64]) -> Vec<Option<usize>> {
-    debug_assert!(ks.windows(2).all(|w| w[0] > w[1]), "ks must be sorted descending");
-    ks.iter()
-        .enumerate()
-        .map(|(i, &k)| {
-            ks[..i]
-                .iter()
-                .rposition(|&fine| fine.is_multiple_of(k) && fine / k <= MAX_MERGE_RATIO)
-        })
-        .collect()
+    vec![None; ks.len()]
 }
 
 /// Picks a tile width for `ncols` target columns over `n` DP rows, swept
@@ -535,31 +507,6 @@ mod tests {
                 prop_assert_eq!(width, uncapped_auto_tile_cols(ncols, scales, parallelism));
             }
         }
-    }
-
-    #[test]
-    fn merge_sources_prefers_nearest_divisor() {
-        // 100 merges from 1000 (nearest divisor, ratio 10), not 100000;
-        // 640 divides nothing finer; 10 merges from 100; 1 from 10
-        let ks = [100_000u64, 1_000, 640, 100, 10, 1];
-        assert_eq!(merge_sources(&ks), vec![None, Some(0), None, Some(1), Some(3), Some(4)]);
-    }
-
-    #[test]
-    fn merge_sources_respects_ratio_cap() {
-        // 100000 -> 2 divides but the ratio (50000) is past the cap; 7 has
-        // no divisor-related finer scale at all
-        assert_eq!(merge_sources(&[100_000, 7, 2]), vec![None, None, None]);
-        // at exactly the cap the merge is taken
-        assert_eq!(merge_sources(&[512, 2]), vec![None, Some(0)]);
-    }
-
-    #[test]
-    fn merge_sources_chains_along_ladders() {
-        let ks = [1_000u64, 500, 250, 50, 10, 5, 1];
-        let plan = merge_sources(&ks);
-        // every scale after the finest chains from its immediate neighbor
-        assert_eq!(plan, vec![None, Some(0), Some(1), Some(2), Some(3), Some(4), Some(5)]);
     }
 
     #[test]

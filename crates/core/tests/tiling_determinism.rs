@@ -1,18 +1,15 @@
-//! Tiling, the engine's delta propagation, incremental timeline
-//! construction and session refreshes must be invisible: an [`OccupancyMethod`] run split
-//! into target tiles of any width, on any thread count, with timelines
-//! merge-derived or scratch-built, refreshed through a session cache or
-//! swept from scratch, must serialize to the *same bytes* as the untiled
+//! Tiling, the engine's delta propagation and session refreshes must be
+//! invisible: an [`OccupancyMethod`] run split into target tiles of any
+//! width, on any thread count, refreshed through a session cache or swept
+//! from scratch, must serialize to the *same bytes* as the untiled
 //! single-threaded run — the property that keeps the analysis service's
 //! content-addressed cache correct while the executor re-tiles work per
 //! hardware. Tile widths 1, 3, `ncols`, and a proptest-chosen random width
 //! are exercised across 1/2/4/8 threads, with refinement rounds on (the
-//! narrow rounds are where auto-tiling matters most). Every swept scale
-//! must match a scratch-built timeline run through [`baseline`], the
-//! oracle engine without delta watermarks or the degree-1 bypass. The
-//! incremental axis
-//! runs on explicit divisor ladders, where every scale actually takes the
-//! merge path.
+//! narrow rounds are where auto-tiling matters most), on geometric grids
+//! and on explicit divisor ladders. Every swept scale must match a
+//! timeline built per scale and run through [`baseline`], the oracle
+//! engine without delta watermarks or the degree-1 bypass.
 
 use proptest::prelude::*;
 use saturn_core::parallel::WorkerPool;
@@ -263,12 +260,11 @@ proptest! {
         }
     }
 
-    /// The incremental-timeline axis on a random divisor ladder (every
-    /// scale merge-derived from its neighbor): byte-identical across
-    /// threads × tiles, shared timelines and all, and every scale matches
-    /// a scratch-built timeline through the baseline engine.
+    /// A random divisor ladder, where every scale's window count divides
+    /// the finer ones: byte-identical across threads × tiles, and every
+    /// scale matches its own timeline through the baseline engine.
     #[test]
-    fn incremental_timelines_are_byte_identical_on_divisor_ladders(
+    fn reports_are_byte_identical_on_divisor_ladders(
         n in 5u32..10,
         events in 40usize..90,
         gap in 3i64..9,

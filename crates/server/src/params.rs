@@ -33,8 +33,8 @@ use std::time::Duration;
 /// Parameters earlier API versions accepted, each with the reason it is
 /// gone; naming one is a `400`.
 pub const RETIRED: [(&str, &str); 3] = [
-    ("no_delta", "delta propagation and incremental timelines are always on"),
-    ("no_incremental", "delta propagation and incremental timelines are always on"),
+    ("no_delta", "delta propagation is always on"),
+    ("no_incremental", "every scale's timeline is built from one sorted event view"),
     ("tile", "the sweep sizes its own tiles to fit its memory budget"),
 ];
 

@@ -31,44 +31,6 @@
 //! sweep builds one `EventView` and feeds it to every scale (see
 //! [`Timeline::aggregated_from_view`]).
 //!
-//! # Merge invariants (incremental adjacent-scale construction)
-//!
-//! A sweep evaluates the same stream at a *series* of scales, and adjacent
-//! scales share almost all of their window structure. When the coarser
-//! window count divides the finer one (`k_fine = r · k_coarse`),
-//! [`Timeline::aggregated_by_merge`] derives the coarse timeline from the
-//! fine one by merging runs of `r` adjacent windows instead of re-scattering
-//! the full [`EventView`]; [`Timeline::merge_compatible`] is the predicate
-//! guarding it. The merged timeline is **field-for-field identical** to the
-//! scratch-built one ([`aggregated_from_view`](Timeline::aggregated_from_view)
-//! at the same `k`), resting on these invariants:
-//!
-//! * **Exact window nesting.** [`WindowPartition::index`] maps an offset to
-//!   `⌊off · k / span⌋` (clamped at `k − 1`). For any real `x` and integer
-//!   `r ≥ 1`, `⌊⌊x · k_fine⌋ / r⌋ = ⌊x · k_coarse⌋` when
-//!   `k_fine = r · k_coarse`, and the end-of-period clamp commutes with the
-//!   division (`(k_fine − 1) / r = k_coarse − 1`). Hence every event's
-//!   coarse window is its fine window divided by `r` — *no event can
-//!   straddle a merge*. Non-divisor ratios have no such guarantee (a fine
-//!   window can span a coarse boundary), which is exactly what
-//!   `merge_compatible` rejects; callers then fall back to a scratch build.
-//! * **Pair ids are scale-independent.** On the aggregated path, pair ids
-//!   are assigned in `(u, v)`-sorted view order, so a pair's id is its rank
-//!   among the view's distinct pairs — the same at every `k`. Merging
-//!   carries ids through unchanged and copies `distinct_pairs`, preserving
-//!   the stable-id contract the delta engine's watermarks key on.
-//! * **Order and dedup.** Within a step, edges ascend by `(u, v)`, and pair
-//!   ids are a monotone function of `(u, v)`; the union of the `r` fine
-//!   steps of one coarse window is therefore a sorted-by-pair-id multiway
-//!   merge, with equal ids collapsing to one edge — the same set, in the
-//!   same order, that the radix scatter produces after its neighbor dedup.
-//! * **Exact timelines never merge.** Their steps are distinct timestamps,
-//!   not windows; `merge_compatible` is `false` for them.
-//!
-//! The differential proptest `timeline_incremental.rs` enforces the
-//! field-for-field equality (offsets, edge arrays, pair ids, and the DP
-//! results computed from them) over random streams × random divisor chains.
-//!
 //! # Splice invariants (append-only suffix rebuild)
 //!
 //! A streaming ingest session appends events to a stream whose study
@@ -472,12 +434,9 @@ impl Timeline {
         !self.ticks.is_empty()
     }
 
-    /// Whether the timeline of `k` windows can be derived from this one by
-    /// [`aggregated_by_merge`](Timeline::aggregated_by_merge): this timeline
-    /// must be aggregated (window-indexed, not timestamp-indexed) and `k`
-    /// must divide its window count — only then is every coarse window an
-    /// exact union of adjacent fine windows (module docs, "Merge
-    /// invariants").
+    /// The precondition of `aggregated_by_merge`: an aggregated timeline
+    /// whose window count `k` divides.
+    #[doc(hidden)]
     pub fn merge_compatible(&self, k: u64) -> bool {
         !self.is_exact()
             && k >= 1
@@ -485,26 +444,12 @@ impl Timeline {
             && (self.num_steps as u64).is_multiple_of(k)
     }
 
-    /// Derives the aggregated timeline at the coarser scale `k` by merging
-    /// runs of `num_steps / k` adjacent windows, instead of re-scattering
-    /// the full event view. Field-for-field identical to
-    /// [`aggregated_from_view`](Timeline::aggregated_from_view) at the same
-    /// `k` (module docs, "Merge invariants"); cost is `O(M_fine)` over the
-    /// fine timeline's deduplicated edges — plus one bitmap-word walk per
-    /// merged window — rather than `O(E)` over all events.
-    ///
-    /// Three run shapes, cheapest first: consecutive fine steps that each
-    /// land *alone* in their coarse window are batched into one verbatim
-    /// slice copy (their edges are contiguous in the CSR arrays — the
-    /// dominant shape on the sparse fine-scale tail); a two-step window
-    /// takes a classic two-way merge on pair ids (the dominant merging
-    /// shape on ratio-2 chains); wider windows take a pair-id bitmap union
-    /// whose ordered bit walk emits the sorted deduplicated result without
-    /// any comparison merging.
+    /// Only perfbench calls this (ROADMAP item 3 deletes it): the timeline
+    /// of `k` windows, as a pair-id bitmap union of runs of adjacent windows.
     ///
     /// # Panics
-    /// Panics unless [`merge_compatible`](Timeline::merge_compatible)
-    /// holds.
+    /// Panics unless `merge_compatible(k)` holds.
+    #[doc(hidden)]
     pub fn aggregated_by_merge(&self, k: u64) -> Timeline {
         assert!(
             self.merge_compatible(k),
@@ -512,114 +457,36 @@ impl Timeline {
             self.num_steps
         );
         let r = self.num_steps as u64 / k;
-        if r == 1 {
-            return self.clone();
-        }
-        let nonempty = self.nonempty_steps();
-        let mut step_index = Vec::with_capacity(nonempty.min(k as usize));
-        let mut step_offsets = Vec::with_capacity(nonempty.min(k as usize) + 1);
-        step_offsets.push(0u32);
-        let mut src = Vec::with_capacity(self.edge_src.len());
-        let mut dst = Vec::with_capacity(self.edge_src.len());
-        let mut pair = Vec::with_capacity(self.edge_src.len());
-        // union scratch for 3+-step windows, allocated lazily on the first
-        // one: a pair-id presence bitmap (cleared word-by-word as it is
-        // walked) and the (src, dst) of each present pair
-        let mut seen: Vec<u64> = Vec::new();
-        let mut pair_src: Vec<u32> = Vec::new();
-        let mut pair_dst: Vec<u32> = Vec::new();
-
         let coarse = |s: usize| (self.step_index[s] as u64 / r) as u32;
-        let offs = |s: usize| self.step_offsets[s] as usize;
+        let (mut step_index, mut step_offsets) = (Vec::new(), vec![0u32]);
+        let (mut src, mut dst, mut pair) = (Vec::new(), Vec::new(), Vec::new());
+        // a pair-id presence bitmap, cleared as it is walked, and each
+        // present pair's endpoints: pair ids ascend with (u, v), so the
+        // ordered bit walk is the window's sorted, deduplicated edge set
+        let mut seen = vec![0u64; (self.distinct_pairs as usize).div_ceil(64)];
+        let mut ends = vec![(0u32, 0u32); self.distinct_pairs as usize];
         let mut i = 0;
-        while i < nonempty {
-            let w = coarse(i);
-            // the run of fine steps landing in coarse window `w`
-            let mut j = i + 1;
-            while j < nonempty && coarse(j) == w {
-                j += 1;
+        while i < self.nonempty_steps() {
+            let j = (i..self.nonempty_steps()).find(|&j| coarse(j) != coarse(i));
+            let j = j.unwrap_or(self.nonempty_steps());
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            for e in self.step_offsets[i] as usize..self.step_offsets[j] as usize {
+                let p = self.edge_pair[e] as usize;
+                seen[p >> 6] |= 1 << (p & 63);
+                ends[p] = (self.edge_src[e], self.edge_dst[e]);
+                (lo, hi) = (lo.min(p >> 6), hi.max(p >> 6));
             }
-            if j == i + 1 {
-                // `i` is alone in its window: extend the batch over every
-                // following step that is also alone in its own window, and
-                // copy the whole contiguous edge range in one go
-                while j < nonempty
-                    && coarse(j) != coarse(j - 1)
-                    && (j + 1 == nonempty || coarse(j + 1) != coarse(j))
-                {
-                    j += 1;
-                }
-                let base = src.len();
-                src.extend_from_slice(&self.edge_src[offs(i)..offs(j)]);
-                dst.extend_from_slice(&self.edge_dst[offs(i)..offs(j)]);
-                pair.extend_from_slice(&self.edge_pair[offs(i)..offs(j)]);
-                for s in i..j {
-                    step_index.push(coarse(s));
-                    step_offsets.push((base + offs(s + 1) - offs(i)) as u32);
-                }
-                i = j;
-                continue;
-            }
-            if j == i + 2 {
-                // two fine steps: classic two-way merge on pair id (the
-                // dominant merging case on ratio-2 chains at fine scales)
-                let (mut a, a_hi) = (offs(i), offs(i + 1));
-                let (mut b, b_hi) = (a_hi, offs(i + 2));
-                while a < a_hi && b < b_hi {
-                    let (pa, pb) = (self.edge_pair[a], self.edge_pair[b]);
-                    let take = if pa <= pb { a } else { b };
-                    src.push(self.edge_src[take]);
-                    dst.push(self.edge_dst[take]);
-                    pair.push(self.edge_pair[take]);
-                    if pa <= pb {
-                        a += 1;
-                    }
-                    if pb <= pa {
-                        b += 1;
-                    }
-                }
-                let (mut rest, hi) = if a < a_hi { (a, a_hi) } else { (b, b_hi) };
-                while rest < hi {
-                    src.push(self.edge_src[rest]);
-                    dst.push(self.edge_dst[rest]);
-                    pair.push(self.edge_pair[rest]);
-                    rest += 1;
-                }
-            } else {
-                // 3+ fine steps: mark pairs in the bitmap, then walk the
-                // touched words in ascending order — pair ids ascend with
-                // (u, v), so the bit walk *is* the sorted dedup union
-                if seen.is_empty() {
-                    seen = vec![0u64; (self.distinct_pairs as usize).div_ceil(64).max(1)];
-                    pair_src = vec![0u32; self.distinct_pairs as usize];
-                    pair_dst = vec![0u32; self.distinct_pairs as usize];
-                }
-                let (mut min_p, mut max_p) = (u32::MAX, 0u32);
-                for e in offs(i)..offs(j) {
-                    let p = self.edge_pair[e];
-                    let (word, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
-                    if seen[word] & bit == 0 {
-                        seen[word] |= bit;
-                        pair_src[p as usize] = self.edge_src[e];
-                        pair_dst[p as usize] = self.edge_dst[e];
-                        min_p = min_p.min(p);
-                        max_p = max_p.max(p);
-                    }
-                }
-                let word_lo = (min_p >> 6) as usize;
-                for (at, slot) in seen[word_lo..=(max_p >> 6) as usize].iter_mut().enumerate() {
-                    let mut word = *slot;
-                    *slot = 0;
-                    while word != 0 {
-                        let p = ((word_lo + at) as u32) << 6 | word.trailing_zeros();
-                        src.push(pair_src[p as usize]);
-                        dst.push(pair_dst[p as usize]);
-                        pair.push(p);
-                        word &= word - 1;
-                    }
+            for (word, slot) in (lo..=hi).zip(&mut seen[lo..=hi]) {
+                let mut bits = std::mem::take(slot);
+                while bits != 0 {
+                    let p = word << 6 | bits.trailing_zeros() as usize;
+                    src.push(ends[p].0);
+                    dst.push(ends[p].1);
+                    pair.push(p as u32);
+                    bits &= bits - 1;
                 }
             }
-            step_index.push(w);
+            step_index.push(coarse(i));
             step_offsets.push(src.len() as u32);
             i = j;
         }
@@ -735,8 +602,7 @@ impl Timeline {
     /// An order-sensitive checksum over every field the DP engine consumes
     /// (step indices, CSR offsets, edge endpoints, pair ids, step/pair
     /// counts). Two timelines with equal checksums are field-for-field
-    /// interchangeable for the engine; the sweep bench hard-asserts
-    /// merged-vs-scratch checksum equality.
+    /// interchangeable for the engine.
     pub fn checksum(&self) -> u64 {
         let mut acc = 0xcbf2_9ce4_8422_2325u64
             ^ ((self.num_steps as u64) << 1)
@@ -1221,7 +1087,7 @@ mod tests {
     fn merge_compatibility_predicate() {
         let s = stream();
         let t = Timeline::aggregated(&s, 9);
-        assert!(t.merge_compatible(9)); // ratio 1: trivial clone
+        assert!(t.merge_compatible(9)); // ratio 1
         assert!(t.merge_compatible(3));
         assert!(t.merge_compatible(1));
         assert!(!t.merge_compatible(2)); // non-divisor

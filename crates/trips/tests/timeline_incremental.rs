@@ -1,27 +1,12 @@
-//! Differential validation of incremental (adjacent-window merge) timeline
-//! construction: on random streams and random divisor scale chains, a
-//! timeline derived by `Timeline::aggregated_by_merge` must equal the
-//! scratch-built timeline **field for field** — step indices, CSR offsets,
-//! edge arrays, pair ids, distinct-pair count — and the DP engine must
-//! produce identical trips, stats, and distance sums from either (with
-//! delta propagation on and off, the machinery `proptest_frontier.rs`
-//! exercises), so sweep reports match with incremental on or off.
+//! `Timeline::aggregated_by_merge`, kept while perfbench's traced replay
+//! calls it: on random streams and random divisor scale chains, a merged
+//! timeline must equal the one built from the event view **field for
+//! field** — step indices, CSR offsets, edge arrays, pair ids,
+//! distinct-pair count. The sweep itself builds every scale from the view.
 
 use proptest::prelude::*;
 use saturn_linkstream::{Directedness, LinkStreamBuilder};
-use saturn_trips::{
-    earliest_arrival_dp, occupancy_histogram_in, DpOptions, EngineArena, EventView, TargetSet,
-    Timeline, TripSink,
-};
-
-#[derive(Default)]
-struct Collect(Vec<(u32, u32, u32, u32, u32)>);
-
-impl TripSink for Collect {
-    fn minimal_trip(&mut self, u: u32, v: u32, dep: u32, arr: u32, hops: u32) {
-        self.0.push((u, v, dep, arr, hops));
-    }
-}
+use saturn_trips::{EventView, Timeline};
 
 /// A random stream over <= 7 nodes and <= 18 events in [0, 60].
 fn arb_stream(directed: bool) -> impl Strategy<Value = saturn_linkstream::LinkStream> {
@@ -113,45 +98,5 @@ proptest! {
             &Timeline::aggregated_from_view(&view, k_c),
             "directed merge",
         );
-    }
-
-    /// The DP level: the engine fed a merged timeline reports the same
-    /// trip stream, stats, and distance sums as when fed the scratch
-    /// timeline (the merged timeline's pair ids drive the delta watermarks,
-    /// so this is the contract that keeps sweep reports identical whichever
-    /// way a timeline was built).
-    #[test]
-    fn dp_results_match_on_merged_and_scratch_timelines(
-        stream in arb_stream(false),
-        k_c in 1u64..12,
-        ratio in 2u64..8,
-    ) {
-        let (k_c, ratio) = if stream.span() == 0 { (1, 1) } else { (k_c, ratio) };
-        let view = EventView::new(&stream);
-        let merged =
-            Timeline::aggregated_from_view(&view, k_c * ratio).aggregated_by_merge(k_c);
-        let scratch = Timeline::aggregated_from_view(&view, k_c);
-        let targets = TargetSet::all(7);
-        let options = DpOptions { collect_distances: true };
-        let mut from_merged = Collect::default();
-        let ms = earliest_arrival_dp(&merged, &targets, &mut from_merged, options);
-        let mut from_scratch = Collect::default();
-        let ss = earliest_arrival_dp(&scratch, &targets, &mut from_scratch, options);
-        prop_assert_eq!(&from_merged.0, &from_scratch.0);
-        prop_assert_eq!(ms.trips, ss.trips);
-        prop_assert_eq!(ms.traversals, ss.traversals);
-        prop_assert_eq!(ms.chain_offers, ss.chain_offers);
-        prop_assert_eq!(ms.snap_entries, ss.snap_entries);
-        let (md, sd) = (ms.distances.unwrap(), ss.distances.unwrap());
-        prop_assert_eq!(md.sum_dtime_steps, sd.sum_dtime_steps);
-        prop_assert_eq!(md.sum_dhops, sd.sum_dhops);
-        prop_assert_eq!(md.finite_triples, sd.finite_triples);
-        // occupancy histograms (what sweep reports are built from) match too
-        let mut arena = EngineArena::new();
-        let hm = occupancy_histogram_in(&mut arena, &merged, &targets);
-        let hs = occupancy_histogram_in(&mut arena, &scratch, &targets);
-        prop_assert_eq!(hm.total_trips(), hs.total_trips());
-        prop_assert_eq!(hm.distinct_rates(), hs.distinct_rates());
-        prop_assert_eq!(hm.sorted_rates(), hs.sorted_rates());
     }
 }
