@@ -8,7 +8,7 @@
 
 use crate::parallel::WorkerPool;
 use crate::{SweepGrid, TargetSpec};
-use saturn_graphseries::{snapshot_means, SnapshotMeans};
+use saturn_graphseries::SnapshotMeans;
 use saturn_linkstream::LinkStream;
 use saturn_trips::{
     distance_means_in, dp::max_tile_cols, DistanceMeans, EngineArena, EventView, Timeline,
@@ -31,8 +31,9 @@ pub struct ClassicPoint {
     pub distances: DistanceMeans,
 }
 
-/// Sweeps the classical parameters over `grid` on `pool`, one item per scale
-/// whose DP runs in its worker's arena, in budget-sized tiles
+/// Sweeps the classical parameters over `grid` on `pool`, one item per scale:
+/// the scale's one timeline feeds both the snapshot means and the distance
+/// DP, which runs in its worker's arena, in budget-sized tiles
 /// ([`max_tile_cols`]); the points depend on neither tiles nor pool size.
 pub fn classic_sweep(
     stream: &LinkStream,
@@ -47,11 +48,14 @@ pub fn classic_sweep(
     let ks = grid.k_values(stream, delta_min);
     let arenas: Vec<Mutex<EngineArena>> =
         (0..pool.parallelism()).map(|_| Mutex::default()).collect();
+    let (n, directedness) = (stream.node_count() as u32, stream.directedness());
     let mut points = pool.map(&ks, |wid, &k| {
         let timeline = Timeline::aggregated_from_view(&view, k);
+        let delta_ticks = span as f64 / k as f64;
+        let windows = timeline.steps_asc().map(|step| step.edges());
+        let snapshots = SnapshotMeans::of_windows(n, directedness, k, delta_ticks, windows);
         let mut arena = arenas[wid].lock().expect("arena poisoned");
         let distances = distance_means_in(&mut arena, &timeline, span, k, &targets, tile_cols);
-        let (delta_ticks, snapshots) = (span as f64 / k as f64, snapshot_means(stream, k));
         ClassicPoint { k, delta_ticks, snapshots, distances }
     });
     points.sort_unstable_by_key(|p| std::cmp::Reverse(p.k)); // Δ ascending
@@ -61,6 +65,8 @@ pub fn classic_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use saturn_graphseries::GraphSeries;
     use saturn_linkstream::{Directedness, LinkStreamBuilder};
 
     fn stream() -> LinkStream {
@@ -128,6 +134,50 @@ mod tests {
                     json(&[*p]),
                     "{width}"
                 );
+            }
+        }
+    }
+
+    /// Every field of `m`, floats as bits.
+    fn bits(m: &SnapshotMeans) -> [u64; 8] {
+        [
+            m.k,
+            m.delta_ticks.to_bits(),
+            m.non_empty as u64,
+            m.total_edges as u64,
+            m.mean_density.to_bits(),
+            m.mean_degree.to_bits(),
+            m.mean_non_isolated.to_bits(),
+            m.mean_largest_component.to_bits(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The snapshot means the sweep reads from its timelines equal, to
+        /// the bit, the means of the independently aggregated
+        /// `GraphSeries` (Definition 1) at every scale, on both
+        /// directednesses.
+        #[test]
+        fn timeline_means_equal_series_means(
+            events in proptest::collection::vec((0u32..9, 1u32..9, 0i64..600), 1..150),
+            directed in any::<bool>(),
+            points in 2usize..9,
+        ) {
+            let dir = if directed { Directedness::Directed } else { Directedness::Undirected };
+            let mut b = LinkStreamBuilder::indexed(dir, 9);
+            for (u, shift, t) in events {
+                b.add_indexed(u, (u + shift) % 9, t);
+            }
+            let s = b.build().unwrap();
+            let grid = SweepGrid::Geometric { points };
+            let pts = classic_sweep(&s, &grid, TargetSpec::All, 1, &mut WorkerPool::new(1));
+            prop_assert!(!pts.is_empty());
+            for p in &pts {
+                let series = GraphSeries::aggregate(&s, p.k).means();
+                prop_assert_eq!(bits(&p.snapshots), bits(&series), "k={}", p.k);
+                prop_assert_eq!(p.delta_ticks.to_bits(), series.delta_ticks.to_bits());
             }
         }
     }

@@ -1605,6 +1605,23 @@ mod tests {
         }
     }
 
+    /// Admission reserves 8-byte keys once `ea < k` and `hops < n` need
+    /// more than 31 bits together, else 4, and only the levels a scale's
+    /// non-empty steps can hold: arithmetic alone, no table is allocated.
+    #[test]
+    fn rung_reserve_sizes_keys_and_levels() {
+        let (n, table) = (65_536, 65_536 * 65_536);
+        // k − 1 and n − 1 take 16 bits each: 32 bits, so 8-byte keys
+        assert_eq!(rung_reserve(n, 65_536, 32, 0), 4 * table * 8);
+        // k − 1 takes 15 bits: 31 bits, so the keys pack to 4 bytes
+        assert_eq!(rung_reserve(n, 32_768, 32, 0), 4 * table * 4);
+        // 10 steps hold the ¼ and ⅛ levels only (10 / 16 rounds to none)
+        assert_eq!(rung_reserve(n, 65_536, 10, 0), 2 * table * 8);
+        // levels already kept are not reserved again
+        assert_eq!(rung_reserve(n, 65_536, 32, 1), 3 * table * 8);
+        assert_eq!(rung_reserve(n, 65_536, 10, 2), 0);
+    }
+
     /// Session refreshes resume each respliced scale from its latest rung
     /// at or below the dirty window: a late append resumes from a late
     /// rung, one past only the ¼ rung resumes earlier, one before every

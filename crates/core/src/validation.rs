@@ -15,7 +15,7 @@
 //! tiles, whatever the thread count. Per tile, in column order, the exact
 //! DP computes the tile's reference ([`ExactStream::tile_trips`]), then one
 //! item per scale scores the same columns against it. Counts add up exactly,
-//! elongation sums in tile order; one tile (≤ ~2,340 nodes, all targets)
+//! elongation sums in tile order; one tile (≤ 2,989 nodes, all targets)
 //! gives the untiled report bit for bit.
 
 use crate::control::SweepControl;

@@ -9,7 +9,12 @@
 //! It also provides the *classical* per-snapshot statistics whose smooth,
 //! featureless variation with `Δ` motivates the occupancy method (Figure 2
 //! and Section 3 of the paper): density, mean degree, number of non-isolated
-//! vertices and size of the largest connected component.
+//! vertices and size of the largest connected component. Each is defined
+//! once, behind [`Snapshot`]'s methods, and [`SnapshotMeans::of_windows`]
+//! averages them over any sequence of deduplicated edge windows: the
+//! snapshots of a [`GraphSeries`] ([`GraphSeries::means`]), or the steps of
+//! a timeline a sweep has already built, so a sweep aggregates each scale
+//! once.
 //!
 //! ```
 //! use saturn_linkstream::{Directedness, LinkStreamBuilder};
@@ -32,7 +37,7 @@ pub mod series;
 pub mod snapshot;
 pub mod union_find;
 
-pub use metrics::{snapshot_means, SnapshotMeans};
+pub use metrics::SnapshotMeans;
 pub use series::GraphSeries;
 pub use snapshot::Snapshot;
 pub use union_find::UnionFind;

@@ -1,4 +1,4 @@
-//! Classical per-snapshot statistics of an aggregated series (Figure 2).
+//! Means of the classical per-snapshot statistics over a series (Figure 2).
 //!
 //! The paper's Section 3 shows that these quantities vary smoothly with the
 //! aggregation period and therefore cannot reveal the saturation scale — they
@@ -9,9 +9,14 @@
 //! scales almost all windows are empty and would otherwise drown the
 //! statistics; the paper's reported minima — e.g. a largest component of 2.3
 //! nodes for Irvine at Δ = 1s — are only consistent with this convention).
+//!
+//! Each statistic is defined once, on [`Snapshot`](crate::Snapshot)'s
+//! side; [`SnapshotMeans::of_windows`] is the one implementation of their
+//! means.
 
+use crate::snapshot::{connectivity, density, mean_degree};
 use crate::UnionFind;
-use saturn_linkstream::LinkStream;
+use saturn_linkstream::Directedness;
 use serde::Serialize;
 
 /// Mean per-snapshot statistics of an aggregated series at one scale `Δ`.
@@ -35,113 +40,51 @@ pub struct SnapshotMeans {
     pub mean_largest_component: f64,
 }
 
-/// Computes [`SnapshotMeans`] for `stream` aggregated over `k` windows,
-/// streaming over the windows without materializing the series.
-///
-/// # Panics
-/// Panics if `k` is invalid for the stream's study period.
-pub fn snapshot_means(stream: &LinkStream, k: u64) -> SnapshotMeans {
-    let partition = stream.partition(k).expect("invalid window count");
-    let n = stream.node_count() as u32;
-    let mut uf = UnionFind::new(n as usize);
-
-    let mut non_empty = 0usize;
-    let mut total_edges = 0usize;
-    let mut sum_density = 0.0f64;
-    let mut sum_degree = 0.0f64;
-    let mut sum_non_isolated = 0.0f64;
-    let mut sum_lcc = 0.0f64;
-
-    let mut scratch: Vec<(u32, u32)> = Vec::new();
-    for (_w, links) in partition.window_slices(stream) {
-        scratch.clear();
-        scratch.extend(links.iter().map(|l| (l.u.raw(), l.v.raw())));
-        scratch.sort_unstable();
-        scratch.dedup();
-
-        let m = scratch.len();
-        non_empty += 1;
-        total_edges += m;
-
-        // density & degree straight from the edge count
-        let snap_density = {
-            // reuse Snapshot's conventions without building one
-            let nf = n as f64;
-            if n < 2 {
-                0.0
-            } else {
-                match stream.directedness() {
-                    saturn_linkstream::Directedness::Directed => m as f64 / (nf * (nf - 1.0)),
-                    saturn_linkstream::Directedness::Undirected => {
-                        2.0 * m as f64 / (nf * (nf - 1.0))
-                    }
-                }
-            }
-        };
-        sum_density += snap_density;
-        sum_degree += if n == 0 { 0.0 } else { 2.0 * m as f64 / n as f64 };
-
-        // connectivity via the versioned union-find
-        uf.reset();
-        let mut lcc = 1u32;
-        let mut touched: Vec<u32> = Vec::with_capacity(m * 2);
-        for &(u, v) in scratch.iter() {
-            uf.union(u, v);
-            lcc = lcc.max(uf.component_size(u));
-            touched.push(u);
-            touched.push(v);
+impl SnapshotMeans {
+    /// The means over the non-empty windows of a `k`-window series over `n`
+    /// nodes, each given as its distinct edges, in ascending window order
+    /// (the sums are taken in that order). One versioned [`UnionFind`]
+    /// serves every window. [`GraphSeries::means`](crate::GraphSeries::means)
+    /// feeds it materialized snapshots; a sweep can feed it the steps of a
+    /// timeline it has already built.
+    pub fn of_windows<W: IntoIterator<Item = (u32, u32)>>(
+        n: u32,
+        directedness: Directedness,
+        k: u64,
+        delta_ticks: f64,
+        windows: impl IntoIterator<Item = W>,
+    ) -> Self {
+        let mut uf = UnionFind::new(n as usize);
+        let (mut non_empty, mut total_edges) = (0usize, 0usize);
+        let (mut density_sum, mut degree_sum) = (0.0f64, 0.0f64);
+        let (mut non_isolated_sum, mut largest_sum) = (0.0f64, 0.0f64);
+        for edges in windows {
+            let c = connectivity(&mut uf, edges);
+            non_empty += 1;
+            total_edges += c.edges;
+            density_sum += density(n, directedness, c.edges);
+            degree_sum += mean_degree(n, c.edges);
+            non_isolated_sum += c.non_isolated as f64;
+            largest_sum += c.largest_component as f64;
         }
-        touched.sort_unstable();
-        touched.dedup();
-        sum_non_isolated += touched.len() as f64;
-        sum_lcc += lcc as f64;
-    }
-
-    let d = non_empty.max(1) as f64;
-    SnapshotMeans {
-        k,
-        delta_ticks: partition.delta_ticks(),
-        non_empty,
-        total_edges,
-        mean_density: sum_density / d,
-        mean_degree: sum_degree / d,
-        mean_non_isolated: sum_non_isolated / d,
-        mean_largest_component: sum_lcc / d,
-    }
-}
-
-/// Convenience: the same statistics computed from an already materialized
-/// [`crate::GraphSeries`].
-pub fn snapshot_means_of_series(series: &crate::GraphSeries) -> SnapshotMeans {
-    let mut non_empty = 0usize;
-    let mut total_edges = 0usize;
-    let (mut sd, mut sg, mut sni, mut slcc) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (_, snap) in series.snapshots() {
-        non_empty += 1;
-        total_edges += snap.edge_count();
-        sd += snap.density();
-        sg += snap.mean_degree();
-        sni += snap.non_isolated() as f64;
-        slcc += snap.largest_component() as f64;
-    }
-    let d = non_empty.max(1) as f64;
-    SnapshotMeans {
-        k: series.k(),
-        delta_ticks: series.delta_ticks(),
-        non_empty,
-        total_edges,
-        mean_density: sd / d,
-        mean_degree: sg / d,
-        mean_non_isolated: sni / d,
-        mean_largest_component: slcc / d,
+        let d = non_empty.max(1) as f64;
+        SnapshotMeans {
+            k,
+            delta_ticks,
+            non_empty,
+            total_edges,
+            mean_density: density_sum / d,
+            mean_degree: degree_sum / d,
+            mean_non_isolated: non_isolated_sum / d,
+            mean_largest_component: largest_sum / d,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::GraphSeries;
-    use saturn_linkstream::{Directedness, LinkStreamBuilder};
+    use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
 
     fn stream() -> LinkStream {
         let mut b = LinkStreamBuilder::new(Directedness::Undirected);
@@ -154,28 +97,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_materialized() {
-        let s = stream();
-        for k in [1u64, 2, 3, 5, 10] {
-            let a = snapshot_means(&s, k);
-            let series = GraphSeries::aggregate(&s, k);
-            let b = snapshot_means_of_series(&series);
-            assert_eq!(a.non_empty, b.non_empty, "k={k}");
-            assert_eq!(a.total_edges, b.total_edges, "k={k}");
-            assert!((a.mean_density - b.mean_density).abs() < 1e-12, "k={k}");
-            assert!((a.mean_degree - b.mean_degree).abs() < 1e-12, "k={k}");
-            assert!((a.mean_non_isolated - b.mean_non_isolated).abs() < 1e-12, "k={k}");
-            assert!(
-                (a.mean_largest_component - b.mean_largest_component).abs() < 1e-12,
-                "k={k}"
-            );
-        }
-    }
-
-    #[test]
     fn total_aggregation_values() {
         let s = stream();
-        let m = snapshot_means(&s, 1);
+        let m = GraphSeries::aggregate(&s, 1).means();
         assert_eq!(m.non_empty, 1);
         // one pentagon over 5 nodes: density 5/10, degree 2, all 5 non-isolated, lcc 5
         assert!((m.mean_density - 0.5).abs() < 1e-12);
@@ -187,8 +111,8 @@ mod tests {
     #[test]
     fn density_grows_with_delta() {
         let s = stream();
-        let fine = snapshot_means(&s, 10);
-        let coarse = snapshot_means(&s, 1);
+        let fine = GraphSeries::aggregate(&s, 10).means();
+        let coarse = GraphSeries::aggregate(&s, 1).means();
         assert!(fine.mean_density < coarse.mean_density);
         assert!(fine.mean_largest_component < coarse.mean_largest_component);
     }

@@ -1,6 +1,6 @@
 //! The aggregated graph series `G_Δ`.
 
-use crate::Snapshot;
+use crate::{Snapshot, SnapshotMeans};
 use saturn_linkstream::{Directedness, LinkStream, WindowPartition};
 use serde::Serialize;
 
@@ -81,6 +81,19 @@ impl GraphSeries {
             .binary_search_by_key(&w, |(wi, _)| *wi)
             .ok()
             .map(|i| &self.snapshots[i].1)
+    }
+
+    /// The means of the per-snapshot statistics over the non-empty
+    /// snapshots ([`SnapshotMeans::of_windows`]).
+    pub fn means(&self) -> SnapshotMeans {
+        let windows = self.snapshots().map(|(_, s)| s.edges().iter().copied());
+        SnapshotMeans::of_windows(
+            self.n,
+            self.directedness,
+            self.k(),
+            self.delta_ticks(),
+            windows,
+        )
     }
 
     /// Total number of edges `M = Σ_k |E_k|` over the whole series — the `M`

@@ -61,66 +61,30 @@ impl Snapshot {
     /// Graph density: `m / (n(n-1))` if directed, `2m / (n(n-1))` if
     /// undirected. Zero for graphs with fewer than two nodes.
     pub fn density(&self) -> f64 {
-        let n = self.n as f64;
-        if self.n < 2 {
-            return 0.0;
-        }
-        let pairs = match self.directedness {
-            Directedness::Directed => n * (n - 1.0),
-            Directedness::Undirected => n * (n - 1.0) / 2.0,
-        };
-        self.edge_count() as f64 / pairs
+        density(self.n, self.directedness, self.edge_count())
     }
 
     /// Mean degree over **all** `n` nodes (isolated ones included). Each edge
     /// contributes to both endpoints, so this is `2m/n` — the paper notes it
     /// equals density up to the factor `n - 1`.
     pub fn mean_degree(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        2.0 * self.edge_count() as f64 / self.n as f64
+        mean_degree(self.n, self.edge_count())
     }
 
     /// Number of nodes incident to at least one edge.
     pub fn non_isolated(&self) -> usize {
-        let mut touched: Vec<u32> = Vec::with_capacity(self.edges.len() * 2);
-        for &(u, v) in &self.edges {
-            touched.push(u);
-            touched.push(v);
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        touched.len()
+        self.connectivity().non_isolated
     }
 
     /// Size (node count) of the largest connected component, using weak
     /// connectivity for directed snapshots. An empty snapshot has a largest
     /// component of size 1 when `n > 0` (an isolated vertex), 0 otherwise.
     pub fn largest_component(&self) -> usize {
-        if self.edges.is_empty() {
-            return usize::from(self.n > 0);
-        }
-        let mut uf = UnionFind::new(self.n as usize);
-        let mut best = 1u32;
-        for &(u, v) in &self.edges {
-            uf.union(u, v);
-            best = best.max(uf.component_size(u));
-        }
-        best as usize
+        self.connectivity().largest_component
     }
 
-    /// Out-adjacency lists (or plain adjacency if undirected, with each edge
-    /// listed from both endpoints), indexed by node.
-    pub fn adjacency(&self) -> Vec<Vec<u32>> {
-        let mut adj = vec![Vec::new(); self.n as usize];
-        for &(u, v) in &self.edges {
-            adj[u as usize].push(v);
-            if !self.directedness.is_directed() {
-                adj[v as usize].push(u);
-            }
-        }
-        adj
+    fn connectivity(&self) -> Connectivity {
+        connectivity(&mut UnionFind::new(self.n as usize), self.edges.iter().copied())
     }
 
     /// Whether the given (oriented as stored) edge is present.
@@ -128,6 +92,55 @@ impl Snapshot {
         let key = if self.directedness.is_directed() || u <= v { (u, v) } else { (v, u) };
         self.edges.binary_search(&key).is_ok()
     }
+}
+
+/// Density of a snapshot over `n` nodes with `m` distinct edges (see
+/// [`Snapshot::density`]).
+pub(crate) fn density(n: u32, directedness: Directedness, m: usize) -> f64 {
+    if n < 2 {
+        return 0.0;
+    }
+    let pairs = n as f64 * (n as f64 - 1.0);
+    match directedness {
+        Directedness::Directed => m as f64 / pairs,
+        Directedness::Undirected => 2.0 * m as f64 / pairs,
+    }
+}
+
+/// Mean degree of a snapshot over `n` nodes with `m` distinct edges (see
+/// [`Snapshot::mean_degree`]).
+pub(crate) fn mean_degree(n: u32, m: usize) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    2.0 * m as f64 / n as f64
+}
+
+/// The connectivity statistics of one snapshot.
+pub(crate) struct Connectivity {
+    /// Number of edges read.
+    pub(crate) edges: usize,
+    /// See [`Snapshot::non_isolated`].
+    pub(crate) non_isolated: usize,
+    /// See [`Snapshot::largest_component`].
+    pub(crate) largest_component: usize,
+}
+
+/// The connectivity of the snapshot over `uf`'s nodes whose distinct edges
+/// are `edges`, on `uf` (reset first, so one forest serves every window of
+/// a series).
+pub(crate) fn connectivity(
+    uf: &mut UnionFind,
+    edges: impl IntoIterator<Item = (u32, u32)>,
+) -> Connectivity {
+    uf.reset();
+    let (mut m, mut largest) = (0, u32::from(!uf.is_empty()));
+    for (u, v) in edges {
+        m += 1;
+        uf.union(u, v);
+        largest = largest.max(uf.component_size(u));
+    }
+    Connectivity { edges: m, non_isolated: uf.touched(), largest_component: largest as usize }
 }
 
 #[cfg(test)]
@@ -183,20 +196,6 @@ mod tests {
     fn directed_uses_weak_connectivity() {
         let s = Snapshot::from_edges(3, Directedness::Directed, vec![(0, 1), (2, 1)]);
         assert_eq!(s.largest_component(), 3); // 0 -> 1 <- 2 weakly connected
-    }
-
-    #[test]
-    fn adjacency_mirrors_undirected_edges() {
-        let s = Snapshot::from_edges(3, Directedness::Undirected, vec![(0, 1), (1, 2)]);
-        let adj = s.adjacency();
-        assert_eq!(adj[0], vec![1]);
-        assert_eq!(adj[1], vec![0, 2]);
-        assert_eq!(adj[2], vec![1]);
-
-        let d = Snapshot::from_edges(3, Directedness::Directed, vec![(0, 1), (1, 2)]);
-        let adj = d.adjacency();
-        assert_eq!(adj[1], vec![2]);
-        assert!(adj[2].is_empty());
     }
 
     #[test]

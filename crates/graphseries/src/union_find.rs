@@ -27,13 +27,20 @@ pub struct UnionFind {
     size: Vec<u32>,
     version: Vec<u32>,
     current: u32,
+    touched: usize,
 }
 
 impl UnionFind {
     /// Creates a forest of `n` singleton sets.
     pub fn new(n: usize) -> Self {
         assert!(n <= u32::MAX as usize, "UnionFind supports at most u32::MAX elements");
-        UnionFind { parent: vec![0; n], size: vec![0; n], version: vec![0; n], current: 1 }
+        UnionFind {
+            parent: vec![0; n],
+            size: vec![0; n],
+            version: vec![0; n],
+            current: 1,
+            touched: 0,
+        }
     }
 
     /// Number of elements.
@@ -46,8 +53,15 @@ impl UnionFind {
         self.parent.is_empty()
     }
 
+    /// Number of elements touched (by any query or union) since the last
+    /// reset: after unioning a graph's edges, its non-isolated nodes.
+    pub fn touched(&self) -> usize {
+        self.touched
+    }
+
     /// Forgets all unions in O(1).
     pub fn reset(&mut self) {
+        self.touched = 0;
         self.current = self.current.checked_add(1).unwrap_or_else(|| {
             // Version counter wrapped (after 2^32 resets): do one eager clear.
             self.version.fill(0);
@@ -61,6 +75,7 @@ impl UnionFind {
             self.version[x as usize] = self.current;
             self.parent[x as usize] = x;
             self.size[x as usize] = 1;
+            self.touched += 1;
         }
     }
 
@@ -113,7 +128,9 @@ mod tests {
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2)); // already joined
         assert_eq!(uf.component_size(1), 3);
+        assert_eq!(uf.touched(), 3);
         assert_eq!(uf.component_size(5), 1);
+        assert_eq!(uf.touched(), 4);
     }
 
     #[test]
@@ -121,6 +138,7 @@ mod tests {
         let mut uf = UnionFind::new(4);
         uf.union(0, 3);
         uf.reset();
+        assert_eq!(uf.touched(), 0);
         assert!(!uf.connected(0, 3));
         assert_eq!(uf.component_size(0), 1);
         // and unions work again after reset

@@ -1,7 +1,7 @@
 //! Property-based validation of aggregation and snapshot metrics.
 
 use proptest::prelude::*;
-use saturn_graphseries::{snapshot_means, GraphSeries};
+use saturn_graphseries::GraphSeries;
 use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
 
 fn arb_stream() -> impl Strategy<Value = LinkStream> {
@@ -52,17 +52,28 @@ proptest! {
         }
     }
 
-    /// The streaming means equal the materialized-series means.
+    /// The means, streamed over the windows through one reused union-find,
+    /// equal the window-order averages of the snapshots' own statistics
+    /// (each on a fresh union-find), bit for bit.
     #[test]
     fn streaming_equals_materialized(stream in arb_stream(), k in 1u64..60) {
         let k = if stream.span() == 0 { 1 } else { k.min(stream.span() as u64).max(1) };
-        let a = snapshot_means(&stream, k);
         let series = GraphSeries::aggregate(&stream, k);
-        let b = saturn_graphseries::metrics::snapshot_means_of_series(&series);
-        prop_assert_eq!(a.non_empty, b.non_empty);
-        prop_assert_eq!(a.total_edges, b.total_edges);
-        prop_assert!((a.mean_density - b.mean_density).abs() < 1e-12);
-        prop_assert!((a.mean_largest_component - b.mean_largest_component).abs() < 1e-12);
+        let means = series.means();
+        let mut sums = [0.0f64; 4];
+        for (_, snap) in series.snapshots() {
+            sums[0] += snap.density();
+            sums[1] += snap.mean_degree();
+            sums[2] += snap.non_isolated() as f64;
+            sums[3] += snap.largest_component() as f64;
+        }
+        let d = series.non_empty().max(1) as f64;
+        prop_assert_eq!(means.non_empty, series.non_empty());
+        prop_assert_eq!(means.total_edges, series.total_edges());
+        prop_assert_eq!(means.mean_density.to_bits(), (sums[0] / d).to_bits());
+        prop_assert_eq!(means.mean_degree.to_bits(), (sums[1] / d).to_bits());
+        prop_assert_eq!(means.mean_non_isolated.to_bits(), (sums[2] / d).to_bits());
+        prop_assert_eq!(means.mean_largest_component.to_bits(), (sums[3] / d).to_bits());
     }
 
     /// K = 1 gives the fully aggregated static graph: one snapshot holding

@@ -124,12 +124,6 @@ impl WindowPartition {
     pub fn window_slices<'a>(&self, stream: &'a LinkStream) -> WindowSlices<'a> {
         WindowSlices { partition: *self, rest: stream.events() }
     }
-
-    /// Like [`window_slices`](Self::window_slices) but in descending window
-    /// order — the iteration order of the backward dynamic program.
-    pub fn window_slices_rev<'a>(&self, stream: &'a LinkStream) -> WindowSlicesRev<'a> {
-        WindowSlicesRev { partition: *self, rest: stream.events() }
-    }
 }
 
 /// Ascending iterator over non-empty windows; see
@@ -149,26 +143,6 @@ impl<'a> Iterator for WindowSlices<'a> {
         let (head, tail) = self.rest.split_at(end);
         self.rest = tail;
         Some((w, head))
-    }
-}
-
-/// Descending iterator over non-empty windows; see
-/// [`WindowPartition::window_slices_rev`].
-pub struct WindowSlicesRev<'a> {
-    partition: WindowPartition,
-    rest: &'a [Link],
-}
-
-impl<'a> Iterator for WindowSlicesRev<'a> {
-    type Item = (u64, &'a [Link]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let last = self.rest.last()?;
-        let w = self.partition.index(last.t);
-        let start = self.rest.partition_point(|l| self.partition.index(l.t) < w);
-        let (head, tail) = self.rest.split_at(start);
-        self.rest = head;
-        Some((w, tail))
     }
 }
 
@@ -249,20 +223,6 @@ mod tests {
         assert_eq!(got, vec![(0, 2), (2, 1), (4, 2)]);
         let total: usize = p.window_slices(&s).map(|(_, g)| g.len()).sum();
         assert_eq!(total, s.len());
-    }
-
-    #[test]
-    fn rev_matches_forward_reversed() {
-        let s = sample_stream();
-        for k in 1..=12 {
-            let p = s.partition(k).unwrap();
-            let fwd: Vec<(u64, usize)> =
-                p.window_slices(&s).map(|(w, g)| (w, g.len())).collect();
-            let mut rev: Vec<(u64, usize)> =
-                p.window_slices_rev(&s).map(|(w, g)| (w, g.len())).collect();
-            rev.reverse();
-            assert_eq!(fwd, rev, "k={k}");
-        }
     }
 
     #[test]

@@ -369,11 +369,6 @@ impl Metrics {
         self.request_seconds.observe(timings.total());
     }
 
-    /// Requests counted for `route` across all status classes.
-    pub fn requests_for_route(&self, route: &str) -> u64 {
-        self.requests[route_index(route)].iter().map(Counter::get).sum()
-    }
-
     /// Folds one completed sweep tile into the aggregates.
     pub fn observe_tile(&self, span: &TileSpan) {
         self.sweep_tiles.inc();

@@ -1,8 +1,8 @@
 //! Point-process sampling primitives.
 //!
 //! Implemented from first principles (inverse-transform exponentials and
-//! thinning for non-homogeneous Poisson processes) to keep the dependency
-//! set to plain `rand`.
+//! rejection sampling against a rate bound) to keep the dependency set to
+//! plain `rand`.
 
 use rand::Rng;
 
@@ -11,33 +11,6 @@ pub fn sample_exponential<R: Rng>(rng: &mut R, mean: f64) -> f64 {
     debug_assert!(mean > 0.0);
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     -mean * u.ln()
-}
-
-/// Samples event times of a non-homogeneous Poisson process on `[t0, t1)`
-/// with intensity `rate(t) <= rate_max` (events per tick), by thinning.
-/// Returns integer tick times, sorted.
-pub fn sample_nhpp<R: Rng>(
-    rng: &mut R,
-    rate: impl Fn(f64) -> f64,
-    rate_max: f64,
-    t0: i64,
-    t1: i64,
-) -> Vec<i64> {
-    debug_assert!(rate_max > 0.0 && t1 > t0);
-    let mut out = Vec::new();
-    let mut t = t0 as f64;
-    loop {
-        t += sample_exponential(rng, 1.0 / rate_max);
-        if t >= t1 as f64 {
-            break;
-        }
-        let r = rate(t);
-        debug_assert!(r <= rate_max * (1.0 + 1e-9), "rate exceeds rate_max at t={t}");
-        if rng.gen::<f64>() * rate_max < r {
-            out.push(t as i64);
-        }
-    }
-    out
 }
 
 /// Samples exactly `count` event times on `[t0, t1)` distributed with density
@@ -87,25 +60,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| sample_exponential(&mut r, 5.0)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn nhpp_rate_controls_counts() {
-        let mut r = rng();
-        // constant rate 0.01 over 100_000 ticks => ~1000 events
-        let events = sample_nhpp(&mut r, |_| 0.01, 0.01, 0, 100_000);
-        assert!((events.len() as f64 - 1000.0).abs() < 150.0, "{} events", events.len());
-        assert!(events.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn nhpp_thinning_shapes_density() {
-        let mut r = rng();
-        // rate 0 on first half, high on second half
-        let events =
-            sample_nhpp(&mut r, |t| if t < 5_000.0 { 0.0 } else { 0.02 }, 0.02, 0, 10_000);
-        assert!(!events.is_empty());
-        assert!(events.iter().all(|&t| t >= 5_000));
     }
 
     #[test]

@@ -73,14 +73,6 @@ impl TwoMode {
         }
         b.build().expect("at least one segment generates links")
     }
-
-    /// Expected event count (before same-tick deduplication).
-    pub fn expected_events(&self) -> u64 {
-        let pairs = self.nodes as u64 * (self.nodes as u64 - 1) / 2;
-        let per_alt = if self.low_share < 1.0 { self.links_high as u64 } else { 0 }
-            + if self.low_share > 0.0 { self.links_low as u64 } else { 0 };
-        pairs * per_alt * self.alternations as u64
-    }
 }
 
 #[cfg(test)]

@@ -1877,6 +1877,14 @@ mod tests {
         }
     }
 
+    /// One all-target tile covers every stream of up to 2,989 nodes, the
+    /// figure `core::validation` and the README quote.
+    #[test]
+    fn one_tile_holds_every_column_up_to_2989_nodes() {
+        assert!(max_tile_cols(2989) >= 2989);
+        assert!(max_tile_cols(2990) < 2990);
+    }
+
     /// A key table the allocator refuses is a panic naming the table —
     /// unwindable, unlike the abort of an infallible allocation.
     #[test]

@@ -73,6 +73,4 @@ pub use occupancy::{
 pub use stream_trips::{ExactStream, StreamTrips};
 pub use target::TargetSet;
 pub use timeline::{EventView, StepView, Timeline};
-pub use transitions::{
-    lost_transition_fraction, lost_transition_weight, ShortestTransitions, Transition,
-};
+pub use transitions::{lost_transition_weight, ShortestTransitions, Transition};

@@ -29,7 +29,10 @@
 //! grouping by window is a stable two-pass radix scatter — `O(E)` per
 //! scale, no comparison sort, no per-window allocation. The occupancy
 //! sweep builds one `EventView` and feeds it to every scale (see
-//! [`Timeline::aggregated_from_view`]).
+//! [`Timeline::aggregated_from_view`]). The exact timeline is the same
+//! scatter with a tick's step being the rank of its distinct timestamp
+//! ([`Timeline::exact`]), so one piece of code turns events into
+//! deduplicated steps.
 //!
 //! # Splice invariants (append-only suffix rebuild)
 //!
@@ -55,12 +58,13 @@
 //!   unchanged and the old CSR prefix (rows `< first_dirty`) is reused
 //!   byte-for-byte. A conservative (too small) `first_dirty` is always
 //!   safe — it only rebuilds more suffix than strictly necessary.
-//! * **Pair ids are view ranks.** The aggregated path assigns pair ids in
-//!   `(u, v)`-sorted view order, so a pair's id is the index of its run in
-//!   the view. Appends can introduce new pairs anywhere in that order,
-//!   shifting the ranks of existing pairs, so the reused prefix remaps
-//!   each old id to the pair's rank in the *new* view (a monotone map —
-//!   within-step ascending `(u, v)` order survives). When the pair count
+//! * **Pair ids are view ranks.** Every timeline — aggregated, spliced or
+//!   exact — assigns pair ids in `(u, v)`-sorted view order, so a pair's id
+//!   is the index of its run in the view. Appends can introduce new pairs
+//!   anywhere in that order, shifting the ranks of existing pairs, so the
+//!   reused prefix remaps each old id to the pair's rank in the *new* view
+//!   (a monotone map — within-step ascending `(u, v)` order survives).
+//!   When the pair count
 //!   is unchanged there is nothing to remap: an append-only superset with
 //!   as many pairs has the same pairs, so the ids are copied verbatim.
 //!   The spliced timeline's ids therefore match the scratch build's ids
@@ -285,13 +289,39 @@ impl Timeline {
         assert!(k < u32::MAX as u64, "window count {k} exceeds engine limit");
         let partition =
             WindowPartition::new(view.t_begin, view.t_end, k).expect("invalid window count");
-        let (win, edge_src, edge_dst, edge_pair) = window_edges(view, &partition, 0);
+        Self::scattered(view, k as u32, window_of(&partition))
+    }
+
+    /// Builds the exact timeline of the raw stream `L`: one step per distinct
+    /// timestamp (links sharing an instant cannot be chained — Remark 1 — so
+    /// an instant behaves exactly like one snapshot). It is the same scatter
+    /// as [`aggregated_from_view`](Timeline::aggregated_from_view), with each
+    /// event's step the rank of its distinct timestamp, so its pair ids are
+    /// view ranks too.
+    ///
+    /// # Panics
+    /// As [`EventView::new`].
+    pub fn exact(stream: &LinkStream) -> Self {
+        let mut ticks: Vec<i64> = stream.events().iter().map(|l| l.t.ticks()).collect();
+        ticks.dedup(); // events are time-sorted
+        let steps = ticks.len() as u32;
+        let rank = |t: i64| ticks.partition_point(|&x| x < t) as u32;
+        let mut timeline = Self::scattered(&EventView::new(stream), steps, rank);
+        timeline.ticks = ticks;
+        timeline
+    }
+
+    /// The `num_steps`-step timeline of every event of `view`, the step of
+    /// tick `t` being `step_of(t)` (see [`window_edges`]).
+    fn scattered(view: &EventView, num_steps: u32, step_of: impl Fn(i64) -> u32) -> Self {
+        let (steps, edge_src, edge_dst, edge_pair) =
+            window_edges(view, num_steps, 0, i64::MIN, step_of);
         let (mut step_index, mut step_offsets) = (Vec::new(), vec![0u32]);
-        fold_steps(&win, 0, 0, &mut step_index, &mut step_offsets);
+        fold_steps(&steps, 0, 0, &mut step_index, &mut step_offsets);
         Timeline {
             n: view.n,
             directed: view.directed,
-            num_steps: k as u32,
+            num_steps,
             step_index,
             step_offsets,
             edge_src,
@@ -299,64 +329,6 @@ impl Timeline {
             edge_pair,
             distinct_pairs: view.pairs() as u32,
             ticks: Vec::new(),
-        }
-    }
-
-    /// Builds the exact timeline of the raw stream `L`: one step per distinct
-    /// timestamp (links sharing an instant cannot be chained — Remark 1 — so
-    /// an instant behaves exactly like one snapshot).
-    ///
-    /// # Panics
-    /// Panics if the stream has `>= u32::MAX` distinct timestamps.
-    pub fn exact(stream: &LinkStream) -> Self {
-        // edges <= events, so this bounds the u32 CSR offsets below
-        assert!(stream.events().len() < u32::MAX as usize, "edge count exceeds engine limit");
-        let mut ticks = Vec::new();
-        let mut step_index = Vec::new();
-        let mut step_offsets = vec![0u32];
-        let mut edge_src = Vec::new();
-        let mut edge_dst = Vec::new();
-        let mut edge_pair = Vec::new();
-        // events are (t, u, v)-sorted, so one pair's occurrences are NOT
-        // adjacent here (unlike the aggregated path) — a build-time hash
-        // assigns the stable pair ids
-        let mut pair_ids: rustc_hash::FxHashMap<(u32, u32), u32> =
-            rustc_hash::FxHashMap::default();
-        for (t, links) in stream.timestamp_groups() {
-            let index = ticks.len() as u32;
-            assert!(index < u32::MAX, "too many distinct timestamps");
-            ticks.push(t.ticks());
-            // events are stream-sorted by (t, u, v): within a timestamp
-            // group they are already in (u, v) order, so dedup is a
-            // neighbor comparison
-            for l in links {
-                let (u, v) = (l.u.raw(), l.v.raw());
-                let start = *step_offsets.last().expect("non-empty offsets") as usize;
-                if edge_src.len() > start {
-                    let j = edge_src.len() - 1;
-                    if edge_src[j] == u && edge_dst[j] == v {
-                        continue;
-                    }
-                }
-                let next = pair_ids.len() as u32;
-                edge_pair.push(*pair_ids.entry((u, v)).or_insert(next));
-                edge_src.push(u);
-                edge_dst.push(v);
-            }
-            step_index.push(index);
-            step_offsets.push(edge_src.len() as u32);
-        }
-        Timeline {
-            n: stream.node_count() as u32,
-            directed: stream.is_directed(),
-            num_steps: ticks.len() as u32,
-            step_index,
-            step_offsets,
-            edge_src,
-            edge_dst,
-            edge_pair,
-            distinct_pairs: pair_ids.len() as u32,
-            ticks,
         }
     }
 
@@ -536,7 +508,13 @@ impl Timeline {
         );
         let partition = WindowPartition::new(view.t_begin, view.t_end, self.num_steps as u64)
             .expect("invalid window count");
-        let (win, src, dst, pair) = window_edges(view, &partition, first_dirty);
+        let (win, src, dst, pair) = window_edges(
+            view,
+            self.num_steps,
+            first_dirty,
+            first_tick(&partition, first_dirty),
+            window_of(&partition),
+        );
         let distinct_pairs = view.pairs() as u32;
 
         // Reuse the clean CSR prefix (steps with window < first_dirty). An
@@ -624,23 +602,39 @@ impl Timeline {
     }
 }
 
-/// The deduplicated edges of the windows `>= first_dirty`, as parallel
-/// `(window − first_dirty, src, dst, pair id)` arrays grouped by window;
-/// within a window, edges ascend by pair id, i.e. by `(u, v)`.
+/// The window of a tick under `partition`.
+fn window_of(partition: &WindowPartition) -> impl Fn(i64) -> u32 + '_ {
+    |t| partition.index(saturn_linkstream::Time::new(t)) as u32
+}
+
+/// The first tick whose window under `partition` is `>= first_dirty`:
+/// `t_begin + ⌈first_dirty · span / K⌉` (module docs, "Splice invariants").
+fn first_tick(partition: &WindowPartition, first_dirty: u32) -> i64 {
+    let (k, span) = (i128::from(partition.k()), i128::from(partition.span()));
+    let offset = (i128::from(first_dirty) * span + k - 1) / k;
+    (i128::from(partition.t_begin().ticks()) + offset) as i64
+}
+
+/// The deduplicated edges of the steps `>= first_dirty` of a `k`-step
+/// timeline whose step of tick `t` is `step_of(t)` (non-decreasing in `t`),
+/// as parallel `(step − first_dirty, src, dst, pair id)` arrays grouped by
+/// step; within a step, edges ascend by pair id, i.e. by `(u, v)`. This is
+/// the one scatter behind every timeline: windows of `G_Δ`, their suffix
+/// splice, and the distinct timestamps of the exact timeline.
 ///
-/// Per pair run of the view (pair id = run index), the edges start at the
-/// first tick whose window is `>= first_dirty`: the offset
-/// `⌈first_dirty · span / K⌉` (module docs, "Splice invariants"), found by
-/// one binary search, and there is none when `first_dirty == K`. Within a
-/// run ticks ascend, so same-pair-same-window repeats are adjacent and
-/// collapse by neighbor comparison — no hashing, no comparison sort. A
-/// stable radix scatter by window then keeps the pair order inside each.
+/// Per pair run of the view (pair id = run index), the edges start at
+/// `first_tick`, the first tick whose step is `>= first_dirty`, found by
+/// one binary search; there is none when `first_dirty == k`. Within a run
+/// ticks ascend, so same-pair-same-step repeats are adjacent and collapse
+/// by neighbor comparison — no hashing, no comparison sort. A stable radix
+/// scatter by step then keeps the pair order inside each.
 fn window_edges(
     view: &EventView,
-    partition: &WindowPartition,
+    k: u32,
     first_dirty: u32,
+    first_tick: i64,
+    step_of: impl Fn(i64) -> u32,
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
-    let k = partition.k();
     // a full build keeps up to every event
     let cap = if first_dirty == 0 { view.len() } else { 0 };
     let (mut win, mut src, mut dst, mut pair) = (
@@ -649,16 +643,13 @@ fn window_edges(
         Vec::with_capacity(cap),
         Vec::with_capacity(cap),
     );
-    if u64::from(first_dirty) < k {
-        let span = i128::from(partition.span());
-        let offset = (i128::from(first_dirty) * span + i128::from(k) - 1) / i128::from(k);
-        let first_tick = (i128::from(view.t_begin.ticks()) + offset) as i64;
+    if first_dirty < k {
         for p in 0..view.pairs() {
             let (lo, hi) = (view.pair_starts[p] as usize, view.pair_starts[p + 1] as usize);
             let from = lo + view.ticks[lo..hi].partition_point(|&t| t < first_tick);
             let mut prev_win = u32::MAX;
             for i in from..hi {
-                let w = partition.index(saturn_linkstream::Time::new(view.ticks[i])) as u32;
+                let w = step_of(view.ticks[i]);
                 if w != prev_win {
                     prev_win = w;
                     win.push(w - first_dirty);
@@ -672,7 +663,7 @@ fn window_edges(
     // (the u32 bound is guaranteed by EventView::new, asserted here too
     // since the radix offsets are u32 arithmetic)
     assert!(src.len() < u32::MAX as usize, "edge count exceeds engine limit");
-    radix_by_window(win, src, dst, pair, k as u32 - first_dirty)
+    radix_by_window(win, src, dst, pair, k - first_dirty)
 }
 
 /// Appends one CSR step per run of equal windows in the window-grouped
@@ -753,6 +744,7 @@ fn radix_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use saturn_linkstream::{Directedness, LinkStreamBuilder};
 
     fn stream() -> LinkStream {
@@ -875,6 +867,42 @@ mod tests {
             let distinct_ids: std::collections::HashSet<u32> =
                 id_of.values().copied().collect();
             assert_eq!(distinct_ids.len(), t.distinct_pairs() as usize);
+        }
+    }
+
+    proptest! {
+        /// The exact timeline's steps, ascending, are the stream's timestamp
+        /// groups with duplicate pairs removed, `tick_of` follows the
+        /// distinct ticks, and pair ids are view ranks.
+        #[test]
+        fn exact_steps_are_the_deduplicated_timestamp_groups(
+            events in proptest::collection::vec((0u32..8, 1u32..8, -40i64..40), 1..150),
+            directed in any::<bool>(),
+        ) {
+            let dir = if directed { Directedness::Directed } else { Directedness::Undirected };
+            let mut b = LinkStreamBuilder::indexed(dir, 8);
+            for (u, shift, t) in events {
+                b.add_indexed(u, (u + shift) % 8, t);
+            }
+            let s = b.build().unwrap();
+            let (t, view) = (Timeline::exact(&s), EventView::new(&s));
+            let groups: Vec<_> = s.timestamp_groups().collect();
+            prop_assert_eq!(t.num_steps() as usize, groups.len());
+            prop_assert_eq!(t.nonempty_steps(), groups.len());
+            prop_assert_eq!(t.distinct_pairs() as usize, view.pairs());
+            for (i, (step, (tick, links))) in t.steps_asc().zip(&groups).enumerate() {
+                prop_assert_eq!(step.index as usize, i);
+                prop_assert_eq!(t.tick_of(step.index), Some(tick.ticks()));
+                let mut want: Vec<(u32, u32)> =
+                    links.iter().map(|l| (l.u.raw(), l.v.raw())).collect();
+                want.sort_unstable();
+                want.dedup();
+                prop_assert_eq!(step.edges().collect::<Vec<_>>(), want);
+                for (edge, &p) in step.edges().zip(step.pair) {
+                    prop_assert_eq!(view.pair(p as usize), edge);
+                }
+            }
+            prop_assert_eq!(t.tick_of(groups.len() as u32), None);
         }
     }
 

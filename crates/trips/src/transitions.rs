@@ -70,15 +70,6 @@ pub fn lost_transition_weight(
         .sum()
 }
 
-/// Weighted fraction of the shortest transitions lost at `partition`'s scale:
-/// `NaN` (0 / 0) when the stream has no shortest transition.
-pub fn lost_transition_fraction(
-    transitions: &ShortestTransitions,
-    partition: &WindowPartition,
-) -> f64 {
-    lost_transition_weight(transitions, partition) as f64 / transitions.total_weight as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,8 +81,7 @@ mod tests {
         tr.push(2, 7, 2); // w0 and w1 -> kept
         tr.push(6, 9, 1); // both w1 -> lost
         let p = WindowPartition::new(Time::new(0), Time::new(10), 2).unwrap();
-        let f = lost_transition_fraction(&tr, &p);
-        assert!((f - 2.0 / 4.0).abs() < 1e-12);
+        assert_eq!((lost_transition_weight(&tr, &p), tr.total_weight), (2, 4));
     }
 
     #[test]
@@ -100,7 +90,7 @@ mod tests {
         tr.push(0, 1, 1);
         tr.push(3, 9, 1);
         let p = WindowPartition::new(Time::new(0), Time::new(10), 10).unwrap();
-        assert_eq!(lost_transition_fraction(&tr, &p), 0.0);
+        assert_eq!(lost_transition_weight(&tr, &p), 0);
     }
 
     #[test]
@@ -109,13 +99,13 @@ mod tests {
         tr.push(0, 1, 1);
         tr.push(3, 9, 4);
         let p = WindowPartition::new(Time::new(0), Time::new(10), 1).unwrap();
-        assert_eq!(lost_transition_fraction(&tr, &p), 1.0);
+        assert_eq!(lost_transition_weight(&tr, &p), tr.total_weight);
     }
 
     #[test]
-    fn empty_transitions_yield_nan() {
+    fn empty_transitions_lose_nothing() {
         let tr = ShortestTransitions::default();
         let p = WindowPartition::new(Time::new(0), Time::new(10), 2).unwrap();
-        assert!(lost_transition_fraction(&tr, &p).is_nan());
+        assert_eq!(lost_transition_weight(&tr, &p), 0);
     }
 }

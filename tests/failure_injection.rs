@@ -70,7 +70,7 @@ fn isolated_nodes_do_not_break_metrics() {
     assert_eq!(stream.node_count(), 100); // 97 isolated nodes
 
     let series = GraphSeries::aggregate(&stream, 2);
-    let means = saturn::graphseries::snapshot_means(&stream, 2);
+    let means = series.means();
     assert!(means.mean_non_isolated <= 3.0);
     assert_eq!(series.n(), 100);
 
