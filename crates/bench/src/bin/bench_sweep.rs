@@ -35,6 +35,8 @@
 //! SATURN_BENCH_OUT=BENCH_sweep.json  # output path (default)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use saturn_core::parallel::WorkerPool;
 use saturn_core::{histogram_scores, OccupancyMethod, SweepCache, SweepControl, SweepGrid};
 use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};

@@ -9,6 +9,8 @@
 //! recoverable from the text, so this binary uses an equivalent 5-node
 //! stream exhibiting both phenomena, and verifies them mechanically.
 
+#![forbid(unsafe_code)]
+
 use saturn_graphseries::GraphSeries;
 use saturn_linkstream::{io, Directedness, NodeId};
 use saturn_trips::{earliest_arrival_dp, DpOptions, TargetSet, Timeline, TripSink};

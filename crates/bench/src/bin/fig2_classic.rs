@@ -7,6 +7,8 @@
 //! The point of the figure: all of these drift smoothly from one extreme to
 //! the other — no scale stands out — which motivates the occupancy method.
 
+#![forbid(unsafe_code)]
+
 use saturn_bench::{dataset, grid_points, write_table, HOUR};
 use saturn_core::{classic_sweep, SweepGrid, TargetSpec, WorkerPool};
 use saturn_synth::DatasetProfile;

@@ -7,6 +7,8 @@
 //! of distinct rates at fine scales) are recomputed for just the displayed
 //! scales and downsampled for plotting.
 
+#![forbid(unsafe_code)]
+
 use saturn_bench::{ascii_curve, dataset, downsample, grid_points, write_series, HOUR};
 use saturn_core::{OccupancyMethod, SweepGrid};
 use saturn_distrib::WeightedDist;

@@ -3,6 +3,8 @@
 //! whole range: the same stretch-then-concentrate evolution as Irvine
 //! (Figure 3 left), establishing the phenomenon across datasets.
 
+#![forbid(unsafe_code)]
+
 use saturn_bench::{dataset, downsample, grid_points, write_series, HOUR};
 use saturn_core::{OccupancyMethod, SweepGrid};
 use saturn_distrib::WeightedDist;

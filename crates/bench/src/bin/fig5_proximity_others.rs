@@ -2,6 +2,8 @@
 //! stand-ins; each curve is unimodal with its maximum at the dataset's
 //! saturation scale (paper: 46 h, 76 h, 12 h on the real traces).
 
+#![forbid(unsafe_code)]
+
 use saturn_bench::{ascii_curve, dataset, grid_points, write_series, HOUR};
 use saturn_core::{OccupancyMethod, SweepGrid};
 use saturn_synth::DatasetProfile;

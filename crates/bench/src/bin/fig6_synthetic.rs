@@ -5,6 +5,8 @@
 //! paper: γ stays near the high-activity value until ~80%, then rises to the
 //! low-activity value).
 
+#![forbid(unsafe_code)]
+
 use saturn_bench::{fast_mode, write_series};
 use saturn_core::{OccupancyMethod, SweepGrid, TargetSpec};
 use saturn_linkstream::LinkStream;

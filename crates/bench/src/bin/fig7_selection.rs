@@ -7,6 +7,8 @@
 //! the variation coefficient degenerates to (almost) no aggregation; Shannon
 //! is sensitive to its slot count, drifting fine-ward as slots increase.
 
+#![forbid(unsafe_code)]
+
 use saturn_bench::{dataset, downsample, grid_points, write_series, HOUR};
 use saturn_core::{compare_selection_methods, KeepPolicy, SweepGrid, TargetSpec};
 use saturn_distrib::{SelectionMetric, WeightedDist};

@@ -7,6 +7,8 @@
 //! the elongation stays ≈ 1 for several orders of magnitude before rising
 //! around γ.
 
+#![forbid(unsafe_code)]
+
 use saturn_bench::{dataset, grid_points, write_series, HOUR};
 use saturn_core::{
     validation_sweep, OccupancyMethod, SweepControl, SweepGrid, TargetSpec, ValidationOptions,

@@ -8,6 +8,8 @@
 //! SATURN_FAST=1 cargo run --release -p saturn-bench --bin make_all   # seconds
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 const BINS: [&str; 10] = [

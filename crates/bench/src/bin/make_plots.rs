@@ -2,6 +2,8 @@
 //! figure, so `gnuplot results/plot_all.gp` renders the paper's panels as
 //! PNG files. Pure file generation — run after `make_all`.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::io::Write as _;
 

@@ -4,6 +4,8 @@
 //! no: the *two lowest-activity* networks get the two largest γ, and the two
 //! highest-activity ones the two smallest).
 
+#![forbid(unsafe_code)]
+
 use saturn_bench::{dataset, grid_points, write_table, HOUR};
 use saturn_core::{OccupancyMethod, SweepGrid};
 use saturn_synth::DatasetProfile;

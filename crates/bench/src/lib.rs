@@ -8,6 +8,8 @@
 //! coarser grids) so the whole suite runs in seconds — used by CI and the
 //! integration tests.
 
+#![forbid(unsafe_code)]
+
 use saturn_synth::DatasetProfile;
 use std::io::Write;
 use std::path::{Path, PathBuf};

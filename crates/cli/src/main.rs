@@ -14,6 +14,8 @@
 //! saturn help
 //! ```
 
+#![forbid(unsafe_code)]
+
 use saturn_core::{
     json_trace_from_env, validation_sweep, JsonTraceObserver, OccupancyMethod, SweepControl,
     SweepGrid, TargetSpec, ValidationOptions, WorkerPool,
@@ -21,6 +23,7 @@ use saturn_core::{
 use saturn_linkstream::{io, Directedness, LinkStream};
 use saturn_server::{FaultPlan, Server, ServerConfig};
 use saturn_synth::DatasetProfile;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -37,10 +40,7 @@ fn main() -> ExitCode {
         "validate" => cmd_validate(rest),
         "stats" => cmd_stats(rest),
         "serve" => cmd_serve(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => emit(&format!("{USAGE}\n")),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     };
     match result {
@@ -278,11 +278,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         .try_run_on(&stream, &mut WorkerPool::new(f.threads), &ctl)
         .expect("a sweep whose token never fires cannot be cancelled");
     if f.json {
-        println!("{}", report.to_json());
+        emit(&format!("{}\n", report.to_json()))
     } else {
-        print!("{}", report.render_text(f.unit.0, f.unit.1));
+        emit(&report.render_text(f.unit.0, f.unit.1))
     }
-    Ok(())
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
@@ -298,24 +297,29 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     )
     .expect("a sweep whose token never fires cannot be cancelled");
     if f.json {
-        println!("{}", serde_json::to_string_pretty(&report).expect("serializable"));
-        return Ok(());
+        return emit(&format!(
+            "{}\n",
+            serde_json::to_string_pretty(&report).expect("serializable")
+        ));
     }
     let (per, unit) = f.unit;
-    println!(
-        "{} shortest transitions, {} stream trips",
-        report.reference_transitions, report.reference_trips
+    let mut out = format!(
+        "{} shortest transitions, {} stream trips\n{:>14} {:>12} {:>12}\n",
+        report.reference_transitions,
+        report.reference_trips,
+        format!("Δ ({unit})"),
+        "lost",
+        "elongation"
     );
-    println!("{:>14} {:>12} {:>12}", format!("Δ ({unit})"), "lost", "elongation");
     for p in &report.points {
-        println!(
-            "{:>14.4} {:>12.4} {:>12.3}",
+        out += &format!(
+            "{:>14.4} {:>12.4} {:>12.3}\n",
             p.delta_ticks / per,
             p.lost_transitions,
             p.elongation.mean
         );
     }
-    Ok(())
+    emit(&out)
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -324,18 +328,41 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let s = stream.stats();
     if f.json {
         // the same shape `POST /v1/stats` serves
-        println!("{}", serde_json::to_string_pretty(&s).expect("stats serialize"));
-        return Ok(());
+        return emit(&format!(
+            "{}\n",
+            serde_json::to_string_pretty(&s).expect("stats serialize")
+        ));
     }
-    println!("nodes                {}", s.nodes);
-    println!("links                {}", s.links);
-    println!("distinct timestamps  {}", s.distinct_timestamps);
-    println!("period               [{}, {}] ({} ticks)", s.t_begin, s.t_end, s.span);
-    println!("links/node           {:.3}", s.mean_links_per_node);
-    println!("mean inter-contact   {:.1} ticks", s.mean_inter_contact);
-    println!("dropped self-loops   {}", s.dropped_self_loops);
-    println!("dropped duplicates   {}", s.dropped_duplicates);
-    Ok(())
+    emit(&format!(
+        "nodes                {}\n\
+         links                {}\n\
+         distinct timestamps  {}\n\
+         period               [{}, {}] ({} ticks)\n\
+         links/node           {:.3}\n\
+         mean inter-contact   {:.1} ticks\n\
+         dropped self-loops   {}\n\
+         dropped duplicates   {}\n",
+        s.nodes,
+        s.links,
+        s.distinct_timestamps,
+        s.t_begin,
+        s.t_end,
+        s.span,
+        s.mean_links_per_node,
+        s.mean_inter_contact,
+        s.dropped_self_loops,
+        s.dropped_duplicates
+    ))
+}
+
+/// Writes a command's output to stdout. A stdout closed early (`saturn
+/// analyze … | head`) is an error like any other, not a panic.
+fn emit(output: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(output.as_bytes())
+        .and_then(|()| stdout.flush())
+        .map_err(|e| format!("stdout: {e}"))
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {

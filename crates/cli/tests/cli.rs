@@ -77,6 +77,28 @@ fn validate_prints_loss_table() {
     assert!(text.contains("elongation"), "{text}");
 }
 
+/// A reader that goes away early (`saturn analyze … | head`) makes the
+/// write fail: the CLI reports it as a one-line error and exits 1, and
+/// never panics.
+#[test]
+fn closed_stdout_is_an_error_not_a_panic() {
+    let path = tmp_trace();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_saturn"))
+        .args(["analyze", path.to_str().unwrap(), "--json", "--points", "200"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // close the read end before the report is written; the report is
+    // larger than a pipe buffer, so the write cannot complete either way
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("child exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("saturn: stdout:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn synth_writes_parseable_stream() {
     let dir = std::env::temp_dir().join("saturn-cli-tests");

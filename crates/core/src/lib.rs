@@ -35,6 +35,8 @@
 //! assert!(gamma.delta_ticks > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod classic;
 pub mod control;
 pub mod fingerprint;

@@ -385,10 +385,9 @@ impl OccupancyMethod {
     }
 
     /// [`run`](OccupancyMethod::run) on a caller-owned pool. The analysis
-    /// service keeps one [`WorkerPool`] alive across requests and dispatches
-    /// every sweep onto it, so worker threads are spawned once per process
-    /// rather than once per request; `self.threads` is ignored here — the
-    /// pool's parallelism governs.
+    /// service keeps one [`WorkerPool`] per executor and dispatches every
+    /// sweep onto it; `self.threads` is ignored here — the pool's
+    /// parallelism governs.
     pub fn run_on(&self, stream: &LinkStream, pool: &mut WorkerPool) -> OccupancyReport {
         self.try_run_on(stream, pool, &SweepControl::new())
             .expect("a sweep whose token never fires cannot be cancelled")

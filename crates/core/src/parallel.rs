@@ -1,4 +1,4 @@
-//! The sweep's persistent worker pool and the tiled work queue.
+//! The sweep's worker pool and the tiled work queue.
 //!
 //! Each aggregation scale is analyzed independently, so the sweep is
 //! embarrassingly parallel along the scale axis; in addition the DP's
@@ -13,92 +13,46 @@
 //! expensive head of the queue spreads across workers while the cheap tail
 //! backfills.
 //!
-//! A [`WorkerPool`] spawns its OS threads **once** and reuses them for every
-//! [`map`](WorkerPool::map) call: an analysis runs one round per refinement
-//! pass and a validation one per tile, and per-round spawn/join would be
-//! pure overhead. Results land in pre-sized slots by item index, and the
-//! worker id passed to the callback pins per-worker scratch state (the DP
-//! engine's [`EngineArena`](saturn_trips::EngineArena)) for the pool's life.
+//! A [`WorkerPool`] is a thread count. Each [`map`](WorkerPool::map) call
+//! is one round on [`std::thread::scope`]: it spawns one named worker per
+//! extra unit of parallelism the round can use, the calling thread works
+//! as the last worker, and the scope joins them all before `map` returns.
+//! An analysis runs one round per pass (three with the default two
+//! refinement passes) and a validation one per tile, so a round spawns a
+//! handful of threads whose cost — tens of microseconds — is noise next
+//! to the DP it feeds. Each worker keeps its `(index, result)` pairs and
+//! the caller puts them back in input order. The worker id passed to the
+//! callback is stable within a round and lies in `0..parallelism()`, so
+//! callers key per-worker scratch state (the DP engine's
+//! [`EngineArena`](saturn_trips::EngineArena)) by it.
 //!
-//! # Safety model
-//!
-//! `map` publishes a pointer to a stack-local closure to the workers, then
-//! blocks until every worker has finished the round — the closure therefore
-//! never outlives the frame that owns it. Worker panics are caught, recorded,
-//! and re-raised on the calling thread after the round completes; partially
-//! initialized result slots are dropped correctly via per-slot written
-//! flags.
+//! A panic in any worker, the caller included, reaches the caller only
+//! after every other worker has finished the round; each result produced
+//! before it is dropped exactly once. A worker that cannot be spawned is
+//! left out: the cursor hands its items to the threads that exist.
 
 use saturn_trips::dp::max_tile_cols;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The erased per-round work function: takes the worker id.
-type Round = &'static (dyn Fn(usize) + Sync);
-
-struct PoolState {
-    /// The published round, if one is in flight.
-    round: Option<Round>,
-    /// Round counter; workers run each generation exactly once.
-    generation: u64,
-    /// Workers still executing the current generation.
-    active: usize,
-    /// A worker panicked during the current generation.
-    panicked: bool,
-    /// Pool is shutting down.
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    work_available: Condvar,
-    round_done: Condvar,
-}
-
-/// A persistent team of worker threads executing parallel maps over sweep
-/// items. Create once per analysis, reuse for every round.
+/// A thread budget for parallel maps over sweep items. Create once per
+/// analysis and reuse it for every round.
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
     /// Total parallelism: spawned workers + the calling thread.
     parallelism: usize,
 }
 
 impl WorkerPool {
     /// Creates a pool with `threads` total parallelism (0 = all available
-    /// cores). The calling thread participates in every round, so
-    /// `threads - 1` OS threads are spawned; `threads <= 1` spawns none and
+    /// cores). The calling thread works in every round, so a round spawns
+    /// at most `threads - 1` OS threads; `threads <= 1` spawns none and
     /// every map runs inline.
     pub fn new(threads: usize) -> Self {
         let parallelism = match threads {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             threads => threads,
         };
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                round: None,
-                generation: 0,
-                active: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work_available: Condvar::new(),
-            round_done: Condvar::new(),
-        });
-        let workers = (0..parallelism.saturating_sub(1))
-            .map(|wid| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("saturn-sweep-{wid}"))
-                    .spawn(move || worker_loop(&shared, wid))
-                    .expect("cannot spawn sweep worker")
-            })
-            .collect();
-        WorkerPool { shared, workers, parallelism }
+        WorkerPool { parallelism }
     }
 
     /// Total parallelism (spawned workers + calling thread); worker ids
@@ -118,153 +72,37 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if self.parallelism <= 1 || items.len() == 1 {
+        let workers = self.parallelism.min(items.len());
+        if workers <= 1 {
             return items.iter().map(|item| f(0, item)).collect();
         }
-
-        let slots = Slots::new(items.len());
         let cursor = AtomicUsize::new(0);
-        let work = |wid: usize| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
-            slots.write(i, f(wid, &items[i]));
-        };
-
-        // Publish the round. The transmute erases the stack lifetime; the
-        // wait below guarantees no worker touches the pointer after this
-        // frame ends.
-        let round_ref: &(dyn Fn(usize) + Sync) = &work;
-        let round: Round =
-            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Round>(round_ref) };
-        {
-            let mut state = self.shared.state.lock().expect("pool state poisoned");
-            debug_assert!(state.round.is_none(), "map is not reentrant");
-            state.round = Some(round);
-            state.generation += 1;
-            state.active = self.workers.len();
-            state.panicked = false;
-            self.shared.work_available.notify_all();
-        }
-
-        // The calling thread is the last worker (id = parallelism - 1).
-        let caller_outcome = catch_unwind(AssertUnwindSafe(|| work(self.parallelism - 1)));
-
-        // Drain the round before looking at outcomes or returning.
-        let panicked = {
-            let mut state = self.shared.state.lock().expect("pool state poisoned");
-            while state.active > 0 {
-                state = self.shared.round_done.wait(state).expect("pool state poisoned");
-            }
-            state.round = None;
-            state.panicked
-        };
-        if panicked || caller_outcome.is_err() {
-            // `slots` drops its initialized entries
-            match caller_outcome {
-                Err(payload) => std::panic::resume_unwind(payload),
-                Ok(()) => panic!("sweep worker panicked"),
-            }
-        }
-        slots.into_results()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("pool state poisoned");
-            state.shutdown = true;
-            self.shared.work_available.notify_all();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared, wid: usize) {
-    let mut last_generation = 0u64;
-    loop {
-        let round = {
-            let mut state = shared.state.lock().expect("pool state poisoned");
+        let work = |wid: usize| {
+            let mut done = Vec::new();
             loop {
-                if state.shutdown {
-                    return;
-                }
-                if let Some(round) = state.round {
-                    if state.generation != last_generation {
-                        last_generation = state.generation;
-                        break round;
-                    }
-                }
-                state = shared.work_available.wait(state).expect("pool state poisoned");
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { return done };
+                done.push((i, f(wid, item)));
             }
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| round(wid)));
-        let mut state = shared.state.lock().expect("pool state poisoned");
-        if outcome.is_err() {
-            state.panicked = true;
-        }
-        state.active -= 1;
-        if state.active == 0 {
-            shared.round_done.notify_all();
-        }
-    }
-}
-
-/// Pre-sized, index-addressed result storage. Workers write disjoint slots;
-/// the written flags make partially filled storage (panic paths) safe to
-/// drop.
-struct Slots<R> {
-    data: Vec<UnsafeCell<MaybeUninit<R>>>,
-    written: Vec<AtomicBool>,
-}
-
-// Safety: slot writes are disjoint by construction (each index is claimed by
-// exactly one cursor fetch_add) and the written flags use release/acquire
-// ordering.
-unsafe impl<R: Send> Sync for Slots<R> {}
-
-impl<R> Slots<R> {
-    fn new(len: usize) -> Self {
-        Slots {
-            data: (0..len).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect(),
-            written: (0..len).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    fn write(&self, i: usize, value: R) {
-        unsafe { (*self.data[i].get()).write(value) };
-        self.written[i].store(true, Ordering::Release);
-    }
-
-    fn into_results(mut self) -> Vec<R> {
-        let mut out = Vec::with_capacity(self.data.len());
-        for (cell, flag) in self.data.iter().zip(&self.written) {
-            assert!(
-                flag.swap(false, Ordering::Acquire),
-                "sweep round ended with an unwritten slot"
-            );
-            out.push(unsafe { (*cell.get()).assume_init_read() });
-        }
-        self.data.clear(); // flags already false: Drop has nothing left
-        self.written.clear();
-        out
-    }
-}
-
-impl<R> Drop for Slots<R> {
-    fn drop(&mut self) {
-        for (cell, flag) in self.data.iter().zip(&self.written) {
-            if flag.load(Ordering::Acquire) {
-                unsafe { (*cell.get()).assume_init_drop() };
+        let mut done = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (0..workers - 1)
+                .map_while(|wid| {
+                    std::thread::Builder::new()
+                        .name(format!("saturn-sweep-{wid}"))
+                        .spawn_scoped(scope, move || work(wid))
+                        .ok()
+                })
+                .collect();
+            // the calling thread is the last worker
+            let mut done = work(workers - 1);
+            for handle in spawned {
+                done.extend(handle.join().unwrap_or_else(|payload| resume_unwind(payload)));
             }
-        }
+            done
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -334,6 +172,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use saturn_trips::dp::{arena_bytes, ARENA_BUDGET_BYTES};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Barrier, Mutex};
+    use std::time::Duration;
 
     #[test]
     fn preserves_input_order() {
@@ -412,7 +254,7 @@ mod tests {
     fn worker_panic_propagates_and_pool_stays_usable() {
         let mut pool = WorkerPool::new(4);
         let items: Vec<u32> = (0..64).collect();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
             pool.map(&items, |_wid, &x| {
                 if x == 13 {
                     panic!("injected failure");
@@ -511,7 +353,6 @@ mod tests {
 
     #[test]
     fn results_drop_correctly_on_panic() {
-        use std::sync::atomic::AtomicUsize;
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         struct Counted(#[allow(dead_code)] u32);
         impl Drop for Counted {
@@ -522,7 +363,7 @@ mod tests {
         let mut pool = WorkerPool::new(2);
         let items: Vec<u32> = (0..16).collect();
         DROPS.store(0, Ordering::SeqCst);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
             pool.map(&items, |_wid, &x| {
                 if x == 7 {
                     panic!("boom");
@@ -534,5 +375,59 @@ mod tests {
         // every successfully produced value was dropped exactly once (15
         // produced, one panicked before producing)
         assert_eq!(DROPS.load(Ordering::SeqCst), 15);
+    }
+
+    /// Counts its own drops.
+    struct Counted<'a>(&'a AtomicUsize);
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Both threads of a 2-wide pool take part in one round: each waits at
+    /// a barrier in the first item it takes, then the calling thread (or
+    /// the spawned worker) panics and the other one runs every remaining
+    /// item. `map` must unwind only after that, drop each produced result
+    /// once, and leave the pool usable.
+    fn one_thread_panics_after_both_started(caller_panics: bool) {
+        const ITEMS: usize = 8;
+        let caller = std::thread::current().id();
+        let mut pool = WorkerPool::new(2);
+        let started: Vec<AtomicBool> =
+            (0..pool.parallelism()).map(|_| AtomicBool::new(false)).collect();
+        let barrier = Barrier::new(2);
+        let (produced, dropped) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let items: Vec<u32> = (0..ITEMS as u32).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(&items, |wid, _| {
+                if !started[wid].swap(true, Ordering::SeqCst) {
+                    barrier.wait();
+                    if (std::thread::current().id() == caller) == caller_panics {
+                        panic!("injected failure");
+                    }
+                }
+                // slow enough that an early unwind would see unfinished items
+                std::thread::sleep(Duration::from_millis(2));
+                produced.fetch_add(1, Ordering::SeqCst);
+                Counted(&dropped)
+            })
+        }));
+        let payload = result.err().expect("the panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected failure"));
+        assert_eq!(produced.load(Ordering::SeqCst), ITEMS - 1, "survivor ran the rest");
+        assert_eq!(dropped.load(Ordering::SeqCst), ITEMS - 1, "dropped once each");
+        let out = pool.map(&items, |_wid, &x| x * 3);
+        assert_eq!(out, (0..ITEMS as u32).map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn caller_panic_unwinds_after_the_worker_drains() {
+        one_thread_panics_after_both_started(true);
+    }
+
+    #[test]
+    fn worker_panic_unwinds_after_the_caller_drains() {
+        one_thread_panics_after_both_started(false);
     }
 }

@@ -1,6 +1,7 @@
 //! Bit-identical results across worker-pool sizes, exercising the full
 //! refinement path: the coarse sweep plus several refinement rounds all run
-//! on one persistent pool with per-worker arenas, and nothing about thread
+//! on one pool, each round on its own scoped workers with per-worker
+//! arenas that live for the whole analysis, and nothing about thread
 //! count, work-stealing order, or arena reuse may leak into the scores.
 
 use saturn_core::{KeepPolicy, OccupancyMethod, SweepGrid, TargetSpec};

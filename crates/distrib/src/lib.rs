@@ -31,6 +31,8 @@
 //! assert!(mk_proximity(&spread) > mk_proximity(&one));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod entropy;
 pub mod mk;

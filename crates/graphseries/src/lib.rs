@@ -32,6 +32,8 @@
 //! assert_eq!(series.total_edges(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod series;
 pub mod snapshot;

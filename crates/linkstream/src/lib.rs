@@ -30,6 +30,8 @@
 //! assert_eq!(stream.span(), 7);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod event;
 pub mod interval;

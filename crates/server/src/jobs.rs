@@ -13,20 +13,21 @@
 //!   it computes.
 //! * **One pool per executor, many connections.** `WorkerPool::map` takes
 //!   `&mut self` (one round in flight per pool), so each executor thread
-//!   owns its pool and each sweep fans out across that pool's workers.
-//!   Connection threads never spawn workers; they enqueue and wait. The
-//!   `--threads` total is split evenly across executors, and there are
-//!   never more executors than threads ([`executor_layout`]).
+//!   owns its pool, and each sweep round runs on scoped workers that the
+//!   executor spawns and joins. Connection threads never spawn workers;
+//!   they enqueue and wait. The `--threads` total is split evenly across
+//!   executors, and there are never more executors than threads
+//!   ([`executor_layout`]).
 //! * **Supervised recovery.** The supervisor watches every executor
 //!   slot. An executor that dies (a panic escaping `catch_unwind`, e.g. a
-//!   poisoned pool, or the `executor_die` fault) is restarted with capped
-//!   exponential backoff; its in-flight job is finalized as a structured
-//!   `500` carrying partial progress, and the queue is untouched. An
-//!   executor making no sweep progress past the stall budget first gets its
-//!   running job token-cancelled ([`CancelCause::Stalled`]); if it ignores
-//!   the token for another budget, the wedged thread is abandoned and a
-//!   fresh executor takes its slot — one hostile request cannot freeze
-//!   unrelated traffic.
+//!   poisoned job-state lock, or the `executor_die` fault) is restarted
+//!   with capped exponential backoff; its in-flight job is finalized as a
+//!   structured `500` carrying partial progress, and the queue is
+//!   untouched. An executor making no sweep progress past the stall budget
+//!   first gets its running job token-cancelled
+//!   ([`CancelCause::Stalled`]); if it ignores the token for another
+//!   budget, the wedged thread is abandoned and a fresh executor takes its
+//!   slot — one hostile request cannot freeze unrelated traffic.
 //! * **Bounded queue, 503 backpressure.** [`JobManager::submit_with`]
 //!   refuses work beyond the configured depth, while the server is
 //!   draining, and — admission control — when the EWMA-based wait
@@ -769,9 +770,9 @@ fn spawn_executor(shared: &Arc<Shared>, slot: usize, generation: u64) -> JoinHan
 }
 
 fn executor_loop(shared: &Shared, slot: usize, generation: u64) {
-    // This incarnation's pool (and its per-worker DP arenas): spawned
-    // fresh per executor lifetime, so a restart never inherits a possibly
-    // poisoned pool from its predecessor.
+    // This incarnation's thread budget: each sweep round spawns its
+    // workers on a scope and joins them before `map` returns, so nothing
+    // outlives the round.
     let mut pool = WorkerPool::new(shared.pool_threads);
     loop {
         let (id, work, ctx, kind) = {

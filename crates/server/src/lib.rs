@@ -261,6 +261,8 @@
 //! seconds), so p50/p90/p99 extracted from a scrape are upper bounds within
 //! 2× — see [`metrics::Histogram`].
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod faults;
 pub mod http;
@@ -269,6 +271,7 @@ pub mod memo;
 pub mod metrics;
 pub mod params;
 pub mod persist;
+#[allow(unsafe_code)] // the self-pipe signal FFI
 pub mod signals;
 pub mod streams;
 

@@ -472,7 +472,15 @@ fn stalls_get_408_but_idle_keep_alive_closes_silently() {
 /// overrides a tight server-wide default.
 #[test]
 fn deadlines_yield_structured_504s_and_per_request_override() {
-    let server = start(|c| c.default_deadline_ms = 1);
+    // The supervisor fires a running job's token on its 10 ms tick, and a
+    // small sweep can finish inside one tick; holding each analyze job for
+    // 50 ms keeps the expired one running until the token fires, so it
+    // ends as a cancelled job and not as a completed one.
+    let server = start(|c| {
+        c.default_deadline_ms = 1;
+        c.faults =
+            Some(Arc::new(saturn_server::FaultPlan::parse("slow:analyze:50ms").expect("plan")));
+    });
     let body = trace(10, 400, 30);
 
     // server-wide 1ms default: the sweep cannot finish in time

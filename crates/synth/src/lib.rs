@@ -27,6 +27,8 @@
 //! assert!(stream.len() > 170);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod circadian;
 pub mod contacts;
 pub mod poisson;

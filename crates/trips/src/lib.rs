@@ -49,6 +49,8 @@
 //! assert!(hist.total_trips() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cancel;
 pub mod distances;
 pub mod dp;

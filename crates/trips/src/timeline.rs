@@ -576,30 +576,6 @@ impl Timeline {
             ticks: Vec::new(),
         }
     }
-
-    /// An order-sensitive checksum over every field the DP engine consumes
-    /// (step indices, CSR offsets, edge endpoints, pair ids, step/pair
-    /// counts). Two timelines with equal checksums are field-for-field
-    /// interchangeable for the engine.
-    pub fn checksum(&self) -> u64 {
-        let mut acc = 0xcbf2_9ce4_8422_2325u64
-            ^ ((self.num_steps as u64) << 1)
-            ^ ((self.distinct_pairs as u64) << 33)
-            ^ (self.directed as u64);
-        let mut mix = |x: u64| {
-            acc = (acc ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23);
-        };
-        for (i, &w) in self.step_index.iter().enumerate() {
-            mix((w as u64) << 32 | self.step_offsets[i + 1] as u64);
-        }
-        for e in 0..self.edge_src.len() {
-            mix((self.edge_src[e] as u64) << 40
-                | (self.edge_dst[e] as u64) << 16
-                | self.edge_pair[e] as u64 & 0xFFFF);
-            mix(self.edge_pair[e] as u64);
-        }
-        acc
-    }
 }
 
 /// The window of a tick under `partition`.
@@ -920,7 +896,7 @@ mod tests {
             assert_eq!(x.dst, y.dst, "{what}: step {i} dst");
             assert_eq!(x.pair, y.pair, "{what}: step {i} pair ids");
         }
-        assert_eq!(a.checksum(), b.checksum(), "{what}: checksum");
+        assert_eq!(a, b, "{what}: PartialEq");
     }
 
     #[test]
@@ -1160,15 +1136,6 @@ mod tests {
                 &format!("wide-ratio merge 1200 -> {k}"),
             );
         }
-    }
-
-    #[test]
-    fn checksum_distinguishes_different_timelines() {
-        let s = stream();
-        let a = Timeline::aggregated(&s, 3);
-        let b = Timeline::aggregated(&s, 9);
-        assert_ne!(a.checksum(), b.checksum());
-        assert_eq!(a.checksum(), Timeline::aggregated(&s, 3).checksum());
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn assert_timelines_identical(a: &Timeline, b: &Timeline, what: &str) {
         assert_eq!(x.dst, y.dst, "{what}: step {i} dst");
         assert_eq!(x.pair, y.pair, "{what}: step {i} pair ids");
     }
-    assert_eq!(a.checksum(), b.checksum(), "{what}: checksum");
+    assert_eq!(a, b, "{what}: PartialEq");
 }
 
 proptest! {

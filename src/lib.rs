@@ -49,6 +49,8 @@
 //! println!("saturation scale: {} ticks", gamma.delta_ticks);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use saturn_core as core;
 pub use saturn_distrib as distrib;
 pub use saturn_graphseries as graphseries;
