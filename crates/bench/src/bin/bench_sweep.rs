@@ -361,8 +361,9 @@ fn measure_sink(
     obj(row)
 }
 
-/// The `intra_scale` section: what the second parallel axis costs and buys.
-/// Tiled-vs-untiled checksums are hard-asserted — a mismatch aborts the
+/// The `intra_scale` section: what splitting one scale into target tiles
+/// costs (the sweep tiles for its memory budget only), and the wall time of
+/// a one-scale sweep by worker count. Tiled-vs-untiled checksums are hard-asserted — a mismatch aborts the
 /// bench (and CI) rather than recording garbage trend data.
 fn measure_intra_scale(
     dense: &LinkStream,
@@ -413,7 +414,7 @@ fn measure_intra_scale(
         ]));
     }
 
-    // --- single-scale wall time vs worker count (auto tiling) -------------
+    // --- single-scale wall time vs worker count (one item: no tiling) -----
     let mut single_scale_threads = Vec::new();
     for threads in [1usize, 2, 4] {
         let t = time_median(reps.min(3), || {

@@ -58,7 +58,7 @@ saturn — saturation-scale analysis of link streams (CoNEXT 2015)
 USAGE:
   saturn analyze <file>   detect the saturation scale γ of a trace
       --directed          treat links as directed (default: undirected)
-      --points N          Δ-grid size (default 48)
+      --points N          Δ-grid size (default 48, at most 4096)
       --sample N          sample N destination nodes (default: exact, all nodes)
       --threads N         worker threads (default: $SATURN_THREADS, else all cores)
       --unit s|m|h|d      display unit for Δ (ticks are seconds; default h)
@@ -174,7 +174,11 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--directed" => f.directed = true,
             "--json" => f.json = true,
             "--points" => {
-                f.points = value("--points")?.parse().map_err(|e| format!("--points: {e}"))?
+                f.points = value("--points")?.parse().map_err(|e| format!("--points: {e}"))?;
+                if f.points > SweepGrid::MAX_POINTS {
+                    let max = SweepGrid::MAX_POINTS;
+                    return Err(format!("--points {}: at most {max}", f.points));
+                }
             }
             "--sample" => {
                 f.sample =
@@ -580,6 +584,8 @@ mod tests {
         assert!(flags(&["--points"]).unwrap_err().contains("--points"));
         assert!(flags(&["--unit", "fortnights"]).unwrap_err().contains("fortnights"));
         assert!(flags(&["--points", "abc"]).unwrap_err().contains("--points"));
+        assert_eq!(flags(&["--points", "4096"]).unwrap().points, 4096);
+        assert_eq!(flags(&["--points", "4097"]).unwrap_err(), "--points 4097: at most 4096");
         assert!(flags(&["a.txt", "b.txt"]).unwrap_err().contains("unexpected"));
         assert!(flags(&["--bogus"]).unwrap_err().contains("--bogus"));
     }

@@ -294,3 +294,19 @@ fn overflowing_study_period_fails_cleanly() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// A grid size past `SweepGrid::MAX_POINTS` is refused before any work:
+/// materializing it would abort the process on the allocation.
+#[test]
+fn oversized_grids_fail_cleanly() {
+    let trace = tmp_trace();
+    for command in ["analyze", "validate"] {
+        for points in ["1099511627776", "18446744073709551615", "4097"] {
+            let out = saturn(&[command, trace.to_str().unwrap(), "--points", points]);
+            assert_eq!(out.status.code(), Some(1), "{command} --points {points}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("at most 4096"), "{command} --points {points}: {err}");
+            assert!(!err.contains("panicked"), "{command} --points {points}: {err}");
+        }
+    }
+}

@@ -37,11 +37,28 @@ impl Default for SweepGrid {
 }
 
 impl SweepGrid {
+    /// The most `points` a geometric or linear grid may ask for: 85× the
+    /// service default of 48, and small enough that materializing the grid
+    /// is never the cost. Front ends reject larger requests before any
+    /// work starts.
+    pub const MAX_POINTS: usize = 4096;
+
     /// Materializes the window counts for `stream`, with the smallest
     /// aggregation period `delta_min` ticks (usually the timestamp
     /// resolution, 1). Returns values sorted descending (fine `Δ` first) and
     /// deduplicated; always contains at least `K = 1`.
+    ///
+    /// # Panics
+    /// Panics if a geometric or linear grid asks for more than
+    /// [`MAX_POINTS`](Self::MAX_POINTS) points.
     pub fn k_values(&self, stream: &LinkStream, delta_min: i64) -> Vec<u64> {
+        if let SweepGrid::Geometric { points } | SweepGrid::Linear { points } = *self {
+            assert!(
+                points <= Self::MAX_POINTS,
+                "a sweep grid takes at most {} points, not {points}",
+                Self::MAX_POINTS
+            );
+        }
         let span = stream.span().max(0) as u64;
         let delta_min = delta_min.max(1) as u64;
         let k_max = (span / delta_min).clamp(1, K_LIMIT);

@@ -1,7 +1,7 @@
 //! The occupancy method driver (Section 4 of the paper).
 
 use crate::control::{SweepControl, TileSpan};
-use crate::parallel::{auto_tile_cols, sweep_queue, WorkerPool};
+use crate::parallel::{sweep_queue, WorkerPool};
 use crate::report::OccupancyReport;
 use crate::SweepGrid;
 use rustc_hash::FxHashMap;
@@ -74,8 +74,9 @@ pub struct RefreshStats {
     /// Scales recomputed on a timeline built from the event view (cache
     /// miss, or a dirty mark reaching window 0).
     pub scales_scratch: u64,
-    /// `(scale, tile)` work items skipped by histogram reuse, under each
-    /// round's tile layout (sized for the scales that round computes).
+    /// `(scale, tile)` work items skipped by histogram reuse: one per
+    /// reused scale, more when the stream is too wide for one arena
+    /// ([`max_tile_cols`]).
     pub tiles_skipped: u64,
     /// Windows re-scattered by splices, summed over respliced scales.
     pub suffix_windows_rebuilt: u64,
@@ -339,11 +340,13 @@ impl OccupancyMethod {
         self
     }
 
-    /// Overrides the target-tile width in columns (default 0 = automatic,
-    /// [`auto_tile_cols`]); either way it is clamped to [`max_tile_cols`].
-    /// Reports are bit-identical for every tile width (per-tile histograms
-    /// merge exactly in any order), so the override exists for the
-    /// byte-identity tests, which force narrow tiles.
+    /// Narrows the target tiles to at most `tile` columns (default 0 = no
+    /// override); the width never exceeds [`max_tile_cols`], the widest
+    /// tile whose arena fits a worker's memory budget. Reports are
+    /// bit-identical for every tile width (per-tile histograms merge
+    /// exactly in any order), so the override exists for the byte-identity
+    /// tests, which force narrow tiles. A session scale split into several
+    /// tiles keeps no checkpoints ([`try_refresh_on`](Self::try_refresh_on)).
     pub fn tile(mut self, tile: usize) -> Self {
         self.tile = tile;
         self
@@ -369,17 +372,17 @@ impl OccupancyMethod {
     /// maximum, and returns the full report. The saturation scale is
     /// [`OccupancyReport::gamma`].
     ///
-    /// Execution layout: one [`WorkerPool`] owns the worker threads for the
-    /// coarse sweep *and* every refinement round; each worker keeps an
-    /// [`EngineArena`] and a [`RateCounter`] for the whole sweep (DP tables
-    /// and the trip sink allocated once, reset per work item), all scales
-    /// aggregate from one shared [`EventView`] sorted once up front, and
-    /// work is queued as `(scale, target tile)` items (finest scales first)
-    /// so that even a single scale — or a narrow refinement round — fans out
-    /// across the whole pool.
+    /// Execution layout: the coarse sweep and every refinement round each
+    /// run as one round on a [`WorkerPool`] of `threads` workers; each
+    /// worker keeps an [`EngineArena`] and a [`RateCounter`] for the whole
+    /// sweep (DP tables and the trip sink allocated once, reset per work
+    /// item), all scales aggregate from one shared [`EventView`] sorted once
+    /// up front, and work is queued as `(scale, target tile)` items, finest
+    /// scales first. Scales are the parallel axis: a scale splits into
+    /// tiles only when its arena would not fit a worker's memory budget
+    /// ([`max_tile_cols`]), so a round with fewer scales than workers
+    /// leaves some of them idle.
     pub fn run(&self, stream: &LinkStream) -> OccupancyReport {
-        // no longer capped by the grid size: target tiling feeds pools wider
-        // than the scale count
         let mut pool = WorkerPool::new(self.threads);
         self.run_on(stream, &mut pool)
     }
@@ -427,10 +430,12 @@ impl OccupancyMethod {
     /// * cache miss — built from the event view, exactly as in a cold
     ///   sweep.
     ///
-    /// **Resume.** Under [`TargetSpec::All`], a session runs every DP it
-    /// computes in mirrored time (`saturn_trips::mirrored_histogram_in`,
-    /// whose module docs prove it reports the backward DP's trips), where
-    /// the state at a step boundary depends only on the steps before it.
+    /// **Resume.** Under [`TargetSpec::All`], a session whose scales are
+    /// one tile each (every stream up to 2,989 nodes, [`max_tile_cols`])
+    /// runs every DP it computes in mirrored time
+    /// (`saturn_trips::mirrored_histogram_in`, whose module docs prove it
+    /// reports the backward DP's trips), where the state at a step boundary
+    /// depends only on the steps before it.
     /// Each entry keeps up to one checkpoint per level of `RUNG_LADDER`:
     /// at the boundaries that leave ¼, ⅛, 1⁄16 and 1⁄32 of the scale's
     /// non-empty steps, the full-width key table and the histogram of the
@@ -443,7 +448,7 @@ impl OccupancyMethod {
     /// dropped before the round runs and re-recorded by it.
     /// [`CHECKPOINT_BUDGET_BYTES`] caps a session's key tables: a scale
     /// whose rungs would not fit keeps the backward DP and records none, as
-    /// do sampled-target sessions and every scratch run. Checkpoints enter
+    /// do tiled scales, sampled-target sessions and every scratch run. Checkpoints enter
     /// the cache with their entry, on success only, so they pair with the
     /// entry's timeline as its histogram does; `cache.stats.steps_skipped`
     /// counts the steps the resumed DPs did not re-run.
@@ -589,13 +594,18 @@ impl OccupancyMethod {
     /// `cache` yields the first two; without one every scale is built.
     ///
     /// **Fan-out.** The scales to compute become one `(scale, tile)` queue
-    /// (finest scales first, one tile layout for the round) dispatched
-    /// across the workers. A worker merges each tile it seals into its
-    /// scale's `Slot`, and the worker whose tile is the scale's last scores
-    /// the scale on the spot. Tiles merge exactly in any order
-    /// ([`OccupancyHistogram::merge`]), so results are bit-identical for
-    /// every thread count and tile width. A scratch sweep frees a scale's
-    /// histogram once it is scored; a session sweep keeps it for the cache.
+    /// (finest scales first) dispatched across the workers. The round's
+    /// tile width is [`max_tile_cols`]`(n)`, narrowed only by the
+    /// [`tile`](Self::tile) override, so a scale is one item unless its
+    /// arena would overflow a worker's budget. A worker merges each tile it
+    /// seals into its scale's `Slot`, and the worker whose tile is the
+    /// scale's last scores the scale on the spot. Tiles merge exactly in any
+    /// order ([`OccupancyHistogram::merge`]), so results are bit-identical
+    /// for every thread count and tile width. A mirrored scale is always
+    /// one item, so that item collects its rungs' key tables whole and
+    /// builds the new cache entry's rungs itself. A scratch sweep frees a
+    /// scale's histogram once it is scored; a session sweep keeps it for
+    /// the cache.
     ///
     /// **Timelines.** Each scale owns one `Arc<Timeline>` slot shared by
     /// its tiles. A seeded scale's slot starts filled; any other is filled
@@ -622,16 +632,23 @@ impl OccupancyMethod {
         mut cache: Option<&mut SweepCache>,
     ) -> Result<Vec<DeltaResult>, Cancelled> {
         let ctl = input.ctl;
+        let n = input.stream.node_count();
+        // tiles are a memory decision: a scale splits only when its arena
+        // would not fit one worker's budget (or a test narrows them)
+        let tile_cols = match self.tile {
+            0 => max_tile_cols(n),
+            tile => tile.min(max_tile_cols(n)),
+        };
         // Plan: `seeds[i]` pre-fills scale i's timeline slot (reused or
         // spliced); `reused[i]` serves the cached histogram.
         let mut seeds: Vec<Option<Arc<Timeline>>> = vec![None; ks.len()];
         let mut reused = vec![false; ks.len()];
-        // a session sweep over every node runs its DPs in mirrored time and
-        // keeps checkpoints; `resume[i]` holds the rungs a respliced scale
-        // may keep, ending with the one it resumes from
-        let mirrored = cache.is_some() && self.targets == TargetSpec::All;
+        // a session sweep over every node whose scales are one tile runs
+        // its DPs in mirrored time and keeps checkpoints; `resume[i]` holds
+        // the rungs a respliced scale may keep, ending with the one it
+        // resumes from
+        let mirrored = cache.is_some() && self.targets == TargetSpec::All && tile_cols >= n;
         let mut resume: Vec<Vec<Arc<Rung>>> = vec![Vec::new(); ks.len()];
-        let n = input.stream.node_count();
         if let Some(cache) = cache.as_deref_mut() {
             let SweepCache { scales, stats, .. } = cache;
             stats.scales_total += ks.len() as u64;
@@ -706,10 +723,6 @@ impl OccupancyMethod {
                 }
             }
         }
-        let tile_cols = match self.tile {
-            0 => auto_tile_cols(n, input.targets.len(), computed, pool.parallelism()),
-            tile => tile.min(max_tile_cols(n)),
-        };
         let tile_ranges = input.targets.tile_ranges(tile_cols);
         let tiles_in_scale = tile_ranges.len();
         if let Some(cache) = cache.as_deref_mut() {
@@ -728,10 +741,6 @@ impl OccupancyMethod {
             /// Tiles not yet merged into `hist`; the last one sets `result`.
             tiles_left: AtomicUsize,
             hist: Mutex<OccupancyHistogram>,
-            /// Mirrored scales: per rung the DP records, its step, the
-            /// trips since the rung before (or the resume point), and its
-            /// full-width key table, merged over tiles.
-            recorded: Mutex<Vec<(u32, OccupancyHistogram, Vec<u64>)>>,
             result: OnceLock<DeltaResult>,
             /// Mirrored scales: the rungs of the new cache entry.
             rungs: OnceLock<Vec<Arc<Rung>>>,
@@ -743,7 +752,6 @@ impl OccupancyMethod {
                 remaining: AtomicUsize::new(tiles_in_scale + usize::from(keep_hist)),
                 tiles_left: AtomicUsize::new(tiles_in_scale),
                 hist: Mutex::new(OccupancyHistogram::new()),
-                recorded: Mutex::default(),
                 result: OnceLock::new(),
                 rungs: OnceLock::new(),
             })
@@ -774,13 +782,19 @@ impl OccupancyMethod {
                 ),
             );
             let started = Instant::now();
-            let run = DpRun {
-                tile: Some((item.col_start, item.col_len)),
-                cancel: Some(&ctl.cancel),
-                ..Default::default()
-            };
+            // a mirrored scale is one item, so it collects its own rungs:
+            // per rung its step, the trips since the rung before (or the
+            // resume point), and its key table
+            let mut recorded: Vec<(u32, OccupancyHistogram, Vec<u64>)> = Vec::new();
             let stats = match &plans[item.scale] {
-                None => earliest_arrival_dp_in(arena, &timeline, &input.targets, counter, run),
+                None => {
+                    let run = DpRun {
+                        tile: Some((item.col_start, item.col_len)),
+                        cancel: Some(&ctl.cancel),
+                        ..Default::default()
+                    };
+                    earliest_arrival_dp_in(arena, &timeline, &input.targets, counter, run)
+                }
                 Some(plan) => {
                     let from = plan.kept.last();
                     let rungs: Vec<u32> = if plan.record {
@@ -805,26 +819,14 @@ impl OccupancyMethod {
                         }),
                         rungs: &rungs,
                     };
-                    let (col_start, col_len) = (item.col_start as usize, item.col_len as usize);
-                    let on_rung = |r: usize, keys: &[u64], segment: OccupancyHistogram| {
-                        let mut recorded = slot.recorded.lock().expect("rung slot poisoned");
-                        if recorded.is_empty() {
-                            let blank =
-                                |&step: &u32| (step, OccupancyHistogram::new(), vec![0; n * n]);
-                            *recorded = rungs.iter().map(blank).collect();
-                        }
-                        let (_, hist, table) = &mut recorded[r];
-                        hist.merge_owned(segment);
-                        for (row, saved) in keys.chunks(col_len).enumerate() {
-                            table[row * n + col_start..][..col_len].copy_from_slice(saved);
-                        }
+                    let on_rung = |r: usize, keys: &[u64], segment| {
+                        recorded.push((rungs[r], segment, keys.to_vec()));
                     };
                     mirrored_histogram_in(
                         arena,
                         &timeline,
-                        &input.targets,
                         counter,
-                        run,
+                        Some(&ctl.cancel),
                         mirror,
                         on_rung,
                     )
@@ -856,8 +858,6 @@ impl OccupancyMethod {
                     let mut prefix =
                         plan.kept.last().map(|rung| rung.hist.clone()).unwrap_or_default();
                     let mut rungs = plan.kept.clone();
-                    let recorded =
-                        std::mem::take(&mut *slot.recorded.lock().expect("rung slot poisoned"));
                     for (step, segment, keys) in recorded {
                         prefix.merge_owned(segment);
                         rungs.push(Arc::new(Rung {
@@ -1187,6 +1187,34 @@ mod tests {
             .tile(5) // 24 columns -> 5 tiles
             .run(&s);
         assert_eq!(tiled.to_json(), untiled.to_json());
+    }
+
+    /// Tiles are a memory decision only: a one-scale round on a 4-wide
+    /// pool over a stream whose arena fits one worker runs as one item.
+    #[test]
+    fn a_single_scale_is_one_item_however_wide_the_pool() {
+        use crate::control::SweepObserver;
+
+        #[derive(Default)]
+        struct Spans(Mutex<Vec<TileSpan>>);
+        impl SweepObserver for Spans {
+            fn tile_done(&self, span: &TileSpan) {
+                self.0.lock().unwrap().push(*span);
+            }
+        }
+
+        let s = ring_stream(60, 600, 3);
+        let spans = Arc::new(Spans::default());
+        let ctl = SweepControl::with_observer(Arc::clone(&spans) as _);
+        OccupancyMethod::new()
+            .grid(SweepGrid::ExplicitK(vec![200]))
+            .refine(0, 0)
+            .try_run_on(&s, &mut WorkerPool::new(4), &ctl)
+            .unwrap();
+        let spans = spans.0.lock().unwrap();
+        assert_eq!(spans.len(), 1, "{spans:?}");
+        assert_eq!((spans[0].col_start, spans[0].col_len), (0, 60));
+        assert!(spans[0].last_tile_of_scale);
     }
 
     #[test]
@@ -1629,14 +1657,12 @@ mod tests {
     /// each interval of the ladder, from before ¼ to after 1⁄32: the resume
     /// point moves up one rung with each append, so the skipped steps rise.
     /// Every refresh is byte-identical to a scratch sweep, on both
-    /// directednesses and several tile widths.
+    /// directednesses.
     #[test]
     fn refresh_resumes_from_the_latest_valid_rung() {
-        for (directed, tile) in [(false, 0), (true, 0), (false, 3), (true, 10)] {
-            let method = OccupancyMethod::new()
-                .grid(SweepGrid::Geometric { points: 8 })
-                .refine(1, 3)
-                .tile(tile);
+        for directed in [false, true] {
+            let method =
+                OccupancyMethod::new().grid(SweepGrid::Geometric { points: 8 }).refine(1, 3);
             let mut pool = WorkerPool::new(2);
             let mut cache = SweepCache::new();
             let mut events = Vec::new();
@@ -1670,7 +1696,7 @@ mod tests {
                 assert_eq!(
                     refreshed.to_json(),
                     method.run_on(&grown, &mut pool).to_json(),
-                    "directed={directed} tile={tile} batch {i}"
+                    "directed={directed} batch {i}"
                 );
                 skipped.push(cache.stats.steps_skipped);
                 assert_reserve_covers(&cache, 10);
@@ -1699,13 +1725,44 @@ mod tests {
                 assert_eq!(
                     refreshed.to_json(),
                     method.run_on(&grown, &mut pool).to_json(),
-                    "directed={directed} tile={tile} append at {at}"
+                    "directed={directed} append at {at}"
                 );
                 skipped.push(cache.stats.steps_skipped);
             }
             // every rung is a resume point: each later interval skips more
             assert_eq!(skipped[0], 0, "an append before ¼ resumes nothing: {skipped:?}");
             assert!(skipped.windows(2).all(|w| w[0] < w[1]), "{skipped:?}");
+        }
+    }
+
+    /// A session whose scales split into several tiles keeps the backward
+    /// DP: no checkpoint is recorded or resumed, and every refresh across
+    /// appends still equals scratch.
+    #[test]
+    fn tiled_session_scales_keep_no_checkpoints() {
+        let method = OccupancyMethod::new()
+            .grid(SweepGrid::Geometric { points: 8 })
+            .refine(1, 3)
+            .tile(3);
+        let mut pool = WorkerPool::new(2);
+        let mut cache = SweepCache::new();
+        let mut events = Vec::new();
+        method
+            .try_refresh_on(&comb(true, &[]), &mut pool, &SweepControl::new(), &mut cache, None)
+            .unwrap();
+        assert_eq!(cache.checkpoint_bytes(), 0);
+        for (i, at) in [0.97, 0.8, 0.99].into_iter().enumerate() {
+            let chords = chords(at, i as u32);
+            let dirty = chords.iter().map(|c| c.2).min();
+            events.extend(chords);
+            let grown = comb(true, &events);
+            let refreshed = method
+                .try_refresh_on(&grown, &mut pool, &SweepControl::new(), &mut cache, dirty)
+                .unwrap();
+            assert_eq!(refreshed.to_json(), method.run_on(&grown, &mut pool).to_json());
+            assert!(cache.stats.scales_respliced > 0, "{:?}", cache.stats);
+            assert_eq!(cache.stats.steps_skipped, 0);
+            assert_eq!(cache.checkpoint_bytes(), 0);
         }
     }
 
@@ -1791,10 +1848,8 @@ mod tests {
             }
         }
 
-        let method = OccupancyMethod::new()
-            .grid(SweepGrid::Geometric { points: 10 })
-            .refine(1, 3)
-            .tile(4);
+        let method =
+            OccupancyMethod::new().grid(SweepGrid::Geometric { points: 10 }).refine(1, 3);
         let mut pool = WorkerPool::new(2);
         let mut cache = SweepCache::new();
         method

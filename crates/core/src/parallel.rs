@@ -1,17 +1,19 @@
 //! The sweep's worker pool and the tiled work queue.
 //!
-//! Each aggregation scale is analyzed independently, so the sweep is
-//! embarrassingly parallel along the scale axis; in addition the DP's
-//! columns are independent (tile locality, `trips::dp` module docs), so
-//! every scale can be split into *target tiles* that run concurrently and
-//! whose histograms merge exactly. [`sweep_queue`] materializes that
-//! two-axis decomposition as a flat list of `(scale, tile)` items in
-//! size-aware order — finest scales first, since step count drives cost
-//! (the paper: "the most costly computations are the ones made for small
-//! values of Δ, as M is then large") — and items are dispatched dynamically
-//! through a shared atomic cursor rather than pre-partitioned, so the
-//! expensive head of the queue spreads across workers while the cheap tail
-//! backfills.
+//! Each aggregation scale is analyzed independently, so scales are the
+//! sweep's parallel axis. A scale is split into *target tiles* only when
+//! its DP arena would not fit the per-worker memory budget
+//! ([`max_tile_cols`](saturn_trips::dp::max_tile_cols), tile locality in
+//! the `trips::dp` module docs): the DP's columns are independent, so the
+//! tiles' histograms merge exactly. Splitting a scale to feed idle workers
+//! would repeat every edge traversal once per tile and lose more than it
+//! gains, so a round with fewer scales than workers leaves some idle.
+//! [`sweep_queue`] lays the `(scale, tile)` items out in size-aware order —
+//! finest scales first, since step count drives cost (the paper: "the
+//! most costly computations are the ones made for small values of Δ, as M
+//! is then large") — and items are dispatched dynamically through a shared
+//! atomic cursor rather than pre-partitioned, so the expensive head of the
+//! queue spreads across workers while the cheap tail backfills.
 //!
 //! A [`WorkerPool`] is a thread count. Each [`map`](WorkerPool::map) call
 //! is one round on [`std::thread::scope`]: it spawns one named worker per
@@ -31,7 +33,6 @@
 //! before it is dropped exactly once. A worker that cannot be spawned is
 //! left out: the cursor hands its items to the threads that exist.
 
-use saturn_trips::dp::max_tile_cols;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -147,31 +148,9 @@ pub fn merge_sources(ks: &[u64]) -> Vec<Option<usize>> {
     vec![None; ks.len()]
 }
 
-/// Picks a tile width for `ncols` target columns over `n` DP rows, swept
-/// over `scales` scales on `parallelism` workers. Scale-level parallelism
-/// is free (no duplicated per-edge work), so tiling for speed only kicks in
-/// when the scale count alone cannot feed the pool — single scales, narrow
-/// refinement rounds, wide machines — and then aims for a few items per
-/// worker while keeping tiles wide enough that per-traversal fixed costs
-/// stay amortized. The width never exceeds [`max_tile_cols`]`(n)`, so each
-/// worker's DP arena fits its memory budget however wide the stream is.
-pub fn auto_tile_cols(n: usize, ncols: usize, scales: usize, parallelism: usize) -> usize {
-    /// Below this width, per-edge bookkeeping duplicated per tile stops
-    /// being noise next to the per-column DP work.
-    const MIN_TILE: usize = 16;
-    if parallelism <= 1 || ncols <= MIN_TILE || scales >= 4 * parallelism {
-        return ncols.min(max_tile_cols(n));
-    }
-    let want_items = 4 * parallelism;
-    let tiles_per_scale = want_items.div_ceil(scales.max(1)).max(1);
-    ncols.div_ceil(tiles_per_scale).max(MIN_TILE).min(ncols).min(max_tile_cols(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use saturn_trips::dp::{arena_bytes, ARENA_BUDGET_BYTES};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicBool;
     use std::sync::{Barrier, Mutex};
@@ -296,59 +275,6 @@ mod tests {
         let items = sweep_queue(&[7, 3], &[(0, 10)]);
         assert_eq!(items.len(), 2);
         assert!(items.iter().all(|i| i.col_start == 0 && i.col_len == 10));
-    }
-
-    #[test]
-    fn auto_tile_prefers_scale_parallelism() {
-        // plenty of scales: no tiling
-        assert_eq!(auto_tile_cols(1000, 1000, 64, 8), 1000);
-        // single thread: never tile
-        assert_eq!(auto_tile_cols(1000, 1000, 1, 1), 1000);
-        // single scale on a wide machine: tiles sized for ~4 items/worker
-        let tile = auto_tile_cols(1000, 1000, 1, 8);
-        assert!((16..1000).contains(&tile), "tile = {tile}");
-        assert!(1000usize.div_ceil(tile) >= 8, "enough items to feed the pool");
-        // tiny column counts stay untiled regardless of width
-        assert_eq!(auto_tile_cols(12, 12, 1, 64), 12);
-        // a wide stream is tiled to fit the arena budget even on one thread
-        assert_eq!(auto_tile_cols(60_000, 60_000, 64, 1), max_tile_cols(60_000));
-        assert!(max_tile_cols(60_000) < 60_000);
-    }
-
-    /// The heuristic `auto_tile_cols` applied before the memory cap existed.
-    fn uncapped_auto_tile_cols(ncols: usize, scales: usize, parallelism: usize) -> usize {
-        if parallelism <= 1 || ncols <= 16 || scales >= 4 * parallelism {
-            return ncols;
-        }
-        let tiles_per_scale = (4 * parallelism).div_ceil(scales.max(1)).max(1);
-        ncols.div_ceil(tiles_per_scale).max(16).min(ncols)
-    }
-
-    proptest! {
-        /// The memory cap only ever narrows: every width is a valid tile,
-        /// fits the arena budget whenever a single column does, and is the
-        /// uncapped heuristic's choice whenever the untiled table fits.
-        #[test]
-        fn auto_tile_width_fits_the_budget_and_only_narrows(
-            bits in 0u32..23,
-            low in any::<u64>(),
-            col_frac in 0.0f64..=1.0,
-            scales in 0usize..200,
-            parallelism in 1usize..65,
-        ) {
-            // log-uniform n, so small streams (untiled fits) and huge ones
-            // (the cap binds) are both common
-            let n = (1usize << bits) + (low as usize) % (1usize << bits);
-            let ncols = 1 + ((n - 1) as f64 * col_frac) as usize;
-            let width = auto_tile_cols(n, ncols, scales, parallelism);
-            prop_assert!((1..=ncols).contains(&width), "width {} of {}", width, ncols);
-            if arena_bytes(n, 1) <= ARENA_BUDGET_BYTES {
-                prop_assert!(arena_bytes(n, width) <= ARENA_BUDGET_BYTES);
-            }
-            if arena_bytes(n, ncols) <= ARENA_BUDGET_BYTES {
-                prop_assert_eq!(width, uncapped_auto_tile_cols(ncols, scales, parallelism));
-            }
-        }
     }
 
     #[test]

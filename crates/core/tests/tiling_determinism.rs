@@ -3,11 +3,11 @@
 //! width, on any thread count, refreshed through a session cache or swept
 //! from scratch, must serialize to the *same bytes* as the untiled
 //! single-threaded run — the property that keeps the analysis service's
-//! content-addressed cache correct while the executor re-tiles work per
-//! hardware. Tile widths 1, 3, `ncols`, and a proptest-chosen random width
-//! are exercised across 1/2/4/8 threads, with refinement rounds on (the
-//! narrow rounds are where auto-tiling matters most), on geometric grids
-//! and on explicit divisor ladders. Every swept scale must match a
+//! content-addressed cache correct whatever pool and tile layout run the
+//! sweep. Tile widths 1, 3, `ncols`, and a proptest-chosen random width
+//! are exercised across 1/2/4/8 threads, with refinement rounds on (narrow
+//! rounds leave workers idle), on geometric grids and on explicit divisor
+//! ladders. Every swept scale must match a
 //! timeline built per scale and run through [`baseline`], the oracle
 //! engine without delta watermarks or the degree-1 bypass.
 
@@ -313,9 +313,8 @@ fn prefix_stream(directed: bool, n: u32, events: &[(u32, u32, i64)]) -> LinkStre
     b.build().expect("non-empty stream")
 }
 
-/// The auto tile width (tile = 0) must also be invisible, including on
-/// pools wider than the scale count — the configuration the feature exists
-/// for.
+/// The default tile width (tile = 0: the memory budget's) must also be
+/// invisible on pools wider than the scale count, where some workers idle.
 #[test]
 fn auto_tiling_is_bit_identical_on_wide_pools() {
     let stream = build_stream(20, 160, 4, 11);

@@ -1041,7 +1041,7 @@ fn submitted(
 fn endpoint_analyze(request: &Request, ctx: &ServerContext) -> Handled {
     let p = RequestParams::parse(request, ctx.default_deadline_ms)?;
     // execution choices stay OUT of the fingerprint: the tile layout the
-    // sweep picks (from the pool and the memory budget) never changes the
+    // sweep picks (from the memory budget) never changes the
     // bytes, and a deadline either leaves the result untouched or prevents
     // there being one.
     let grid = SweepGrid::Geometric { points: p.points };

@@ -15,7 +15,7 @@
 //!
 //! | parameter | type | default | meaning |
 //! |-----------|------|---------|---------|
-//! | `points` | usize | 48 | geometric sweep grid size |
+//! | `points` | usize ≤ 4096 | 48 | geometric sweep grid size |
 //! | `sample` | u32 | absent = exact | target-set sample size |
 //! | `seed` | u64 | 1 | sampling seed (with `sample`) |
 //! | `deadline_ms` | u64 | server default | end-to-end deadline, 0 = none |
@@ -26,7 +26,7 @@
 
 use crate::http::Request;
 use crate::ApiError;
-use saturn_core::TargetSpec;
+use saturn_core::{SweepGrid, TargetSpec};
 use saturn_linkstream::Directedness;
 use std::time::Duration;
 
@@ -78,8 +78,15 @@ impl RequestParams {
         // validated even when `sample` is absent: a garbled `seed` is a 400
         // like every other unparsable value, never silently ignored
         let seed = numeric(request, "seed", 1u64)?;
+        let points = numeric(request, "points", 48usize)?;
+        if points > SweepGrid::MAX_POINTS {
+            return Err(ApiError::new(
+                400,
+                format!("query parameter points={points}: at most {}", SweepGrid::MAX_POINTS),
+            ));
+        }
         Ok(RequestParams {
-            points: numeric(request, "points", 48usize)?,
+            points,
             targets: match request.param("sample") {
                 None => TargetSpec::All,
                 Some(_) => TargetSpec::Sample { size: numeric(request, "sample", 0u32)?, seed },
@@ -242,6 +249,19 @@ mod tests {
         assert_eq!(parse(&[("seed", "99999999999999999999999")]).unwrap_err().status, 400);
         // i64 accepts negatives: delta_min=-3 parses (the sweep clamps it)
         assert_eq!(parse(&[("delta_min", "-3")]).unwrap().delta_min, -3);
+    }
+
+    /// `points` is bounded before any sweep work: the grid would otherwise
+    /// be materialized at the requested size.
+    #[test]
+    fn points_above_the_grid_bound_are_400s() {
+        assert_eq!(parse(&[("points", "4096")]).unwrap().points, SweepGrid::MAX_POINTS);
+        for raw in ["4097", "1099511627776"] {
+            let e = parse(&[("points", raw)]).unwrap_err();
+            assert_eq!((e.status, e.code), (400, "bad_request"), "points={raw}");
+            assert!(!e.retryable);
+            assert_eq!(e.message, format!("query parameter points={raw}: at most 4096"));
+        }
     }
 
     #[test]

@@ -1268,3 +1268,28 @@ fn stream_create_rejects_an_overflowing_study_period() {
     let target = format!("/v1/streams?t_begin={}&t_end={}", i64::MIN, i64::MAX);
     assert_period_rejected(&target, "");
 }
+
+/// A grid too large to materialize is a `400 bad_request` on every route
+/// that sweeps, answered before any work, and the daemon keeps serving.
+#[test]
+fn oversized_grids_are_rejected_before_any_work() {
+    let server = start(|c| c.threads = 1);
+    let addr = server.addr();
+    let body = trace(6, 200, 10);
+    let created = request(addr, "POST", "/v1/streams?t_begin=0&t_end=2000", body.as_bytes());
+    assert_eq!(created.status, 201);
+    let sid = json(&created)["stream"].as_u64().expect("stream id");
+    let probe = "points=1099511627776";
+    for target in [
+        format!("/v1/analyze?{probe}"),
+        format!("/v1/validate?{probe}"),
+        format!("/v1/streams/{sid}/analyze?{probe}"),
+    ] {
+        let response = request(addr, "POST", &target, body.as_bytes());
+        assert_envelope(&response, 400, "bad_request");
+        let message = json(&response)["error"]["message"].as_str().unwrap().to_string();
+        assert!(message.contains("at most 4096"), "{target}: {message}");
+    }
+    assert_eq!(request(addr, "GET", "/v1/health", b"").status, 200);
+    server.stop();
+}

@@ -1,6 +1,5 @@
 //! Property-based validation of the telemetry histogram: every recorded
-//! value lands in exactly the bucket its magnitude dictates. (The quantile
-//! property lives with `Histogram::quantile` in the `metrics` unit tests.)
+//! value lands in exactly the bucket its magnitude dictates.
 
 use proptest::prelude::*;
 use saturn_server::metrics::{bucket_bound_micros, Histogram, BUCKETS, FINITE_BUCKETS};

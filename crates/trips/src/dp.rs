@@ -207,9 +207,9 @@
 //!   exactly the minimal trips `(u, v, d, a, h) ↔ (v, u, K−1−a, K−1−d, h)`,
 //!   and the mirrored run maps each one back before the sink sees it.
 //!   Durations `a − d + 1`, hence occupancy rates, are unchanged. What does
-//!   change is the grouping: `M`'s columns are the original *sources*, so
-//!   tiles partition trips by source, rows must cover every destination
-//!   (the target set must be every node), and trips arrive by ascending
+//!   change is the grouping: `M`'s columns are the original *sources* and
+//!   its rows must cover every destination, so a mirrored run always
+//!   spans every node in one `n × n` table, and trips arrive by ascending
 //!   original arrival — so only an order-free sink, the [`RateCounter`],
 //!   may take them. The unit tests compare both orientations trip for trip
 //!   and histogram for histogram.
@@ -218,12 +218,13 @@
 //!   `[u][v]` holds `K − 1` minus the latest departure of a path from `v`
 //!   to `u` that arrives before `c`, with its minimum hops, and every trip
 //!   reported so far arrives before `c`. A [`Checkpoint`] is `c` plus that
-//!   table over every column ([`SavedKeys`], packed into 32 bits when the
-//!   keys fit). A run that loads it and walks the remaining steps reports
-//!   exactly the trips that arrive at or after `c`, on any timeline whose
-//!   steps below `c` are unchanged, with any tile layout. A run hands its
-//!   tile's table and its sealed counter back at each rung of
-//!   [`Mirror::rungs`], so one run both resumes and records.
+//!   table ([`SavedKeys`], packed into 32 bits when the keys fit). A run
+//!   that loads it and walks the remaining steps reports exactly the trips
+//!   that arrive at or after `c`, on any timeline whose steps below `c` are
+//!   unchanged. A run hands its table and its sealed counter back at each
+//!   rung of [`Mirror::rungs`], so one run both resumes and records. The
+//!   table is whole because the run is: a scale too wide for one arena
+//!   ([`max_tile_cols`]) runs backward in tiles and keeps no checkpoint.
 //! * **Why `NEVER` watermarks keep the delta invariants.** A loaded run
 //!   treats every loaded cell as changed at a virtual step `NEVER`, before
 //!   every real step: change marks stay `UNCHANGED` (`at = NEVER`),
@@ -699,26 +700,19 @@ impl EngineArena {
         self.slot_of.fill(NEVER);
     }
 
-    /// One run over the steps from non-empty ordinal `walk.from` on, in
-    /// the orientation `MIRROR` names (module docs, "Orientation and
-    /// resume"): descending step index, or ascending with every index `i`
-    /// read as `K − 1 − i` and directed edges reversed. Before the step of
-    /// each ordinal in `walk.rungs` (mirrored runs only), `on_rung` gets the
-    /// rung's position, the tile's key table and the sink.
-    /// Loads a checkpoint's columns `[col_start, col_start + ncols)` into
-    /// a freshly prepared arena: its keys and their frontier bits. The
-    /// change marks stay "unchanged" and every watermark starts at `NEVER`,
-    /// so each consumer's first firing merges every loaded cell (module
-    /// docs, "Orientation and resume").
-    fn load(&mut self, ck: &Checkpoint<'_>, col_start: usize) {
+    /// Loads a checkpoint into a freshly prepared all-nodes arena: its
+    /// keys and their frontier bits. The change marks stay "unchanged" and
+    /// every watermark starts at `NEVER`, so each consumer's first firing
+    /// merges every loaded cell (module docs, "Orientation and resume").
+    fn load(&mut self, ck: &Checkpoint<'_>) {
         let (ncols, wpr) = (self.ncols, self.words_per_row);
-        let cols = ck.width.saturating_sub(col_start).min(ncols);
+        let cols = ck.width.min(ncols);
         if cols == 0 {
             return;
         }
-        for row in 0..self.nrows.min(ck.keys.len() / ck.width.max(1)) {
+        for row in 0..self.nrows.min(ck.keys.len() / ck.width) {
             for c in 0..cols {
-                let key = ck.keys.get(row * ck.width + col_start + c);
+                let key = ck.keys.get(row * ck.width + c);
                 if key != UNREACHED {
                     self.keys[row * ncols + c] = key;
                     self.frontier[row * wpr + c / 64] |= 1 << (c % 64);
@@ -727,6 +721,12 @@ impl EngineArena {
         }
     }
 
+    /// One run over the steps from non-empty ordinal `walk.from` on, in
+    /// the orientation `MIRROR` names (module docs, "Orientation and
+    /// resume"): descending step index, or ascending with every index `i`
+    /// read as `K − 1 − i` and directed edges reversed. Before the step of
+    /// each ordinal in `walk.rungs` (mirrored runs only), `on_rung` gets the
+    /// rung's position, the key table and the sink.
     fn run<S: TripSink, const MIRROR: bool>(
         &mut self,
         timeline: &Timeline,
@@ -1252,35 +1252,35 @@ pub struct Mirror<'a> {
     pub rungs: &'a [u32],
 }
 
-/// [`earliest_arrival_dp_in`] in mirrored time, into a [`RateCounter`]:
-/// the same engine over the steps in ascending order, each index `i` read
-/// as `K − 1 − i` and directed edges reversed, which reports every minimal
-/// trip of the backward run exactly once (module docs, "Orientation and
-/// resume"). Tiles partition the trips by *source*, not destination, and
-/// trips arrive in no particular order, so only an order-free sink like the
-/// counter may take them; the sealed histograms equal the backward run's.
+/// [`earliest_arrival_dp_in`] in mirrored time over every node, into a
+/// [`RateCounter`]: the same engine over the steps in ascending order,
+/// each index `i` read as `K − 1 − i` and directed edges reversed, which
+/// reports every minimal trip of the backward run exactly once (module
+/// docs, "Orientation and resume"). Trips arrive in no particular order,
+/// so only an order-free sink like the counter may take them; the sealed
+/// histogram equals the backward run's. The run is never tiled: its key
+/// table is the whole `n × n` state a checkpoint saves. `cancel` stops it
+/// as it stops a backward run ([`DpRun::cancel`]).
 ///
 /// The run starts at `mirror.from` when given, and before the first step at
 /// or above each boundary of `mirror.rungs` calls `on_rung` with the rung's
-/// position in `mirror.rungs`, the tile's `n × col_len` key table, and the
-/// counter sealed so far (which resets it). Every trip lands in exactly one
-/// of the histograms handed to `on_rung` or left in the counter at the end:
-/// the ones that arrive before the first rung's boundary (after
+/// position in `mirror.rungs`, the `n × n` key table, and the counter
+/// sealed so far (which resets it). Every trip lands in exactly one of the
+/// histograms handed to `on_rung` or left in the counter at the end: the
+/// ones that arrive before the first rung's boundary (after
 /// `mirror.from`'s), then between consecutive rungs, then after the last.
 ///
 /// # Panics
-/// Panics if `targets` is not every node, the run collects distances, the
-/// tile is out of range, or a rung is not above the resume point.
+/// Panics if a rung is not above the resume point.
 pub fn mirrored_histogram_in(
     arena: &mut EngineArena,
     timeline: &Timeline,
-    targets: &TargetSet,
     counter: &mut RateCounter,
-    run: DpRun<'_>,
+    cancel: Option<&CancelToken>,
     mirror: Mirror<'_>,
     mut on_rung: impl FnMut(usize, &[u64], OccupancyHistogram),
 ) -> DpStats {
-    mirrored_in(arena, timeline, targets, counter, run, mirror, &mut |r, keys, counter| {
+    mirrored_in(arena, timeline, counter, cancel, mirror, &mut |r, keys, counter| {
         on_rung(r, keys, counter.finish())
     })
 }
@@ -1290,18 +1290,15 @@ pub fn mirrored_histogram_in(
 fn mirrored_in<S: TripSink>(
     arena: &mut EngineArena,
     timeline: &Timeline,
-    targets: &TargetSet,
     sink: &mut S,
-    run: DpRun<'_>,
+    cancel: Option<&CancelToken>,
     mirror: Mirror<'_>,
     on_rung: &mut impl FnMut(usize, &[u64], &mut S),
 ) -> DpStats {
-    assert!(targets.is_all(), "a mirrored run needs every node as a target");
-    assert!(!run.options.collect_distances, "a mirrored run collects no distances");
-    let (col_start, col_len) = tile_of(&run, targets);
-    arena.prepare(timeline.n() as usize, col_len as usize, false);
+    let targets = TargetSet::all(timeline.n());
+    arena.prepare(targets.len(), targets.len(), false);
     let from = mirror.from.map_or(0, |ck| {
-        arena.load(&ck, col_start as usize);
+        arena.load(&ck);
         timeline.steps_before(ck.step)
     });
     let rungs: Vec<usize> = mirror.rungs.iter().map(|&c| timeline.steps_before(c)).collect();
@@ -1310,7 +1307,8 @@ fn mirrored_in<S: TripSink>(
             && mirror.rungs.first().is_none_or(|&c| mirror.from.is_none_or(|ck| ck.step < c)),
         "rungs must ascend above the resume point"
     );
-    arena.run::<_, true>(timeline, targets, sink, &run, Walk { from, rungs: &rungs }, on_rung)
+    let run = DpRun { cancel, ..Default::default() };
+    arena.run::<_, true>(timeline, &targets, sink, &run, Walk { from, rungs: &rungs }, on_rung)
 }
 
 pub mod baseline {
@@ -2069,49 +2067,28 @@ mod tests {
 
     /// A mirrored run's output, split at its rungs: the trips (as the
     /// sink saw them) before each rung and after the last one, and each
-    /// rung's full-width key table stitched from its tiles.
+    /// rung's key table.
     struct MirrorRun {
         segments: Vec<Vec<Trip>>,
         tables: Vec<Vec<u64>>,
     }
 
-    /// Runs [`mirrored_in`] over every `tile`-wide tile of an all-nodes
-    /// target set on `arena`, from `from`, sealing at `rungs`.
+    /// Runs [`mirrored_in`] on `arena`, from `from`, sealing at `rungs`.
     fn mirrored_run(
         arena: &mut EngineArena,
         t: &Timeline,
-        tile: usize,
         from: Option<Checkpoint<'_>>,
         rungs: &[u32],
     ) -> MirrorRun {
-        let n = t.n() as usize;
-        let targets = TargetSet::all(t.n());
-        let mut out = MirrorRun {
-            segments: vec![Vec::new(); rungs.len() + 1],
-            tables: vec![vec![UNREACHED; n * n]; rungs.len()],
-        };
-        for (start, len) in targets.tile_ranges(tile) {
-            let run = DpRun { tile: Some((start, len)), ..Default::default() };
-            let mut sink = Collect::default();
-            let segments = &mut out.segments;
-            let tables = &mut out.tables;
-            mirrored_in(
-                arena,
-                t,
-                &targets,
-                &mut sink,
-                run,
-                Mirror { from, rungs },
-                &mut |r, keys, sink: &mut Collect| {
-                    segments[r].append(&mut sink.0);
-                    for (row, saved) in keys.chunks(len as usize).enumerate() {
-                        tables[r][row * n + start as usize..][..len as usize]
-                            .copy_from_slice(saved);
-                    }
-                },
-            );
-            out.segments[rungs.len()].append(&mut sink.0);
-        }
+        let mut out =
+            MirrorRun { segments: vec![Vec::new(); rungs.len() + 1], tables: Vec::new() };
+        let mut sink = Collect::default();
+        let (segments, tables) = (&mut out.segments, &mut out.tables);
+        mirrored_in(arena, t, &mut sink, None, Mirror { from, rungs }, &mut |r, keys, sink| {
+            segments[r].append(&mut sink.0);
+            tables.push(keys.to_vec());
+        });
+        out.segments[rungs.len()].append(&mut sink.0);
         out
     }
 
@@ -2163,8 +2140,8 @@ mod tests {
         /// The mirrored run is the backward run in reverse time: the same
         /// trips once mapped back (as a multiset), the same sealed
         /// histogram through a counter, and the same `mean` bits — for
-        /// both directednesses, exact and aggregated timelines, tile widths
-        /// 1, 3 and `n`, on one arena reused across all of it.
+        /// both directednesses and exact and aggregated timelines, on one
+        /// arena reused across all of it.
         #[test]
         fn mirrored_run_equals_backward_run(
             stream in arb_stream(),
@@ -2177,45 +2154,35 @@ mod tests {
             let mut backward = Collect::default();
             earliest_arrival_dp_in(&mut arena, &t, &targets, &mut backward, DpOptions::default());
             let expected = occupancy_hist(&mut arena, &t, &targets);
-            let backward = sorted(backward.0);
-            for tile in [1, 3, t.n() as usize] {
-                let run = mirrored_run(&mut arena, &t, tile, None, &[]);
-                prop_assert_eq!(&sorted(run.segments.concat()), &backward, "tile={}", tile);
-                let mut hist = OccupancyHistogram::new();
-                let mut counter = RateCounter::new();
-                for (start, len) in targets.tile_ranges(tile) {
-                    let run = DpRun { tile: Some((start, len)), ..Default::default() };
-                    mirrored_histogram_in(&mut arena, &t, &targets, &mut counter, run, Mirror::default(), |_, _, _| {});
-                    hist.merge_owned(counter.finish());
-                }
-                prop_assert_eq!(&hist, &expected, "tile={}", tile);
-                prop_assert_eq!(hist.mean().to_bits(), expected.mean().to_bits());
-            }
+            let run = mirrored_run(&mut arena, &t, None, &[]);
+            prop_assert_eq!(sorted(run.segments.concat()), sorted(backward.0));
+            let mut counter = RateCounter::new();
+            mirrored_histogram_in(&mut arena, &t, &mut counter, None, Mirror::default(), |_, _, _| {});
+            let hist = counter.finish();
+            prop_assert_eq!(&hist, &expected);
+            prop_assert_eq!(hist.mean().to_bits(), expected.mean().to_bits());
         }
 
         /// Resuming from any rung's checkpoint equals the uninterrupted
         /// run: the resumed trips are exactly its trips after the rung,
-        /// the later rungs hand back the same tables and segments, and the
-        /// resume may use another tile width than the recording.
+        /// and the later rungs hand back the same tables and segments.
         #[test]
         fn resuming_from_any_rung_equals_an_uninterrupted_run(
             stream in arb_stream(),
             exact in any::<bool>(),
             k in 1u64..30,
             cuts in proptest::collection::vec(0usize..64, 1..4),
-            tiles in (0usize..3, 0usize..3),
         ) {
             let t = timeline_of(&stream, exact, k);
-            let widths = [1, 3, t.n() as usize];
             let mut rungs: Vec<u32> = cuts.iter().map(|&c| (c % (t.num_steps() as usize + 1)) as u32).filter(|&c| c > 0).collect();
             rungs.sort_unstable();
             rungs.dedup();
             let mut arena = EngineArena::new();
-            let full = mirrored_run(&mut arena, &t, widths[tiles.0], None, &rungs);
+            let full = mirrored_run(&mut arena, &t, None, &rungs);
             for (r, &c) in rungs.iter().enumerate() {
                 let saved = SavedKeys::new(full.tables[r].clone());
                 let from = Checkpoint { step: c, keys: &saved, width: t.n() as usize };
-                let resumed = mirrored_run(&mut arena, &t, widths[tiles.1], Some(from), &rungs[r + 1..]);
+                let resumed = mirrored_run(&mut arena, &t, Some(from), &rungs[r + 1..]);
                 let after: Vec<_> = full.segments[r + 1..].concat();
                 prop_assert!(after.iter().all(|trip| trip.3 >= c), "rung {} splits by arrival", c);
                 prop_assert_eq!(sorted(resumed.segments.concat()), sorted(after), "rung {}", c);
@@ -2266,28 +2233,25 @@ mod tests {
         for directedness in [Directedness::Undirected, Directedness::Directed] {
             let s = saturn_linkstream::io::read_str(&text, directedness).unwrap();
             let t = Timeline::aggregated(&s, u64::from(3 * CANCEL_STRIDE + 100));
-            let targets = TargetSet::all(t.n());
             let rungs = [t.num_steps() * 3 / 4, t.num_steps() * 15 / 16];
             let mut arena = EngineArena::new();
-            let full = mirrored_run(&mut arena, &t, 2, None, &rungs);
+            let full = mirrored_run(&mut arena, &t, None, &rungs);
             let token = CancelToken::new();
             token.cancel();
             for (r, &c) in rungs.iter().enumerate() {
                 let saved = SavedKeys::new(full.tables[r].clone());
                 let from = Checkpoint { step: c, keys: &saved, width: t.n() as usize };
-                let cancelled = DpRun { cancel: Some(&token), ..Default::default() };
                 let mut partial = Collect::default();
                 let stats = mirrored_in(
                     &mut arena,
                     &t,
-                    &targets,
                     &mut partial,
-                    cancelled,
+                    Some(&token),
                     Mirror::default(),
                     &mut |_, _, _| {},
                 );
                 assert!(stats.traversals > 0 && partial.0.len() < full.segments.concat().len());
-                let resumed = mirrored_run(&mut arena, &t, 5, Some(from), &rungs[r + 1..]);
+                let resumed = mirrored_run(&mut arena, &t, Some(from), &rungs[r + 1..]);
                 assert_eq!(
                     sorted(resumed.segments.concat()),
                     sorted(full.segments[r + 1..].concat()),

@@ -333,7 +333,7 @@ pub mod collection {
         BTreeSetStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,
