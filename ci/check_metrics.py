@@ -54,7 +54,6 @@ EXPECTED_FAMILIES = {
     "saturn_stream_events_appended_total": "counter",
     "saturn_stream_refreshes_total": "counter",
     "saturn_stream_scales_reused_total": "counter",
-    "saturn_stream_tiles_skipped_total": "counter",
     "saturn_stream_suffix_windows_rebuilt_total": "counter",
     "saturn_stream_dp_steps_skipped_total": "counter",
     "saturn_stream_stale_refreshes_total": "counter",

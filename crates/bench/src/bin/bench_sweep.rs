@@ -506,8 +506,7 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
     let mut per_round = Vec::new();
     let mut all_identical = true;
     let (mut total_scratch, mut total_refresh) = (0.0f64, 0.0f64);
-    let (mut reused, mut respliced, mut tiles_skipped, mut suffix_rebuilt) =
-        (0u64, 0u64, 0u64, 0u64);
+    let (mut reused, mut respliced, mut suffix_rebuilt) = (0u64, 0u64, 0u64);
     let mut scales = 0u64;
     let mut clean_refresh_seconds = 0.0f64;
     // round `rounds` appends nothing: the clean full-reuse refresh
@@ -562,7 +561,6 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
         }
         reused += stats.scales_reused;
         respliced += stats.scales_respliced;
-        tiles_skipped += stats.tiles_skipped;
         suffix_rebuilt += stats.suffix_windows_rebuilt;
         scales = stats.scales_total;
         per_round.push(obj(vec![
@@ -576,7 +574,6 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
             ("scales_reused", Value::Int(stats.scales_reused as i128)),
             ("scales_respliced", Value::Int(stats.scales_respliced as i128)),
             ("scales_scratch", Value::Int(stats.scales_scratch as i128)),
-            ("tiles_skipped", Value::Int(stats.tiles_skipped as i128)),
             ("suffix_windows_rebuilt", Value::Int(stats.suffix_windows_rebuilt as i128)),
             ("reports_identical", Value::Bool(ok)),
         ]));
@@ -602,7 +599,6 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
         ("scales", Value::Int(scales as i128)),
         ("scales_reused", Value::Int(reused as i128)),
         ("scales_respliced", Value::Int(respliced as i128)),
-        ("tiles_skipped", Value::Int(tiles_skipped as i128)),
         ("suffix_windows_rebuilt", Value::Int(suffix_rebuilt as i128)),
         ("scratch_seconds", Value::Float(total_scratch)),
         ("refresh_seconds", Value::Float(total_refresh)),

@@ -67,6 +67,13 @@ impl Digest {
         self.write_bytes(s.as_bytes());
     }
 
+    /// Mixes words split by [`str_words`] into both lanes.
+    fn write_words(&mut self, words: &[u64]) {
+        for &word in words {
+            self.write_u64(word);
+        }
+    }
+
     /// Mixes raw bytes, length-prefixed like [`write_str`](Self::write_str)
     /// (a string digests the same as its bytes). Input need not be UTF-8:
     /// the server digests request bodies before it parses them.
@@ -93,41 +100,71 @@ impl Digest {
 /// The drop counters are included because they are part of the observable
 /// stats surface (`saturn stats` reports them), so inputs differing only in
 /// discarded rows stay distinguishable.
+///
+/// The canonical event order is `(t, label_u, label_v)`, with undirected
+/// pairs normalized label-lexicographically (id order `u <= v` depends on
+/// interning). Labels are sorted once and each event is ordered by its
+/// endpoints' label ranks, which order exactly as the labels do; the
+/// stream is already time-sorted, so only the events of one instant are
+/// sorted together. Each label's [`Digest::write_str`] words are split
+/// once and replayed per event.
 pub fn stream_digest(stream: &LinkStream) -> u128 {
     let mut d = Digest::new("saturn.stream.v1");
     d.write_u64(stream.is_directed() as u64);
     d.write_u64(stream.node_count() as u64);
-    let mut labels: Vec<&str> = stream.labels().iter().map(String::as_str).collect();
-    labels.sort_unstable();
-    for label in labels {
-        d.write_str(label);
+    let labels = stream.labels();
+    let mut by_label: Vec<u32> = (0..labels.len() as u32).collect();
+    by_label.sort_unstable_by(|&a, &b| labels[a as usize].cmp(&labels[b as usize]));
+    // `rank[id]` is the label's position in byte order; the rank-`r`
+    // label's words are `words[starts[r]..starts[r + 1]]`
+    let mut rank = vec![0u32; labels.len()];
+    let mut words = Vec::new();
+    let mut starts = Vec::with_capacity(labels.len() + 1);
+    for (r, &id) in by_label.iter().enumerate() {
+        rank[id as usize] = r as u32;
+        starts.push(words.len());
+        str_words(&labels[id as usize], &mut words);
+        d.write_words(&words[starts[r]..]);
     }
+    starts.push(words.len());
+    let label_words = |r: u64| &words[starts[r as usize]..starts[r as usize + 1]];
     d.write_i64(stream.t_begin().ticks());
     d.write_i64(stream.t_end().ticks());
     d.write_u64(stream.dropped_self_loops() as u64);
     d.write_u64(stream.dropped_duplicates() as u64);
     d.write_u64(stream.len() as u64);
-    // canonical event order: (t, label_u, label_v), with undirected pairs
-    // normalized label-lexicographically (id-order `u <= v` is
-    // interning-dependent)
-    let mut events: Vec<(i64, &str, &str)> = stream
-        .events()
-        .iter()
-        .map(|link| {
-            let (mut a, mut b) = (stream.label(link.u), stream.label(link.v));
+    let mut pairs = Vec::new();
+    for group in stream.events().chunk_by(|a, b| a.t == b.t) {
+        pairs.clear();
+        pairs.extend(group.iter().map(|link| {
+            let (mut a, mut b) = (rank[link.u.index()], rank[link.v.index()]);
             if !stream.is_directed() && a > b {
                 std::mem::swap(&mut a, &mut b);
             }
-            (link.t.ticks(), a, b)
-        })
-        .collect();
-    events.sort_unstable();
-    for (t, a, b) in events {
-        d.write_i64(t);
-        d.write_str(a);
-        d.write_str(b);
+            (a as u64) << 32 | b as u64
+        }));
+        pairs.sort_unstable();
+        let t = group[0].t.ticks();
+        for &pair in &pairs {
+            d.write_i64(t);
+            d.write_words(label_words(pair >> 32));
+            d.write_words(label_words(pair & u64::from(u32::MAX)));
+        }
     }
     d.finish()
+}
+
+/// Appends the words [`Digest::write_str`] mixes for `s`: its length, then
+/// its bytes as little-endian 8-byte words, the last one zero-padded (the
+/// Fx lanes' own chunking). Replaying them with `write_words` digests
+/// exactly like `write_str(s)`.
+fn str_words(s: &str, out: &mut Vec<u64>) {
+    out.push(s.len() as u64);
+    for chunk in s.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        out.push(u64::from_le_bytes(word));
+    }
 }
 
 /// Mixes a sweep grid into a digest.
@@ -172,7 +209,97 @@ pub fn hex(key: u128) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saturn_linkstream::{io, Directedness};
+    use proptest::prelude::*;
+    use saturn_linkstream::{io, Directedness, LinkStreamBuilder};
+
+    /// The digest as first specified: labels and `(t, label_u, label_v)`
+    /// events sorted as strings, every label written with `write_str`.
+    fn string_sorted_digest(stream: &LinkStream) -> u128 {
+        let mut d = Digest::new("saturn.stream.v1");
+        d.write_u64(stream.is_directed() as u64);
+        d.write_u64(stream.node_count() as u64);
+        let mut labels: Vec<&str> = stream.labels().iter().map(String::as_str).collect();
+        labels.sort_unstable();
+        for label in labels {
+            d.write_str(label);
+        }
+        d.write_i64(stream.t_begin().ticks());
+        d.write_i64(stream.t_end().ticks());
+        d.write_u64(stream.dropped_self_loops() as u64);
+        d.write_u64(stream.dropped_duplicates() as u64);
+        d.write_u64(stream.len() as u64);
+        let mut events: Vec<(i64, &str, &str)> = stream
+            .events()
+            .iter()
+            .map(|link| {
+                let (mut a, mut b) = (stream.label(link.u), stream.label(link.v));
+                if !stream.is_directed() && a > b {
+                    std::mem::swap(&mut a, &mut b);
+                }
+                (link.t.ticks(), a, b)
+            })
+            .collect();
+        events.sort_unstable();
+        for (t, a, b) in events {
+            d.write_i64(t);
+            d.write_str(a);
+            d.write_str(b);
+        }
+        d.finish()
+    }
+
+    /// Labels of every shape the word split must handle: empty, under,
+    /// at and over 8 bytes, multi-byte UTF-8, and prefixes of each other
+    /// (so rank order and byte order must agree on them).
+    const LABELS: [&str; 12] = [
+        "",
+        "a",
+        "b",
+        "ab",
+        "n7",
+        "node-001",
+        "node-0010",
+        "a-much-longer-label-x",
+        "é",
+        "日本",
+        "ünïcödé-label",
+        "\u{1F600}",
+    ];
+
+    #[test]
+    fn str_words_replay_write_str() {
+        for label in LABELS.iter().copied().chain(["12345678", "1234567", "123456789"]) {
+            let mut words = Vec::new();
+            str_words(label, &mut words);
+            let mut replayed = Digest::new("saturn.test.v1");
+            replayed.write_words(&words);
+            let mut direct = Digest::new("saturn.test.v1");
+            direct.write_str(label);
+            assert_eq!(replayed.finish(), direct.finish(), "label {label:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The rank-ordered digest equals the string-sorted one on random
+        /// streams of both directednesses, with duplicates and self-loops
+        /// dropped at build time.
+        #[test]
+        fn stream_digest_equals_the_string_sorted_digest(
+            events in proptest::collection::vec((0usize..12, 0usize..12, 0i64..40), 1..120),
+            directed in any::<bool>(),
+        ) {
+            let dir = if directed { Directedness::Directed } else { Directedness::Undirected };
+            let mut b = LinkStreamBuilder::new(dir);
+            for &(u, v, t) in &events {
+                b.add(LABELS[u], LABELS[v], t);
+            }
+            // a stream of self-loops only does not build
+            let Ok(stream) = b.build() else { continue };
+            prop_assert_eq!(stream_digest(&stream), string_sorted_digest(&stream));
+        }
+    }
 
     #[test]
     fn same_content_same_digest_across_input_noise() {

@@ -100,6 +100,11 @@ impl NodeInterner {
         self.labels.is_empty()
     }
 
+    /// The labels, indexed by [`NodeId`].
+    pub fn labels(&self) -> &[String] {
+        &self.labels
+    }
+
     /// Consumes the interner, returning labels indexed by [`NodeId`].
     pub fn into_labels(self) -> Vec<String> {
         self.labels

@@ -223,16 +223,29 @@ enum NodeMode {
 /// [`add_indexed`](LinkStreamBuilder::add_indexed) on a builder created with
 /// [`indexed`](LinkStreamBuilder::indexed).
 ///
-/// The builder is [`Clone`] so long-lived ingest sessions can keep
-/// accepting events while frozen [`snapshot`](LinkStreamBuilder::snapshot)s
-/// of the stream-so-far are analyzed.
+/// Long-lived ingest sessions keep one builder, append to it, and analyze
+/// frozen [`snapshot`](LinkStreamBuilder::snapshot)s of the stream-so-far.
+/// The builder keeps the events it has already frozen canonical (sorted
+/// by `(t, u, v)`, duplicates dropped), so a snapshot sorts only the
+/// events appended since the last one and merges them in.
 #[derive(Clone)]
 pub struct LinkStreamBuilder {
     directedness: Directedness,
     mode: NodeMode,
-    raw: Vec<Link>,
+    /// Canonical events: sorted by `(t, u, v)`, no duplicates.
+    events: Vec<Link>,
+    /// Events recorded since `events` was last brought up to date, in
+    /// arrival order.
+    tail: Vec<Link>,
+    /// Duplicates dropped while merging `tail` into `events`.
+    duplicates: usize,
     period: Option<(Time, Time)>,
     self_loops: usize,
+}
+
+/// The canonical event order of a [`LinkStream`].
+fn canonical(link: &Link) -> (Time, NodeId, NodeId) {
+    (link.t, link.u, link.v)
 }
 
 impl LinkStreamBuilder {
@@ -241,7 +254,9 @@ impl LinkStreamBuilder {
         LinkStreamBuilder {
             directedness,
             mode: NodeMode::Labeled(NodeInterner::new()),
-            raw: Vec::new(),
+            events: Vec::new(),
+            tail: Vec::new(),
+            duplicates: 0,
             period: None,
             self_loops: 0,
         }
@@ -253,7 +268,9 @@ impl LinkStreamBuilder {
         LinkStreamBuilder {
             directedness,
             mode: NodeMode::Indexed(n_nodes),
-            raw: Vec::new(),
+            events: Vec::new(),
+            tail: Vec::new(),
+            duplicates: 0,
             period: None,
             self_loops: 0,
         }
@@ -309,42 +326,81 @@ impl LinkStreamBuilder {
                 }
             }
         };
-        self.raw.push(Link::new(u, v, t));
+        self.tail.push(Link::new(u, v, t));
     }
 
-    /// Number of triplets recorded so far (self-loops excluded).
+    /// Number of triplets recorded so far (self-loops excluded, duplicates
+    /// included), however the recording was split between snapshots.
     pub fn len(&self) -> usize {
-        self.raw.len()
+        self.events.len() + self.duplicates + self.tail.len()
     }
 
     /// Whether no triplet has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
+        self.events.is_empty() && self.tail.is_empty()
+    }
+
+    /// Merges the events recorded since the last merge into the canonical
+    /// ones, counting the duplicates it drops. Costs a sort of the new
+    /// events, a merge with the canonical events at or after the earliest
+    /// of them — for appends late in the period, about the size of the
+    /// append — and one deduplicating pass.
+    fn merge_tail(&mut self) {
+        let mut tail = std::mem::take(&mut self.tail);
+        tail.sort_unstable_by_key(canonical);
+        let Some(first) = tail.first() else { return };
+        let from = self.events.partition_point(|l| canonical(l) < canonical(first));
+        if self.events.is_empty() {
+            // a one-shot build keeps its one copy of the events
+            self.events = tail;
+        } else {
+            let in_order = from == self.events.len();
+            self.events.append(&mut tail);
+            if !in_order {
+                // two sorted runs: the stable sort merges them in one pass
+                self.events[from..].sort_by_key(canonical);
+            }
+        }
+        let before = self.events.len();
+        self.events.dedup();
+        self.duplicates += before - self.events.len();
     }
 
     /// Freezes the stream-so-far without consuming the builder: the
-    /// append-session primitive. Equivalent to cloning and
-    /// [`build`](LinkStreamBuilder::build)ing — a snapshot after `n`
-    /// appends is byte-identical to a one-shot build of the same `n`
-    /// events, so incremental and scratch analyses share cache keys.
-    pub fn snapshot(&self) -> Result<LinkStream, BuildError> {
-        self.clone().build()
+    /// append-session primitive. A snapshot after `n` appends is
+    /// byte-identical to a one-shot [`build`](LinkStreamBuilder::build) of
+    /// the same `n` events (and counts the same dropped duplicates), so
+    /// incremental and scratch analyses share cache keys. Only the events
+    /// recorded since the previous snapshot are sorted; the rest are
+    /// already canonical.
+    pub fn snapshot(&mut self) -> Result<LinkStream, BuildError> {
+        self.merge_tail();
+        let labels = match &self.mode {
+            NodeMode::Labeled(interner) => interner.labels().to_vec(),
+            NodeMode::Indexed(n) => indexed_labels(*n),
+        };
+        self.freeze(self.events.clone(), labels)
     }
 
     /// Validates, sorts, deduplicates and freezes the stream.
-    pub fn build(self) -> Result<LinkStream, BuildError> {
-        let LinkStreamBuilder { directedness, mode, mut raw, period, self_loops } = self;
-        if raw.is_empty() {
-            return Err(BuildError::Empty);
-        }
-        raw.sort_unstable_by_key(|l| (l.t, l.u, l.v));
-        let before = raw.len();
-        raw.dedup();
-        let dropped_duplicates = before - raw.len();
+    pub fn build(mut self) -> Result<LinkStream, BuildError> {
+        self.merge_tail();
+        let events = std::mem::take(&mut self.events);
+        let labels = match std::mem::replace(&mut self.mode, NodeMode::Indexed(0)) {
+            NodeMode::Labeled(interner) => interner.into_labels(),
+            NodeMode::Indexed(n) => indexed_labels(n),
+        };
+        self.freeze(events, labels)
+    }
 
-        let observed_begin = raw.first().expect("non-empty").t;
-        let observed_end = raw.last().expect("non-empty").t;
-        let (t_begin, t_end) = match period {
+    /// Checks the period of canonical `events` and wraps them with
+    /// `labels` into a stream.
+    fn freeze(&self, events: Vec<Link>, labels: Vec<String>) -> Result<LinkStream, BuildError> {
+        let (Some(first), Some(last)) = (events.first(), events.last()) else {
+            return Err(BuildError::Empty);
+        };
+        let (observed_begin, observed_end) = (first.t, last.t);
+        let (t_begin, t_end) = match self.period {
             None => (observed_begin, observed_end),
             Some((b, e)) => {
                 if b > e {
@@ -365,22 +421,21 @@ impl LinkStreamBuilder {
             }
         };
         check_span(t_begin, t_end)?;
-
-        let labels = match mode {
-            NodeMode::Labeled(interner) => interner.into_labels(),
-            NodeMode::Indexed(n) => (0..n).map(|i| i.to_string()).collect(),
-        };
-
         Ok(LinkStream {
-            directedness,
+            directedness: self.directedness,
             labels,
-            events: raw,
+            events,
             t_begin,
             t_end,
-            dropped_self_loops: self_loops,
-            dropped_duplicates,
+            dropped_self_loops: self.self_loops,
+            dropped_duplicates: self.duplicates,
         })
     }
+}
+
+/// The labels of an index-mode stream over `n` nodes: the decimal indices.
+fn indexed_labels(n: u32) -> Vec<String> {
+    (0..n).map(|i| i.to_string()).collect()
 }
 
 /// The span `end - begin` of a non-inverted study period, or

@@ -56,6 +56,9 @@ pub struct WindowPartition {
     t_begin: Time,
     span: i64,
     k: u64,
+    /// Whether `span · k < 2^64`, so [`index`](Self::index) can divide in
+    /// `u64` instead of `i128` (a function of `span` and `k`, decided once).
+    narrow: bool,
 }
 
 impl WindowPartition {
@@ -69,7 +72,8 @@ impl WindowPartition {
         if span == 0 && k != 1 {
             return Err(WindowError::ZeroSpanNeedsSingleWindow { k });
         }
-        Ok(WindowPartition { t_begin, span, k })
+        let narrow = (span as u64).checked_mul(k).is_some();
+        Ok(WindowPartition { t_begin, span, k, narrow })
     }
 
     /// Number of windows `K`.
@@ -93,7 +97,11 @@ impl WindowPartition {
         self.span as f64 / self.k as f64
     }
 
-    /// Maps an instant inside the study period to its 0-based window index.
+    /// Maps an instant inside the study period to its 0-based window index:
+    /// `⌊off · k / span⌋` for the offset `off = t − t_begin`, clamped into
+    /// the last window. The product fits a `u64` whenever `span · k` does
+    /// (decided once, by [`new`](Self::new)); wider partitions divide in
+    /// `i128`.
     ///
     /// # Panics
     /// Panics in debug builds if `t` lies outside the study period.
@@ -103,7 +111,11 @@ impl WindowPartition {
         if self.span == 0 {
             return 0;
         }
-        let idx = (off as i128 * self.k as i128 / self.span as i128) as u64;
+        let idx = if self.narrow {
+            off as u64 * self.k / self.span as u64
+        } else {
+            (off as i128 * self.k as i128 / self.span as i128) as u64
+        };
         idx.min(self.k - 1)
     }
 
@@ -193,6 +205,48 @@ mod tests {
                 let last = p.index(p1);
                 assert_eq!(last, k - 1);
             }
+        }
+    }
+
+    /// The `i128` formula the `u64` path must reproduce.
+    fn wide_index(t_begin: i64, span: i64, k: u64, t: i64) -> u64 {
+        let off = t as i128 - t_begin as i128;
+        ((off * k as i128 / span as i128) as u64).min(k - 1)
+    }
+
+    /// Both arithmetic paths agree with the `i128` formula around the
+    /// `span · k = 2^64` boundary, at the largest engine window count,
+    /// with a negative `t_begin`, and at `off == span` (the clamp).
+    #[test]
+    fn u64_and_i128_paths_agree_with_the_exact_formula() {
+        let max_k = u32::MAX as u64 - 1;
+        // span · k just below 2^64 (narrow) and just above (wide)
+        let below = (u64::MAX / max_k) as i64;
+        let cases = [
+            (-1_000_000_007i64, below, max_k),
+            (-5, below + 1, max_k),
+            (i64::MIN / 2, 1i64 << 32, 1u64 << 32),
+            (-3, (1i64 << 32) + 1, 1u64 << 32),
+            (-17, 9_448, 9_448),
+            (0, i64::MAX, 2),
+            (i64::MIN, i64::MAX, max_k),
+        ];
+        for (t_begin, span, k) in cases {
+            let p =
+                WindowPartition::new(Time::new(t_begin), Time::new(t_begin + span), k).unwrap();
+            let narrow = (span as u128) * (k as u128) < 1u128 << 64;
+            assert_eq!(p.narrow, narrow, "span={span} k={k}");
+            let mut offs = vec![0, 1, span / 3, span / 2, span - 1, span];
+            offs.extend((1..64).map(|i| ((span as u128 * i / 64) as i64).max(0)));
+            for off in offs {
+                let t = t_begin + off;
+                assert_eq!(
+                    p.index(Time::new(t)),
+                    wide_index(t_begin, span, k, t),
+                    "t_begin={t_begin} span={span} k={k} off={off}"
+                );
+            }
+            assert_eq!(p.index(Time::new(t_begin + span)), k - 1, "off == span clamps");
         }
     }
 

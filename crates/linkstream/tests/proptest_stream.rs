@@ -42,6 +42,62 @@ proptest! {
         prop_assert_eq!(usable, s.len() + s.dropped_duplicates());
     }
 
+    /// Snapshots taken between random appends (self-loops, duplicates and
+    /// out-of-order instants included) equal a one-shot build of the
+    /// events so far, and so does the final build; the builder's `len()`
+    /// matches a one-shot builder's after every batch.
+    #[test]
+    fn snapshots_between_appends_equal_one_shot_builds(
+        events in proptest::collection::vec((0u32..6, 0u32..6, 0i64..40), 1..120),
+        cuts in proptest::collection::vec(0usize..120, 0..6),
+        directed in any::<bool>(),
+    ) {
+        let d = if directed { Directedness::Directed } else { Directedness::Undirected };
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % events.len()).collect();
+        cuts.push(events.len());
+        cuts.sort_unstable();
+        let label = |u: u32| format!("n{u}");
+        let mut session = LinkStreamBuilder::new(d);
+        session.period(0, 40);
+        let mut at = 0;
+        for cut in cuts {
+            for &(u, v, t) in &events[at..cut] {
+                session.add(&label(u), &label(v), t);
+            }
+            at = cut;
+            let mut oneshot = LinkStreamBuilder::new(d);
+            oneshot.period(0, 40);
+            for &(u, v, t) in &events[..cut] {
+                oneshot.add(&label(u), &label(v), t);
+            }
+            prop_assert_eq!(session.len(), oneshot.len());
+            prop_assert_eq!(session.is_empty(), oneshot.is_empty());
+            match (session.snapshot(), oneshot.build()) {
+                (Ok(snap), Ok(scratch)) => {
+                    prop_assert_eq!(snap.events(), scratch.events());
+                    prop_assert_eq!(snap.labels(), scratch.labels());
+                    prop_assert_eq!(snap.len(), scratch.len());
+                    prop_assert_eq!(snap.dropped_duplicates(), scratch.dropped_duplicates());
+                    prop_assert_eq!(snap.dropped_self_loops(), scratch.dropped_self_loops());
+                    prop_assert_eq!((snap.t_begin(), snap.t_end()), (scratch.t_begin(), scratch.t_end()));
+                }
+                (snap, scratch) => prop_assert_eq!(snap.err(), scratch.err()),
+            }
+        }
+        let mut oneshot = LinkStreamBuilder::new(d);
+        oneshot.period(0, 40);
+        for &(u, v, t) in &events {
+            oneshot.add(&label(u), &label(v), t);
+        }
+        match (session.build(), oneshot.build()) {
+            (Ok(built), Ok(scratch)) => {
+                prop_assert_eq!(built.events(), scratch.events());
+                prop_assert_eq!(built.dropped_duplicates(), scratch.dropped_duplicates());
+            }
+            (built, scratch) => prop_assert_eq!(built.err(), scratch.err()),
+        }
+    }
+
     /// Text serialization round-trips exactly.
     #[test]
     fn io_round_trip(events in arb_events(), directed in any::<bool>()) {

@@ -238,7 +238,6 @@
 //! | `saturn_stream_events_appended_total` | counter | — | events accepted by append batches |
 //! | `saturn_stream_refreshes_total` | counter | — | incremental re-analyses executed |
 //! | `saturn_stream_scales_reused_total` | counter | — | scales served from the session cache without DP |
-//! | `saturn_stream_tiles_skipped_total` | counter | — | DP tiles skipped by refresh reuse |
 //! | `saturn_stream_suffix_windows_rebuilt_total` | counter | — | timeline windows respliced by refreshes |
 //! | `saturn_stream_dp_steps_skipped_total` | counter | — | non-empty DP steps that refreshes resumed from a checkpoint did not re-run, summed over tiles |
 //! | `saturn_stream_stale_refreshes_total` | counter | — | refreshes outrun by a newer refresh of their session, recomputed from scratch |

@@ -315,8 +315,6 @@ pub struct Metrics {
     /// `saturn_stream_scales_reused_total` — scales served verbatim from a
     /// session's sweep cache (histogram reused, DP skipped).
     pub stream_scales_reused: Counter,
-    /// `saturn_stream_tiles_skipped_total` — DP tiles avoided by reuse.
-    pub stream_tiles_skipped: Counter,
     /// `saturn_stream_suffix_windows_rebuilt_total` — timeline windows
     /// rebuilt by suffix splices (the incremental work actually done).
     pub stream_suffix_windows_rebuilt: Counter,
@@ -516,11 +514,6 @@ impl Metrics {
                 "saturn_stream_scales_reused_total",
                 "Scales served verbatim from a session sweep cache.",
                 &self.stream_scales_reused,
-            ),
-            (
-                "saturn_stream_tiles_skipped_total",
-                "DP tiles avoided by sweep-cache scale reuse.",
-                &self.stream_tiles_skipped,
             ),
             (
                 "saturn_stream_suffix_windows_rebuilt_total",

@@ -392,7 +392,7 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
     // version must be one consistent cut, or a racing append could be
     // marked clean
     let (stream, dirty_from, version_at_snapshot) = {
-        let ingest = session.ingest.lock().unwrap();
+        let mut ingest = session.ingest.lock().unwrap();
         let stream = ingest
             .builder
             .snapshot()
@@ -435,7 +435,6 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
             Ok((report, Some(stats))) => {
                 metrics.stream_refreshes.inc();
                 metrics.stream_scales_reused.add(stats.scales_reused);
-                metrics.stream_tiles_skipped.add(stats.tiles_skipped);
                 metrics.stream_suffix_windows_rebuilt.add(stats.suffix_windows_rebuilt);
                 metrics.stream_dp_steps_skipped.add(stats.steps_skipped);
                 cache_insert(report.to_json())
@@ -482,7 +481,7 @@ mod tests {
     /// A consistent `(stream, dirty mark, version)` cut, exactly as
     /// `refresh_analysis` takes it.
     fn snapshot(session: &Session) -> (LinkStream, Option<i64>, u64) {
-        let ingest = session.ingest.lock().unwrap();
+        let mut ingest = session.ingest.lock().unwrap();
         (ingest.builder.snapshot().unwrap(), ingest.dirty_min_t, ingest.version)
     }
 

@@ -691,7 +691,6 @@ fn metrics_exposition_is_wellformed() {
         "saturn_stream_events_appended_total",
         "saturn_stream_refreshes_total",
         "saturn_stream_scales_reused_total",
-        "saturn_stream_tiles_skipped_total",
         "saturn_stream_suffix_windows_rebuilt_total",
         "saturn_stream_stale_refreshes_total",
         "saturn_parse_seconds",
@@ -1135,7 +1134,6 @@ fn streaming_refresh_is_byte_identical_to_scratch_analyze() {
     assert!(metric_sample(&text, "saturn_stream_refreshes_total") >= 4.0);
     assert!(metric_sample(&text, "saturn_stream_suffix_windows_rebuilt_total") >= 1.0);
     assert!(metric_sample(&text, "saturn_stream_scales_reused_total") >= 1.0);
-    assert!(metric_sample(&text, "saturn_stream_tiles_skipped_total") >= 1.0);
     assert!(metric_sample(&text, "saturn_stream_events_appended_total") >= 202.0);
 
     let health = json(&request(addr, "GET", "/v1/health", b""));
